@@ -55,6 +55,7 @@ from .linalg import (
     tensor_product_vec,
 )
 from .scenario import (
+    BlockState,
     CompositeState,
     ObserverRecovery,
     ScenarioResult,
@@ -68,6 +69,7 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockState",
     "CompatReport",
     "CompositeState",
     "DEFAULT_TOL",

@@ -72,3 +72,30 @@ def rank_formula_intersection_dim(bases: list[np.ndarray], tol: float = 1e-8) ->
 def proj(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the column span of an orthonormal basis."""
     return basis @ basis.conj().T
+
+
+def dense_joint_tensor(ensembles) -> np.ndarray:
+    """The multi-observer joint state as a full tensor over (ancilla 1, ..., ancilla N, system).
+
+    A direct dense construction, kept as the oracle for the block layout of
+    ``statecompat.scenario``: it allocates every amplitude, so use it only for
+    a few observers on small systems.
+    """
+    n = len(ensembles)
+    phi = ensembles[0].terms[0][1]
+    extras = [len(e.terms) - 1 for e in ensembles]
+    ancilla_dims = [1 + max(extras[k] for k in range(n) if k != j) for j in range(n)]
+    tensor = np.zeros(ancilla_dims + [ensembles[0].dim], dtype=np.complex128)
+    tensor[(0,) * n] = phi
+    for k, ensemble in enumerate(ensembles):
+        p_k = ensemble.terms[0][0]
+        for i, (weight, state) in enumerate(ensemble.terms[1:], start=1):
+            pattern = tuple(0 if j == k else i for j in range(n))
+            tensor[pattern] = np.sqrt(weight / p_k) * state
+    return tensor / np.linalg.norm(tensor)
+
+
+def dense_conditional(tensor: np.ndarray, k: int) -> np.ndarray:
+    """The slab of a dense joint tensor with ancilla k at level 0, renormalized."""
+    slab = np.take(tensor, 0, axis=k)
+    return slab / np.linalg.norm(slab)

@@ -122,6 +122,15 @@ def test_scenario_three_observers(tmp_path, capsys):
     assert code == 0
 
 
+def test_scenario_dim64_four_observers(tmp_path):
+    gen = tmp_path / "d64.json"
+    args = ["--dim", "64", "--count", "4", "--seed", "7", "--mode", "compatible"]
+    assert main(["generate", *args, "--output", str(gen)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["scenario", "--input", str(gen), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["success"] is True
+
+
 def test_scenario_incompatible_exits_one(tmp_path, capsys):
     path = write_instance(tmp_path / "spin.json", spin_pair())
     code = main(["scenario", "--input", str(path)])

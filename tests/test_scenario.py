@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from statecompat.compat import common_state_witness
+from conftest import dense_conditional, dense_joint_tensor
+from statecompat.compat import common_state_witness, support_compatible
 from statecompat.density import Ensemble, ensemble_containing, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
@@ -45,16 +46,21 @@ def test_joint_state_trivial_shared_pure():
     phi = random_unit_vector(2, rng)
     psi = build_joint_state([Ensemble(2, [(1.0, phi)]), Ensemble(2, [(1.0, phi)])])
     assert psi.ancilla_dims == [1, 1]
-    np.testing.assert_allclose(psi.amplitudes, phi, atol=1e-14)
+    np.testing.assert_array_equal(psi.patterns, [[0, 0]])
+    np.testing.assert_allclose(psi.amplitudes, [phi], atol=1e-14)
+    np.testing.assert_allclose(psi.as_tensor().reshape(-1), phi, atol=1e-14)
 
 
 def test_joint_state_hand_expanded_two_observers():
     psi = two_observer_example()
     assert psi.ancilla_dims == [2, 1]
     assert psi.system_dim == 2
-    # (|a0 b0>|0> + |a1 b0>|1>) / sqrt(2) over factor order (a, b, system)
+    # (|a0 b0>|0> + |a1 b0>|1>) / sqrt(2): one block per populated (a, b) pattern
+    np.testing.assert_array_equal(psi.patterns, [[0, 0], [1, 0]])
+    np.testing.assert_allclose(psi.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-14)
+    # the same state over factor order (a, b, system)
     expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(psi.amplitudes, expected, atol=1e-14)
+    np.testing.assert_allclose(psi.as_tensor().reshape(-1), expected, atol=1e-14)
 
 
 def test_joint_state_three_observers_four_terms():
@@ -128,17 +134,29 @@ def test_conditional_trivial_state():
     rng = np.random.default_rng(7)
     phi = random_unit_vector(2, rng)
     psi = build_joint_state([Ensemble(2, [(1.0, phi)])] * 2)
-    np.testing.assert_allclose(observer_conditional_state(psi, 0), phi, atol=1e-14)
+    cond = observer_conditional_state(psi, 0)
+    assert cond.ancilla_dims == [1]
+    np.testing.assert_array_equal(cond.patterns, [[0]])
+    np.testing.assert_allclose(cond.amplitudes, [phi], atol=1e-14)
+    np.testing.assert_allclose(cond.as_tensor().reshape(-1), phi, atol=1e-14)
 
 
 def test_conditional_states_of_hand_example():
     psi = two_observer_example()
     # Bob conditions on b0: keeps both branches, (|a0>|0> + |a1>|1>)/sqrt(2)
     bob = observer_conditional_state(psi, 1)
-    np.testing.assert_allclose(bob, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14)
+    assert bob.ancilla_dims == [2]
+    np.testing.assert_array_equal(bob.patterns, [[0], [1]])
+    np.testing.assert_allclose(bob.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(
+        bob.as_tensor().reshape(-1), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14
+    )
     # Alice conditions on a0: the a1 branch dies, leaving |b0>|0>
     alice = observer_conditional_state(psi, 0)
-    np.testing.assert_allclose(alice, [1, 0], atol=1e-14)
+    assert alice.ancilla_dims == [1]
+    np.testing.assert_array_equal(alice.patterns, [[0]])
+    np.testing.assert_allclose(alice.amplitudes, [[1, 0]], atol=1e-14)
+    np.testing.assert_allclose(alice.as_tensor().reshape(-1), [1, 0], atol=1e-14)
 
 
 def test_conditional_rejects_bad_index():
@@ -149,8 +167,8 @@ def test_conditional_rejects_bad_index():
 
 def test_conditional_zero_projection_guard():
     psi = two_observer_example()
-    # hand-tamper: move all amplitude out of the a0 slab
-    psi.amplitudes = np.array([0, 0, 1, 0], dtype=complex)
+    # hand-tamper: move all amplitude out of the a0 slab, into the a1 b0 block
+    psi.amplitudes = np.array([[0, 0], [1, 0]], dtype=complex)
     with pytest.raises(ZeroProjectionError):
         observer_conditional_state(psi, 0)
 
@@ -183,6 +201,11 @@ def test_reduced_density_rejects_bad_dims():
         observer_reduced_density(np.ones(4) / 2, [2, 3], 1)
     with pytest.raises(DimensionMismatchError):
         observer_reduced_density(np.ones(4) / 2, [2, 2], 5)
+    bob = observer_conditional_state(two_observer_example(), 1)  # factors [2, 2]
+    with pytest.raises(DimensionMismatchError):
+        observer_reduced_density(bob, [2, 3], 1)
+    with pytest.raises(DimensionMismatchError):
+        observer_reduced_density(bob, [2, 2], 0)  # blocks reduce to the system only
 
 
 # ----------------------------------------------------------------- run_scenario
@@ -262,11 +285,81 @@ def test_scaling_ensemble_weights_changes_nothing():
 
 
 def test_composite_state_validation():
-    with pytest.raises(StateCompatError):
-        CompositeState([2, 2], 2, np.ones(8))  # not normalized
+    zero_one = np.array([[0, 0], [1, 1]])
+    half = np.eye(2) / np.sqrt(2)
+    with pytest.raises(StateCompatError, match="not normalized"):
+        CompositeState([2, 2], 2, zero_one, np.ones((2, 2)))
     with pytest.raises(DimensionMismatchError):
-        CompositeState([2, 2], 2, np.ones(5) / np.sqrt(5))
-    amps = np.zeros(8)
-    amps[7] = 1.0
-    with pytest.raises(StateCompatError):
-        CompositeState([2, 2], 2, amps)  # all-zero ancilla block empty
+        CompositeState([2, 2], 2, zero_one, np.ones((3, 2)) / np.sqrt(6))  # 3 blocks, 2 patterns
+    with pytest.raises(DimensionMismatchError):
+        CompositeState([2, 2], 2, [[0, 0, 0], [1, 1, 0]], half)  # 3 levels, 2 ancillas
+    with pytest.raises(DimensionMismatchError):
+        CompositeState([2, 2], 2, zero_one, np.ones((2, 3)) / np.sqrt(6))  # blocks of length 3
+    with pytest.raises(StateCompatError, match="all-zero"):
+        CompositeState([2, 2], 2, [[1, 1]], [[1.0, 0.0]])  # all-zero pattern absent
+    with pytest.raises(StateCompatError, match="all-zero"):
+        CompositeState([2, 2], 2, zero_one, [[0.0, 0.0], [1.0, 0.0]])  # its block empty
+    with pytest.raises(StateCompatError, match="distinct"):
+        CompositeState([2, 2], 2, [[0, 0], [0, 0]], half)
+    with pytest.raises(StateCompatError, match="out of range"):
+        CompositeState([2, 3], 2, [[0, 0], [0, 3]], half)
+    with pytest.raises(StateCompatError, match="out of range"):
+        CompositeState([2, 2], 2, [[0, 0], [-1, 1]], half)
+    with pytest.raises(StateCompatError, match="non-finite"):
+        CompositeState([2, 2], 2, zero_one, [[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(StateCompatError, match="integers"):
+        CompositeState([2, 2], 2, zero_one.astype(float), half)
+    with pytest.raises(StateCompatError, match="two positive"):
+        CompositeState([2], 2, [[0], [1]], half)
+    psi = CompositeState([2, 3], 2, [[0, 0], [1, 2]], half)
+    assert psi.patterns.dtype == np.intp
+    assert joint_zero_outcome_probability(psi) == pytest.approx(0.5, abs=1e-15)
+
+
+# ------------------------------------------------- block layout vs dense oracle
+
+
+def test_block_state_matches_dense_reference():
+    atol = 4 * np.finfo(float).eps  # amplitudes are at most 1 in modulus
+    for dim in (2, 3):
+        for count in (2, 3, 4):
+            for seed in range(4):
+                rng = np.random.default_rng(1000 * dim + 100 * count + seed)
+                rhos = [validate_density(m) for m in compatible_instance(dim, count, rng)]
+                phi = support_compatible(rhos)[1].basis[:, 0]
+                ensembles = [ensemble_containing(r, phi) for r in rhos]
+                psi = build_joint_state(ensembles)
+                dense = dense_joint_tensor(ensembles)
+                np.testing.assert_allclose(psi.as_tensor(), dense, rtol=0, atol=atol)
+                dense_zero = float(np.sum(np.abs(dense[(0,) * count]) ** 2))
+                result = run_scenario(rhos)
+                assert result.joint_zero_probability == pytest.approx(dense_zero, abs=atol)
+                for k in range(count):
+                    slab = dense_conditional(dense, k)
+                    block = observer_conditional_state(psi, k)
+                    np.testing.assert_allclose(block.as_tensor(), slab, rtol=0, atol=atol)
+                    dims = list(slab.shape)
+                    via_dense = observer_reduced_density(slab.reshape(-1), dims, len(dims) - 1)
+                    np.testing.assert_allclose(
+                        result.recoveries[k].recovered.matrix, via_dense.matrix, atol=1e-14
+                    )
+
+
+def test_as_tensor_refuses_oversized_state():
+    rng = np.random.default_rng(23)
+    phi, chi = random_unit_vector(3, rng), random_unit_vector(3, rng)
+    psi = build_joint_state([Ensemble(3, [(0.5, phi), (0.5, chi)])] * 1000)
+    assert psi.ancilla_dims == [2] * 1000
+    assert psi.amplitudes.shape == (1001, 3)
+    with pytest.raises(StateCompatError, match="cap") as info:
+        psi.as_tensor()
+    assert "\n" not in str(info.value)
+
+
+def test_scenario_thousand_observers():
+    rng = np.random.default_rng(29)
+    rhos = [validate_density(m) for m in compatible_instance(3, 1000, rng)]
+    result = run_scenario(rhos)
+    assert result.success, max(result.distances)
+    assert len(result.recoveries) == 1000
+    assert 0.0 < result.joint_zero_probability <= 1.0
