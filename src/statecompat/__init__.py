@@ -9,7 +9,6 @@ product) for comparison.
 
 from .compat import (
     CompatReport,
-    common_state_witness,
     commutes,
     forbidden_subspace,
     full_report,
@@ -19,9 +18,7 @@ from .compat import (
 from .density import (
     DensityMatrix,
     Ensemble,
-    eigen_ensemble,
     ensemble_containing,
-    ensemble_to_density,
     null_space,
     support,
     validate_density,
@@ -47,12 +44,8 @@ from .linalg import (
     Subspace,
     Tolerances,
     hermitian_eig,
-    orthogonal_complement,
     orthonormal_basis_containing,
-    partial_trace,
     subspace_intersection,
-    subspace_span_union,
-    tensor_product_vec,
 )
 from .scenario import (
     BlockState,
@@ -81,11 +74,8 @@ __all__ = [
     "Subspace",
     "Tolerances",
     "build_joint_state",
-    "common_state_witness",
     "commutes",
-    "eigen_ensemble",
     "ensemble_containing",
-    "ensemble_to_density",
     "forbidden_subspace",
     "full_report",
     "hermitian_eig",
@@ -93,16 +83,12 @@ __all__ = [
     "null_space",
     "observer_conditional_state",
     "observer_reduced_density",
-    "orthogonal_complement",
     "orthonormal_basis_containing",
-    "partial_trace",
     "product_nonzero",
     "run_scenario",
     "subspace_intersection",
-    "subspace_span_union",
     "support",
     "support_compatible",
-    "tensor_product_vec",
     "validate_density",
     # errors
     "CommonStateMismatchError",

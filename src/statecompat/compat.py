@@ -2,9 +2,14 @@
 
 The decisive criterion is support intersection: a set of density matrices can
 describe one system simultaneously exactly when all of their supports share
-at least one state. Two older pairwise conditions are evaluated alongside it
-for comparison: commutation of the pair (neither necessary nor sufficient)
-and a nonzero operator product (necessary but strictly weaker).
+at least one state. One SVD decides it (see
+:func:`statecompat.linalg.intersection_split`): a direction belongs to every
+support when its root-sum-square distance from them is at most ``match_abs``,
+the same test :func:`statecompat.density.ensemble_containing` applies to the
+shared state later, and every other direction is forbidden. Two older
+pairwise conditions are evaluated alongside for comparison: commutation of
+the pair (neither necessary nor sufficient) and a nonzero operator product
+(necessary but strictly weaker).
 """
 
 from __future__ import annotations
@@ -13,15 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityMatrix, null_space, support
+from .density import DensityMatrix, support
 from .errors import DimensionMismatchError, StateCompatError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
-    averaged_projector_eig,
-    subspace_intersection,
-    subspace_span_union,
+    intersection_split,
 )
 
 
@@ -30,10 +33,13 @@ class CompatReport:
     """Aggregated verdicts for one set of density matrices.
 
     ``compatible``, ``intersection_dim`` and ``witness`` describe the support
-    criterion; the pairwise matrices carry both the boolean flags and the
-    underlying scalars (commutator Frobenius norms and product traces).
-    ``marginal`` is set when a support-intersection eigenvalue fell close to
-    the rank cutoff, i.e. the boolean verdict is numerically fragile.
+    criterion, and ``forbidden_dim`` is the dimension of the rest of the
+    space, so the two add up to ``dim``. The pairwise matrices carry both the
+    boolean flags and the underlying scalars (commutator Frobenius norms and
+    product traces). ``marginal`` is set when some direction's distance from
+    the supports lies within a factor of 10 of ``match_abs`` on either side,
+    i.e. a slightly different tolerance could move it into or out of the
+    intersection, so the verdict is numerically fragile.
     """
 
     dim: int
@@ -60,35 +66,24 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
     return rhos
 
 
+def _split(rhos, tol: Tolerances) -> tuple[Subspace, Subspace, np.ndarray]:
+    return intersection_split([support(r, tol) for r in _check_rhos(rhos)], tol)
+
+
 def support_compatible(
     rhos, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    rhos = _check_rhos(rhos)
-    intersection = subspace_intersection([support(r, tol) for r in rhos], tol)
+    intersection = _split(rhos, tol)[0]
     return intersection.dim >= 1, intersection
 
 
-def common_state_witness(rhos, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """A unit vector inside every support, or None when there is none.
-
-    The returned vector is the intersection basis vector of largest averaged
-    projector eigenvalue, phase-fixed. It is deterministic but not canonical:
-    any other intersection vector would serve equally well.
-    """
-    compatible, intersection = support_compatible(rhos, tol)
-    if not compatible:
-        return None
-    return intersection.basis[:, 0].copy()
-
-
 def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Span of the union of all null spaces: states none of the assignments allow.
+    """States none of the assignments allow: the complement of the support intersection.
 
-    Its orthogonal complement is the intersection of the supports.
+    It is spanned by the null spaces of the matrices taken together.
     """
-    rhos = _check_rhos(rhos)
-    return subspace_span_union([null_space(r, tol) for r in rhos], tol)
+    return _split(rhos, tol)[1]
 
 
 def commutes(
@@ -115,20 +110,13 @@ def product_nonzero(
     return overlap > tol.rank_rel, overlap
 
 
-def _marginal_band(eigenvalues: np.ndarray, tol: Tolerances) -> bool:
-    """True when a rejected intersection eigenvalue came within 10x rank_rel of the cutoff."""
-    cutoff = 1.0 - tol.rank_rel
-    lower = 1.0 - 11.0 * tol.rank_rel
-    return bool(np.any((eigenvalues >= lower) & (eigenvalues < cutoff)))
-
-
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
     rhos = _check_rhos(rhos)
     n = len(rhos)
-    compatible, intersection = support_compatible(rhos, tol)
+    intersection, forbidden, defects = _split(rhos, tol)
+    compatible = intersection.dim >= 1
     witness = intersection.basis[:, 0].copy() if compatible else None
-    forbidden = forbidden_subspace(rhos, tol)
 
     commute_flags = np.ones((n, n), dtype=bool)
     commute_res = np.zeros((n, n))
@@ -145,15 +133,13 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
             overlaps[i, j] = overlaps[j, i] = p_val
 
     notes: list[str] = []
-    marginal = False
-    if n > 1:
-        eig = averaged_projector_eig([support(r, tol) for r in rhos])
-        marginal = _marginal_band(eig.eigenvalues, tol)
-        if marginal:
-            notes.append(
-                "marginal: an intersection eigenvalue fell within 10x rank_rel "
-                "of the acceptance cutoff; the compatibility verdict is numerically fragile"
-            )
+    ratio = defects / tol.match_abs
+    marginal = bool(np.any((ratio > 0.1) & (ratio < 10.0)))
+    if marginal:
+        notes.append(
+            "marginal: a direction's distance from the supports lies within 10x "
+            "of match_abs; the compatibility verdict is numerically fragile"
+        )
 
     return CompatReport(
         dim=rhos[0].dim,

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    EigResult,
     Subspace,
     Tolerances,
     as_complex_matrix,
@@ -51,12 +52,21 @@ WEIGHT_SUM_TOL = 1e-8
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """A validated density matrix; construct through :func:`validate_density`."""
+    """A validated density matrix and its spectrum; construct through :func:`validate_density`.
+
+    ``spectrum`` is the eigendecomposition of ``matrix`` (eigenvalues
+    descending, eigenvectors phase-fixed) that validation computed; supports,
+    null spaces and ensembles read it instead of diagonalizing again. Built
+    directly without one, the matrix is diagonalized here.
+    """
 
     matrix: np.ndarray
+    spectrum: EigResult | None = None
 
     def __post_init__(self):
         self.matrix = require_square(as_complex_matrix(self.matrix))
+        if self.spectrum is None:
+            self.spectrum = hermitian_eig(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -122,7 +132,8 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, trace one, and positivity; return the cleaned matrix.
 
     The input is symmetrized, eigenvalues within the negative tolerance band
-    are clamped to zero, and the trace is renormalized to exactly one.
+    are clamped to zero, and the trace is renormalized to exactly one. The
+    result keeps this one eigendecomposition, clamped and scaled the same way.
     """
     m = require_square(as_complex_matrix(m))
     eig = hermitian_eig(m, tol)  # raises NotHermitianError on a large defect
@@ -137,19 +148,21 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
             f"eigenvalue {float(values[-1]):.6g} is negative beyond tolerance"
         )
     if float(values[-1]) < 0.0:
-        clamped = np.maximum(values, 0.0)
-        sym = (eig.eigenvectors * clamped) @ eig.eigenvectors.conj().T
+        values = np.maximum(values, 0.0)
+        sym = (eig.eigenvectors * values) @ eig.eigenvectors.conj().T
         sym = (sym + sym.conj().T) / 2.0
-    sym = sym / float(np.trace(sym).real)
-    return DensityMatrix(sym)
+    trace = float(np.trace(sym).real)
+    return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
+
+
+def _rank(rho: DensityMatrix, tol: Tolerances) -> int:
+    values = rho.spectrum.eigenvalues
+    return int(np.sum(values > zero_cutoff(values, tol)))
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    eig = hermitian_eig(rho.matrix, tol)
-    cutoff = zero_cutoff(eig.eigenvalues, tol)
-    count = int(np.sum(eig.eigenvalues > cutoff))
-    return Subspace(rho.dim, eig.eigenvectors[:, :count])
+    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, : _rank(rho, tol)])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -158,30 +171,7 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    eig = hermitian_eig(rho.matrix, tol)
-    cutoff = zero_cutoff(eig.eigenvalues, tol)
-    count = int(np.sum(eig.eigenvalues > cutoff))
-    return Subspace(rho.dim, eig.eigenvectors[:, count:])
-
-
-def ensemble_to_density(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
-    """Weighted sum of the state projectors, sum_i p_i |phi_i><phi_i|."""
-    acc = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-    for weight, state in ensemble.terms:
-        acc += weight * np.outer(state, state.conj())
-    return validate_density(acc, tol)
-
-
-def eigen_ensemble(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
-    """The orthonormal ensemble of eigenvectors with nonzero eigenvalues."""
-    eig = hermitian_eig(rho.matrix, tol)
-    cutoff = zero_cutoff(eig.eigenvalues, tol)
-    terms = [
-        (float(eig.eigenvalues[i]), eig.eigenvectors[:, i])
-        for i in range(rho.dim)
-        if eig.eigenvalues[i] > cutoff
-    ]
-    return Ensemble(rho.dim, terms)
+    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, _rank(rho, tol) :])
 
 
 def ensemble_containing(
@@ -202,16 +192,15 @@ def ensemble_containing(
             f"state has a null-space component (projection defect {defect:.3e}); "
             "no ensemble for this density matrix can contain it"
         )
-    eig = hermitian_eig(rho.matrix, tol)
-    cutoff = zero_cutoff(eig.eigenvalues, tol)
-    nonzero = [float(v) for v in eig.eigenvalues if v > cutoff]
-    r0 = nonzero[-1]
+    values = rho.spectrum.eigenvalues
+    cutoff = zero_cutoff(values, tol)
+    r0 = float(values[supp.dim - 1])
     basis = orthonormal_basis_containing(psi, supp, tol)
     terms: list[tuple[float, np.ndarray]] = [
         (r0, basis.basis[:, j]) for j in range(basis.dim)
     ]
-    for i, r_i in enumerate(nonzero):
-        surplus = r_i - r0
+    for i in range(supp.dim):
+        surplus = float(values[i]) - r0
         if surplus > cutoff:
-            terms.append((surplus, eig.eigenvectors[:, i]))
+            terms.append((surplus, rho.spectrum.eigenvectors[:, i]))
     return Ensemble(rho.dim, terms)

@@ -126,17 +126,6 @@ def vector_to_pairs(v: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v)]
 
 
-def pairs_to_vector(pairs, where: str = "vector") -> np.ndarray:
-    if not isinstance(pairs, list) or not pairs:
-        raise InstanceFormatError(f"{where}: expected a nonempty list of [re, im] pairs")
-    out = np.zeros(len(pairs), dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InstanceFormatError(f"{where}: entry {i} must be a [re, im] pair")
-        out[i] = complex(_as_number(pair[0], where), _as_number(pair[1], where))
-    return out
-
-
 def instance_payload(instance: Instance) -> dict:
     payload = {
         "dim": instance.dim,

@@ -1,16 +1,15 @@
 """Dense complex linear algebra on small matrices.
 
-Hermitian eigendecomposition, Kronecker products, partial traces, and
-orthonormal-basis subspace arithmetic, all with explicit numerical
-tolerances. Matrices and vectors are plain ``numpy`` arrays of complex128;
-coercion and structural validation happen at the function boundaries.
+Hermitian eigendecomposition and orthonormal-basis subspace arithmetic (the
+intersection of a family, and completing a vector to a basis), all with
+explicit numerical tolerances. Matrices and vectors are plain ``numpy``
+arrays of complex128; coercion and structural validation happen at the
+function boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import prod
 
 import numpy as np
 
@@ -34,9 +33,10 @@ ORTHO_TOL = 1e-10
 class Tolerances:
     """Numerical thresholds shared by every operation.
 
-    ``rank_rel`` is the relative eigenvalue/singular-value cutoff used for
-    rank decisions; ``match_abs`` is the absolute Frobenius/Euclidean
-    threshold for treating matrices or vectors as equal.
+    ``rank_rel`` is the relative eigenvalue cutoff used for rank decisions;
+    ``match_abs`` is the absolute Frobenius/Euclidean threshold for treating
+    matrices or vectors as equal, and so also for deciding that a vector lies
+    in a subspace.
     """
 
     rank_rel: float = 1e-10
@@ -81,11 +81,19 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first component with modulus > 1e-8 is real positive."""
-    for x in v:
-        if abs(x) > PHASE_FLOOR:
-            return v * (x.conjugate() / abs(x))
-    return np.array(v, dtype=np.complex128)
+    """Make the first component with modulus > 1e-8 real positive by a global phase.
+
+    Works on a vector or on each column of a matrix; a vector or column with
+    no such component is returned unrotated.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    cols = v.reshape(v.shape[0], -1)
+    big = np.abs(cols) > PHASE_FLOOR
+    lead = cols[np.argmax(big, axis=0), np.arange(cols.shape[1])]
+    anchored = big.any(axis=0)
+    phase = np.ones_like(lead)
+    phase[anchored] = lead[anchored].conjugate() / np.abs(lead[anchored])
+    return (cols * phase).reshape(v.shape)
 
 
 def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -124,49 +132,7 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> EigResult:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    w = w[::-1]
-    v = v[:, ::-1]
-    v = np.column_stack([fix_phase(v[:, j]) for j in range(v.shape[1])])
-    return EigResult(eigenvalues=np.real(w).copy(), eigenvectors=v)
-
-
-def tensor_product_vec(vs) -> np.ndarray:
-    """Kronecker product of one or more vectors; the leftmost factor varies slowest."""
-    vecs = [as_complex_vector(v) for v in vs]
-    if not vecs:
-        raise StateCompatError("tensor product needs at least one vector")
-    return reduce(np.kron, vecs)
-
-
-def partial_trace(m, factor_dims, keep) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``m`` must be square of size prod(factor_dims); ``keep`` is a nonempty set
-    of factor indices. Kept factors stay in their original relative order.
-    """
-    m = require_square(as_complex_matrix(m))
-    dims = [int(d) for d in factor_dims]
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
-    if m.shape[0] != prod(dims):
-        raise DimensionMismatchError(
-            f"matrix dimension {m.shape[0]} is not the product of factors {dims}"
-        )
-    keep_set = {int(k) for k in keep}
-    if not keep_set:
-        raise StateCompatError("keep set must not be empty")
-    if not keep_set <= set(range(len(dims))):
-        raise DimensionMismatchError(
-            f"keep indices {sorted(keep_set)} out of range for {len(dims)} factors"
-        )
-    tensor = m.reshape(dims + dims)
-    remaining = list(range(len(dims)))
-    for j in sorted(set(range(len(dims))) - keep_set, reverse=True):
-        pos = remaining.index(j)
-        tensor = np.trace(tensor, axis1=pos, axis2=pos + len(remaining))
-        remaining.remove(j)
-    kept_dim = prod(dims[j] for j in sorted(keep_set))
-    return np.asarray(tensor).reshape(kept_dim, kept_dim).copy()
+    return EigResult(eigenvalues=np.real(w[::-1]).copy(), eigenvectors=fix_phase(v[:, ::-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,41 +192,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
-    @classmethod
-    def from_span(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize a list of spanning vectors (rank decided by ``tol.rank_rel``)."""
-        cols = [as_complex_vector(v) for v in vectors]
-        if not cols:
-            raise StateCompatError("from_span needs at least one vector")
-        ambient = cols[0].shape[0]
-        if any(c.shape[0] != ambient for c in cols):
-            raise DimensionMismatchError("spanning vectors have mixed lengths")
-        return _orthonormalize(np.column_stack(cols), ambient, tol)
-
-
-def _orthonormalize(pooled: np.ndarray, ambient: int, tol: Tolerances) -> Subspace:
-    """Orthonormal basis for the column span of ``pooled``, rank via singular values."""
-    if pooled.shape[1] == 0:
-        return Subspace.empty(ambient)
-    u, s, _ = np.linalg.svd(pooled, full_matrices=False)
-    cutoff = zero_cutoff(s, tol)
-    count = int(np.sum(s > cutoff))
-    basis = np.column_stack([fix_phase(u[:, j]) for j in range(count)]) if count else \
-        np.zeros((ambient, 0), dtype=np.complex128)
-    return Subspace(ambient, basis)
-
-
-def orthogonal_complement(subspace: Subspace) -> Subspace:
-    """Orthonormal basis for the orthogonal complement."""
-    d, k = subspace.ambient_dim, subspace.dim
-    if k == 0:
-        return Subspace.full(d)
-    u, _, _ = np.linalg.svd(subspace.basis, full_matrices=True)
-    if k == d:
-        return Subspace.empty(d)
-    basis = np.column_stack([fix_phase(u[:, j]) for j in range(k, d)])
-    return Subspace(d, basis)
-
 
 def orthonormal_basis_containing(
     psi, subspace: Subspace, tol: Tolerances = DEFAULT_TOL
@@ -290,59 +221,41 @@ def orthonormal_basis_containing(
     columns = [fix_phase(psi)]
     if k > 1:
         u, _, _ = np.linalg.svd(rest, full_matrices=False)
-        columns.extend(fix_phase(u[:, j]) for j in range(k - 1))
+        columns.append(fix_phase(u[:, : k - 1]))
     return Subspace(subspace.ambient_dim, np.column_stack(columns))
 
 
-def _check_family(subspaces) -> int:
+def intersection_split(
+    subspaces, tol: Tolerances = DEFAULT_TOL
+) -> tuple[Subspace, Subspace, np.ndarray]:
+    """The family's intersection, its orthogonal complement, and the defects deciding them.
+
+    One SVD of the stacked complement projectors A = [I - P_1; ...; I - P_n]
+    decides everything. For a unit vector v, ||Av||^2 is the sum of its
+    squared distances from the subspaces, so each singular value (the
+    defects, ascending) is the root-sum-square distance of its right singular
+    vector from the family. The intersection holds the vectors with defect at
+    most ``tol.match_abs``, smallest first; the complement holds the rest, so
+    the two dimensions add up to the ambient one. The SVD resolves small
+    principal angles to absolute accuracy, where an eigendecomposition of
+    A^dag A would square them. A single subspace is its own intersection and
+    keeps its basis order (phase-fixed).
+    """
     subspaces = list(subspaces)
     if not subspaces:
         raise StateCompatError("need at least one subspace")
     ambient = subspaces[0].ambient_dim
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
-    return ambient
-
-
-def averaged_projector_eig(subspaces) -> EigResult:
-    """Eigensystem (descending) of the average of the subspaces' projectors."""
-    ambient = _check_family(subspaces)
-    avg = np.zeros((ambient, ambient), dtype=np.complex128)
-    for s in subspaces:
-        avg += s.projector()
-    avg /= len(list(subspaces))
-    return hermitian_eig(avg)
+    stacked = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
+    _, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
+    defects = sigma[::-1].copy()
+    vectors = fix_phase(vh[::-1].conj().T)
+    count = int(np.sum(defects <= tol.match_abs))
+    inside = fix_phase(subspaces[0].basis) if len(subspaces) == 1 else vectors[:, :count]
+    return Subspace(ambient, inside), Subspace(ambient, vectors[:, count:]), defects
 
 
 def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of subspaces via the eigenvalue-one space of the averaged projector.
-
-    A single subspace is returned as-is (its own basis, phase-fixed), which
-    keeps the basis ordering of the input rather than an arbitrary
-    re-diagonalization of a degenerate projector.
-    """
-    subspaces = list(subspaces)
-    ambient = _check_family(subspaces)
-    if len(subspaces) == 1:
-        only = subspaces[0]
-        if only.dim == 0:
-            return Subspace.empty(ambient)
-        basis = np.column_stack([fix_phase(only.basis[:, j]) for j in range(only.dim)])
-        return Subspace(ambient, basis)
-    eig = averaged_projector_eig(subspaces)
-    selected = [
-        fix_phase(eig.eigenvectors[:, j])
-        for j in range(ambient)
-        if eig.eigenvalues[j] >= 1.0 - tol.rank_rel
-    ]
-    if not selected:
-        return Subspace.empty(ambient)
-    return Subspace(ambient, np.column_stack(selected))
-
-
-def subspace_span_union(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis for the span of all basis vectors pooled across the inputs."""
-    subspaces = list(subspaces)
-    ambient = _check_family(subspaces)
-    pooled = np.hstack([s.basis for s in subspaces])
-    return _orthonormalize(pooled, ambient, tol)
+    """Intersection of subspaces: the directions within ``tol.match_abs`` of all of them."""
+    return intersection_split(subspaces, tol)[0]

@@ -3,14 +3,109 @@
 The oracles here deliberately avoid the code paths they are used to check:
 the partial trace is a plain index sum, and intersection dimensions come from
 the rank formula on concatenated bases (null-space folding), not from the
-averaged-projector eigendecomposition used by the library.
+single SVD of stacked complement projectors used by the library. Helpers the
+library no longer needs (tensor products, a reshaping partial trace, spans,
+complements, eigen-ensembles, JSON vector parsing) live here as references
+for the tests that use them, and are checked themselves.
 """
 
 from __future__ import annotations
 
+import contextlib
+from functools import reduce
 from math import prod
 
 import numpy as np
+
+from statecompat.density import Ensemble, validate_density
+from statecompat.linalg import PHASE_FLOOR, Subspace
+
+
+def tensor_product_vec(vs) -> np.ndarray:
+    """Kronecker product of one or more vectors; the leftmost factor varies slowest."""
+    return reduce(np.kron, [np.asarray(v, dtype=np.complex128) for v in vs])
+
+
+def partial_trace(m, dims, keep) -> np.ndarray:
+    """Trace out every tensor factor not in ``keep``, by numpy.trace on reshaped axes."""
+    dims = list(dims)
+    tensor = np.asarray(m).reshape(dims + dims)
+    remaining = list(range(len(dims)))
+    for j in sorted(set(remaining) - set(keep), reverse=True):
+        pos = remaining.index(j)
+        tensor = np.trace(tensor, axis1=pos, axis2=pos + len(remaining))
+        remaining.remove(j)
+    kept = prod(dims[j] for j in sorted(keep))
+    return np.asarray(tensor).reshape(kept, kept)
+
+
+def span_of(pooled: np.ndarray, rel: float = 1e-10) -> Subspace:
+    """Orthonormal basis of the column span of ``pooled``, rank by a relative singular-value cutoff."""
+    d = pooled.shape[0]
+    if pooled.shape[1] == 0:
+        return Subspace.empty(d)
+    u, s, _ = np.linalg.svd(pooled, full_matrices=False)
+    return Subspace(d, u[:, : int(np.sum(s > rel * max(s[0], 1e-30)))])
+
+
+def subspace_span_union(subspaces) -> Subspace:
+    """Span of all basis vectors pooled across the subspaces."""
+    return span_of(np.hstack([s.basis for s in subspaces]))
+
+
+def orthogonal_complement(subspace: Subspace) -> Subspace:
+    """Orthogonal complement, from the trailing left singular vectors of the basis."""
+    d, k = subspace.ambient_dim, subspace.dim
+    if k == 0:
+        return Subspace.full(d)
+    u, _, _ = np.linalg.svd(subspace.basis, full_matrices=True)
+    return Subspace(d, u[:, k:])
+
+
+def ensemble_to_density(ensemble: Ensemble):
+    """Weighted sum of the state projectors, sum_i p_i |phi_i><phi_i|, validated."""
+    return validate_density(sum(w * np.outer(s, s.conj()) for w, s in ensemble.terms))
+
+
+def eigen_ensemble(rho) -> Ensemble:
+    """The eigenvectors of nonzero eigenvalue (relative cutoff 1e-10), weights descending."""
+    w, v = np.linalg.eigh(rho.matrix)
+    kept = np.flatnonzero(w > 1e-10 * w.max())[::-1]
+    return Ensemble(rho.dim, [(float(w[i]), v[:, i]) for i in kept])
+
+
+def pairs_to_vector(pairs) -> np.ndarray:
+    """A complex vector from its JSON spelling as [re, im] pairs."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
+def loop_fix_phase(v: np.ndarray) -> np.ndarray:
+    """The phase convention one entry at a time: first modulus > 1e-8 made real positive."""
+    for x in v:
+        if abs(x) > PHASE_FLOOR:
+            return v * (x.conjugate() / abs(x))
+    return np.array(v, dtype=np.complex128)
+
+
+@contextlib.contextmanager
+def count_linalg():
+    """Count numpy.linalg.eigh and numpy.linalg.svd calls made inside the block."""
+    counts = {"eigh": 0, "svd": 0}
+    originals = {name: getattr(np.linalg, name) for name in counts}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in originals.items():
+        setattr(np.linalg, name, counting(name, fn))
+    try:
+        yield counts
+    finally:
+        for name, fn in originals.items():
+            setattr(np.linalg, name, fn)
 
 
 def loop_partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:

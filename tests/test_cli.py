@@ -1,17 +1,22 @@
 import json
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from statecompat.cli import main
 from statecompat.compat import full_report
 from statecompat.density import validate_density
+from statecompat.generate import random_unitary
+from statecompat.linalg import DEFAULT_TOL
 from statecompat.fileio import (
     Instance,
     dump_payload,
     instance_payload,
-    pairs_to_vector,
     parse_instance,
 )
+
+from conftest import pairs_to_vector
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -140,6 +145,52 @@ def test_scenario_incompatible_exits_one(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert "scenario" not in payload
     assert payload["report"]["compatible"] is False
+
+
+def check_and_scenario_codes(path):
+    out = str(path) + ".report.json"
+    return [main([verb, "--input", str(path), "--output", out]) for verb in ("check", "scenario")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 5),
+    count=st.integers(2, 4),
+    seed=st.integers(0, 2**20),
+    mode=st.sampled_from(["compatible", "incompatible", "pairwise-only"]),
+)
+def test_check_and_scenario_agree_on_generated_instances(tmp_path_factory, dim, count, seed, mode):
+    if mode == "pairwise-only":
+        dim, count = max(dim, 3), 3
+    path = tmp_path_factory.mktemp("gen") / "inst.json"
+    assert main(["generate", "--dim", str(dim), "--count", str(count), "--seed", str(seed),
+                 "--mode", mode, "--output", str(path)]) == 0
+    check, scenario = check_and_scenario_codes(path)
+    assert (check == 0) == (scenario == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.floats(0.2, 5.0),
+    dim=st.integers(2, 4),
+    seed=st.integers(0, 2**20),
+)
+def test_check_and_scenario_agree_near_the_boundary(tmp_path_factory, ratio, dim, seed):
+    """Pure pairs at angle ratio * sqrt(2) match_abs, where the verdict flips at ratio 1.
+
+    At the flip the support defect and the recovery distance are the same
+    number computed two ways; within rounding of it (|ratio - 1| <= 1e-6)
+    either verdict is right, so those draws are skipped.
+    """
+    assume(abs(ratio - 1.0) > 1e-6)
+    theta = ratio * np.sqrt(2) * DEFAULT_TOL.match_abs
+    frame = random_unitary(dim, np.random.default_rng(seed))
+    a = frame[:, 0]
+    b = np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1]
+    path = write_instance(tmp_path_factory.mktemp("theta") / "pair.json",
+                          [np.outer(a, a.conj()), np.outer(b, b.conj())])
+    check, scenario = check_and_scenario_codes(path)
+    assert (check == 0) == (scenario == 0) == (ratio < 1.0)
 
 
 # ----------------------------------------------------------------- generate

@@ -2,22 +2,26 @@ import numpy as np
 import pytest
 
 from statecompat.compat import (
-    common_state_witness,
     commutes,
     forbidden_subspace,
     full_report,
     product_nonzero,
     support_compatible,
 )
-from statecompat.density import ensemble_containing, validate_density
+from statecompat.density import ensemble_containing, support, validate_density
 from statecompat.errors import DimensionMismatchError, StateCompatError
 from statecompat.generate import (
     compatible_instance,
+    generate_instance,
     incompatible_instance,
     pairwise_only_instance,
     random_unit_vector,
     random_unitary,
 )
+from statecompat.linalg import DEFAULT_TOL
+from statecompat.scenario import run_scenario
+
+from conftest import count_linalg
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -26,6 +30,11 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
 def pure(v):
     return validate_density(np.outer(v, v.conj()))
+
+
+def tilted_up(theta):
+    """Spin up rotated by theta rad towards spin down."""
+    return pure(np.array([np.cos(theta), np.sin(theta)], dtype=complex))
 
 
 UP_Z = pure(E0)          # spin up along z
@@ -76,24 +85,24 @@ def test_rejects_empty_and_mismatched():
         support_compatible([UP_Z, validate_density(np.eye(3) / 3)])
 
 
-# ----------------------------------------------------- common_state_witness
+# ------------------------------------------------------------------ witness
 
 
 def test_witness_of_identical_pure_states():
     rng = np.random.default_rng(2)
     phi = random_unit_vector(3, rng)
     rho = pure(phi)
-    w = common_state_witness([rho, rho])
+    w = full_report([rho, rho]).witness
     assert abs(abs(np.vdot(w, phi)) - 1.0) <= 1e-10
 
 
 def test_witness_of_unique_intersection():
-    w = common_state_witness([TILTED, UP_X])
+    w = full_report([TILTED, UP_X]).witness
     np.testing.assert_allclose(w, PLUS, atol=1e-12)
 
 
 def test_witness_absent_when_incompatible():
-    assert common_state_witness([UP_Z, UP_X]) is None
+    assert full_report([UP_Z, UP_X]).witness is None
 
 
 def test_witness_sees_every_matrix():
@@ -101,7 +110,7 @@ def test_witness_sees_every_matrix():
     for seed in range(5):
         mats = compatible_instance(4, 3, np.random.default_rng(seed))
         rhos = [validate_density(m) for m in mats]
-        w = common_state_witness(rhos)
+        w = full_report(rhos).witness
         for rho in rhos:
             assert np.vdot(w, rho.matrix @ w).real > 0
 
@@ -279,14 +288,60 @@ def test_report_unitary_and_permutation_invariance():
 
 
 def test_marginal_flag_on_near_threshold_instance():
-    # two pure states at overlap 1 - 1e-9: rejected, but within the warning band
-    delta = np.sqrt(2e-9)
-    tilted_ray = np.array([1.0, delta], dtype=complex)
-    almost = pure(tilted_ray / np.linalg.norm(tilted_ray))
-    report = full_report([UP_Z, almost])
-    assert not report.compatible
-    assert report.marginal
-    assert any("marginal" in note for note in report.notes)
+    # A pure pair at angle theta has one support defect sqrt(2) sin(theta/2),
+    # about 0.71 theta. The verdict flips at theta = sqrt(2) match_abs, and the
+    # band is defect/match_abs in (0.1, 10), checked just inside and outside
+    # both of its edges.
+    for theta, compatible, marginal in [
+        (1.5e-9, True, True),     # defect 0.106 match_abs: accepted, in the band
+        (1.3e-7, False, True),    # 9.19 match_abs: rejected, in the band
+        (1.3e-9, True, False),    # 0.092 match_abs: below the band
+        (1.5e-7, False, False),   # 10.6 match_abs: above the band
+    ]:
+        report = full_report([UP_Z, tilted_up(theta)])
+        assert report.compatible == compatible, theta
+        assert report.marginal == marginal, theta
+        assert any("marginal" in note for note in report.notes) == marginal
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-8, 1e-7, 1e-5, 3e-5, 1e-3])
+def test_theta_sweep_keeps_the_invariants(theta):
+    rhos = [UP_Z, tilted_up(theta)]
+    report = full_report(rhos)
+    assert report.intersection_dim + report.forbidden_dim == report.dim
+    assert report.compatible == (theta < 1e-7)
+    assert report.marginal == (theta in (1e-8, 1e-7))
+    if report.compatible:
+        for rho in rhos:
+            assert support(rho).projection_defect(report.witness) <= DEFAULT_TOL.match_abs
+        assert run_scenario(rhos).success
+
+
+#: (dim, count) -> numpy.linalg (eigh, svd) calls of validate_density on every
+#: matrix, of full_report, and of run_scenario, on generate_instance(dim, count,
+#: 7, "compatible"). Validation diagonalises each matrix once and nothing else
+#: does; the report takes one SVD. The scenario takes one eigh per observer (it
+#: validates each recovered matrix), the SVD of the intersection, and one SVD per
+#: support of dimension > 1 to complete the shared state to a basis of it.
+LINALG_CALLS = {
+    (2, 2): ((2, 0), (0, 1), (2, 2)),
+    (3, 3): ((3, 0), (0, 1), (3, 4)),
+    (5, 4): ((4, 0), (0, 1), (4, 4)),
+    (16, 4): ((4, 0), (0, 1), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("dim,count", sorted(LINALG_CALLS))
+def test_each_matrix_is_diagonalised_once(dim, count):
+    matrices = generate_instance(dim, count, 7, "compatible")
+    with count_linalg() as validate:
+        rhos = [validate_density(m) for m in matrices]
+    with count_linalg() as report:
+        full_report(rhos)
+    with count_linalg() as scenario:
+        run_scenario(rhos)
+    found = tuple((c["eigh"], c["svd"]) for c in (validate, report, scenario))
+    assert found == LINALG_CALLS[dim, count]
 
 
 def test_marginal_flag_clear_on_clean_instances():

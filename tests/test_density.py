@@ -4,9 +4,7 @@ import pytest
 from statecompat.density import (
     DensityMatrix,
     Ensemble,
-    eigen_ensemble,
     ensemble_containing,
-    ensemble_to_density,
     null_space,
     support,
     validate_density,
@@ -19,7 +17,8 @@ from statecompat.errors import (
     TraceNotOneError,
 )
 from statecompat.generate import crandn, random_density, random_unit_vector
-from statecompat.linalg import Subspace
+
+from conftest import eigen_ensemble, ensemble_to_density, span_of
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -289,7 +288,7 @@ def test_support_of_reconstruction_matches_state_span():
         weights = rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k  # bounded below
         e = Ensemble.normalized(dim, list(zip(weights, states)))
         supp = support(ensemble_to_density(e))
-        span = Subspace.from_span(states)
+        span = span_of(np.column_stack(states))
         assert np.linalg.norm(supp.projector() - span.projector()) <= 1e-8
 
 

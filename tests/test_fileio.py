@@ -10,11 +10,12 @@ from statecompat.fileio import (
     instance_payload,
     load_instance,
     matrix_to_pairs,
-    pairs_to_vector,
     parse_instance,
     vector_to_pairs,
 )
 from statecompat.generate import crandn
+
+from conftest import pairs_to_vector
 
 
 def sample_obj():

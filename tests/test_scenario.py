@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import dense_conditional, dense_joint_tensor
-from statecompat.compat import common_state_witness, support_compatible
+from conftest import dense_conditional, dense_joint_tensor, partial_trace
+from statecompat.compat import full_report, support_compatible
 from statecompat.density import Ensemble, ensemble_containing, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
@@ -12,7 +12,6 @@ from statecompat.errors import (
     ZeroProjectionError,
 )
 from statecompat.generate import compatible_instance, random_unit_vector
-from statecompat.linalg import partial_trace
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
@@ -248,7 +247,7 @@ def test_conditioning_order_consistency():
     rhos = [validate_density(m) for m in compatible_instance(3, 3, rng)]
     result = run_scenario(rhos)
     # rebuild the same joint state to inspect intermediate quantities
-    phi = common_state_witness(rhos)
+    phi = full_report(rhos).witness
     ensembles = [ensemble_containing(r, phi) for r in rhos]
     psi = build_joint_state(ensembles)
     for k in range(3):
