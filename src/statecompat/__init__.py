@@ -57,6 +57,7 @@ from .scenario import (
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
+    scenario_with_shared_state,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +87,7 @@ __all__ = [
     "orthonormal_basis_containing",
     "product_nonzero",
     "run_scenario",
+    "scenario_with_shared_state",
     "subspace_intersection",
     "support",
     "support_compatible",

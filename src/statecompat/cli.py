@@ -21,7 +21,7 @@ from .errors import IncompatibleError, StateCompatError
 from .fileio import Instance, dump_payload, instance_payload, load_instance, report_payload
 from .generate import generate_instance
 from .linalg import Tolerances
-from .scenario import run_scenario
+from .scenario import scenario_with_shared_state
 
 EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
@@ -107,7 +107,7 @@ def cmd_scenario(args) -> int:
     instance, tol, rhos = _load_validated(args.input, args.tol_rank, args.tol_match)
     report = full_report(rhos, tol)
     try:
-        result = run_scenario(rhos, tol)
+        result = scenario_with_shared_state(rhos, report.witness, tol)
     except IncompatibleError as exc:
         _emit(report_payload(report, instance.names, tol, instance), args.output)
         print(f"statecompat: {exc}", file=sys.stderr)

@@ -16,12 +16,19 @@ precision. An instance file looks like::
 ``tolerances`` is optional, as are the per-matrix names. A report file echoes
 the instance it was computed from under ``"instance"``, so every verdict can
 be re-derived from the report alone.
+
+Files are written as one line of JSON with sorted keys (``python -m json.tool
+FILE`` pretty-prints one); reading accepts any layout. Numbers move between
+JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for shape
+and type, then converted in one ``np.array`` call and reinterpreted as
+complex128, so every double round-trips bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -56,35 +63,53 @@ class Instance:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceFormatError(
+            f"{where}: an integer of {value.bit_length()} bits is too large for a double"
+        ) from None
+
+
+def _reject_first_bad_number(flat: list, dim: int, where: str) -> None:
+    """Raise for the first of a matrix's flattened [re, im] values that is no double."""
+    for k, value in enumerate(flat):
+        i, j = divmod(k // 2, dim)
+        _as_number(value, f"{where} ({i},{j}) {('re', 'im')[k % 2]}")
 
 
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise InstanceFormatError(f"{where}: expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InstanceFormatError(f"{where}: row {i} must hold {dim} entries")
-        for j, pair in enumerate(row):
+    pairs = list(chain.from_iterable(rows))
+    if not all(issubclass(t, list) for t in set(map(type, pairs))) or set(map(len, pairs)) != {2}:
+        for k, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise InstanceFormatError(
-                    f"{where}: entry ({i},{j}) must be a [re, im] pair"
-                )
-            out[i, j] = complex(
-                _as_number(pair[0], f"{where} ({i},{j}) re"),
-                _as_number(pair[1], f"{where} ({i},{j}) im"),
-            )
-    return out
+                i, j = divmod(k, dim)
+                raise InstanceFormatError(f"{where}: entry ({i},{j}) must be a [re, im] pair")
+    flat = list(chain.from_iterable(pairs))
+    if not all(t is not bool and issubclass(t, (int, float)) for t in set(map(type, flat))):
+        _reject_first_bad_number(flat, dim, where)
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        _reject_first_bad_number(flat, dim, where)
+        raise
+    # Reinterpret the [re, im] doubles in place: bit-exact, unlike re + 1j*im,
+    # which turns -0.0 into 0.0 and an infinite imaginary part into a NaN real.
+    return values.view(np.complex128).reshape(dim, dim)
 
 
 def parse_instance(obj) -> Instance:
     """Parse a decoded JSON object into an :class:`Instance`."""
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance file must hold a JSON object")
-    if "dim" not in obj or not isinstance(obj["dim"], int) or obj["dim"] < 1:
+    dim = obj.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InstanceFormatError('"dim" must be a positive integer')
-    dim = obj["dim"]
     raw_matrices = obj.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise InstanceFormatError('"matrices" must be a nonempty list')
@@ -113,17 +138,18 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return parse_instance(obj)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+    """Nested lists of the array's shape, each complex entry an ``[re, im]`` pair."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v)]
+vector_to_pairs = matrix_to_pairs
 
 
 def instance_payload(instance: Instance) -> dict:
@@ -179,5 +205,10 @@ def report_payload(
 
 
 def dump_payload(payload: dict, fh) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """Write ``payload`` as one line of JSON with sorted keys.
+
+    A one-shot ``json.dumps`` without ``indent`` runs in the C encoder; with
+    ``indent`` CPython falls back to the pure-Python one. Both print floats
+    with ``float.__repr__``, so every value reads back bit-exactly.
+    """
+    fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -292,12 +292,22 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     """
     rhos = list(rhos)
     compatible, intersection = support_compatible(rhos, tol)
-    if not compatible:
+    return scenario_with_shared_state(rhos, intersection.basis[:, 0] if compatible else None, tol)
+
+
+def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
+    """:func:`run_scenario` after its support test, around a known shared state.
+
+    ``phi`` is a unit vector in every support, such as the witness of
+    :func:`statecompat.compat.full_report`, or None when the supports share
+    no state, which raises :class:`IncompatibleError`.
+    """
+    if phi is None:
         raise IncompatibleError(
             "the supports share no common state, so no single system "
             "can realize all of these assignments"
         )
-    phi = intersection.basis[:, 0]
+    rhos = list(rhos)
     ensembles: list[Ensemble] = [ensemble_containing(r, phi, tol) for r in rhos]
     psi = build_joint_state(ensembles, tol)
     probability = joint_zero_outcome_probability(psi)

@@ -1,14 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import statecompat
+from statecompat import compat
 from statecompat.cli import main
 from statecompat.compat import full_report
 from statecompat.density import validate_density
 from statecompat.generate import random_unitary
 from statecompat.linalg import DEFAULT_TOL
+from statecompat.scenario import run_scenario
 from statecompat.fileio import (
     Instance,
     dump_payload,
@@ -16,7 +23,7 @@ from statecompat.fileio import (
     parse_instance,
 )
 
-from conftest import pairs_to_vector
+from conftest import count_linalg, pairs_to_vector
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -88,6 +95,24 @@ def test_check_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_check_huge_integer_is_an_input_error(tmp_path):
+    payload = instance_payload(
+        Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0]).astype(complex)])
+    )
+    payload["matrices"][0]["rows"][0][1][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "statecompat.cli", "check", "--input", str(path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "(0,1) re" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_check_tolerance_flags_are_honored(tmp_path, capsys):
     # with a loose match tolerance the non-Hermitian defect is symmetrized away
     m = np.diag([0.6, 0.4]).astype(complex)
@@ -147,6 +172,29 @@ def test_scenario_incompatible_exits_one(tmp_path, capsys):
     assert payload["report"]["compatible"] is False
 
 
+def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):
+    gen = tmp_path / "gen.json"
+    assert main(["generate", "--dim", "5", "--count", "3", "--seed", "4",
+                 "--mode", "compatible", "--output", str(gen)]) == 0
+    splits = []
+    original = compat.intersection_split
+
+    def counting_split(*args):
+        splits.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(compat, "intersection_split", counting_split)
+    with count_linalg() as cli_counts:
+        assert main(["scenario", "--input", str(gen), "--output", str(tmp_path / "r.json")]) == 0
+    assert len(splits) == 1
+    # The report's one SVD is the scenario's own support test: the whole run
+    # makes no more SVDs than run_scenario alone.
+    rhos = [validate_density(m) for m in parse_instance(json.loads(gen.read_text())).matrices]
+    with count_linalg() as scenario_counts:
+        run_scenario(rhos)
+    assert cli_counts["svd"] == scenario_counts["svd"]
+
+
 def check_and_scenario_codes(path):
     out = str(path) + ".report.json"
     return [main([verb, "--input", str(path), "--output", out]) for verb in ("check", "scenario")]
@@ -202,6 +250,22 @@ def test_generate_is_deterministic(tmp_path):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reports_are_byte_identical_one_line_sorted_json(tmp_path):
+    gen = tmp_path / "gen.json"
+    assert main(["generate", "--dim", "4", "--count", "3", "--seed", "7",
+                 "--mode", "compatible", "--output", str(gen)]) == 0
+    files = [gen]
+    for verb in ("check", "scenario"):
+        first, second = tmp_path / f"{verb}.1.json", tmp_path / f"{verb}.2.json"
+        for out in (first, second):
+            assert main([verb, "--input", str(gen), "--output", str(out)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        files.append(first)
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_generate_seeds_differ(tmp_path):
