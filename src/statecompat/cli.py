@@ -19,7 +19,7 @@ from .compat import full_report
 from .density import DensityMatrix, validate_density
 from .errors import IncompatibleError, StateCompatError
 from .fileio import Instance, dump_payload, instance_payload, load_instance, report_payload
-from .generate import generate_instance
+from .generate import MAX_INSTANCE_ENTRIES, generate_instance
 from .linalg import Tolerances
 from .scenario import scenario_with_shared_state
 
@@ -117,6 +117,14 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    entries = args.count * args.dim**2
+    if min(args.dim, args.count) >= 2 and entries > MAX_INSTANCE_ENTRIES:
+        # name --dim when even the smallest count is over the cap
+        flag = "--dim" if 2 * args.dim**2 > MAX_INSTANCE_ENTRIES else "--count"
+        raise StateCompatError(
+            f"{flag} too large: {args.count} matrices of {args.dim} x {args.dim} are "
+            f"{entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
+        )
     matrices = generate_instance(args.dim, args.count, args.seed, args.mode)
     names = [f"rho_{i + 1}" for i in range(len(matrices))]
     instance = Instance(dim=args.dim, names=names, matrices=matrices)

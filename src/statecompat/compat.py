@@ -2,14 +2,17 @@
 
 The decisive criterion is support intersection: a set of density matrices can
 describe one system simultaneously exactly when all of their supports share
-at least one state. One SVD decides it (see
-:func:`statecompat.linalg.intersection_split`): a direction belongs to every
-support when its root-sum-square distance from them is at most ``match_abs``,
-the same test :func:`statecompat.density.ensemble_containing` applies to the
-shared state later, and every other direction is forbidden. Two older
-pairwise conditions are evaluated alongside for comparison: commutation of
-the pair (neither necessary nor sufficient) and a nonzero operator product
-(necessary but strictly weaker).
+at least one state. One SVD decides it, of the null-space columns read from
+each matrix's spectrum and stacked as rows, A = [N_1^dag; ...; N_n^dag], with
+A^dag A = sum_k (I - P_k) (see :func:`statecompat.linalg.intersection_split`
+for the same decision on bare subspaces). A direction belongs to every
+support when its root-sum-square distance from them is at most
+``match_abs/sqrt(2)``; then every matrix the scenario rebuilds around it lies
+within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
+Every other direction is forbidden. Two older pairwise conditions are
+evaluated alongside for comparison: commutation of the pair (neither
+necessary nor sufficient) and a nonzero operator product (necessary but
+strictly weaker).
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityMatrix, support
+from .density import DensityMatrix, _ranks
 from .errors import DimensionMismatchError, StateCompatError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
-    intersection_split,
+    _membership_threshold,
+    _split_rows,
 )
 
 
@@ -37,9 +41,10 @@ class CompatReport:
     space, so the two add up to ``dim``. The pairwise matrices carry both the
     boolean flags and the underlying scalars (commutator Frobenius norms and
     product traces). ``marginal`` is set when some direction's distance from
-    the supports lies within a factor of 10 of ``match_abs`` on either side,
-    i.e. a slightly different tolerance could move it into or out of the
-    intersection, so the verdict is numerically fragile.
+    the supports lies within a factor of 10 of the membership threshold
+    ``match_abs/sqrt(2)`` on either side, i.e. a slightly different tolerance
+    could move it into or out of the intersection, so the verdict is
+    numerically fragile.
     """
 
     dim: int
@@ -67,7 +72,12 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
 
 
 def _split(rhos, tol: Tolerances) -> tuple[Subspace, Subspace, np.ndarray]:
-    return intersection_split([support(r, tol) for r in _check_rhos(rhos)], tol)
+    """Intersection, forbidden subspace and defects, from the stacked null-space rows."""
+    rhos = _check_rhos(rhos)
+    ranks = _ranks(rhos, tol)
+    rows = np.concatenate([r.spectrum.eigenvectors[:, k:].conj().T for r, k in zip(rhos, ranks)])
+    single = rhos[0].spectrum.eigenvectors[:, : ranks[0]] if len(rhos) == 1 else None
+    return _split_rows(rows, rhos[0].dim, tol, single)
 
 
 def support_compatible(
@@ -133,12 +143,12 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
             overlaps[i, j] = overlaps[j, i] = p_val
 
     notes: list[str] = []
-    ratio = defects / tol.match_abs
+    ratio = defects / _membership_threshold(tol)
     marginal = bool(np.any((ratio > 0.1) & (ratio < 10.0)))
     if marginal:
         notes.append(
             "marginal: a direction's distance from the supports lies within 10x "
-            "of match_abs; the compatibility verdict is numerically fragile"
+            "of match_abs/sqrt(2); the compatibility verdict is numerically fragile"
         )
 
     return CompatReport(

@@ -1,18 +1,21 @@
 """Density matrices, their supports and null spaces, and ensemble decompositions.
 
 A density matrix is a Hermitian, positive-semidefinite, trace-one operator.
-An ensemble is a list of positive weights and unit states (not necessarily
-orthogonal) whose weighted projectors sum to the density matrix. Besides the
-eigenvalue decomposition, this module can rewrite a density matrix as an
-ensemble in which an arbitrarily chosen support vector appears explicitly:
-with eigenvalues r_i (smallest nonzero value r_0) and eigenvectors psi_i,
+:func:`validate_density` diagonalizes each input once and keeps that
+spectrum; supports, null spaces, the support intersection and the ensembles
+below all read it. An ensemble is a list of positive weights and unit states
+(not necessarily orthogonal) whose weighted projectors sum to the density
+matrix. This module can rewrite a density matrix as an ensemble in which an
+arbitrarily chosen support vector appears explicitly: with eigenvalues r_i
+(smallest nonzero value r_0) and eigenvectors psi_i,
 
     rho = r_0 |psi><psi| + sum_{j>0} r_0 |eta_j><eta_j|
           + sum_i (r_i - r_0) |psi_i><psi_i|,
 
-where {psi, eta_1, ...} is any orthonormal basis of the support that starts
-at the chosen vector. Such a rewriting exists exactly when the chosen vector
-lies in the support.
+where {psi, eta_1, ...} is an orthonormal basis of the support that starts
+at the chosen vector; the eta_j come from one Householder reflector on the
+support's eigenvector basis, so no further factorization is needed. Such a
+rewriting exists exactly when the chosen vector lies in the support.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NotPositiveError,
     StateCompatError,
     StateOutsideSupportError,
@@ -33,9 +37,9 @@ from .linalg import (
     Subspace,
     Tolerances,
     as_complex_matrix,
+    _householder_completion,
     as_complex_vector,
     hermitian_eig,
-    orthonormal_basis_containing,
     require_square,
     zero_cutoff,
 )
@@ -50,23 +54,26 @@ UNIT_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-8
 
 
-@dataclass(eq=False)
 class DensityMatrix:
-    """A validated density matrix and its spectrum; construct through :func:`validate_density`.
+    """A density matrix and, once read, its spectrum; validate inputs with :func:`validate_density`.
 
     ``spectrum`` is the eigendecomposition of ``matrix`` (eigenvalues
-    descending, eigenvectors phase-fixed) that validation computed; supports,
-    null spaces and ensembles read it instead of diagonalizing again. Built
-    directly without one, the matrix is diagonalized here.
+    descending, eigenvectors phase-fixed). Validation passes the one it
+    computed, and supports, null spaces and ensembles read it instead of
+    diagonalizing again. Built without one, the matrix is diagonalized the
+    first time ``spectrum`` is read, so matrices that are only compared,
+    such as the scenario's recovered ones, are never diagonalized.
     """
 
-    matrix: np.ndarray
-    spectrum: EigResult | None = None
+    def __init__(self, matrix, spectrum: EigResult | None = None):
+        self.matrix = require_square(as_complex_matrix(matrix))
+        self._spectrum = spectrum
 
-    def __post_init__(self):
-        self.matrix = require_square(as_complex_matrix(self.matrix))
-        if self.spectrum is None:
-            self.spectrum = hermitian_eig(self.matrix)
+    @property
+    def spectrum(self) -> EigResult:
+        if self._spectrum is None:
+            self._spectrum = hermitian_eig(self.matrix)
+        return self._spectrum
 
     @property
     def dim(self) -> int:
@@ -78,7 +85,8 @@ class Ensemble:
     """Positive weights and unit states; weights must sum to one within 1e-8.
 
     A weight-sum defect below the tolerance is silently renormalized away so
-    that values surviving a file round trip remain acceptable.
+    that values surviving a file round trip remain acceptable. The states
+    are checked together, as the rows of one array.
     """
 
     dim: int
@@ -89,43 +97,36 @@ class Ensemble:
             raise StateCompatError("ensemble dimension must be positive")
         if not self.terms:
             raise StateCompatError("ensemble must contain at least one term")
-        cleaned = []
-        for weight, state in self.terms:
-            weight = float(weight)
-            state = as_complex_vector(state)
-            if state.shape[0] != self.dim:
-                raise StateCompatError(
-                    f"ensemble state has length {state.shape[0]}, expected {self.dim}"
-                )
-            if weight <= 0.0:
-                raise StateCompatError(f"ensemble weights must be positive, got {weight!r}")
-            norm = float(np.linalg.norm(state))
-            if abs(norm - 1.0) > UNIT_TOL:
-                raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
-            cleaned.append((weight, state))
-        total = sum(w for w, _ in cleaned)
+        weights = np.array([float(w) for w, _ in self.terms])
+        try:
+            states = np.array([s for _, s in self.terms], dtype=np.complex128)
+        except ValueError:  # states of different lengths
+            states = None
+        if states is None or states.ndim != 2 or states.shape[1] != self.dim:
+            for _, state in self.terms:
+                state = as_complex_vector(state)
+                if state.shape[0] != self.dim:
+                    raise StateCompatError(
+                        f"ensemble state has length {state.shape[0]}, expected {self.dim}"
+                    )
+        positive = weights > 0.0
+        if not positive.all():
+            raise StateCompatError(
+                f"ensemble weights must be positive, got {float(weights[~positive][0])!r}"
+            )
+        norms = np.linalg.norm(states, axis=1)
+        unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
+        if not unit.all():
+            i = int(np.argmin(unit))
+            if not np.isfinite(states[i]).all():
+                raise StateCompatError("vector contains non-finite entries")
+            raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[i]:.12g})")
+        total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise StateCompatError(
                 f"ensemble weights sum to {total:.12g}, outside 1 +- {WEIGHT_SUM_TOL}"
             )
-        self.terms = [(w / total, s) for w, s in cleaned]
-
-    @classmethod
-    def normalized(cls, dim: int, terms) -> "Ensemble":
-        """Build an ensemble from positive weights of arbitrary total."""
-        total = sum(float(w) for w, _ in terms)
-        if total <= 0.0:
-            raise StateCompatError("ensemble weights must have a positive sum")
-        return cls(dim, [(float(w) / total, s) for w, s in terms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.terms])
-
-    @property
-    def states(self) -> np.ndarray:
-        """States as columns of a dim x n matrix."""
-        return np.column_stack([s for _, s in self.terms])
+        self.terms = list(zip((weights / total).tolist(), states))
 
 
 def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -155,14 +156,20 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
 
 
+def _ranks(rhos, tol: Tolerances) -> np.ndarray:
+    """Support dimension of each matrix (all of one size): eigenvalues above its zero cutoff."""
+    values = np.array([r.spectrum.eigenvalues for r in rhos])
+    return np.sum(values > zero_cutoff(values, tol)[:, None], axis=1)
+
+
 def _rank(rho: DensityMatrix, tol: Tolerances) -> int:
     values = rho.spectrum.eigenvalues
-    return int(np.sum(values > zero_cutoff(values, tol)))
+    return int((values > zero_cutoff(values, tol)).sum())
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, : _rank(rho, tol)])
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, : _rank(rho, tol)])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -171,7 +178,7 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, _rank(rho, tol) :])
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, _rank(rho, tol) :])
 
 
 def ensemble_containing(
@@ -179,28 +186,32 @@ def ensemble_containing(
 ) -> Ensemble:
     """Decompose ``rho`` into an ensemble in which the unit vector ``psi`` appears.
 
-    ``psi`` must lie in the support of ``rho``; it enters with weight equal to
-    the smallest nonzero eigenvalue r_0. The remaining terms are the other
-    members of an orthonormal support basis completing ``psi`` (each with
-    weight r_0) and the eigenvectors whose surplus r_i - r_0 is nonzero.
+    ``psi`` must lie in the support of ``rho`` (within ``tol.match_abs``); it
+    enters with weight equal to the smallest nonzero eigenvalue r_0. The
+    remaining terms are the other members of an orthonormal support basis
+    completing ``psi`` (each with weight r_0; they lie in the support and are
+    orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
+    nonzero. Everything is read from ``rho.spectrum``.
     """
     psi = as_complex_vector(psi)
-    supp = support(rho, tol)
-    defect = supp.projection_defect(psi)
+    if psi.shape[0] != rho.dim:
+        raise DimensionMismatchError(
+            f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
+        )
+    values, vectors = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
+    rank = _rank(rho, tol)
+    basis = vectors[:, :rank]
+    coeffs = basis.conj().T @ psi
+    defect = float(np.linalg.norm(psi - basis @ coeffs))
     if defect > tol.match_abs:
         raise StateOutsideSupportError(
             f"state has a null-space component (projection defect {defect:.3e}); "
             "no ensemble for this density matrix can contain it"
         )
-    values = rho.spectrum.eigenvalues
-    cutoff = zero_cutoff(values, tol)
-    r0 = float(values[supp.dim - 1])
-    basis = orthonormal_basis_containing(psi, supp, tol)
-    terms: list[tuple[float, np.ndarray]] = [
-        (r0, basis.basis[:, j]) for j in range(basis.dim)
-    ]
-    for i in range(supp.dim):
-        surplus = float(values[i]) - r0
-        if surplus > cutoff:
-            terms.append((surplus, rho.spectrum.eigenvectors[:, i]))
+    r0 = float(values[rank - 1])
+    surplus = values[:rank] - r0
+    extra = np.flatnonzero(surplus > zero_cutoff(values, tol))
+    terms = [(r0, psi)]
+    terms += [(r0, state) for state in _householder_completion(basis, coeffs).T]
+    terms += [(float(surplus[i]), vectors[:, i]) for i in extra]
     return Ensemble(rho.dim, terms)

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Largest instance, in matrix entries (count * dim^2), the command line
+#: generates: 2**24 complex128 entries are 256 MiB.
+MAX_INSTANCE_ENTRIES = 1 << 24
+
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard complex normal samples."""

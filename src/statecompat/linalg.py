@@ -1,10 +1,11 @@
 """Dense complex linear algebra on small matrices.
 
 Hermitian eigendecomposition and orthonormal-basis subspace arithmetic (the
-intersection of a family, and completing a vector to a basis), all with
-explicit numerical tolerances. Matrices and vectors are plain ``numpy``
-arrays of complex128; coercion and structural validation happen at the
-function boundaries.
+intersection of a family, decided by one SVD, and completing a vector to a
+basis of a subspace by one Householder reflector), all with explicit
+numerical tolerances. Matrices and vectors are plain ``numpy`` arrays of
+complex128; coercion and structural validation happen at the function
+boundaries.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ class Tolerances:
     ``rank_rel`` is the relative eigenvalue cutoff used for rank decisions;
     ``match_abs`` is the absolute Frobenius/Euclidean threshold for treating
     matrices or vectors as equal, and so also for deciding that a vector lies
-    in a subspace.
+    in a subspace. The support intersection accepts a direction whose
+    root-sum-square distance from the supports is at most ``match_abs/sqrt(2)``
+    (see :func:`intersection_split`), so that every matrix rebuilt around it
+    lies within ``match_abs`` of its original.
     """
 
     rank_rel: float = 1e-10
@@ -59,7 +63,7 @@ def as_complex_vector(v) -> np.ndarray:
         raise StateCompatError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise StateCompatError("vector must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StateCompatError("vector contains non-finite entries")
     return arr
 
@@ -69,7 +73,7 @@ def as_complex_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise StateCompatError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StateCompatError("matrix contains non-finite entries")
     return arr
 
@@ -96,14 +100,14 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return (cols * phase).reshape(v.shape)
 
 
-def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Threshold below which an eigenvalue or singular value counts as zero.
 
     Relative to the largest value present, with an absolute floor so an
-    all-zero spectrum still yields a positive cutoff.
+    all-zero spectrum still yields a positive cutoff. A stack of spectra
+    (along the last axis) gets one cutoff each.
     """
-    peak = float(np.max(values)) if np.size(values) else 0.0
-    return tol.rank_rel * max(peak, 1e-30)
+    return tol.rank_rel * np.maximum(np.max(values, axis=-1, initial=0.0), 1e-30)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +143,12 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> EigResult:
 class Subspace:
     """A subspace of C^ambient_dim, stored as orthonormal basis columns.
 
-    The basis may be empty (shape ``(ambient_dim, 0)``); orthonormality is
-    enforced entrywise to within 1e-10 at construction.
+    The basis may be empty (shape ``(ambient_dim, 0)``); a caller-supplied
+    basis is checked for finite entries and entrywise orthonormality within
+    :data:`ORTHO_TOL`. Bases the package computes itself (eigenvectors,
+    singular vectors, Householder completions) are orthonormal by
+    construction and enter through :meth:`_trusted`, which skips the Gram
+    product.
     """
 
     ambient_dim: int
@@ -166,6 +174,14 @@ class Subspace:
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A subspace on a complex128 basis the package computed, without re-checking it."""
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "ambient_dim", ambient_dim)
+        object.__setattr__(subspace, "basis", basis)
+        return subspace
 
     @property
     def dim(self) -> int:
@@ -193,13 +209,34 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
 
+def _householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The k - 1 columns completing the support vector ``basis @ coeffs`` to a basis.
+
+    ``basis`` is a d x k orthonormal basis U and ``coeffs`` a nonzero k-vector
+    c. With v = c/|c| + e^{i arg c_1} e_1 the Householder reflector
+    H = I - 2 v v^dag / (v^dag v) is unitary and maps e_1 to a multiple of c
+    (Golub & Van Loan, *Matrix Computations*, section 5.1), so the columns
+    2..k of U H lie in the span of U, are orthonormal, and are orthogonal to
+    U c and to every vector whose coefficients on U are proportional to c.
+    The sign of v's first entry avoids cancellation. O(dk); no SVD.
+    """
+    v = coeffs / np.sqrt(np.vdot(coeffs, coeffs).real)
+    lead = abs(v[0])
+    v[0] += v[0] / lead if lead > 0.0 else 1.0
+    scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
+    return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
+
+
 def orthonormal_basis_containing(
     psi, subspace: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> Subspace:
     """Complete a unit vector inside ``subspace`` to an orthonormal basis of it.
 
-    The returned basis has the same dimension as ``subspace`` and its first
-    column is ``psi`` up to the global phase convention.
+    The returned basis has the same dimension as ``subspace``. Its first
+    column is ``psi`` rescaled to unit norm; the others come from
+    :func:`_householder_completion`, so they lie in ``subspace`` and are
+    orthogonal to ``psi`` even when ``psi`` is up to ``tol.match_abs`` off it.
+    Every column follows the global phase convention.
     """
     psi = as_complex_vector(psi)
     if psi.shape[0] != subspace.ambient_dim:
@@ -209,20 +246,49 @@ def orthonormal_basis_containing(
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol.match_abs:
         raise StateCompatError(f"vector is not unit norm (|v| = {norm:.12g})")
-    defect = subspace.projection_defect(psi)
+    coeffs = subspace.basis.conj().T @ psi
+    defect = float(np.linalg.norm(psi - subspace.basis @ coeffs))
     if defect > tol.match_abs:
         raise VectorOutsideSubspaceError(
             f"vector lies outside the subspace (projection defect {defect:.3e})"
         )
-    k = subspace.dim
-    # Removing the psi component from an orthonormal basis of the subspace
-    # leaves exactly k-1 unit singular values, so no thresholding is needed.
-    rest = subspace.basis - np.outer(psi, psi.conj() @ subspace.basis)
-    columns = [fix_phase(psi)]
-    if k > 1:
-        u, _, _ = np.linalg.svd(rest, full_matrices=False)
-        columns.append(fix_phase(u[:, : k - 1]))
-    return Subspace(subspace.ambient_dim, np.column_stack(columns))
+    rest = _householder_completion(subspace.basis, coeffs)
+    return Subspace._trusted(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
+
+
+def _membership_threshold(tol: Tolerances) -> float:
+    """Largest root-sum-square support defect of an intersection direction (see :class:`Tolerances`)."""
+    return tol.match_abs / np.sqrt(2.0)
+
+
+def _split_rows(
+    rows: np.ndarray, ambient: int, tol: Tolerances, single: np.ndarray | None = None
+) -> tuple[Subspace, Subspace, np.ndarray]:
+    """Intersection, complement and defects from one SVD of A, where A^dag A = sum_k (I - P_k).
+
+    For a unit vector v, ||Av||^2 is then the sum of its squared distances
+    from the subspaces, so each singular value (the defects, ascending) is
+    the root-sum-square distance of its right singular vector from the
+    family; the SVD resolves small principal angles to absolute accuracy,
+    where an eigendecomposition of A^dag A would square them. ``rows`` is
+    padded with zero rows to at least ``ambient``, which leaves A^dag A
+    unchanged. The directions with defect at most ``tol.match_abs/sqrt(2)``
+    form the intersection, smallest first, and the rest its complement, so
+    the two dimensions add up to ``ambient``. ``single``, a basis, replaces
+    the intersection when the family is that one subspace.
+    """
+    if rows.shape[0] < ambient:
+        rows = np.concatenate((rows, np.zeros((ambient - rows.shape[0], ambient))))
+    _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
+    defects = sigma[::-1].copy()
+    vectors = fix_phase(vh[::-1].conj().T)
+    count = int(np.sum(defects <= _membership_threshold(tol)))
+    inside = fix_phase(single) if single is not None else vectors[:, :count]
+    return (
+        Subspace._trusted(ambient, inside),
+        Subspace._trusted(ambient, vectors[:, count:]),
+        defects,
+    )
 
 
 def intersection_split(
@@ -230,16 +296,9 @@ def intersection_split(
 ) -> tuple[Subspace, Subspace, np.ndarray]:
     """The family's intersection, its orthogonal complement, and the defects deciding them.
 
-    One SVD of the stacked complement projectors A = [I - P_1; ...; I - P_n]
-    decides everything. For a unit vector v, ||Av||^2 is the sum of its
-    squared distances from the subspaces, so each singular value (the
-    defects, ascending) is the root-sum-square distance of its right singular
-    vector from the family. The intersection holds the vectors with defect at
-    most ``tol.match_abs``, smallest first; the complement holds the rest, so
-    the two dimensions add up to the ambient one. The SVD resolves small
-    principal angles to absolute accuracy, where an eigendecomposition of
-    A^dag A would square them. A single subspace is its own intersection and
-    keeps its basis order (phase-fixed).
+    A is the stack of complement projectors [I - P_1; ...; I - P_n] (see
+    :func:`_split_rows`). A single subspace is its own intersection and keeps
+    its basis order (phase-fixed).
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -247,15 +306,10 @@ def intersection_split(
     ambient = subspaces[0].ambient_dim
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
-    stacked = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
-    _, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
-    defects = sigma[::-1].copy()
-    vectors = fix_phase(vh[::-1].conj().T)
-    count = int(np.sum(defects <= tol.match_abs))
-    inside = fix_phase(subspaces[0].basis) if len(subspaces) == 1 else vectors[:, :count]
-    return Subspace(ambient, inside), Subspace(ambient, vectors[:, count:]), defects
+    rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
+    return _split_rows(rows, ambient, tol, subspaces[0].basis if len(subspaces) == 1 else None)
 
 
 def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of subspaces: the directions within ``tol.match_abs`` of all of them."""
+    """Intersection of subspaces: the directions within ``tol.match_abs/sqrt(2)`` of all of them."""
     return intersection_split(subspaces, tol)[0]

@@ -14,28 +14,32 @@ the others, the reduced state they assign to the system is exactly rho_k.
 
 The state is stored as its nonzero blocks: one row per ancilla basis state
 that carries amplitude, each with its system vector. There are 1 + sum_k m_k
-rows, the all-zero pattern plus one per extra term (m_k being ensemble k's
-extra-term count), so memory is linear in sum_k m_k, where the dense tensor
-would need prod_j (1 + max_{k != j} m_k) * d amplitudes.
-Because the patterns are distinct ancilla basis states, conditioning on an
-outcome selects rows and tracing out the ancillas sums the rows' outer
-products; neither step needs the dense form.
+rows, the all-zero pattern first and then each ensemble's extra terms in
+observer order (m_k being ensemble k's extra-term count), so memory is linear
+in sum_k m_k, where the dense tensor would need
+prod_j (1 + max_{k != j} m_k) * d amplitudes. Because the patterns are
+distinct ancilla basis states, conditioning on an outcome selects rows and
+tracing out the ancillas sums the rows' outer products, which is the Gram
+matrix rows^T rows^*; neither step needs the dense form.
 
 :func:`run_scenario` performs the whole round trip: pick a common support
 state, decompose every input around it, build the joint state, condition each
 observer on the level-0 outcome, trace down to the system, and report the
-distance to the original assignment.
+distance to the original assignment. Observer k's level-0 rows are the
+all-zero row and k's own block of rows, so all n reductions are one batched
+Gram product. A Gram matrix is positive semidefinite by construction, so the
+recovered matrices are not validated or diagonalized again; the distance to
+the validated input is the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from .compat import support_compatible
-from .density import DensityMatrix, Ensemble, ensemble_containing, validate_density
+from .density import DensityMatrix, Ensemble, ensemble_containing
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -43,14 +47,10 @@ from .errors import (
     StateCompatError,
     ZeroProjectionError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, as_complex_vector
+from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix
 
 #: Absolute tolerance on the norm of composite-state amplitudes.
 NORM_TOL = 1e-10
-
-#: Largest dense tensor :meth:`BlockState.as_tensor` builds (2**24 amplitudes,
-#: 256 MiB of complex128).
-MAX_DENSE_AMPLITUDES = 1 << 24
 
 
 @dataclass(eq=False)
@@ -75,23 +75,6 @@ class BlockState:
     @property
     def n_observers(self) -> int:
         return len(self.ancilla_dims)
-
-    def as_tensor(self) -> np.ndarray:
-        """The dense amplitude tensor of shape ancilla_dims + [system_dim].
-
-        Raises :class:`StateCompatError` before allocating when it would hold
-        more than :data:`MAX_DENSE_AMPLITUDES` amplitudes.
-        """
-        size = prod(self.ancilla_dims) * self.system_dim
-        if size > MAX_DENSE_AMPLITUDES:
-            raise StateCompatError(
-                f"the dense form of a state on {self.n_observers} ancillas and a "
-                f"{self.system_dim}-dim system needs at least 10^{len(str(size)) - 1} "
-                f"amplitudes, over the cap of {MAX_DENSE_AMPLITUDES}"
-            )
-        tensor = np.zeros(self.ancilla_dims + [self.system_dim], dtype=np.complex128)
-        tensor[tuple(self.patterns.T)] = self.amplitudes
-        return tensor
 
 
 @dataclass(eq=False)
@@ -172,7 +155,8 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     every *other* ensemble, so its dimension is 1 + max over j != k of the
     extra-term counts; an observer whose peers are all single-term gets a
     trivial one-level ancilla. The state has one block for the shared state
-    and one per extra term.
+    and one per extra term, grouped by observer: extra term i of ensemble k
+    sits at ancilla k's level 0 and every other ancilla's level i.
     """
     ensembles = list(ensembles)
     n = len(ensembles)
@@ -182,36 +166,44 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     if any(e.dim != system_dim for e in ensembles):
         raise DimensionMismatchError("ensembles live on systems of different dimensions")
     phi = ensembles[0].terms[0][1]
-    for k, ensemble in enumerate(ensembles):
-        weight, state = ensemble.terms[0]
-        overlap = abs(complex(np.vdot(phi, state)))
-        if overlap < 1.0 - 1e-10:
+    leads = np.array([e.terms[0][1] for e in ensembles])
+    overlaps = np.abs(leads @ phi.conj())  # |<phi, lead_k>|
+    weights = np.array([e.terms[0][0] for e in ensembles])
+    bad = np.flatnonzero((overlaps < 1.0 - 1e-10) | ~(weights > 0.0))
+    if bad.size:
+        k = int(bad[0])
+        if overlaps[k] < 1.0 - 1e-10:
             raise CommonStateMismatchError(
-                f"ensemble {k} leads with a state of overlap {overlap:.12g} "
+                f"ensemble {k} leads with a state of overlap {overlaps[k]:.12g} "
                 "with the shared state; the leading states must coincide up to phase"
             )
-        if weight <= 0.0:
-            raise StateCompatError(f"ensemble {k} gives the shared state zero weight")
+        raise StateCompatError(f"ensemble {k} gives the shared state zero weight")
 
-    extras = [len(e.terms) - 1 for e in ensembles]
+    extras = np.array([len(e.terms) - 1 for e in ensembles])
     # the largest extra count among the others is the overall largest, unless
     # observer j holds it, in which case it is the runner-up
-    top, runner_up = sorted(extras)[-2:][::-1]
-    ancilla_dims = [1 + (runner_up if m == top else top) for m in extras]
-    n_blocks = 1 + sum(extras)
-    patterns = np.zeros((n_blocks, n), dtype=np.intp)
-    amplitudes = np.empty((n_blocks, system_dim), dtype=np.complex128)
+    top, runner_up = np.sort(extras)[-2:][::-1]
+    ancilla_dims = [1 + int(runner_up if m == top else top) for m in extras]
+    owner, level = _owners_and_levels(extras)
+    patterns = np.zeros((1 + owner.size, n), dtype=np.intp)
+    patterns[1:] = level[:, None]
+    patterns[1 + np.arange(owner.size), owner] = 0
+    scales = [np.sqrt(w / e.terms[0][0]) for e in ensembles for w, _ in e.terms[1:]]
+    states = [s for e in ensembles for _, s in e.terms[1:]]
+    amplitudes = np.empty((1 + owner.size, system_dim), dtype=np.complex128)
     amplitudes[0] = phi
-    row = 1
-    for k, ensemble in enumerate(ensembles):
-        p_k = ensemble.terms[0][0]
-        for i, (weight, state) in enumerate(ensemble.terms[1:], start=1):
-            patterns[row] = i
-            patterns[row, k] = 0
-            amplitudes[row] = np.sqrt(weight / p_k) * state
-            row += 1
+    if states:
+        amplitudes[1:] = np.multiply(np.array(scales)[:, None], states)
     amplitudes /= np.linalg.norm(amplitudes)
     return CompositeState(ancilla_dims, system_dim, patterns, amplitudes)
+
+
+def _owners_and_levels(extras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the non-zero rows of the joint state, in order: the observer owning each, and its level."""
+    owner = np.repeat(np.arange(extras.size), extras)
+    starts = np.cumsum(extras) - extras
+    level = np.arange(owner.size) - starts[owner] + 1
+    return owner, level
 
 
 def joint_zero_outcome_probability(psi: CompositeState) -> float:
@@ -244,43 +236,45 @@ def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
     )
 
 
-def observer_reduced_density(
-    conditional, factor_dims, system_index: int, tol: Tolerances = DEFAULT_TOL
-) -> DensityMatrix:
-    """Partial trace of the conditional pure state down to the system factor.
+def _reduced_matrices(rows: np.ndarray) -> np.ndarray:
+    """Partial traces of block states given as row stacks (..., B, d): unit-trace Gram matrices.
 
-    ``conditional`` is either a :class:`BlockState`, whose factors are its
-    ancillas and then the system (``factor_dims`` must list exactly those and
-    ``system_index`` must point at the last), or a dense vector over
-    ``factor_dims``. For blocks the patterns are distinct basis states, so
-    the trace is the sum of the blocks' outer products; for a dense vector it
-    contracts |v><v| over every factor except ``factor_dims[system_index]``
-    without materializing the projector.
+    Rows with distinct ancilla patterns are orthogonal on the ancillas, so
+    tracing them out leaves rows^T rows^*. It is symmetrized and divided by
+    its trace, as :func:`statecompat.density.validate_density` would leave
+    it, and is positive semidefinite by construction.
+    """
+    gram = np.swapaxes(rows, -1, -2) @ rows.conj()
+    gram = (gram + np.swapaxes(gram, -1, -2).conj()) / 2.0
+    return gram / np.trace(gram, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def observer_reduced_density(
+    conditional: BlockState, factor_dims, system_index: int, tol: Tolerances = DEFAULT_TOL
+) -> DensityMatrix:
+    """Partial trace of a conditional block state down to the system factor.
+
+    ``factor_dims`` must list the state's ancillas and then the system, and
+    ``system_index`` must point at the last. The patterns are distinct basis
+    states, so the trace is the sum of the blocks' outer products (see
+    :func:`_reduced_matrices`); the result is positive semidefinite by
+    construction and is returned without another eigendecomposition. ``tol``
+    is accepted for the call shape of the other stages and not needed.
     """
     dims = [int(d) for d in factor_dims]
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
-    if isinstance(conditional, BlockState):
-        expected = conditional.ancilla_dims + [conditional.system_dim]
-        if dims != expected or system_index != len(dims) - 1:
-            raise DimensionMismatchError(
-                f"block state has factors {expected} with the system last, "
-                f"got {dims} and system index {system_index}"
-            )
-        rows = conditional.amplitudes
-    else:
-        v = as_complex_vector(conditional)
-        if v.shape[0] != prod(dims):
-            raise DimensionMismatchError(
-                f"vector length {v.shape[0]} is not the product of factors {dims}"
-            )
-        if not 0 <= system_index < len(dims):
-            raise DimensionMismatchError(
-                f"system index {system_index} out of range for {len(dims)} factors"
-            )
-        rows = np.moveaxis(v.reshape(dims), system_index, -1).reshape(-1, dims[system_index])
-    rho = rows.T @ rows.conj()
-    return validate_density(rho, tol)
+    if not isinstance(conditional, BlockState):
+        raise StateCompatError(
+            f"expected a BlockState, got {type(conditional).__name__}"
+        )
+    expected = conditional.ancilla_dims + [conditional.system_dim]
+    if dims != expected or system_index != len(dims) - 1:
+        raise DimensionMismatchError(
+            f"block state has factors {expected} with the system last, "
+            f"got {dims} and system index {system_index}"
+        )
+    return DensityMatrix(_reduced_matrices(conditional.amplitudes))
 
 
 def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
@@ -300,7 +294,9 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
 
     ``phi`` is a unit vector in every support, such as the witness of
     :func:`statecompat.compat.full_report`, or None when the supports share
-    no state, which raises :class:`IncompatibleError`.
+    no state, which raises :class:`IncompatibleError`. Observer k's level-0
+    rows are gathered into one zero-padded (n, 1 + max_k m_k, d) array; since
+    m_k < 2d, memory stays O(B d + n d^2).
     """
     if phi is None:
         raise IncompatibleError(
@@ -312,12 +308,15 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
     psi = build_joint_state(ensembles, tol)
     probability = joint_zero_outcome_probability(psi)
 
-    recoveries = []
-    for k in range(len(rhos)):
-        conditional = observer_conditional_state(psi, k)
-        remaining = conditional.ancilla_dims + [psi.system_dim]
-        recovered = observer_reduced_density(conditional, remaining, len(remaining) - 1, tol)
-        distance = float(np.linalg.norm(recovered.matrix - rhos[k].matrix))
-        recoveries.append(ObserverRecovery(recovered, distance))
-    success = all(r.distance <= tol.match_abs for r in recoveries)
+    extras = np.array([len(e.terms) - 1 for e in ensembles])
+    owner, level = _owners_and_levels(extras)
+    rows = np.zeros((len(rhos), 1 + int(extras.max()), psi.system_dim), dtype=np.complex128)
+    rows[:, 0] = psi.amplitudes[0]
+    rows[owner, level] = psi.amplitudes[1:]
+    recovered = _reduced_matrices(rows)
+    distances = np.linalg.norm(recovered - np.array([r.matrix for r in rhos]), axis=(1, 2))
+    recoveries = [
+        ObserverRecovery(DensityMatrix(m), float(d)) for m, d in zip(recovered, distances)
+    ]
+    success = bool(np.all(distances <= tol.match_abs))
     return ScenarioResult(recoveries, probability, success)

@@ -5,8 +5,9 @@ the partial trace is a plain index sum, and intersection dimensions come from
 the rank formula on concatenated bases (null-space folding), not from the
 single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
-complements, eigen-ensembles, JSON vector parsing) live here as references
-for the tests that use them, and are checked themselves.
+complements, eigen-ensembles, JSON vector parsing, the dense form of a block
+state, the SVD basis completion) live here as references for the tests that
+use them, and are checked themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from math import prod
 import numpy as np
 
 from statecompat.density import Ensemble, validate_density
-from statecompat.linalg import PHASE_FLOOR, Subspace
+from statecompat.linalg import PHASE_FLOOR, Subspace, fix_phase
+from statecompat.scenario import BlockState
 
 
 def tensor_product_vec(vs) -> np.ndarray:
@@ -194,3 +196,32 @@ def dense_conditional(tensor: np.ndarray, k: int) -> np.ndarray:
     """The slab of a dense joint tensor with ancilla k at level 0, renormalized."""
     slab = np.take(tensor, 0, axis=k)
     return slab / np.linalg.norm(slab)
+
+
+def block_tensor(state: BlockState) -> np.ndarray:
+    """The dense amplitude tensor of a block state, shape ancilla_dims + [system_dim]."""
+    tensor = np.zeros(state.ancilla_dims + [state.system_dim], dtype=np.complex128)
+    tensor[tuple(state.patterns.T)] = state.amplitudes
+    return tensor
+
+
+def dense_to_blocks(v: np.ndarray, dims, system_index: int) -> BlockState:
+    """A dense vector over ``dims`` as a block state: every ancilla basis state one block, system last."""
+    dims = list(dims)
+    tensor = np.moveaxis(np.asarray(v).reshape(dims), system_index, -1)
+    ancillas = dims[:system_index] + dims[system_index + 1:]
+    patterns = np.array(list(np.ndindex(*ancillas)), dtype=np.intp).reshape(-1, len(ancillas))
+    return BlockState(ancillas, dims[system_index], patterns, tensor.reshape(-1, dims[system_index]))
+
+
+def svd_completion(psi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """[psi, completion]: the leading left singular vectors of the basis with psi projected out.
+
+    Removing the psi component from an orthonormal basis of k columns leaves
+    k - 1 unit singular values, so no threshold is needed. The library's
+    Householder completion must span the same columns without an SVD.
+    """
+    k = basis.shape[1]
+    rest = basis - np.outer(psi, psi.conj() @ basis)
+    u, _, _ = np.linalg.svd(rest, full_matrices=False)
+    return fix_phase(np.column_stack((psi, u[:, : k - 1])))

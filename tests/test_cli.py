@@ -177,13 +177,13 @@ def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):
     assert main(["generate", "--dim", "5", "--count", "3", "--seed", "4",
                  "--mode", "compatible", "--output", str(gen)]) == 0
     splits = []
-    original = compat.intersection_split
+    original = compat._split_rows
 
     def counting_split(*args):
         splits.append(1)
         return original(*args)
 
-    monkeypatch.setattr(compat, "intersection_split", counting_split)
+    monkeypatch.setattr(compat, "_split_rows", counting_split)
     with count_linalg() as cli_counts:
         assert main(["scenario", "--input", str(gen), "--output", str(tmp_path / "r.json")]) == 0
     assert len(splits) == 1
@@ -224,19 +224,61 @@ def test_check_and_scenario_agree_on_generated_instances(tmp_path_factory, dim, 
     seed=st.integers(0, 2**20),
 )
 def test_check_and_scenario_agree_near_the_boundary(tmp_path_factory, ratio, dim, seed):
-    """Pure pairs at angle ratio * sqrt(2) match_abs, where the verdict flips at ratio 1.
+    """Pure pairs at angle ratio * match_abs, where the verdict flips at ratio 1.
 
-    At the flip the support defect and the recovery distance are the same
-    number computed two ways; within rounding of it (|ratio - 1| <= 1e-6)
-    either verdict is right, so those draws are skipped.
+    The pair's smallest root-sum-square defect is sqrt(2) sin(theta/2), which
+    reaches the membership threshold match_abs/sqrt(2) at theta = match_abs.
+    Within rounding of the flip (|ratio - 1| <= 1e-6) either verdict is
+    right, so those draws are skipped.
     """
     assume(abs(ratio - 1.0) > 1e-6)
-    theta = ratio * np.sqrt(2) * DEFAULT_TOL.match_abs
+    theta = ratio * DEFAULT_TOL.match_abs
     frame = random_unitary(dim, np.random.default_rng(seed))
     a = frame[:, 0]
     b = np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1]
     path = write_instance(tmp_path_factory.mktemp("theta") / "pair.json",
                           [np.outer(a, a.conj()), np.outer(b, b.conj())])
+    check, scenario = check_and_scenario_codes(path)
+    assert (check == 0) == (scenario == 0) == (ratio < 1.0)
+
+
+def repeated_set(pattern: str, theta: float, frame: np.ndarray) -> list[np.ndarray]:
+    """Pure states near frame[:, 0]: [a, a, b] with b at angle theta from a, or
+    [a, b, b, c] with a and c at angle theta from b, towards two orthogonal directions."""
+    e0, e1, e2 = frame[:, 0], frame[:, 1], frame[:, 2]
+    if pattern == "aab":
+        states = [e0, e0, np.cos(theta) * e0 + np.sin(theta) * e1]
+    else:
+        states = [np.cos(theta) * e0 - np.sin(theta) * e1, e0, e0,
+                  np.cos(theta) * e0 + np.sin(theta) * e2]
+    return [np.outer(v, v.conj()) for v in states]
+
+
+#: the angle at which each pattern's smallest root-sum-square defect reaches
+#: match_abs/sqrt(2), in units of match_abs (small-angle values): [a, a, b]
+#: has defect sqrt(2/3) theta, [a, b, b, c] sqrt(3/2) theta
+FLIP_ANGLE = {"aab": np.sqrt(3) / 2, "abbc": 1 / np.sqrt(3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.floats(0.2, 5.0),
+    pattern=st.sampled_from(sorted(FLIP_ANGLE)),
+    dim=st.integers(3, 5),
+    seed=st.integers(0, 2**20),
+)
+def test_check_and_scenario_agree_on_repeated_states_near_the_boundary(
+    tmp_path_factory, ratio, pattern, dim, seed
+):
+    """Sets with a repeated state, where one input can carry most of the defect.
+
+    The verdict flips at ratio 1; draws within 1e-6 of it are skipped.
+    """
+    assume(abs(ratio - 1.0) > 1e-6)
+    theta = ratio * FLIP_ANGLE[pattern] * DEFAULT_TOL.match_abs
+    frame = random_unitary(dim, np.random.default_rng(seed))
+    path = write_instance(tmp_path_factory.mktemp("repeated") / "set.json",
+                          repeated_set(pattern, theta, frame))
     check, scenario = check_and_scenario_codes(path)
     assert (check == 0) == (scenario == 0) == (ratio < 1.0)
 
@@ -312,6 +354,17 @@ def test_generate_rejects_bad_parameters(capsys):
     assert main(["generate", "--dim", "1"]) == 2
     assert main(["generate", "--dim", "3", "--count", "2", "--mode", "pairwise-only"]) == 2
     capsys.readouterr()
+
+
+def test_generate_caps_its_size_before_allocating(capsys):
+    for argv, flag in [
+        (["--dim", "100000"], "--dim"),
+        (["--dim", "2897", "--count", "2"], "--dim"),  # 16785218 entries, just over 2**24
+        (["--dim", "2", "--count", "5000000"], "--count"),
+    ]:
+        assert main(["generate"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err and "cap" in err, err
 
 
 def test_generated_instances_keep_their_promises(tmp_path, capsys):

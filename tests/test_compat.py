@@ -9,7 +9,7 @@ from statecompat.compat import (
     support_compatible,
 )
 from statecompat.density import ensemble_containing, support, validate_density
-from statecompat.errors import DimensionMismatchError, StateCompatError
+from statecompat.errors import DimensionMismatchError, IncompatibleError, StateCompatError
 from statecompat.generate import (
     compatible_instance,
     generate_instance,
@@ -289,14 +289,15 @@ def test_report_unitary_and_permutation_invariance():
 
 def test_marginal_flag_on_near_threshold_instance():
     # A pure pair at angle theta has one support defect sqrt(2) sin(theta/2),
-    # about 0.71 theta. The verdict flips at theta = sqrt(2) match_abs, and the
-    # band is defect/match_abs in (0.1, 10), checked just inside and outside
-    # both of its edges.
+    # about 0.71 theta, and the membership threshold is match_abs/sqrt(2), so
+    # the ratio of the two is about theta/match_abs. The verdict flips at
+    # theta = match_abs, and the band is ratio in (0.1, 10), checked just
+    # inside and outside both of its edges.
     for theta, compatible, marginal in [
-        (1.5e-9, True, True),     # defect 0.106 match_abs: accepted, in the band
-        (1.3e-7, False, True),    # 9.19 match_abs: rejected, in the band
-        (1.3e-9, True, False),    # 0.092 match_abs: below the band
-        (1.5e-7, False, False),   # 10.6 match_abs: above the band
+        (1.06e-9, True, True),    # ratio 0.106: accepted, in the band
+        (9.19e-8, False, True),   # 9.19: rejected, in the band
+        (0.92e-9, True, False),   # 0.092: below the band
+        (1.06e-7, False, False),  # 10.6: above the band
     ]:
         report = full_report([UP_Z, tilted_up(theta)])
         assert report.compatible == compatible, theta
@@ -304,30 +305,64 @@ def test_marginal_flag_on_near_threshold_instance():
         assert any("marginal" in note for note in report.notes) == marginal
 
 
-@pytest.mark.parametrize("theta", [1e-9, 1e-8, 1e-7, 1e-5, 3e-5, 1e-3])
-def test_theta_sweep_keeps_the_invariants(theta):
+@pytest.mark.parametrize("distance", [1e-9, 1e-8, 1e-7, 1e-5, 3e-5, 1e-3])
+def test_theta_sweep_keeps_the_invariants(distance):
+    """Pure pairs whose matrices lie ``distance`` apart in Frobenius norm.
+
+    The angle is arcsin(distance/sqrt(2)); the verdict flips at angle
+    match_abs, i.e. at distance sqrt(2) match_abs, about 1.41e-8, and the
+    marginal band spans distances 1.41e-9 to 1.41e-7.
+    """
+    theta = float(np.arcsin(distance / np.sqrt(2)))
     rhos = [UP_Z, tilted_up(theta)]
+    assert np.linalg.norm(rhos[0].matrix - rhos[1].matrix) == pytest.approx(distance, rel=1e-6)
     report = full_report(rhos)
     assert report.intersection_dim + report.forbidden_dim == report.dim
-    assert report.compatible == (theta < 1e-7)
-    assert report.marginal == (theta in (1e-8, 1e-7))
+    assert report.compatible == (distance < 1e-7)
+    assert report.marginal == (distance in (1e-8, 1e-7))
     if report.compatible:
         for rho in rhos:
             assert support(rho).projection_defect(report.witness) <= DEFAULT_TOL.match_abs
-        assert run_scenario(rhos).success
+        result = run_scenario(rhos)
+        assert result.success
+        assert max(result.distances) <= DEFAULT_TOL.match_abs
+
+
+def repeated_states(angles, seed=0):
+    """Pure states at the given angles from the first vector of a seeded 3-d frame, in one plane."""
+    frame = random_unitary(3, np.random.default_rng(seed))
+    return [pure(np.cos(t) * frame[:, 0] + np.sin(t) * frame[:, 1]) for t in angles]
+
+
+def test_repeated_state_triple_verdict_and_recovery_agree():
+    # [a, a, b] at 1.15e-8 rad: the smallest root-sum-square defect is
+    # sqrt(2/3) theta = 9.39e-9, over match_abs/sqrt(2) = 7.07e-9, so the set is
+    # incompatible; a witness there would leave b's recovery 1.08e-8 away.
+    rhos = repeated_states([0.0, 0.0, 1.15e-8])
+    report = full_report(rhos)
+    assert not report.compatible
+    assert report.intersection_dim + report.forbidden_dim == report.dim
+    with pytest.raises(IncompatibleError):
+        run_scenario(rhos)
+    # just below the flip (theta sqrt(3)/2 match_abs = 8.66e-9) both accept
+    rhos = repeated_states([0.0, 0.0, 8.5e-9])
+    assert full_report(rhos).compatible
+    result = run_scenario(rhos)
+    assert result.success
+    assert max(result.distances) <= DEFAULT_TOL.match_abs
 
 
 #: (dim, count) -> numpy.linalg (eigh, svd) calls of validate_density on every
 #: matrix, of full_report, and of run_scenario, on generate_instance(dim, count,
 #: 7, "compatible"). Validation diagonalises each matrix once and nothing else
-#: does; the report takes one SVD. The scenario takes one eigh per observer (it
-#: validates each recovered matrix), the SVD of the intersection, and one SVD per
-#: support of dimension > 1 to complete the shared state to a basis of it.
+#: does; the report takes one SVD, and so does the scenario: its support test.
+#: The basis completions are Householder reflectors and the recovered matrices
+#: are not diagonalised again.
 LINALG_CALLS = {
-    (2, 2): ((2, 0), (0, 1), (2, 2)),
-    (3, 3): ((3, 0), (0, 1), (3, 4)),
-    (5, 4): ((4, 0), (0, 1), (4, 4)),
-    (16, 4): ((4, 0), (0, 1), (4, 5)),
+    (2, 2): ((2, 0), (0, 1), (0, 1)),
+    (3, 3): ((3, 0), (0, 1), (0, 1)),
+    (5, 4): ((4, 0), (0, 1), (0, 1)),
+    (16, 4): ((4, 0), (0, 1), (0, 1)),
 }
 
 

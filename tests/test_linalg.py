@@ -11,8 +11,12 @@ from statecompat.errors import (
     VectorOutsideSubspaceError,
 )
 from statecompat.generate import crandn, random_subspace, random_unit_vector, random_unitary
+from statecompat.compat import forbidden_subspace, support_compatible
+from statecompat.density import null_space, support, validate_density
+from statecompat.generate import generate_instance
 from statecompat.linalg import (
     DEFAULT_TOL,
+    ORTHO_TOL,
     Subspace,
     Tolerances,
     fix_phase,
@@ -30,6 +34,7 @@ from conftest import (
     rank_formula_intersection_dim,
     span_of,
     subspace_span_union,
+    svd_completion,
     tensor_product_vec,
 )
 
@@ -205,6 +210,30 @@ def test_ptrace_is_linear():
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(StateCompatError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(StateCompatError, match="non-finite"):
+        Subspace(2, np.array([[np.nan], [0.0]], dtype=complex))
+
+
+def orthonormality_defect(basis: np.ndarray) -> float:
+    return float(np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])), initial=0.0))
+
+
+def test_internally_built_subspaces_are_orthonormal():
+    """Bases from eigh, the intersection SVD and the Householder completion skip
+    the constructor's Gram check; each is orthonormal within ORTHO_TOL."""
+    cases = [(d, c, "compatible") for d in (2, 3, 5, 16) for c in (2, 3, 4)]
+    cases += [(d, c, "incompatible") for d in (2, 4, 7) for c in (2, 3)]
+    cases += [(d, 3, "pairwise-only") for d in (3, 6)]
+    for seed, (dim, count, mode) in enumerate(cases):
+        rhos = [validate_density(m) for m in generate_instance(dim, count, seed, mode)]
+        built = [f(r) for r in rhos for f in (support, null_space)]
+        compatible, intersection = support_compatible(rhos)
+        built += [intersection, forbidden_subspace(rhos)]
+        if compatible:
+            witness = intersection.basis[:, 0]
+            built += [orthonormal_basis_containing(witness, support(r)) for r in rhos]
+        for sub in built:
+            assert orthonormality_defect(sub.basis) <= ORTHO_TOL, (dim, count, mode)
 
 
 def test_subspace_rejects_too_many_columns():
@@ -250,6 +279,30 @@ def test_basis_containing_random_spans_same_subspace():
         assert got.dim == 3
         assert np.linalg.norm(got.projector() - sub.projector()) <= 1e-10
         assert abs(abs(np.vdot(got.basis[:, 0], psi)) - 1.0) <= 1e-12
+
+
+def test_householder_completion_matches_svd_oracle():
+    """Same span as the SVD completion, orthonormal, and inside the subspace,
+    also for a vector 1e-9 off it."""
+    rng = np.random.default_rng(29)
+    for dim, k in [(2, 1), (2, 2), (3, 2), (5, 3), (8, 8), (16, 5), (32, 31)]:
+        for offset in (0.0, 1e-9):
+            if offset and k == dim:
+                continue
+            basis = random_subspace(dim, k, rng)
+            psi = basis @ crandn(rng, k)
+            psi /= np.linalg.norm(psi)
+            if offset:
+                away = crandn(rng, dim)
+                away -= basis @ (basis.conj().T @ away)
+                psi = np.sqrt(1.0 - offset**2) * psi + offset * away / np.linalg.norm(away)
+            got = orthonormal_basis_containing(psi, Subspace(dim, basis)).basis
+            ref = svd_completion(psi, basis)
+            assert np.max(np.abs(proj(got) - proj(ref))) <= 1e-14, (dim, k, offset)
+            assert orthonormality_defect(got) <= 1e-14
+            outside = got[:, 1:] - basis @ (basis.conj().T @ got[:, 1:])
+            assert np.max(np.abs(outside), initial=0.0) <= 1e-14
+            assert abs(abs(np.vdot(got[:, 0], psi)) - 1.0) <= 1e-14
 
 
 def test_basis_containing_rejects_outside_vector():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import dense_conditional, dense_joint_tensor, partial_trace
+from conftest import (
+    block_tensor,
+    dense_conditional,
+    dense_joint_tensor,
+    dense_to_blocks,
+    partial_trace,
+)
 from statecompat.compat import full_report, support_compatible
-from statecompat.density import Ensemble, ensemble_containing, validate_density
+from statecompat.density import Ensemble, ensemble_containing, support, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -11,7 +17,13 @@ from statecompat.errors import (
     StateCompatError,
     ZeroProjectionError,
 )
-from statecompat.generate import compatible_instance, random_unit_vector
+from statecompat.generate import (
+    compatible_instance,
+    generate_instance,
+    random_density,
+    random_unit_vector,
+    random_unitary,
+)
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
@@ -19,6 +31,7 @@ from statecompat.scenario import (
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
+    scenario_with_shared_state,
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -47,7 +60,7 @@ def test_joint_state_trivial_shared_pure():
     assert psi.ancilla_dims == [1, 1]
     np.testing.assert_array_equal(psi.patterns, [[0, 0]])
     np.testing.assert_allclose(psi.amplitudes, [phi], atol=1e-14)
-    np.testing.assert_allclose(psi.as_tensor().reshape(-1), phi, atol=1e-14)
+    np.testing.assert_allclose(block_tensor(psi).reshape(-1), phi, atol=1e-14)
 
 
 def test_joint_state_hand_expanded_two_observers():
@@ -59,7 +72,7 @@ def test_joint_state_hand_expanded_two_observers():
     np.testing.assert_allclose(psi.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-14)
     # the same state over factor order (a, b, system)
     expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(psi.as_tensor().reshape(-1), expected, atol=1e-14)
+    np.testing.assert_allclose(block_tensor(psi).reshape(-1), expected, atol=1e-14)
 
 
 def test_joint_state_three_observers_four_terms():
@@ -69,7 +82,7 @@ def test_joint_state_three_observers_four_terms():
     ensembles = [Ensemble(2, [(0.5, phi), (0.5, chi)]) for chi in chis]
     psi = build_joint_state(ensembles)
     assert psi.ancilla_dims == [2, 2, 2]
-    tensor = psi.as_tensor()
+    tensor = block_tensor(psi)
     # the only populated ancilla patterns: 000, 011, 101, 110, each weight 1/4
     np.testing.assert_allclose(tensor[0, 0, 0], phi / 2, atol=1e-12)
     np.testing.assert_allclose(tensor[0, 1, 1], chis[0] / 2, atol=1e-12)
@@ -137,7 +150,7 @@ def test_conditional_trivial_state():
     assert cond.ancilla_dims == [1]
     np.testing.assert_array_equal(cond.patterns, [[0]])
     np.testing.assert_allclose(cond.amplitudes, [phi], atol=1e-14)
-    np.testing.assert_allclose(cond.as_tensor().reshape(-1), phi, atol=1e-14)
+    np.testing.assert_allclose(block_tensor(cond).reshape(-1), phi, atol=1e-14)
 
 
 def test_conditional_states_of_hand_example():
@@ -148,14 +161,14 @@ def test_conditional_states_of_hand_example():
     np.testing.assert_array_equal(bob.patterns, [[0], [1]])
     np.testing.assert_allclose(bob.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-14)
     np.testing.assert_allclose(
-        bob.as_tensor().reshape(-1), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14
+        block_tensor(bob).reshape(-1), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14
     )
     # Alice conditions on a0: the a1 branch dies, leaving |b0>|0>
     alice = observer_conditional_state(psi, 0)
     assert alice.ancilla_dims == [1]
     np.testing.assert_array_equal(alice.patterns, [[0]])
     np.testing.assert_allclose(alice.amplitudes, [[1, 0]], atol=1e-14)
-    np.testing.assert_allclose(alice.as_tensor().reshape(-1), [1, 0], atol=1e-14)
+    np.testing.assert_allclose(block_tensor(alice).reshape(-1), [1, 0], atol=1e-14)
 
 
 def test_conditional_rejects_bad_index():
@@ -175,13 +188,13 @@ def test_conditional_zero_projection_guard():
 def test_reduced_density_product_state():
     rng = np.random.default_rng(9)
     phi = random_unit_vector(3, rng)
-    cond = np.kron(np.array([1.0 + 0j]), phi)  # |b0>|phi> with trivial ancilla
+    cond = dense_to_blocks(np.kron(np.array([1.0 + 0j]), phi), [1, 3], 1)  # |b0>|phi>
     rho = observer_reduced_density(cond, [1, 3], 1)
     np.testing.assert_allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-12)
 
 
 def test_reduced_density_bell_type():
-    cond = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    cond = dense_to_blocks(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), [2, 2], 1)
     rho = observer_reduced_density(cond, [2, 2], 1)
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
@@ -190,17 +203,21 @@ def test_reduced_density_matches_generic_partial_trace():
     rng = np.random.default_rng(11)
     for dims, sys_idx in [([2, 3], 1), ([3, 2, 2], 2), ([2, 2, 3], 0)]:
         v = random_unit_vector(int(np.prod(dims)), rng)
-        via_scenario = observer_reduced_density(v, dims, sys_idx)
+        blocks = dense_to_blocks(v, dims, sys_idx)
+        factors = blocks.ancilla_dims + [blocks.system_dim]
+        via_scenario = observer_reduced_density(blocks, factors, len(factors) - 1)
         via_ptrace = partial_trace(np.outer(v, v.conj()), dims, {sys_idx})
         np.testing.assert_allclose(via_scenario.matrix, via_ptrace, atol=1e-12)
 
 
 def test_reduced_density_rejects_bad_dims():
-    with pytest.raises(DimensionMismatchError):
-        observer_reduced_density(np.ones(4) / 2, [2, 3], 1)
-    with pytest.raises(DimensionMismatchError):
-        observer_reduced_density(np.ones(4) / 2, [2, 2], 5)
     bob = observer_conditional_state(two_observer_example(), 1)  # factors [2, 2]
+    with pytest.raises(DimensionMismatchError):
+        observer_reduced_density(bob, [2, 0], 1)
+    with pytest.raises(DimensionMismatchError):
+        observer_reduced_density(bob, [2, 2, 2], 2)
+    with pytest.raises(StateCompatError, match="BlockState"):
+        observer_reduced_density(np.ones(4) / 2, [2, 2], 1)  # dense vectors are not reduced
     with pytest.raises(DimensionMismatchError):
         observer_reduced_density(bob, [2, 3], 1)
     with pytest.raises(DimensionMismatchError):
@@ -251,7 +268,7 @@ def test_conditioning_order_consistency():
     ensembles = [ensemble_containing(r, phi) for r in rhos]
     psi = build_joint_state(ensembles)
     for k in range(3):
-        tensor = psi.as_tensor()
+        tensor = block_tensor(psi)
         slab = np.take(tensor, 0, axis=k).reshape(-1)
         p_k = float(np.linalg.norm(slab) ** 2)
         dims = [d for j, d in enumerate(psi.ancilla_dims) if j != k] + [psi.system_dim]
@@ -273,9 +290,8 @@ def test_scaling_ensemble_weights_changes_nothing():
     other = Ensemble(3, [(0.6, phi), (0.4, chi1)])
 
     base = build_joint_state([Ensemble(3, raw), other])
-    scaled = build_joint_state(
-        [Ensemble.normalized(3, [(7.3 * w, s) for w, s in raw]), other]
-    )
+    total = sum(7.3 * w for w, _ in raw)
+    scaled = build_joint_state([Ensemble(3, [(7.3 * w / total, s) for w, s in raw]), other])
     for k in range(2):
         dims = [d for j, d in enumerate(base.ancilla_dims) if j != k] + [base.system_dim]
         rho_a = observer_reduced_density(observer_conditional_state(base, k), dims, len(dims) - 1)
@@ -329,30 +345,28 @@ def test_block_state_matches_dense_reference():
                 ensembles = [ensemble_containing(r, phi) for r in rhos]
                 psi = build_joint_state(ensembles)
                 dense = dense_joint_tensor(ensembles)
-                np.testing.assert_allclose(psi.as_tensor(), dense, rtol=0, atol=atol)
+                np.testing.assert_allclose(block_tensor(psi), dense, rtol=0, atol=atol)
                 dense_zero = float(np.sum(np.abs(dense[(0,) * count]) ** 2))
                 result = run_scenario(rhos)
                 assert result.joint_zero_probability == pytest.approx(dense_zero, abs=atol)
                 for k in range(count):
                     slab = dense_conditional(dense, k)
                     block = observer_conditional_state(psi, k)
-                    np.testing.assert_allclose(block.as_tensor(), slab, rtol=0, atol=atol)
-                    dims = list(slab.shape)
-                    via_dense = observer_reduced_density(slab.reshape(-1), dims, len(dims) - 1)
+                    np.testing.assert_allclose(block_tensor(block), slab, rtol=0, atol=atol)
+                    v = slab.reshape(-1)
+                    via_dense = partial_trace(np.outer(v, v.conj()), slab.shape, {slab.ndim - 1})
                     np.testing.assert_allclose(
-                        result.recoveries[k].recovered.matrix, via_dense.matrix, atol=1e-14
+                        result.recoveries[k].recovered.matrix, via_dense, atol=1e-14
                     )
 
 
-def test_as_tensor_refuses_oversized_state():
+def test_thousand_observer_state_is_stored_as_blocks():
     rng = np.random.default_rng(23)
     phi, chi = random_unit_vector(3, rng), random_unit_vector(3, rng)
     psi = build_joint_state([Ensemble(3, [(0.5, phi), (0.5, chi)])] * 1000)
     assert psi.ancilla_dims == [2] * 1000
     assert psi.amplitudes.shape == (1001, 3)
-    with pytest.raises(StateCompatError, match="cap") as info:
-        psi.as_tensor()
-    assert "\n" not in str(info.value)
+    assert psi.patterns.shape == (1001, 1000)
 
 
 def test_scenario_thousand_observers():
@@ -362,3 +376,63 @@ def test_scenario_thousand_observers():
     assert result.success, max(result.distances)
     assert len(result.recoveries) == 1000
     assert 0.0 < result.joint_zero_probability <= 1.0
+
+
+def test_recovered_matrices_pass_validation_unchanged():
+    """The recovered Gram matrices are not validated; validation would accept
+    each one and return it within 4 ulp."""
+    ulp = np.finfo(float).eps
+    for dim in (2, 3, 5, 8):
+        for count in (2, 3, 5):
+            for seed in range(3):
+                rhos = [validate_density(m) for m in generate_instance(dim, count, seed)]
+                for rec in run_scenario(rhos).recoveries:
+                    again = validate_density(rec.recovered.matrix)
+                    np.testing.assert_allclose(again.matrix, rec.recovered.matrix, rtol=0, atol=4 * ulp)
+
+
+def near_common_mixed_set(dim, ranks, angle, rng):
+    """Mixed states whose supports nearly share a state: each holds phi tilted by ``angle``.
+
+    Generic supports with these ranks would share nothing (their codimensions
+    add up to at least ``dim``), so the smallest support defect is of order
+    ``angle``.
+    """
+    frame = random_unitary(dim, rng)
+    phi = frame[:, 0]
+    rhos = []
+    for rank in ranks:
+        tilt = random_unit_vector(dim, rng)
+        tilt -= phi * np.vdot(phi, tilt)
+        near = np.cos(angle) * phi + np.sin(angle) * tilt / np.linalg.norm(tilt)
+        others = random_unitary(dim, rng)[:, : rank - 1]
+        basis, _ = np.linalg.qr(np.column_stack([near, others]))
+        sigma = random_density(rank, rng)
+        rhos.append(validate_density(basis @ sigma @ basis.conj().T))
+    return rhos
+
+
+def test_recovery_distance_within_sqrt2_support_defect_for_mixed_inputs():
+    """distance_k <= sqrt(2) delta_k, delta_k being the witness's distance from support k.
+
+    For a pure input the two are equal; a mixed one rebuilds its matrix as
+    r_0 (|psi><psi| - |u><u|) plus itself, u the unit projection of psi on the
+    support, so its distance is r_0 sqrt(2) delta_k. The slack of 1e-15 covers
+    rounding in the Gram products.
+    """
+    rng = np.random.default_rng(31)
+    checked = 0
+    for dim, ranks in [(3, [2, 2, 2]), (4, [2, 2, 3]), (4, [3, 3, 2, 2]), (6, [3, 4, 2])]:
+        for angle in (1e-10, 1e-9, 4e-9):
+            rhos = near_common_mixed_set(dim, ranks, angle, rng)
+            report = full_report(rhos)
+            if not report.compatible:
+                continue
+            result = scenario_with_shared_state(rhos, report.witness)
+            defects = [support(r).projection_defect(report.witness) for r in rhos]
+            assert min(defects) > 0.0
+            for distance, delta in zip(result.distances, defects):
+                assert distance <= np.sqrt(2) * delta + 1e-15, (dim, ranks, angle)
+            assert result.success
+            checked += 1
+    assert checked >= 8
