@@ -12,7 +12,10 @@ within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
 Every other direction is forbidden. Two older pairwise conditions are
 evaluated alongside for comparison: commutation of the pair (neither
 necessary nor sufficient) and a nonzero operator product (necessary but
-strictly weaker).
+strictly weaker). Both are computed for all pairs at once: the overlaps
+tr(rho_a rho_b) as one Gram product of the flattened matrices, which equals
+the trace because the package's density matrices are exactly Hermitian, and
+the commutator norms from one batched product per matrix.
 """
 
 from __future__ import annotations
@@ -96,13 +99,36 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return _split(rhos, tol)[1]
 
 
+def _overlaps(matrices: np.ndarray) -> np.ndarray:
+    """tr(rho_a rho_b) for all pairs of an (n, d, d) stack of Hermitian matrices.
+
+    The Gram product of the matrices flattened to real 2d^2-vectors is
+    Re tr(rho_a rho_b^dag), which is the trace because rho_b is Hermitian.
+    """
+    rows = matrices.reshape(len(matrices), -1).view(np.float64)
+    gram = rows @ rows.T
+    return (gram + gram.T) / 2.0
+
+
+def _commutator_norms(matrices: np.ndarray) -> np.ndarray:
+    """||rho_a rho_b - rho_b rho_a||_F for all pairs of an (n, d, d) stack of Hermitian matrices.
+
+    Row a is one batched product X = rho_a rho_{a+1:}, as rho_b rho_a = X^dag; memory O(n^2 + nd^2).
+    """
+    n = len(matrices)
+    norms = np.zeros((n, n))
+    for a in range(n - 1):
+        x = matrices[a] @ matrices[a + 1 :]
+        diff = (x - x.conj().transpose(0, 2, 1)).reshape(n - a - 1, -1).view(np.float64)
+        norms[a, a + 1 :] = np.sqrt((diff * diff).sum(axis=1))
+    return norms + norms.T
+
+
 def commutes(
     a: DensityMatrix, b: DensityMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Commutation check; the residual is ||ab - ba||_F."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("density matrices have different dimensions")
-    residual = float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
+    residual = float(_commutator_norms(np.array([r.matrix for r in _check_rhos([a, b])]))[0, 1])
     return residual <= tol.match_abs, residual
 
 
@@ -114,33 +140,18 @@ def product_nonzero(
     For positive-semidefinite factors the trace vanishes exactly when the
     product does, and the scalar is basis-free and cheap.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError("density matrices have different dimensions")
-    overlap = float(np.trace(a.matrix @ b.matrix).real)
+    overlap = float(_overlaps(np.array([r.matrix for r in _check_rhos([a, b])]))[0, 1])
     return overlap > tol.rank_rel, overlap
 
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
     rhos = _check_rhos(rhos)
-    n = len(rhos)
     intersection, forbidden, defects = _split(rhos, tol)
     compatible = intersection.dim >= 1
     witness = intersection.basis[:, 0].copy() if compatible else None
-
-    commute_flags = np.ones((n, n), dtype=bool)
-    commute_res = np.zeros((n, n))
-    product_flags = np.ones((n, n), dtype=bool)
-    overlaps = np.zeros((n, n))
-    for i in range(n):
-        overlaps[i, i] = float(np.trace(rhos[i].matrix @ rhos[i].matrix).real)
-        for j in range(i + 1, n):
-            c_ok, c_res = commutes(rhos[i], rhos[j], tol)
-            p_ok, p_val = product_nonzero(rhos[i], rhos[j], tol)
-            commute_flags[i, j] = commute_flags[j, i] = c_ok
-            commute_res[i, j] = commute_res[j, i] = c_res
-            product_flags[i, j] = product_flags[j, i] = p_ok
-            overlaps[i, j] = overlaps[j, i] = p_val
+    matrices = np.array([r.matrix for r in rhos])
+    commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
 
     notes: list[str] = []
     ratio = defects / _membership_threshold(tol)
@@ -153,14 +164,14 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
 
     return CompatReport(
         dim=rhos[0].dim,
-        n_matrices=n,
+        n_matrices=len(rhos),
         compatible=compatible,
         intersection_dim=intersection.dim,
         witness=witness,
         forbidden_dim=forbidden.dim,
-        pairwise_commute=commute_flags,
+        pairwise_commute=commute_res <= tol.match_abs,
         commute_residual=commute_res,
-        pairwise_product_nonzero=product_flags,
+        pairwise_product_nonzero=(overlaps > tol.rank_rel) | np.eye(len(rhos), dtype=bool),
         product_overlap=overlaps,
         marginal=marginal,
         notes=notes,

@@ -1,7 +1,8 @@
 """Density matrices, their supports and null spaces, and ensemble decompositions.
 
 A density matrix is a Hermitian, positive-semidefinite, trace-one operator.
-:func:`validate_density` diagonalizes each input once and keeps that
+:func:`validate_density` makes one pass over each input (one Hermiticity
+defect, symmetrization, eigendecomposition and trace) and keeps that
 spectrum; supports, null spaces, the support intersection and the ensembles
 below all read it. An ensemble is a list of positive weights and unit states
 (not necessarily orthogonal) whose weighted projectors sum to the density
@@ -37,6 +38,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     as_complex_matrix,
+    _hermitian_part_eig,
     _householder_completion,
     as_complex_vector,
     hermitian_eig,
@@ -62,12 +64,20 @@ class DensityMatrix:
     computed, and supports, null spaces and ensembles read it instead of
     diagonalizing again. Built without one, the matrix is diagonalized the
     first time ``spectrum`` is read, so matrices that are only compared,
-    such as the scenario's recovered ones, are never diagonalized.
+    such as the scenario's recovered ones, are never diagonalized. The
+    pairwise conditions need ``matrix`` exactly Hermitian, as validated.
     """
 
     def __init__(self, matrix, spectrum: EigResult | None = None):
         self.matrix = require_square(as_complex_matrix(matrix))
         self._spectrum = spectrum
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, spectrum: EigResult | None = None) -> "DensityMatrix":
+        """A density matrix on a square complex128 matrix the package computed, unchecked."""
+        rho = object.__new__(cls)
+        rho.matrix, rho._spectrum = matrix, spectrum
+        return rho
 
     @property
     def spectrum(self) -> EigResult:
@@ -136,40 +146,30 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     are clamped to zero, and the trace is renormalized to exactly one. The
     result keeps this one eigendecomposition, clamped and scaled the same way.
     """
-    m = require_square(as_complex_matrix(m))
-    eig = hermitian_eig(m, tol)  # raises NotHermitianError on a large defect
-    sym = (m + m.conj().T) / 2.0
-    trace = float(np.trace(sym).real)
+    sym, values, vectors = _hermitian_part_eig(require_square(as_complex_matrix(m)), tol)
+    trace = sym.trace().real
     if abs(trace - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    values = eig.eigenvalues
-    lam_max = max(float(values[0]), 0.0)
-    if float(values[-1]) < -tol.rank_rel * max(lam_max, 1e-30):
-        raise NotPositiveError(
-            f"eigenvalue {float(values[-1]):.6g} is negative beyond tolerance"
-        )
-    if float(values[-1]) < 0.0:
+    lowest = float(values[-1])
+    if lowest < -tol.rank_rel * max(float(values[0]), 1e-30):
+        raise NotPositiveError(f"eigenvalue {lowest:.6g} is negative beyond tolerance")
+    if lowest < 0.0:
         values = np.maximum(values, 0.0)
-        sym = (eig.eigenvectors * values) @ eig.eigenvectors.conj().T
+        sym = (vectors * values) @ vectors.conj().T
         sym = (sym + sym.conj().T) / 2.0
-    trace = float(np.trace(sym).real)
-    return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
+        trace = sym.trace().real
+    return DensityMatrix._trusted(sym / trace, EigResult(values / trace, vectors))
 
 
 def _ranks(rhos, tol: Tolerances) -> np.ndarray:
     """Support dimension of each matrix (all of one size): eigenvalues above its zero cutoff."""
     values = np.array([r.spectrum.eigenvalues for r in rhos])
-    return np.sum(values > zero_cutoff(values, tol)[:, None], axis=1)
-
-
-def _rank(rho: DensityMatrix, tol: Tolerances) -> int:
-    values = rho.spectrum.eigenvalues
-    return int((values > zero_cutoff(values, tol)).sum())
+    return (values > zero_cutoff(values, tol)[:, None]).sum(axis=1)
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, : _rank(rho, tol)])
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, : _ranks([rho], tol)[0]])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -178,7 +178,7 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, _rank(rho, tol) :])
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, _ranks([rho], tol)[0] :])
 
 
 def ensemble_containing(
@@ -199,7 +199,7 @@ def ensemble_containing(
             f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
         )
     values, vectors = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
-    rank = _rank(rho, tol)
+    rank = int(_ranks([rho], tol)[0])
     basis = vectors[:, :rank]
     coeffs = basis.conj().T @ psi
     defect = float(np.linalg.norm(psi - basis @ coeffs))

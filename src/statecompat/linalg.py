@@ -69,10 +69,12 @@ def as_complex_vector(v) -> np.ndarray:
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
+    """Coerce to a finite, non-empty 2-d complex128 array."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise StateCompatError(f"expected a 2-d matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise StateCompatError("matrix must not be empty")
     if not np.isfinite(arr).all():
         raise StateCompatError("matrix contains non-finite entries")
     return arr
@@ -93,11 +95,9 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     cols = v.reshape(v.shape[0], -1)
     big = np.abs(cols) > PHASE_FLOOR
-    lead = cols[np.argmax(big, axis=0), np.arange(cols.shape[1])]
-    anchored = big.any(axis=0)
-    phase = np.ones_like(lead)
-    phase[anchored] = lead[anchored].conjugate() / np.abs(lead[anchored])
-    return (cols * phase).reshape(v.shape)
+    first, columns = big.argmax(axis=0), np.arange(cols.shape[1])
+    lead = np.where(big[first, columns], cols[first, columns], 1.0)  # unanchored: phase 1
+    return (cols * (lead.conj() / np.abs(lead))).reshape(v.shape)
 
 
 def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -107,7 +107,7 @@ def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     all-zero spectrum still yields a positive cutoff. A stack of spectra
     (along the last axis) gets one cutoff each.
     """
-    return tol.rank_rel * np.maximum(np.max(values, axis=-1, initial=0.0), 1e-30)
+    return tol.rank_rel * np.maximum(values.max(axis=-1, initial=0.0), 1e-30)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +125,24 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> EigResult:
     are symmetrized to (M + M^dag)/2 before decomposition; larger defects are
     rejected. Eigenvector columns follow the global phase convention.
     """
-    m = require_square(as_complex_matrix(m))
-    defect = float(np.linalg.norm(m - m.conj().T))
+    return EigResult(*_hermitian_part_eig(require_square(as_complex_matrix(m)), tol)[1:])
+
+
+def _hermitian_part_eig(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """(M + M^dag)/2 and the :func:`hermitian_eig` eigenvalues and vectors of a coerced square M."""
+    mh = m.conj().T
+    diff = m - mh
+    defect = float(np.sqrt(np.vdot(diff, diff).real))
     if defect > tol.match_abs:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
+    sym = (m + mh) / 2.0
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return EigResult(eigenvalues=np.real(w[::-1]).copy(), eigenvectors=fix_phase(v[:, ::-1]))
+    return sym, w[::-1].copy(), fix_phase(v[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,23 +196,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         """The orthogonal projector onto this subspace."""
         return self.basis @ self.basis.conj().T
-
-    def projection_defect(self, v) -> float:
-        """Euclidean distance between ``v`` and its projection onto the subspace."""
-        v = as_complex_vector(v)
-        if v.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector length {v.shape[0]} != ambient dimension {self.ambient_dim}"
-            )
-        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v)))
-
-    @classmethod
-    def empty(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
 
 def _householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

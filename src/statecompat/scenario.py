@@ -102,7 +102,7 @@ class CompositeState(BlockState):
         patterns = np.ascontiguousarray(patterns, dtype=np.intp)
         amps = as_complex_matrix(self.amplitudes)
         n_blocks = amps.shape[0]
-        if patterns.shape != (n_blocks, self.n_observers) or n_blocks == 0:
+        if patterns.shape != (n_blocks, self.n_observers):
             raise DimensionMismatchError(
                 f"patterns have shape {patterns.shape}, expected ({n_blocks}, "
                 f"{self.n_observers}) for {n_blocks} blocks of {self.n_observers} ancillas"
@@ -316,7 +316,7 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
     recovered = _reduced_matrices(rows)
     distances = np.linalg.norm(recovered - np.array([r.matrix for r in rhos]), axis=(1, 2))
     recoveries = [
-        ObserverRecovery(DensityMatrix(m), float(d)) for m, d in zip(recovered, distances)
+        ObserverRecovery(DensityMatrix._trusted(m), float(d)) for m, d in zip(recovered, distances)
     ]
     success = bool(np.all(distances <= tol.match_abs))
     return ScenarioResult(recoveries, probability, success)

@@ -7,7 +7,9 @@ single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion) live here as references for the tests that
-use them, and are checked themselves.
+use them, and are checked themselves. So do the earlier forms of two
+library paths: validation through a separately coerced, symmetrized and
+diagonalized matrix, and the pairwise conditions one pair at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,22 @@ from math import prod
 
 import numpy as np
 
-from statecompat.density import Ensemble, validate_density
-from statecompat.linalg import PHASE_FLOOR, Subspace, fix_phase
+from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
+from statecompat.errors import (
+    NotHermitianError,
+    NotPositiveError,
+    NumericalFailureError,
+    TraceNotOneError,
+)
+from statecompat.linalg import (
+    DEFAULT_TOL,
+    PHASE_FLOOR,
+    EigResult,
+    Subspace,
+    as_complex_matrix,
+    fix_phase,
+    require_square,
+)
 from statecompat.scenario import BlockState
 
 
@@ -45,9 +61,15 @@ def span_of(pooled: np.ndarray, rel: float = 1e-10) -> Subspace:
     """Orthonormal basis of the column span of ``pooled``, rank by a relative singular-value cutoff."""
     d = pooled.shape[0]
     if pooled.shape[1] == 0:
-        return Subspace.empty(d)
+        return Subspace(d, np.zeros((d, 0)))
     u, s, _ = np.linalg.svd(pooled, full_matrices=False)
     return Subspace(d, u[:, : int(np.sum(s > rel * max(s[0], 1e-30)))])
+
+
+def projection_defect(subspace: Subspace, v) -> float:
+    """Euclidean distance between ``v`` and its projection onto the subspace."""
+    v = np.asarray(v, dtype=np.complex128)
+    return float(np.linalg.norm(v - subspace.basis @ (subspace.basis.conj().T @ v)))
 
 
 def subspace_span_union(subspaces) -> Subspace:
@@ -59,7 +81,7 @@ def orthogonal_complement(subspace: Subspace) -> Subspace:
     """Orthogonal complement, from the trailing left singular vectors of the basis."""
     d, k = subspace.ambient_dim, subspace.dim
     if k == 0:
-        return Subspace.full(d)
+        return Subspace(d, np.eye(d))
     u, _, _ = np.linalg.svd(subspace.basis, full_matrices=True)
     return Subspace(d, u[:, k:])
 
@@ -225,3 +247,74 @@ def svd_completion(psi: np.ndarray, basis: np.ndarray) -> np.ndarray:
     rest = basis - np.outer(psi, psi.conj() @ basis)
     u, _, _ = np.linalg.svd(rest, full_matrices=False)
     return fix_phase(np.column_stack((psi, u[:, : k - 1])))
+
+
+def reference_fix_phase(v: np.ndarray) -> np.ndarray:
+    """The phase convention with a boolean-mask assignment, as the library first wrote it."""
+    v = np.asarray(v, dtype=np.complex128)
+    cols = v.reshape(v.shape[0], -1)
+    big = np.abs(cols) > PHASE_FLOOR
+    lead = cols[np.argmax(big, axis=0), np.arange(cols.shape[1])]
+    anchored = big.any(axis=0)
+    phase = np.ones_like(lead)
+    phase[anchored] = lead[anchored].conjugate() / np.abs(lead[anchored])
+    return (cols * phase).reshape(v.shape)
+
+
+def reference_hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
+    """Coerce, check the Hermiticity defect by numpy.linalg.norm, symmetrize, eigh, order, fix phases."""
+    m = require_square(as_complex_matrix(m))
+    defect = float(np.linalg.norm(m - m.conj().T))
+    if defect > tol.match_abs:
+        raise NotHermitianError(
+            f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}"
+        )
+    sym = (m + m.conj().T) / 2.0
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    return EigResult(np.real(w[::-1]).copy(), reference_fix_phase(v[:, ::-1]))
+
+
+def reference_validate_density(m, tol=DEFAULT_TOL) -> DensityMatrix:
+    """validate_density through reference_hermitian_eig, coercing and symmetrizing separately."""
+    m = require_square(as_complex_matrix(m))
+    eig = reference_hermitian_eig(m, tol)
+    sym = (m + m.conj().T) / 2.0
+    trace = float(np.trace(sym).real)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
+    values = eig.eigenvalues
+    lam_max = max(float(values[0]), 0.0)
+    if float(values[-1]) < -tol.rank_rel * max(lam_max, 1e-30):
+        raise NotPositiveError(
+            f"eigenvalue {float(values[-1]):.6g} is negative beyond tolerance"
+        )
+    if float(values[-1]) < 0.0:
+        values = np.maximum(values, 0.0)
+        sym = (eig.eigenvectors * values) @ eig.eigenvectors.conj().T
+        sym = (sym + sym.conj().T) / 2.0
+    trace = float(np.trace(sym).real)
+    return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
+
+
+def loop_pairwise(rhos, tol=DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Commute flags, commutator norms, product flags and overlaps, one pair of matrices at a time."""
+    n = len(rhos)
+    commute_flags = np.ones((n, n), dtype=bool)
+    residuals = np.zeros((n, n))
+    product_flags = np.ones((n, n), dtype=bool)
+    overlaps = np.zeros((n, n))
+    for i in range(n):
+        a = rhos[i].matrix
+        overlaps[i, i] = float(np.trace(a @ a).real)
+        for j in range(i + 1, n):
+            b = rhos[j].matrix
+            residual = float(np.linalg.norm(a @ b - b @ a))
+            overlap = float(np.trace(a @ b).real)
+            commute_flags[i, j] = commute_flags[j, i] = residual <= tol.match_abs
+            residuals[i, j] = residuals[j, i] = residual
+            product_flags[i, j] = product_flags[j, i] = overlap > tol.rank_rel
+            overlaps[i, j] = overlaps[j, i] = overlap
+    return commute_flags, residuals, product_flags, overlaps

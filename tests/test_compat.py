@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,13 +18,14 @@ from statecompat.generate import (
     generate_instance,
     incompatible_instance,
     pairwise_only_instance,
+    random_density,
     random_unit_vector,
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL
 from statecompat.scenario import run_scenario
 
-from conftest import count_linalg
+from conftest import count_linalg, loop_pairwise, projection_defect
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -173,6 +177,53 @@ def test_product_nonzero_with_full_rank():
     assert ok
 
 
+def mixed_pairwise_set(n, dim, rng):
+    """Random matrices of random rank, commuting diagonal ones and a pure state orthogonal to those."""
+    rhos = []
+    for k in range(n):
+        if k % 3 == 0 or dim == 1:
+            rhos.append(validate_density(random_density(dim, rng, int(rng.integers(1, dim + 1)))))
+        elif k % 3 == 1:
+            weights = np.zeros(dim)
+            weights[: (dim + 1) // 2] = rng.random((dim + 1) // 2) + 0.1
+            rhos.append(validate_density(np.diag(weights / weights.sum())))
+        else:
+            rhos.append(validate_density(np.diag(np.eye(dim)[-1])))
+    return rhos
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("dim", [1, 3, 32])
+def test_pairwise_conditions_match_the_per_pair_loop(n, dim):
+    rhos = mixed_pairwise_set(n, dim, np.random.default_rng(100 * n + dim))
+    report = full_report(rhos)
+    commute, residual, product, overlap = loop_pairwise(rhos)
+    assert np.array_equal(report.pairwise_commute, commute)
+    assert np.array_equal(report.pairwise_product_nonzero, product)
+    assert np.max(np.abs(report.commute_residual - residual)) <= 1e-15
+    assert np.max(np.abs(report.product_overlap - overlap)) <= 1e-15
+    for i, j in combinations(range(n), 2):
+        c_ok, c_res = commutes(rhos[i], rhos[j])
+        p_ok, p_val = product_nonzero(rhos[i], rhos[j])
+        assert (c_ok, p_ok) == (commute[i, j], product[i, j])
+        assert abs(c_res - residual[i, j]) <= 1e-15 and abs(p_val - overlap[i, j]) <= 1e-15
+    if n == 10 and dim > 1:  # every kind of pair occurs
+        assert not commute.all() and commute[1, 4] and not product.all()
+
+
+def test_full_report_memory_is_quadratic_in_the_count():
+    """400 3x3 matrices: O(n^2 + n d^2) stays under 8 MiB; an (n, n, d, d) product alone is 23 MiB."""
+    rng = np.random.default_rng(91)
+    rhos = [validate_density(random_density(3, rng, int(rng.integers(1, 4)))) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        full_report(rhos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # -------------------------------------------------------------- full_report
 
 
@@ -322,7 +373,7 @@ def test_theta_sweep_keeps_the_invariants(distance):
     assert report.marginal == (distance in (1e-8, 1e-7))
     if report.compatible:
         for rho in rhos:
-            assert support(rho).projection_defect(report.witness) <= DEFAULT_TOL.match_abs
+            assert projection_defect(support(rho), report.witness) <= DEFAULT_TOL.match_abs
         result = run_scenario(rhos)
         assert result.success
         assert max(result.distances) <= DEFAULT_TOL.match_abs

@@ -16,9 +16,18 @@ from statecompat.errors import (
     StateOutsideSupportError,
     TraceNotOneError,
 )
-from statecompat.generate import crandn, random_density, random_unit_vector
+from statecompat.generate import (
+    compatible_instance,
+    crandn,
+    incompatible_instance,
+    pairwise_only_instance,
+    random_density,
+    random_unit_vector,
+    random_unitary,
+)
+from statecompat.linalg import DEFAULT_TOL, hermitian_eig
 
-from conftest import eigen_ensemble, ensemble_to_density, span_of
+from conftest import eigen_ensemble, ensemble_to_density, reference_validate_density, span_of
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -69,6 +78,70 @@ def test_validate_clamps_tiny_negatives():
     vals = np.linalg.eigvalsh(rho.matrix)
     assert vals.min() >= 0.0
     assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-15
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def oracle_inputs():
+    """Generated matrices of all three modes at d = 1-16, a clamped eigenvalue, a small defect."""
+    for dim in range(1, 17):
+        rng = np.random.default_rng(800 + dim)
+        yield from compatible_instance(dim, 3, rng)
+        if dim >= 2:
+            yield from incompatible_instance(dim, 3, rng)
+        if dim >= 3:
+            yield from pairwise_only_instance(dim, rng)
+        if dim >= 2:
+            u = random_unitary(dim, rng)
+            values = np.linspace(1.0, 0.0, dim) + 1e-12
+            values[-1] = -1e-12  # inside the negative band: clamped to zero
+            yield (u * (values / values.sum())) @ u.conj().T
+            m = random_density(dim, rng).astype(complex)
+            m[0, 1] += 0.99 * DEFAULT_TOL.match_abs / np.sqrt(2.0)  # defect just inside match_abs
+            yield m
+
+
+def test_validate_matches_the_reference_bit_for_bit():
+    count = clamped = 0
+    for m in oracle_inputs():
+        got, want = validate_density(m), reference_validate_density(m)
+        assert same_bits(got.matrix, want.matrix)
+        assert same_bits(got.spectrum.eigenvalues, want.spectrum.eigenvalues)
+        assert same_bits(got.spectrum.eigenvectors, want.spectrum.eigenvectors)
+        count += 1
+        clamped += bool(np.linalg.eigvalsh((m + m.conj().T) / 2)[0] < -1e-13)
+    assert count == 165 and clamped == 15  # the planted eigenvalues of about -1e-12
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.zeros((2, 2, 2)),
+        np.ones((2, 3)),
+        np.array([[0.5, 0.3], [0.0, 0.5]]),
+        np.diag([1.0, 1.0]),
+        np.diag([1.5, -0.5]),
+        np.diag([1.0 + 1e-6, -1e-6]),
+    ],
+    ids=["non-finite", "3-d", "non-square", "non-hermitian", "trace", "negative", "just-negative"],
+)
+def test_validate_raises_what_the_reference_raises(bad):
+    with pytest.raises(StateCompatError) as want:
+        reference_validate_density(bad)
+    with pytest.raises(StateCompatError) as got:
+        validate_density(bad)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("entry", [validate_density, hermitian_eig])
+def test_empty_matrix_is_refused(entry):
+    with pytest.raises(StateCompatError, match="matrix must not be empty"):
+        entry(np.zeros((0, 0)))
 
 
 # ------------------------------------------------------------ support / null

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from conftest import (
     partial_trace,
     proj,
     rank_formula_intersection_dim,
+    reference_fix_phase,
     span_of,
     subspace_span_union,
     svd_completion,
@@ -242,9 +245,9 @@ def test_subspace_rejects_too_many_columns():
 
 
 def test_subspace_empty_and_full():
-    assert Subspace.empty(3).dim == 0
-    assert Subspace.full(3).dim == 3
-    np.testing.assert_allclose(Subspace.full(3).projector(), np.eye(3))
+    assert Subspace(3, np.zeros((3, 0))).dim == 0
+    assert Subspace(3, np.eye(3)).dim == 3
+    np.testing.assert_allclose(Subspace(3, np.eye(3)).projector(), np.eye(3))
 
 
 def test_subspace_from_span_deduplicates():
@@ -256,13 +259,13 @@ def test_subspace_from_span_deduplicates():
 
 
 def test_basis_containing_e0_full_space():
-    got = orthonormal_basis_containing(E0, Subspace.full(2))
+    got = orthonormal_basis_containing(E0, Subspace(2, np.eye(2)))
     np.testing.assert_allclose(got.basis[:, 0], E0, atol=1e-14)
     np.testing.assert_allclose(np.abs(got.basis[:, 1]), np.abs(E1), atol=1e-14)
 
 
 def test_basis_containing_plus_gives_minus():
-    got = orthonormal_basis_containing(PLUS, Subspace.full(2))
+    got = orthonormal_basis_containing(PLUS, Subspace(2, np.eye(2)))
     np.testing.assert_allclose(got.basis[:, 0], PLUS, atol=1e-14)
     np.testing.assert_allclose(got.basis[:, 1], MINUS, atol=1e-12)
 
@@ -314,7 +317,7 @@ def test_basis_containing_rejects_outside_vector():
 
 def test_basis_containing_rejects_non_unit():
     with pytest.raises(StateCompatError):
-        orthonormal_basis_containing(np.array([2.0, 0.0]), Subspace.full(2))
+        orthonormal_basis_containing(np.array([2.0, 0.0]), Subspace(2, np.eye(2)))
 
 
 # ------------------------------------------------------ subspace_intersection
@@ -387,7 +390,7 @@ def test_intersection_members_lie_in_every_input():
 
 def test_intersection_rejects_mixed_ambient_dims():
     with pytest.raises(DimensionMismatchError):
-        subspace_intersection([Subspace.full(2), Subspace.full(3)])
+        subspace_intersection([Subspace(2, np.eye(2)), Subspace(3, np.eye(3))])
     with pytest.raises(StateCompatError):
         subspace_intersection([])
 
@@ -418,7 +421,7 @@ def test_span_union_dim_matches_rank_oracle():
 
 
 def test_span_union_of_empties_is_empty():
-    got = subspace_span_union([Subspace.empty(3), Subspace.empty(3)])
+    got = subspace_span_union([Subspace(3, np.zeros((3, 0))), Subspace(3, np.zeros((3, 0)))])
     assert got.dim == 0
 
 
@@ -479,3 +482,20 @@ def test_fix_phase_columns_match_loop_reference():
     np.testing.assert_allclose(fix_phase(m[:, 3]), loop_fix_phase(m[:, 3]), rtol=0, atol=ulps)
     assert np.array_equal(got[:, 5], m[:, 5])
     assert fix_phase(np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_fix_phase_leaves_unanchored_columns_without_warnings():
+    rng = np.random.default_rng(71)
+    m = crandn(rng, 4, 5)
+    m[:, 1] = 0.0  # all zero
+    m[:, 2] = 1e-9 * m[:, 2] / np.abs(m[:, 2]).max()  # every entry below PHASE_FLOOR
+    ulps = 4 * np.finfo(float).eps * np.abs(m).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fix_phase(m)
+        columns = [fix_phase(m[:, j]) for j in range(m.shape[1])]  # 1-d vectors
+    assert np.array_equal(got[:, 1:3], m[:, 1:3])
+    for j, column in enumerate(columns):
+        assert np.array_equal(column, got[:, j])
+        np.testing.assert_allclose(column, loop_fix_phase(m[:, j]), rtol=0, atol=ulps)
+    assert np.array_equal(got.view(np.uint64), reference_fix_phase(m).view(np.uint64))

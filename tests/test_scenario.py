@@ -7,6 +7,7 @@ from conftest import (
     dense_joint_tensor,
     dense_to_blocks,
     partial_trace,
+    projection_defect,
 )
 from statecompat.compat import full_report, support_compatible
 from statecompat.density import Ensemble, ensemble_containing, support, validate_density
@@ -429,7 +430,7 @@ def test_recovery_distance_within_sqrt2_support_defect_for_mixed_inputs():
             if not report.compatible:
                 continue
             result = scenario_with_shared_state(rhos, report.witness)
-            defects = [support(r).projection_defect(report.witness) for r in rhos]
+            defects = [projection_defect(support(r), report.witness) for r in rhos]
             assert min(defects) > 0.0
             for distance, delta in zip(result.distances, defects):
                 assert distance <= np.sqrt(2) * delta + 1e-15, (dim, ranks, angle)
