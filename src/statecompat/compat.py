@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityMatrix, _ranks
+from .density import DensityMatrix, _ranks, _spectra
 from .errors import DimensionMismatchError, StateCompatError
 from .linalg import (
     DEFAULT_TOL,
@@ -75,12 +75,22 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
 
 
 def _split(rhos, tol: Tolerances) -> tuple[Subspace, Subspace, np.ndarray]:
-    """Intersection, forbidden subspace and defects, from the stacked null-space rows."""
-    rhos = _check_rhos(rhos)
-    ranks = _ranks(rhos, tol)
-    rows = np.concatenate([r.spectrum.eigenvectors[:, k:].conj().T for r, k in zip(rhos, ranks)])
-    single = rhos[0].spectrum.eigenvectors[:, : ranks[0]] if len(rhos) == 1 else None
-    return _split_rows(rows, rhos[0].dim, tol, single)
+    """Intersection, forbidden subspace and defects of a set of density matrices."""
+    return _split_spectra(*_spectra(_check_rhos(rhos)), tol)
+
+
+def _split_spectra(
+    values: np.ndarray, vectors: np.ndarray, tol: Tolerances
+) -> tuple[Subspace, Subspace, np.ndarray]:
+    """:func:`_split` on stacked spectra (see :func:`statecompat.density._spectra`).
+
+    The rows are the conjugated null-space eigenvectors, matrix by matrix.
+    """
+    ranks = _ranks(values, tol)
+    dim = values.shape[1]
+    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
+    single = vectors[0, :, : ranks[0]] if len(values) == 1 else None
+    return _split_rows(rows, dim, tol, single)
 
 
 def support_compatible(

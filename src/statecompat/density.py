@@ -17,6 +17,13 @@ where {psi, eta_1, ...} is an orthonormal basis of the support that starts
 at the chosen vector; the eta_j come from one Householder reflector on the
 support's eigenvector basis, so no further factorization is needed. Such a
 rewriting exists exactly when the chosen vector lies in the support.
+
+The scenario needs these ensembles for every observer around one state, so
+they are computed in one array pass over the stacked spectra
+(:func:`_ensembles_around`): all support defects, one batched Householder
+completion cut to the largest rank, the surplus eigenvectors, and the
+ensemble checks as stacked tests that name the first offending observer.
+:func:`ensemble_containing` is that pass for one matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .linalg import (
     Tolerances,
     as_complex_matrix,
     _hermitian_part_eig,
-    _householder_completion,
+    _householder_completions,
     as_complex_vector,
     hermitian_eig,
     require_square,
@@ -95,8 +102,8 @@ class Ensemble:
     """Positive weights and unit states; weights must sum to one within 1e-8.
 
     A weight-sum defect below the tolerance is silently renormalized away so
-    that values surviving a file round trip remain acceptable. The states
-    are checked together, as the rows of one array.
+    that values surviving a file round trip remain acceptable. The terms are
+    checked together by :func:`_check_terms`, the states as one array.
     """
 
     dim: int
@@ -119,24 +126,46 @@ class Ensemble:
                     raise StateCompatError(
                         f"ensemble state has length {state.shape[0]}, expected {self.dim}"
                     )
-        positive = weights > 0.0
-        if not positive.all():
-            raise StateCompatError(
-                f"ensemble weights must be positive, got {float(weights[~positive][0])!r}"
-            )
-        norms = np.linalg.norm(states, axis=1)
-        unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
-        if not unit.all():
-            i = int(np.argmin(unit))
-            if not np.isfinite(states[i]).all():
-                raise StateCompatError("vector contains non-finite entries")
-            raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[i]:.12g})")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise StateCompatError(
-                f"ensemble weights sum to {total:.12g}, outside 1 +- {WEIGHT_SUM_TOL}"
-            )
-        self.terms = list(zip((weights / total).tolist(), states))
+        total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
+        self.terms = list(zip((weights / total[0]).tolist(), states))
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: list[tuple[float, np.ndarray]]) -> "Ensemble":
+        """An ensemble on terms :func:`_check_terms` has passed and normalized, unchecked."""
+        ensemble = object.__new__(cls)
+        ensemble.dim, ensemble.terms = dim, terms
+        return ensemble
+
+
+def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The weight sums of n stacked ensembles, after checking that each is one.
+
+    Row k holds ensemble k: the terms of ``weights`` (n, m) and ``states``
+    (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
+    the first of these checks it fails: positive weights, unit states within
+    :data:`UNIT_TOL`, a weight sum within :data:`WEIGHT_SUM_TOL` of one.
+    """
+    weights = np.where(keep, weights, 0.0)
+    norms = np.linalg.norm(states, axis=-1)
+    positive = weights > 0.0
+    unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
+    totals = weights.sum(axis=1)
+    # kept weights that pass are positive, so their sum is never NaN
+    fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= WEIGHT_SUM_TOL)
+    if fine.all():
+        return totals
+    k = int(np.argmin(fine))
+    if not (positive[k] | ~keep[k]).all():
+        bad = float(weights[k, np.argmin(positive[k] | ~keep[k])])
+        raise StateCompatError(f"ensemble weights must be positive, got {bad!r}")
+    if not (unit[k] | ~keep[k]).all():
+        i = int(np.argmin(unit[k] | ~keep[k]))
+        if not np.isfinite(states[k, i]).all():
+            raise StateCompatError("vector contains non-finite entries")
+        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[k, i]:.12g})")
+    raise StateCompatError(
+        f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {WEIGHT_SUM_TOL}"
+    )
 
 
 def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -161,15 +190,23 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix._trusted(sym / trace, EigResult(values / trace, vectors))
 
 
-def _ranks(rhos, tol: Tolerances) -> np.ndarray:
-    """Support dimension of each matrix (all of one size): eigenvalues above its zero cutoff."""
-    values = np.array([r.spectrum.eigenvalues for r in rhos])
-    return (values > zero_cutoff(values, tol)[:, None]).sum(axis=1)
+def _ranks(values: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Support dimension of each spectrum along the last axis: eigenvalues above its zero cutoff."""
+    return (values > zero_cutoff(values, tol)[..., None]).sum(axis=-1)
+
+
+def _spectra(rhos) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues (n, d) and eigenvectors (n, d, d) of n matrices of one size, stacked."""
+    return (
+        np.array([r.spectrum.eigenvalues for r in rhos]),
+        np.array([r.spectrum.eigenvectors for r in rhos]),
+    )
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, : _ranks([rho], tol)[0]])
+    spectrum = rho.spectrum
+    return Subspace._trusted(rho.dim, spectrum.eigenvectors[:, : _ranks(spectrum.eigenvalues, tol)])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -178,7 +215,53 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, _ranks([rho], tol)[0] :])
+    spectrum = rho.spectrum
+    return Subspace._trusted(rho.dim, spectrum.eigenvectors[:, _ranks(spectrum.eigenvalues, tol) :])
+
+
+def _ensembles_around(
+    values: np.ndarray, vectors: np.ndarray, phi: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
+
+    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra and
+    ``phi`` a coerced d-vector. Each support basis is cut to the largest rank
+    R, its columns past its own rank zeroed, so one batched product gives
+    every support defect and one :func:`_householder_completions` call every
+    completion. Row k of the result is ensemble k as 2R candidate terms, of
+    which ``keep`` marks the real ones: phi with weight r_0, the completion
+    (R - 1 columns, weight r_0), then the eigenvectors with their surplus
+    r_i - r_0 (R columns). Weights are normalized as :class:`Ensemble` would.
+    Errors name the first observer that fails, with the check order of one
+    observer at a time: the support defect, then :func:`_check_terms`.
+    """
+    n = len(values)
+    cutoffs = zero_cutoff(values, tol)[:, None]
+    ranks = (values > cutoffs).sum(axis=1)
+    top = max(int(ranks.max()), 1)
+    inside = np.arange(top) < ranks[:, None]
+    basis = vectors[:, :, :top] * inside[:, None]
+    coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
+    defects = np.linalg.norm(phi - (basis @ coeffs[:, :, None])[:, :, 0], axis=1)
+    r0 = values[np.arange(n), ranks - 1]
+    surplus = values[:, :top] - r0[:, None]
+    keep = np.concatenate((inside, inside & (surplus > cutoffs)), axis=1)
+    keep[:, 0] = True
+    weights = np.concatenate((np.repeat(r0[:, None], top, axis=1), surplus), axis=1)
+    states = np.concatenate(
+        (np.repeat(phi[None, :, None], n, axis=0),
+         _householder_completions(basis, coeffs), basis),
+        axis=2,
+    ).transpose(0, 2, 1)
+    outside = np.flatnonzero(defects > tol.match_abs)
+    if outside.size:
+        k = int(outside[0])
+        _check_terms(weights[:k], states[:k], keep[:k])
+        raise StateOutsideSupportError(
+            f"state has a null-space component (projection defect {defects[k]:.3e}); "
+            "no ensemble for this density matrix can contain it"
+        )
+    return weights / _check_terms(weights, states, keep)[:, None], states, keep
 
 
 def ensemble_containing(
@@ -191,27 +274,16 @@ def ensemble_containing(
     remaining terms are the other members of an orthonormal support basis
     completing ``psi`` (each with weight r_0; they lie in the support and are
     orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
-    nonzero. Everything is read from ``rho.spectrum``.
+    nonzero. Everything is read from ``rho.spectrum``, by
+    :func:`_ensembles_around` for this one matrix.
     """
     psi = as_complex_vector(psi)
     if psi.shape[0] != rho.dim:
         raise DimensionMismatchError(
             f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
         )
-    values, vectors = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
-    rank = int(_ranks([rho], tol)[0])
-    basis = vectors[:, :rank]
-    coeffs = basis.conj().T @ psi
-    defect = float(np.linalg.norm(psi - basis @ coeffs))
-    if defect > tol.match_abs:
-        raise StateOutsideSupportError(
-            f"state has a null-space component (projection defect {defect:.3e}); "
-            "no ensemble for this density matrix can contain it"
-        )
-    r0 = float(values[rank - 1])
-    surplus = values[:rank] - r0
-    extra = np.flatnonzero(surplus > zero_cutoff(values, tol))
-    terms = [(r0, psi)]
-    terms += [(r0, state) for state in _householder_completion(basis, coeffs).T]
-    terms += [(float(surplus[i]), vectors[:, i]) for i in extra]
-    return Ensemble(rho.dim, terms)
+    spectrum = rho.spectrum
+    weights, states, keep = _ensembles_around(
+        spectrum.eigenvalues[None], spectrum.eigenvectors[None], psi, tol
+    )
+    return Ensemble._trusted(rho.dim, list(zip(weights[keep].tolist(), states[keep])))

@@ -198,22 +198,27 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def _householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The k - 1 columns completing the support vector ``basis @ coeffs`` to a basis.
+def _householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """For each k, the columns completing ``basis[k] @ coeffs[k]`` to a basis, all k at once.
 
-    ``basis`` is a d x k orthonormal basis U and ``coeffs`` a nonzero k-vector
-    c. With v = c/|c| + e^{i arg c_1} e_1 the Householder reflector
-    H = I - 2 v v^dag / (v^dag v) is unitary and maps e_1 to a multiple of c
-    (Golub & Van Loan, *Matrix Computations*, section 5.1), so the columns
-    2..k of U H lie in the span of U, are orthonormal, and are orthogonal to
-    U c and to every vector whose coefficients on U are proportional to c.
-    The sign of v's first entry avoids cancellation. O(dk); no SVD.
+    ``basis`` stacks n orthonormal d x R bases U_k, padded with zero columns
+    to a common R, and ``coeffs`` (n, R) their coefficient vectors c_k, zero
+    on the padding. With v = c/|c| + e^{i arg c_1} e_1 the Householder
+    reflector H = I - 2 v v^dag / (v^dag v) is unitary and maps e_1 to a
+    multiple of c (Golub & Van Loan, *Matrix Computations*, section 5.1), so
+    the columns 2..R of U H lie in the span of U, are orthonormal, and are
+    orthogonal to U c and to every vector whose coefficients on U are
+    proportional to c. The sign of v's first entry avoids cancellation; for
+    c_1 = 0 the phase e^{i arg c_1} is taken as 1, and c = 0 gives v = e_1, so
+    nothing is divided by zero. A padding column of U_k yields a zero column.
+    One batched product; no SVD.
     """
-    v = coeffs / np.sqrt(np.vdot(coeffs, coeffs).real)
-    lead = abs(v[0])
-    v[0] += v[0] / lead if lead > 0.0 else 1.0
+    norms = np.linalg.norm(coeffs, axis=1)
+    v = coeffs / np.where(norms > 0.0, norms, 1.0)[:, None]
+    lead = np.abs(v[:, 0])
+    v[:, 0] += v[:, 0] / np.where(lead > 0.0, lead, 1.0) + (lead == 0.0)
     scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
-    return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
+    return basis[:, :, 1:] - (basis @ v[:, :, None]) * (scale[:, None] * v[:, 1:].conj())[:, None]
 
 
 def orthonormal_basis_containing(
@@ -223,8 +228,9 @@ def orthonormal_basis_containing(
 
     The returned basis has the same dimension as ``subspace``. Its first
     column is ``psi`` rescaled to unit norm; the others come from
-    :func:`_householder_completion`, so they lie in ``subspace`` and are
-    orthogonal to ``psi`` even when ``psi`` is up to ``tol.match_abs`` off it.
+    :func:`_householder_completions` of this one basis, so they lie in
+    ``subspace`` and are orthogonal to ``psi`` even when ``psi`` is up to
+    ``tol.match_abs`` off it.
     Every column follows the global phase convention.
     """
     psi = as_complex_vector(psi)
@@ -241,7 +247,7 @@ def orthonormal_basis_containing(
         raise VectorOutsideSubspaceError(
             f"vector lies outside the subspace (projection defect {defect:.3e})"
         )
-    rest = _householder_completion(subspace.basis, coeffs)
+    rest = _householder_completions(subspace.basis[None], coeffs[None])[0]
     return Subspace._trusted(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
 
 

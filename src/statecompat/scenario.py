@@ -25,11 +25,16 @@ matrix rows^T rows^*; neither step needs the dense form.
 :func:`run_scenario` performs the whole round trip: pick a common support
 state, decompose every input around it, build the joint state, condition each
 observer on the level-0 outcome, trace down to the system, and report the
-distance to the original assignment. Observer k's level-0 rows are the
-all-zero row and k's own block of rows, so all n reductions are one batched
-Gram product. A Gram matrix is positive semidefinite by construction, so the
-recovered matrices are not validated or diagonalized again; the distance to
-the validated input is the check.
+distance to the original assignment. It makes one pass over all observers:
+the spectra are stacked once for the support test and the ensembles, one
+array call (:func:`statecompat.density._ensembles_around`) gives every
+ensemble, and the joint state's blocks are assembled from those arrays by
+the same routine :func:`build_joint_state` uses for caller-built ensembles.
+Observer k's level-0 rows are the all-zero row and k's own block of rows, so
+all n reductions are one batched Gram product. A Gram matrix is positive
+semidefinite by construction, so the recovered matrices are not validated or
+diagonalized again; the distance to the validated input is the check. A
+single assignment is realized by two observers holding it.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import support_compatible
-from .density import DensityMatrix, Ensemble, ensemble_containing
+from .compat import _check_rhos, _split_spectra
+from .density import DensityMatrix, _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -47,10 +52,14 @@ from .errors import (
     StateCompatError,
     ZeroProjectionError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix
+from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, as_complex_vector
 
 #: Absolute tolerance on the norm of composite-state amplitudes.
 NORM_TOL = 1e-10
+
+_NO_SHARED_STATE = (
+    "the supports share no common state, so no single system can realize all of these assignments"
+)
 
 
 @dataclass(eq=False)
@@ -168,8 +177,8 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     phi = ensembles[0].terms[0][1]
     leads = np.array([e.terms[0][1] for e in ensembles])
     overlaps = np.abs(leads @ phi.conj())  # |<phi, lead_k>|
-    weights = np.array([e.terms[0][0] for e in ensembles])
-    bad = np.flatnonzero((overlaps < 1.0 - 1e-10) | ~(weights > 0.0))
+    lead_weights = np.array([e.terms[0][0] for e in ensembles])
+    bad = np.flatnonzero((overlaps < 1.0 - 1e-10) | ~(lead_weights > 0.0))
     if bad.size:
         k = int(bad[0])
         if overlaps[k] < 1.0 - 1e-10:
@@ -178,38 +187,44 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
                 "with the shared state; the leading states must coincide up to phase"
             )
         raise StateCompatError(f"ensemble {k} gives the shared state zero weight")
+    extra_terms = [t for e in ensembles for t in e.terms[1:]]
+    return _joint_state(
+        phi,
+        lead_weights,
+        np.array([w for w, _ in extra_terms]),
+        np.array([s for _, s in extra_terms]).reshape(-1, system_dim),
+        np.array([len(e.terms) - 1 for e in ensembles]),
+    )
 
-    extras = np.array([len(e.terms) - 1 for e in ensembles])
+
+def _joint_state(phi, leads, weights, states, extras) -> CompositeState:
+    """The joint state of n ensembles that lead with ``phi``, built from arrays.
+
+    ``leads`` (n,) are the weights of phi, ``extras`` (n,) each ensemble's
+    extra-term count, and ``weights`` (T,) and ``states`` (T, d) the extra
+    terms observer by observer. Each gets the row sqrt(weight / lead) state.
+    """
+    n = len(extras)
     # the largest extra count among the others is the overall largest, unless
     # observer j holds it, in which case it is the runner-up
     top, runner_up = np.sort(extras)[-2:][::-1]
-    ancilla_dims = [1 + int(runner_up if m == top else top) for m in extras]
-    owner, level = _owners_and_levels(extras)
+    ancilla_dims = (1 + np.where(extras == top, runner_up, top)).tolist()
+    owner = np.repeat(np.arange(n), extras)  # the observer of each extra term, and its level
+    level = np.arange(owner.size) - (np.cumsum(extras) - extras)[owner] + 1
     patterns = np.zeros((1 + owner.size, n), dtype=np.intp)
     patterns[1:] = level[:, None]
     patterns[1 + np.arange(owner.size), owner] = 0
-    scales = [np.sqrt(w / e.terms[0][0]) for e in ensembles for w, _ in e.terms[1:]]
-    states = [s for e in ensembles for _, s in e.terms[1:]]
-    amplitudes = np.empty((1 + owner.size, system_dim), dtype=np.complex128)
+    amplitudes = np.empty((1 + owner.size, len(phi)), dtype=np.complex128)
     amplitudes[0] = phi
-    if states:
-        amplitudes[1:] = np.multiply(np.array(scales)[:, None], states)
+    amplitudes[1:] = np.sqrt(weights / leads[owner])[:, None] * states
     amplitudes /= np.linalg.norm(amplitudes)
-    return CompositeState(ancilla_dims, system_dim, patterns, amplitudes)
-
-
-def _owners_and_levels(extras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the non-zero rows of the joint state, in order: the observer owning each, and its level."""
-    owner = np.repeat(np.arange(extras.size), extras)
-    starts = np.cumsum(extras) - extras
-    level = np.arange(owner.size) - starts[owner] + 1
-    return owner, level
+    return CompositeState(ancilla_dims, len(phi), patterns, amplitudes)
 
 
 def joint_zero_outcome_probability(psi: CompositeState) -> float:
     """Probability that every observer finds their ancilla at level 0."""
     block = psi.amplitudes[~psi.patterns.any(axis=1)]
-    return float(np.sum(np.abs(block) ** 2))
+    return float(np.vdot(block, block).real)
 
 
 def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
@@ -282,11 +297,15 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
 
     Raises :class:`IncompatibleError` when the supports share no state. For a
     compatible set, each observer's recovered density matrix should match the
-    corresponding input to within ``tol.match_abs`` in Frobenius norm.
+    corresponding input to within ``tol.match_abs`` in Frobenius norm. The
+    spectra are stacked once, for the support test and the ensembles.
     """
-    rhos = list(rhos)
-    compatible, intersection = support_compatible(rhos, tol)
-    return scenario_with_shared_state(rhos, intersection.basis[:, 0] if compatible else None, tol)
+    rhos = _check_rhos(rhos)
+    values, vectors = _spectra(rhos)
+    intersection = _split_spectra(values, vectors, tol)[0]
+    if intersection.dim == 0:
+        raise IncompatibleError(_NO_SHARED_STATE)
+    return _realize(rhos, values, vectors, intersection.basis[:, 0], tol)
 
 
 def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
@@ -294,26 +313,45 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
 
     ``phi`` is a unit vector in every support, such as the witness of
     :func:`statecompat.compat.full_report`, or None when the supports share
-    no state, which raises :class:`IncompatibleError`. Observer k's level-0
-    rows are gathered into one zero-padded (n, 1 + max_k m_k, d) array; since
-    m_k < 2d, memory stays O(B d + n d^2).
+    no state, which raises :class:`IncompatibleError`.
     """
     if phi is None:
-        raise IncompatibleError(
-            "the supports share no common state, so no single system "
-            "can realize all of these assignments"
-        )
+        raise IncompatibleError(_NO_SHARED_STATE)
     rhos = list(rhos)
-    ensembles: list[Ensemble] = [ensemble_containing(r, phi, tol) for r in rhos]
-    psi = build_joint_state(ensembles, tol)
+    if not rhos:
+        raise StateCompatError("need at least one observer, got 0")
+    phi = as_complex_vector(phi)
+    for rho in rhos:
+        if rho.dim != phi.shape[0]:
+            raise DimensionMismatchError(
+                f"vector length {phi.shape[0]} != ambient dimension {rho.dim}"
+            )
+    return _realize(rhos, *_spectra(rhos), phi, tol)
+
+
+def _realize(rhos, values, vectors, phi, tol: Tolerances) -> ScenarioResult:
+    """The round trip around ``phi`` for matrices with the stacked spectra ``values``, ``vectors``.
+
+    One :func:`statecompat.density._ensembles_around` call gives every
+    ensemble; its kept extra terms are the joint state's rows. Observer k's
+    level-0 rows, the all-zero row and k's own block, are gathered into one
+    zero-padded (n, 2R, d) array, R the largest rank, and reduced by one
+    batched Gram product; memory stays O(B d + n d^2). A single assignment is
+    realized by two observers holding it and reported once.
+    """
+    if len(rhos) == 1:
+        values, vectors = np.repeat(values, 2, axis=0), np.repeat(vectors, 2, axis=0)
+    weights, states, keep = _ensembles_around(values, vectors, phi, tol)
+    extra = keep[:, 1:]
+    psi = _joint_state(
+        phi, weights[:, 0], weights[:, 1:][extra], states[:, 1:][extra], extra.sum(axis=1)
+    )
     probability = joint_zero_outcome_probability(psi)
 
-    extras = np.array([len(e.terms) - 1 for e in ensembles])
-    owner, level = _owners_and_levels(extras)
-    rows = np.zeros((len(rhos), 1 + int(extras.max()), psi.system_dim), dtype=np.complex128)
+    rows = np.zeros(keep.shape + (psi.system_dim,), dtype=np.complex128)
     rows[:, 0] = psi.amplitudes[0]
-    rows[owner, level] = psi.amplitudes[1:]
-    recovered = _reduced_matrices(rows)
+    rows[:, 1:][extra] = psi.amplitudes[1:]
+    recovered = _reduced_matrices(rows[: len(rhos)])
     distances = np.linalg.norm(recovered - np.array([r.matrix for r in rhos]), axis=(1, 2))
     recoveries = [
         ObserverRecovery(DensityMatrix._trusted(m), float(d)) for m, d in zip(recovered, distances)

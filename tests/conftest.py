@@ -7,9 +7,11 @@ single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion) live here as references for the tests that
-use them, and are checked themselves. So do the earlier forms of two
+use them, and are checked themselves. So do the earlier forms of three
 library paths: validation through a separately coerced, symmetrized and
-diagonalized matrix, and the pairwise conditions one pair at a time.
+diagonalized matrix, the pairwise conditions one pair at a time, and the
+scenario one observer at a time (one Householder completion, one checked
+ensemble and one recovered matrix per observer).
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ import numpy as np
 
 from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
 from statecompat.errors import (
+    CommonStateMismatchError,
+    DimensionMismatchError,
+    IncompatibleError,
     NotHermitianError,
     NotPositiveError,
     NumericalFailureError,
+    StateCompatError,
+    StateOutsideSupportError,
     TraceNotOneError,
 )
 from statecompat.linalg import (
@@ -33,10 +40,17 @@ from statecompat.linalg import (
     EigResult,
     Subspace,
     as_complex_matrix,
+    as_complex_vector,
     fix_phase,
     require_square,
+    zero_cutoff,
 )
-from statecompat.scenario import BlockState
+from statecompat.scenario import (
+    BlockState,
+    CompositeState,
+    ObserverRecovery,
+    ScenarioResult,
+)
 
 
 def tensor_product_vec(vs) -> np.ndarray:
@@ -318,3 +332,81 @@ def loop_pairwise(rhos, tol=DEFAULT_TOL) -> tuple[np.ndarray, ...]:
             product_flags[i, j] = product_flags[j, i] = overlap > tol.rank_rel
             overlaps[i, j] = overlaps[j, i] = overlap
     return commute_flags, residuals, product_flags, overlaps
+
+
+def householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The k - 1 columns completing ``basis @ coeffs`` to a basis, for one d x k basis.
+
+    The single-vector form of the library's batched completion: with
+    v = c/|c| + e^{i arg c_1} e_1, the columns 2..k of U (I - 2 v v^dag / v^dag v).
+    """
+    v = coeffs / np.sqrt(np.vdot(coeffs, coeffs).real)
+    lead = abs(v[0])
+    v[0] += v[0] / lead if lead > 0.0 else 1.0
+    scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
+    return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
+
+
+def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:
+    """ensemble_containing for one matrix: rank, defect, completion, surplus, a checked Ensemble."""
+    psi = as_complex_vector(psi)
+    if psi.shape[0] != rho.dim:
+        raise DimensionMismatchError(
+            f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
+        )
+    values, vectors = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
+    rank = int(np.sum(values > zero_cutoff(values, tol)))
+    basis = vectors[:, :rank]
+    coeffs = basis.conj().T @ psi
+    defect = float(np.linalg.norm(psi - basis @ coeffs))
+    if defect > tol.match_abs:
+        raise StateOutsideSupportError(
+            f"state has a null-space component (projection defect {defect:.3e}); "
+            "no ensemble for this density matrix can contain it"
+        )
+    r0 = float(values[rank - 1])
+    surplus = values[:rank] - r0
+    extra = np.flatnonzero(surplus > zero_cutoff(values, tol))
+    terms = [(r0, psi)]
+    terms += [(r0, state) for state in householder_completion(basis, coeffs).T]
+    terms += [(float(surplus[i]), vectors[:, i]) for i in extra]
+    return Ensemble(rho.dim, terms)
+
+
+def loop_scenario(rhos, phi, tol=DEFAULT_TOL) -> tuple[CompositeState, ScenarioResult]:
+    """The scenario around ``phi`` one observer at a time; returns the joint state and the result.
+
+    One checked ensemble per observer, the joint state from Python lists of
+    scaled terms, and each observer's level-0 rows (the all-zero row and
+    its own block) reduced to the unit-trace Gram matrix on their own.
+    """
+    if phi is None:
+        raise IncompatibleError("the supports share no common state")
+    ensembles = [loop_ensemble_containing(r, phi, tol) for r in rhos]
+    n = len(ensembles)
+    if n < 2:
+        raise StateCompatError(f"need at least two observers, got {n}")
+    phi = ensembles[0].terms[0][1]
+    for k, e in enumerate(ensembles):
+        if abs(np.vdot(phi, e.terms[0][1])) < 1.0 - 1e-10:
+            raise CommonStateMismatchError(f"ensemble {k} leads with another state")
+    extras = [len(e.terms) - 1 for e in ensembles]
+    ancilla_dims = [1 + max(extras[j] for j in range(n) if j != k) for k in range(n)]
+    patterns, amplitudes = [[0] * n], [phi]
+    for k, e in enumerate(ensembles):
+        for i, (w, s) in enumerate(e.terms[1:], start=1):
+            patterns.append([0 if j == k else i for j in range(n)])
+            amplitudes.append(np.sqrt(w / e.terms[0][0]) * s)
+    amplitudes = np.array(amplitudes) / np.linalg.norm(amplitudes)
+    psi = CompositeState(ancilla_dims, rhos[0].dim, np.array(patterns), amplitudes)
+    recoveries, start = [], 1
+    for rho, m in zip(rhos, extras):
+        rows = np.concatenate((psi.amplitudes[:1], psi.amplitudes[start : start + m]))
+        start += m
+        gram = rows.T @ rows.conj()
+        gram = (gram + gram.conj().T) / 2.0
+        gram /= np.trace(gram).real
+        distance = float(np.linalg.norm(gram - rho.matrix))
+        recoveries.append(ObserverRecovery(DensityMatrix(gram), distance))
+    success = all(r.distance <= tol.match_abs for r in recoveries)
+    return psi, ScenarioResult(recoveries, float(np.sum(np.abs(psi.amplitudes[0]) ** 2)), success)

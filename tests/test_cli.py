@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,22 @@ def test_scenario_dim64_four_observers(tmp_path):
     out = tmp_path / "report.json"
     assert main(["scenario", "--input", str(gen), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["scenario"]["success"] is True
+
+
+@pytest.mark.parametrize("matrix", [np.diag([0.75, 0.25]), np.outer(PLUS, PLUS.conj()), np.eye(3) / 3])
+def test_one_matrix_is_compatible_and_its_scenario_succeeds(tmp_path, matrix):
+    """compatible => scenario succeeds, also for one assignment: it is realized
+    by two observers holding it and reported once."""
+    path = write_instance(tmp_path / "one.json", [matrix])
+    out = tmp_path / "rep.json"
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["compatible"] is True
+    assert main(["scenario", "--input", str(path), "--output", str(out)]) == 0
+    scenario = json.loads(out.read_text())["scenario"]
+    assert scenario["success"] is True
+    assert [o["name"] for o in scenario["observers"]] == ["rho_1"]
+    assert scenario["observers"][0]["recovery_distance"] <= 1e-15
+    assert 0.0 < scenario["joint_zero_outcome_probability"] <= 1.0 + 1e-15
 
 
 def test_scenario_incompatible_exits_one(tmp_path, capsys):

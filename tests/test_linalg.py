@@ -21,6 +21,7 @@ from statecompat.linalg import (
     ORTHO_TOL,
     Subspace,
     Tolerances,
+    _householder_completions,
     fix_phase,
     hermitian_eig,
     orthonormal_basis_containing,
@@ -28,6 +29,7 @@ from statecompat.linalg import (
 )
 
 from conftest import (
+    householder_completion,
     loop_fix_phase,
     loop_partial_trace,
     orthogonal_complement,
@@ -306,6 +308,34 @@ def test_householder_completion_matches_svd_oracle():
             outside = got[:, 1:] - basis @ (basis.conj().T @ got[:, 1:])
             assert np.max(np.abs(outside), initial=0.0) <= 1e-14
             assert abs(abs(np.vdot(got[:, 0], psi)) - 1.0) <= 1e-14
+
+
+def test_batched_householder_completions_match_one_at_a_time():
+    """Bases of different ranks, zero-padded to the largest: each completion is
+    the single-basis one, padding gives zero columns, and neither a zero
+    leading coefficient nor an all-zero coefficient vector divides by zero."""
+    rng = np.random.default_rng(30)
+    for dim, ranks in [(1, [1, 1]), (3, [1, 3, 2]), (5, [5, 2, 4, 1]), (16, [7, 16, 3])]:
+        top = max(ranks)
+        bases = [random_subspace(dim, k, rng) for k in ranks]
+        coeffs = [crandn(rng, k) for k in ranks]
+        if top > 1:
+            coeffs[int(np.argmax(ranks))][0] = 0.0
+        padded = np.zeros((len(ranks), dim, top), dtype=complex)
+        stacked = np.zeros((len(ranks), top), dtype=complex)
+        for i, (basis, c) in enumerate(zip(bases, coeffs)):
+            padded[i, :, : ranks[i]], stacked[i, : ranks[i]] = basis, c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _householder_completions(padded, stacked)
+            none = _householder_completions(padded, np.zeros_like(stacked))
+        for i, (basis, c) in enumerate(zip(bases, coeffs)):
+            k = ranks[i]
+            np.testing.assert_allclose(
+                got[i, :, : k - 1], householder_completion(basis, c), rtol=0, atol=1e-15
+            )
+            assert not got[i, :, k - 1 :].any()
+            np.testing.assert_array_equal(none[i, :, : k - 1], basis[:, 1:])
 
 
 def test_basis_containing_rejects_outside_vector():

@@ -1,21 +1,33 @@
 import numpy as np
 import pytest
 
+import warnings
+
 from conftest import (
     block_tensor,
     dense_conditional,
     dense_joint_tensor,
     dense_to_blocks,
+    loop_ensemble_containing,
+    loop_scenario,
     partial_trace,
     projection_defect,
 )
+from statecompat import scenario as scenario_module
 from statecompat.compat import full_report, support_compatible
-from statecompat.density import Ensemble, ensemble_containing, support, validate_density
+from statecompat.density import (
+    DensityMatrix,
+    Ensemble,
+    ensemble_containing,
+    support,
+    validate_density,
+)
 from statecompat.errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
     IncompatibleError,
     StateCompatError,
+    StateOutsideSupportError,
     ZeroProjectionError,
 )
 from statecompat.generate import (
@@ -437,3 +449,115 @@ def test_recovery_distance_within_sqrt2_support_defect_for_mixed_inputs():
             assert result.success
             checked += 1
     assert checked >= 8
+
+
+# ------------------------------------------- batched pass vs the per-observer loop
+
+
+def mixed_rank_set(dim, n, rng):
+    """n matrices whose supports contain one random state: rank 1, full rank, dim // 2 in turn."""
+    phi = random_unit_vector(dim, rng)
+    rhos = []
+    for k in range(n):
+        rank = (1, dim, max(1, dim // 2))[k % 3]
+        basis, _ = np.linalg.qr(np.column_stack([phi, random_unitary(dim, rng)[:, : rank - 1]]))
+        rhos.append(validate_density(basis @ random_density(rank, rng) @ basis.conj().T))
+    return rhos
+
+
+def assert_same_ensemble(got, ref, atol=1e-15):
+    assert got.dim == ref.dim and len(got.terms) == len(ref.terms)
+    for (w, s), (w_ref, s_ref) in zip(got.terms, ref.terms):
+        assert abs(w - w_ref) <= atol
+        assert np.max(np.abs(s - s_ref)) <= atol
+
+
+@pytest.mark.parametrize(
+    "dim, n", [(d, n) for d in (1, 2, 3, 5, 16) for n in (2, 3, 8, 10)] + [(3, 1000)]
+)
+def test_batched_scenario_matches_the_per_observer_loop(monkeypatch, dim, n):
+    built = []
+    assemble = scenario_module._joint_state
+    monkeypatch.setattr(
+        scenario_module, "_joint_state", lambda *args: built.append(assemble(*args)) or built[-1]
+    )
+    rng = np.random.default_rng(7000 + 31 * dim + n)
+    rhos = mixed_rank_set(dim, n, rng)
+    phi = support_compatible(rhos)[1].basis[:, 0]
+    psi_ref, ref = loop_scenario(rhos, phi)
+    for got in (run_scenario(rhos), scenario_with_shared_state(rhos, phi)):
+        assert got.success is ref.success is True
+        assert built.pop().ancilla_dims == psi_ref.ancilla_dims
+        assert abs(got.joint_zero_probability - ref.joint_zero_probability) <= 1e-15
+        assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
+        recovered = np.array([r.recovered.matrix for r in got.recoveries])
+        expected = np.array([r.recovered.matrix for r in ref.recoveries])
+        assert np.max(np.abs(recovered - expected)) <= 1e-15
+    for rho in rhos[:10]:
+        assert_same_ensemble(ensemble_containing(rho, phi), loop_ensemble_containing(rho, phi))
+
+
+def test_batched_scenario_of_one_matrix_is_its_pair():
+    rng = np.random.default_rng(77)
+    for rho in mixed_rank_set(4, 3, rng):
+        assert run_scenario([rho]).success
+        phi = support(rho).basis[:, 0]
+        single = scenario_with_shared_state([rho], phi)
+        pair = scenario_with_shared_state([rho, rho], phi)
+        assert single.success and len(single.recoveries) == 1
+        assert single.distances == pair.distances[:1]
+        assert single.joint_zero_probability == pair.joint_zero_probability
+
+
+def raised(call, *args):
+    with pytest.raises(StateCompatError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_batched_scenario_raises_like_the_per_observer_loop():
+    """The first offending observer's error, with the per-observer class and message."""
+    rng = np.random.default_rng(79)
+    dim = 4
+    rhos = mixed_rank_set(dim, 6, rng)
+    phi = support_compatible(rhos)[1].basis[:, 0]
+    away = random_unitary(dim, rng)[:, :2]
+    away -= np.outer(phi, phi.conj() @ away)
+    away, _ = np.linalg.qr(away)  # orthonormal, orthogonal to phi
+    outside = validate_density(away @ random_density(2, rng) @ away.conj().T)  # defect 1
+    tilted = np.column_stack([np.cos(0.5) * phi + np.sin(0.5) * away[:, 0], away[:, 1]])
+    partly = validate_density(tilted @ random_density(2, rng) @ tilted.conj().T)  # sin(0.5)
+    doubled = DensityMatrix(2.0 * rhos[1].matrix)  # unchecked: its ensemble weights sum to 2
+    cases = {
+        "outside 2 and 4": (rhos[:2] + [partly, rhos[3], outside, rhos[5]], phi),
+        "weight sum at 1, outside at 3": ([rhos[0], doubled, rhos[2], outside], phi),
+        "outside at 1, weight sum at 3": ([rhos[0], outside, rhos[2], doubled], phi),
+        "non-finite": (rhos, np.where(np.arange(dim) == 1, np.nan, phi)),
+        "wrong length": (rhos, phi[:-1]),
+    }
+    for name, (observers, state) in cases.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = raised(scenario_with_shared_state, observers, state)
+        assert got == raised(loop_scenario, observers, state), name
+    defect = projection_defect(support(partly), phi)
+    assert abs(defect - np.sin(0.5)) <= 1e-12
+    assert raised(scenario_with_shared_state, *cases["outside 2 and 4"]) == (
+        StateOutsideSupportError,
+        f"state has a null-space component (projection defect {defect:.3e}); "
+        "no ensemble for this density matrix can contain it",
+    )
+
+
+def test_zero_leading_coefficient_needs_no_division():
+    """phi with no component on the first support eigenvector: the lead = 0 reflector."""
+    rhos = [validate_density(np.diag([0.6, 0.4])), validate_density(np.eye(2) / 2), pure(E1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scenario_with_shared_state(rhos, E1)
+        ensemble = ensemble_containing(rhos[0], E1)
+    _, ref = loop_scenario(rhos, E1)
+    assert got.success
+    assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
+    assert_same_ensemble(ensemble, loop_ensemble_containing(rhos[0], E1))
+    np.testing.assert_allclose(ensemble.terms[1][1], -E0, atol=1e-15)
