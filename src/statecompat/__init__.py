@@ -44,7 +44,6 @@ from .linalg import (
     Subspace,
     Tolerances,
     hermitian_eig,
-    orthonormal_basis_containing,
     subspace_intersection,
 )
 from .scenario import (
@@ -84,7 +83,6 @@ __all__ = [
     "null_space",
     "observer_conditional_state",
     "observer_reduced_density",
-    "orthonormal_basis_containing",
     "product_nonzero",
     "run_scenario",
     "scenario_with_shared_state",

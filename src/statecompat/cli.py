@@ -139,10 +139,7 @@ def main(argv=None) -> int:
     ]
     try:
         return handler(args)
-    except (StateCompatError, ValueError) as exc:
-        print(f"statecompat: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # StateCompatError is a ValueError
         print(f"statecompat: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

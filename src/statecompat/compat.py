@@ -4,7 +4,7 @@ The decisive criterion is support intersection: a set of density matrices can
 describe one system simultaneously exactly when all of their supports share
 at least one state. One SVD decides it, of the null-space columns read from
 each matrix's spectrum and stacked as rows, A = [N_1^dag; ...; N_n^dag], with
-A^dag A = sum_k (I - P_k) (see :func:`statecompat.linalg.intersection_split`
+A^dag A = sum_k (I - P_k) (see :func:`statecompat.linalg.subspace_intersection`
 for the same decision on bare subspaces). A direction belongs to every
 support when its root-sum-square distance from them is at most
 ``match_abs/sqrt(2)``; then every matrix the scenario rebuilds around it lies

@@ -1,11 +1,11 @@
 """Dense complex linear algebra on small matrices.
 
 Hermitian eigendecomposition and orthonormal-basis subspace arithmetic (the
-intersection of a family, decided by one SVD, and completing a vector to a
-basis of a subspace by one Householder reflector), all with explicit
-numerical tolerances. Matrices and vectors are plain ``numpy`` arrays of
-complex128; coercion and structural validation happen at the function
-boundaries.
+intersection of a family, decided by one SVD, and the batched completion of
+vectors to bases of subspaces, one Householder reflector each), all with
+explicit numerical tolerances. Matrices and vectors are plain ``numpy``
+arrays of complex128; coercion and structural validation happen at the
+function boundaries.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     NotSquareError,
     NumericalFailureError,
     StateCompatError,
-    VectorOutsideSubspaceError,
 )
 
 #: Modulus below which a component cannot anchor the global phase convention.
@@ -39,8 +38,8 @@ class Tolerances:
     matrices or vectors as equal, and so also for deciding that a vector lies
     in a subspace. The support intersection accepts a direction whose
     root-sum-square distance from the supports is at most ``match_abs/sqrt(2)``
-    (see :func:`intersection_split`), so that every matrix rebuilt around it
-    lies within ``match_abs`` of its original.
+    (see :func:`_split_rows`), so that every matrix rebuilt around it lies
+    within ``match_abs`` of its original.
     """
 
     rank_rel: float = 1e-10
@@ -221,36 +220,6 @@ def _householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     return basis[:, :, 1:] - (basis @ v[:, :, None]) * (scale[:, None] * v[:, 1:].conj())[:, None]
 
 
-def orthonormal_basis_containing(
-    psi, subspace: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> Subspace:
-    """Complete a unit vector inside ``subspace`` to an orthonormal basis of it.
-
-    The returned basis has the same dimension as ``subspace``. Its first
-    column is ``psi`` rescaled to unit norm; the others come from
-    :func:`_householder_completions` of this one basis, so they lie in
-    ``subspace`` and are orthogonal to ``psi`` even when ``psi`` is up to
-    ``tol.match_abs`` off it.
-    Every column follows the global phase convention.
-    """
-    psi = as_complex_vector(psi)
-    if psi.shape[0] != subspace.ambient_dim:
-        raise DimensionMismatchError(
-            f"vector length {psi.shape[0]} != ambient dimension {subspace.ambient_dim}"
-        )
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol.match_abs:
-        raise StateCompatError(f"vector is not unit norm (|v| = {norm:.12g})")
-    coeffs = subspace.basis.conj().T @ psi
-    defect = float(np.linalg.norm(psi - subspace.basis @ coeffs))
-    if defect > tol.match_abs:
-        raise VectorOutsideSubspaceError(
-            f"vector lies outside the subspace (projection defect {defect:.3e})"
-        )
-    rest = _householder_completions(subspace.basis[None], coeffs[None])[0]
-    return Subspace._trusted(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
-
-
 def _membership_threshold(tol: Tolerances) -> float:
     """Largest root-sum-square support defect of an intersection direction (see :class:`Tolerances`)."""
     return tol.match_abs / np.sqrt(2.0)
@@ -286,14 +255,12 @@ def _split_rows(
     )
 
 
-def intersection_split(
-    subspaces, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Subspace, Subspace, np.ndarray]:
-    """The family's intersection, its orthogonal complement, and the defects deciding them.
+def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """Intersection of subspaces: the directions within ``tol.match_abs/sqrt(2)`` of all of them.
 
-    A is the stack of complement projectors [I - P_1; ...; I - P_n] (see
-    :func:`_split_rows`). A single subspace is its own intersection and keeps
-    its basis order (phase-fixed).
+    Decided by one SVD of the stacked complement projectors
+    [I - P_1; ...; I - P_n] (see :func:`_split_rows`). A single subspace is
+    its own intersection and keeps its basis order (phase-fixed).
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -302,9 +269,4 @@ def intersection_split(
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
     rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
-    return _split_rows(rows, ambient, tol, subspaces[0].basis if len(subspaces) == 1 else None)
-
-
-def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of subspaces: the directions within ``tol.match_abs/sqrt(2)`` of all of them."""
-    return intersection_split(subspaces, tol)[0]
+    return _split_rows(rows, ambient, tol, subspaces[0].basis if len(subspaces) == 1 else None)[0]

@@ -23,18 +23,17 @@ tracing out the ancillas sums the rows' outer products, which is the Gram
 matrix rows^T rows^*; neither step needs the dense form.
 
 :func:`run_scenario` performs the whole round trip: pick a common support
-state, decompose every input around it, build the joint state, condition each
-observer on the level-0 outcome, trace down to the system, and report the
-distance to the original assignment. It makes one pass over all observers:
-the spectra are stacked once for the support test and the ensembles, one
-array call (:func:`statecompat.density._ensembles_around`) gives every
-ensemble, and the joint state's blocks are assembled from those arrays by
-the same routine :func:`build_joint_state` uses for caller-built ensembles.
-Observer k's level-0 rows are the all-zero row and k's own block of rows, so
-all n reductions are one batched Gram product. A Gram matrix is positive
-semidefinite by construction, so the recovered matrices are not validated or
-diagonalized again; the distance to the validated input is the check. A
-single assignment is realized by two observers holding it.
+state, decompose every input around it, condition each observer on the
+level-0 outcome, trace down to the system, and report the distance to the
+original assignment. It computes only what it returns: the spectra are
+stacked once for the support test and the ensembles, one array call
+(:func:`statecompat.density._ensembles_around`) gives every ensemble, and
+observer k's level-0 rows of the joint state (phi and k's own scaled extra
+terms) are read straight from those arrays, so all n reductions are one
+batched Gram product and no :class:`CompositeState` is built. A Gram matrix
+is positive semidefinite by construction, so the recovered matrices are not
+validated or diagonalized again; the distance to the validated input is the
+check. A single assignment is realized by two observers holding it.
 """
 
 from __future__ import annotations
@@ -187,24 +186,7 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
                 "with the shared state; the leading states must coincide up to phase"
             )
         raise StateCompatError(f"ensemble {k} gives the shared state zero weight")
-    extra_terms = [t for e in ensembles for t in e.terms[1:]]
-    return _joint_state(
-        phi,
-        lead_weights,
-        np.array([w for w, _ in extra_terms]),
-        np.array([s for _, s in extra_terms]).reshape(-1, system_dim),
-        np.array([len(e.terms) - 1 for e in ensembles]),
-    )
-
-
-def _joint_state(phi, leads, weights, states, extras) -> CompositeState:
-    """The joint state of n ensembles that lead with ``phi``, built from arrays.
-
-    ``leads`` (n,) are the weights of phi, ``extras`` (n,) each ensemble's
-    extra-term count, and ``weights`` (T,) and ``states`` (T, d) the extra
-    terms observer by observer. Each gets the row sqrt(weight / lead) state.
-    """
-    n = len(extras)
+    extras = np.array([len(e.terms) - 1 for e in ensembles])
     # the largest extra count among the others is the overall largest, unless
     # observer j holds it, in which case it is the runner-up
     top, runner_up = np.sort(extras)[-2:][::-1]
@@ -214,11 +196,12 @@ def _joint_state(phi, leads, weights, states, extras) -> CompositeState:
     patterns = np.zeros((1 + owner.size, n), dtype=np.intp)
     patterns[1:] = level[:, None]
     patterns[1 + np.arange(owner.size), owner] = 0
-    amplitudes = np.empty((1 + owner.size, len(phi)), dtype=np.complex128)
-    amplitudes[0] = phi
-    amplitudes[1:] = np.sqrt(weights / leads[owner])[:, None] * states
+    extra_terms = [t for e in ensembles for t in e.terms[1:]]
+    weights = np.array([w for w, _ in extra_terms])
+    states = np.array([s for _, s in extra_terms]).reshape(-1, system_dim)
+    amplitudes = np.vstack((phi, np.sqrt(weights / lead_weights[owner])[:, None] * states))
     amplitudes /= np.linalg.norm(amplitudes)
-    return CompositeState(ancilla_dims, len(phi), patterns, amplitudes)
+    return CompositeState(ancilla_dims, system_dim, patterns, amplitudes)
 
 
 def joint_zero_outcome_probability(psi: CompositeState) -> float:
@@ -333,24 +316,20 @@ def _realize(rhos, values, vectors, phi, tol: Tolerances) -> ScenarioResult:
     """The round trip around ``phi`` for matrices with the stacked spectra ``values``, ``vectors``.
 
     One :func:`statecompat.density._ensembles_around` call gives every
-    ensemble; its kept extra terms are the joint state's rows. Observer k's
-    level-0 rows, the all-zero row and k's own block, are gathered into one
-    zero-padded (n, 2R, d) array, R the largest rank, and reduced by one
-    batched Gram product; memory stays O(B d + n d^2). A single assignment is
-    realized by two observers holding it and reported once.
+    ensemble as 2R candidate terms, R the largest rank. Scaling term i of
+    ensemble k by sqrt(w_ki / w_k0) and zeroing the terms it does not keep
+    gives observer k's level-0 rows of the joint state, phi first, as one
+    (n, 2R, d) array, reduced by one batched Gram product; memory stays
+    O(n R d + n d^2). The all-zero outcome has probability
+    |phi|^2 / (|phi|^2 + the squared norm of every extra row). A single
+    assignment is realized by two observers holding it and reported once.
     """
     if len(rhos) == 1:
         values, vectors = np.repeat(values, 2, axis=0), np.repeat(vectors, 2, axis=0)
     weights, states, keep = _ensembles_around(values, vectors, phi, tol)
-    extra = keep[:, 1:]
-    psi = _joint_state(
-        phi, weights[:, 0], weights[:, 1:][extra], states[:, 1:][extra], extra.sum(axis=1)
-    )
-    probability = joint_zero_outcome_probability(psi)
-
-    rows = np.zeros(keep.shape + (psi.system_dim,), dtype=np.complex128)
-    rows[:, 0] = psi.amplitudes[0]
-    rows[:, 1:][extra] = psi.amplitudes[1:]
+    rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
+    lead = np.vdot(phi, phi).real
+    probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))
     recovered = _reduced_matrices(rows[: len(rhos)])
     distances = np.linalg.norm(recovered - np.array([r.matrix for r in rhos]), axis=(1, 2))
     recoveries = [

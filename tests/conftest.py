@@ -6,12 +6,13 @@ the rank formula on concatenated bases (null-space folding), not from the
 single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
-state, the SVD basis completion) live here as references for the tests that
-use them, and are checked themselves. So do the earlier forms of three
-library paths: validation through a separately coerced, symmetrized and
-diagonalized matrix, the pairwise conditions one pair at a time, and the
-scenario one observer at a time (one Householder completion, one checked
-ensemble and one recovered matrix per observer).
+state, the SVD basis completion, the completion of one vector to a basis of
+one subspace) live here as references for the tests that use them, and are
+checked themselves. So do the earlier forms of three library paths:
+validation through a separately coerced, symmetrized and diagonalized
+matrix, the pairwise conditions one pair at a time, and the scenario one
+observer at a time (one Householder completion, one checked ensemble and one
+recovered matrix per observer).
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ from statecompat.errors import (
     StateCompatError,
     StateOutsideSupportError,
     TraceNotOneError,
+    VectorOutsideSubspaceError,
 )
 from statecompat.linalg import (
     DEFAULT_TOL,
     PHASE_FLOOR,
     EigResult,
     Subspace,
+    _householder_completions,
     as_complex_matrix,
     as_complex_vector,
     fix_phase,
@@ -345,6 +348,32 @@ def householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     v[0] += v[0] / lead if lead > 0.0 else 1.0
     scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
     return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
+
+
+def orthonormal_basis_containing(psi, subspace: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """Complete a unit vector inside ``subspace`` to an orthonormal basis of it.
+
+    The first column is ``psi`` rescaled to unit norm; the others come from
+    the library's batched Householder completion of this one basis, so they
+    lie in ``subspace`` and are orthogonal to ``psi`` even when ``psi`` is up
+    to ``tol.match_abs`` off it. Every column follows the phase convention.
+    """
+    psi = as_complex_vector(psi)
+    if psi.shape[0] != subspace.ambient_dim:
+        raise DimensionMismatchError(
+            f"vector length {psi.shape[0]} != ambient dimension {subspace.ambient_dim}"
+        )
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > tol.match_abs:
+        raise StateCompatError(f"vector is not unit norm (|v| = {norm:.12g})")
+    coeffs = subspace.basis.conj().T @ psi
+    defect = float(np.linalg.norm(psi - subspace.basis @ coeffs))
+    if defect > tol.match_abs:
+        raise VectorOutsideSubspaceError(
+            f"vector lies outside the subspace (projection defect {defect:.3e})"
+        )
+    rest = _householder_completions(subspace.basis[None], coeffs[None])[0]
+    return Subspace._trusted(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
 
 
 def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statecompat
 from statecompat.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -24,7 +25,6 @@ from statecompat.linalg import (
     _householder_completions,
     fix_phase,
     hermitian_eig,
-    orthonormal_basis_containing,
     subspace_intersection,
 )
 
@@ -33,6 +33,7 @@ from conftest import (
     loop_fix_phase,
     loop_partial_trace,
     orthogonal_complement,
+    orthonormal_basis_containing,
     partial_trace,
     proj,
     rank_formula_intersection_dim,
@@ -52,6 +53,16 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 def rand_hermitian(rng, d):
     m = crandn(rng, d, d)
     return m + m.conj().T
+
+
+# ------------------------------------------------------------ package exports
+
+
+def test_every_exported_name_resolves_once():
+    names = statecompat.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(statecompat, name)]
+    assert not missing
 
 
 # ---------------------------------------------------------------- tolerances
