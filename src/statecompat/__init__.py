@@ -35,7 +35,6 @@ from .errors import (
     StateCompatError,
     StateOutsideSupportError,
     TraceNotOneError,
-    VectorOutsideSubspaceError,
     ZeroProjectionError,
 )
 from .linalg import (
@@ -102,6 +101,5 @@ __all__ = [
     "StateCompatError",
     "StateOutsideSupportError",
     "TraceNotOneError",
-    "VectorOutsideSubspaceError",
     "ZeroProjectionError",
 ]

@@ -9,13 +9,16 @@ for the same decision on bare subspaces). A direction belongs to every
 support when its root-sum-square distance from them is at most
 ``match_abs/sqrt(2)``; then every matrix the scenario rebuilds around it lies
 within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
-Every other direction is forbidden. Two older pairwise conditions are
-evaluated alongside for comparison: commutation of the pair (neither
-necessary nor sufficient) and a nonzero operator product (necessary but
-strictly weaker). Both are computed for all pairs at once: the overlaps
-tr(rho_a rho_b) as one Gram product of the flattened matrices, which equals
-the trace because the package's density matrices are exactly Hermitian, and
-the commutator norms from one batched product per matrix.
+Every other direction is forbidden. The SVD yields the intersection
+dimension, the defects and the raw directions; :func:`full_report` and the
+scenario phase-fix only the witness column, and only the functions that
+return subspaces phase-fix and wrap the columns they return. Two older
+pairwise conditions are evaluated alongside for comparison: commutation of
+the pair (neither necessary nor sufficient) and a nonzero operator product
+(necessary but strictly weaker). Both are computed for all pairs at once:
+the overlaps tr(rho_a rho_b) as one Gram product of the flattened matrices,
+which equals the trace because the package's density matrices are exactly
+Hermitian, and the commutator norms from one batched product per matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from .linalg import (
     Tolerances,
     _membership_threshold,
     _split_rows,
+    fix_phase,
+)
+
+_MARGINAL_NOTE = (
+    "marginal: a direction's distance from the supports lies within 10x "
+    "of match_abs/sqrt(2); the compatibility verdict is numerically fragile"
 )
 
 
@@ -74,31 +83,39 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
     return rhos
 
 
-def _split(rhos, tol: Tolerances) -> tuple[Subspace, Subspace, np.ndarray]:
-    """Intersection, forbidden subspace and defects of a set of density matrices."""
-    return _split_spectra(*_spectra(_check_rhos(rhos)), tol)
-
-
 def _split_spectra(
     values: np.ndarray, vectors: np.ndarray, tol: Tolerances
-) -> tuple[Subspace, Subspace, np.ndarray]:
-    """:func:`_split` on stacked spectra (see :func:`statecompat.density._spectra`).
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Intersection dimension, defects and directions of stacked spectra (see :func:`_split_rows`).
 
-    The rows are the conjugated null-space eigenvectors, matrix by matrix.
+    The rows are the conjugated null-space eigenvectors, matrix by matrix
+    (see :func:`statecompat.density._spectra` for the stacking).
     """
     ranks = _ranks(values, tol)
     dim = values.shape[1]
     rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
-    single = vectors[0, :, : ranks[0]] if len(values) == 1 else None
-    return _split_rows(rows, dim, tol, single)
+    return _split_rows(rows, dim, tol)
+
+
+def _intersection_basis(vectors: np.ndarray, count: int, directions: np.ndarray) -> np.ndarray:
+    """The first ``count`` intersection directions, phase-fixed; for one matrix, its support's.
+
+    A single matrix's intersection is its support, spanned by its leading
+    eigenvectors in the order validation left them; the SVD counts them
+    too, since one matrix's null-space rows are orthonormal (singular values
+    0 or 1). Only the columns returned are phase-fixed: for a witness, one.
+    """
+    return fix_phase((vectors[0] if len(vectors) == 1 else directions)[:, :count])
 
 
 def support_compatible(
     rhos, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    intersection = _split(rhos, tol)[0]
-    return intersection.dim >= 1, intersection
+    values, vectors = _spectra(_check_rhos(rhos))
+    count, _, directions = _split_spectra(values, vectors, tol)
+    basis = _intersection_basis(vectors, count, directions)
+    return count >= 1, Subspace._trusted(values.shape[1], basis)
 
 
 def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -106,7 +123,9 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     It is spanned by the null spaces of the matrices taken together.
     """
-    return _split(rhos, tol)[1]
+    values, vectors = _spectra(_check_rhos(rhos))
+    count, _, directions = _split_spectra(values, vectors, tol)
+    return Subspace._trusted(values.shape[1], fix_phase(directions[:, count:]))
 
 
 def _overlaps(matrices: np.ndarray) -> np.ndarray:
@@ -157,32 +176,25 @@ def product_nonzero(
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
     rhos = _check_rhos(rhos)
-    intersection, forbidden, defects = _split(rhos, tol)
-    compatible = intersection.dim >= 1
-    witness = intersection.basis[:, 0].copy() if compatible else None
+    values, vectors = _spectra(rhos)
+    count, defects, directions = _split_spectra(values, vectors, tol)
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
 
-    notes: list[str] = []
     ratio = defects / _membership_threshold(tol)
-    marginal = bool(np.any((ratio > 0.1) & (ratio < 10.0)))
-    if marginal:
-        notes.append(
-            "marginal: a direction's distance from the supports lies within 10x "
-            "of match_abs/sqrt(2); the compatibility verdict is numerically fragile"
-        )
+    marginal = bool(np.count_nonzero((ratio > 0.1) & (ratio < 10.0)))
 
     return CompatReport(
-        dim=rhos[0].dim,
+        dim=values.shape[1],
         n_matrices=len(rhos),
-        compatible=compatible,
-        intersection_dim=intersection.dim,
-        witness=witness,
-        forbidden_dim=forbidden.dim,
+        compatible=count >= 1,
+        intersection_dim=count,
+        witness=_intersection_basis(vectors, 1, directions)[:, 0] if count else None,
+        forbidden_dim=values.shape[1] - count,
         pairwise_commute=commute_res <= tol.match_abs,
         commute_residual=commute_res,
         pairwise_product_nonzero=(overlaps > tol.rank_rel) | np.eye(len(rhos), dtype=bool),
         product_overlap=overlaps,
         marginal=marginal,
-        notes=notes,
+        notes=[_MARGINAL_NOTE] if marginal else [],
     )

@@ -35,10 +35,6 @@ class DimensionMismatchError(StateCompatError):
     """Operands live in spaces of different or inconsistent dimensions."""
 
 
-class VectorOutsideSubspaceError(StateCompatError):
-    """A vector required to lie in a subspace has a component outside it."""
-
-
 class StateOutsideSupportError(StateCompatError):
     """A state required to lie in the support of a density matrix does not.
 

@@ -10,6 +10,7 @@ function boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise StateCompatError(f"expected a 2-d matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise StateCompatError("matrix must not be empty")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # cheaper than .all() on small arrays
         raise StateCompatError("matrix contains non-finite entries")
     return arr
 
@@ -89,14 +90,23 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     """Make the first component with modulus > 1e-8 real positive by a global phase.
 
     Works on a vector or on each column of a matrix; a vector or column with
-    no such component is returned unrotated.
+    no such component is returned unrotated. When every column's first entry
+    has modulus above the floor, as for almost every eigen- or singular
+    vector, the first row is the anchor and is read directly. Only when some
+    column's first entry is at or below 1e-8 does the general path run,
+    which finds each column's first entry above the floor by argmax; it
+    gives the same bits for the columns the first row would anchor.
     """
     v = np.asarray(v, dtype=np.complex128)
     cols = v.reshape(v.shape[0], -1)
-    big = np.abs(cols) > PHASE_FLOOR
-    first, columns = big.argmax(axis=0), np.arange(cols.shape[1])
-    lead = np.where(big[first, columns], cols[first, columns], 1.0)  # unanchored: phase 1
-    return (cols * (lead.conj() / np.abs(lead))).reshape(v.shape)
+    lead = cols[0]
+    modulus = np.abs(lead)
+    if np.count_nonzero(modulus > PHASE_FLOOR) < modulus.size:
+        big = np.abs(cols) > PHASE_FLOOR
+        first, columns = big.argmax(axis=0), np.arange(cols.shape[1])
+        lead = np.where(big[first, columns], cols[first, columns], 1.0)  # unanchored: phase 1
+        modulus = np.abs(lead)
+    return (cols * (lead.conj() / modulus)).reshape(v.shape)
 
 
 def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -131,7 +141,7 @@ def _hermitian_part_eig(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...
     """(M + M^dag)/2 and the :func:`hermitian_eig` eigenvalues and vectors of a coerced square M."""
     mh = m.conj().T
     diff = m - mh
-    defect = float(np.sqrt(np.vdot(diff, diff).real))
+    defect = math.sqrt(np.vdot(diff, diff).real)
     if defect > tol.match_abs:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}"
@@ -222,37 +232,31 @@ def _householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarra
 
 def _membership_threshold(tol: Tolerances) -> float:
     """Largest root-sum-square support defect of an intersection direction (see :class:`Tolerances`)."""
-    return tol.match_abs / np.sqrt(2.0)
+    return tol.match_abs / math.sqrt(2.0)
 
 
 def _split_rows(
-    rows: np.ndarray, ambient: int, tol: Tolerances, single: np.ndarray | None = None
-) -> tuple[Subspace, Subspace, np.ndarray]:
-    """Intersection, complement and defects from one SVD of A, where A^dag A = sum_k (I - P_k).
+    rows: np.ndarray, ambient: int, tol: Tolerances
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Intersection dimension, defects and directions from one SVD of A, A^dag A = sum_k (I - P_k).
 
     For a unit vector v, ||Av||^2 is then the sum of its squared distances
     from the subspaces, so each singular value (the defects, ascending) is
-    the root-sum-square distance of its right singular vector from the
-    family; the SVD resolves small principal angles to absolute accuracy,
-    where an eigendecomposition of A^dag A would square them. ``rows`` is
-    padded with zero rows to at least ``ambient``, which leaves A^dag A
-    unchanged. The directions with defect at most ``tol.match_abs/sqrt(2)``
-    form the intersection, smallest first, and the rest its complement, so
-    the two dimensions add up to ``ambient``. ``single``, a basis, replaces
-    the intersection when the family is that one subspace.
+    the root-sum-square distance of its right singular vector (the
+    directions, columns in the same order, not phase-fixed) from the family;
+    the SVD resolves small principal angles to absolute accuracy, where an
+    eigendecomposition of A^dag A would square them. ``rows`` is padded with
+    zero rows to at least ``ambient``, which leaves A^dag A unchanged. The
+    leading directions, those with defect at most ``tol.match_abs/sqrt(2)``,
+    span the intersection and the rest its complement, so the count and
+    ``ambient`` minus it are the two dimensions. Callers phase-fix only the
+    columns they return.
     """
     if rows.shape[0] < ambient:
         rows = np.concatenate((rows, np.zeros((ambient - rows.shape[0], ambient))))
     _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
-    defects = sigma[::-1].copy()
-    vectors = fix_phase(vh[::-1].conj().T)
-    count = int(np.sum(defects <= _membership_threshold(tol)))
-    inside = fix_phase(single) if single is not None else vectors[:, :count]
-    return (
-        Subspace._trusted(ambient, inside),
-        Subspace._trusted(ambient, vectors[:, count:]),
-        defects,
-    )
+    count = int(np.count_nonzero(sigma <= _membership_threshold(tol)))
+    return count, sigma[::-1], vh[::-1].conj().T
 
 
 def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -260,7 +264,7 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     Decided by one SVD of the stacked complement projectors
     [I - P_1; ...; I - P_n] (see :func:`_split_rows`). A single subspace is
-    its own intersection and keeps its basis order (phase-fixed).
+    its own intersection and keeps its basis order (phase-fixed), no SVD.
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -268,5 +272,8 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     ambient = subspaces[0].ambient_dim
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
+    if len(subspaces) == 1:
+        return Subspace._trusted(ambient, fix_phase(subspaces[0].basis))
     rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
-    return _split_rows(rows, ambient, tol, subspaces[0].basis if len(subspaces) == 1 else None)[0]
+    count, _, directions = _split_rows(rows, ambient, tol)
+    return Subspace._trusted(ambient, fix_phase(directions[:, :count]))

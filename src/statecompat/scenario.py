@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import _check_rhos, _split_spectra
+from .compat import _check_rhos, _intersection_basis, _split_spectra
 from .density import DensityMatrix, _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
@@ -285,10 +285,10 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     """
     rhos = _check_rhos(rhos)
     values, vectors = _spectra(rhos)
-    intersection = _split_spectra(values, vectors, tol)[0]
-    if intersection.dim == 0:
+    count, _, directions = _split_spectra(values, vectors, tol)
+    if count == 0:
         raise IncompatibleError(_NO_SHARED_STATE)
-    return _realize(rhos, values, vectors, intersection.basis[:, 0], tol)
+    return _realize(rhos, values, vectors, _intersection_basis(vectors, 1, directions)[:, 0], tol)
 
 
 def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:

@@ -8,11 +8,12 @@ library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
 one subspace) live here as references for the tests that use them, and are
-checked themselves. So do the earlier forms of three library paths:
-validation through a separately coerced, symmetrized and diagonalized
-matrix, the pairwise conditions one pair at a time, and the scenario one
-observer at a time (one Householder completion, one checked ensemble and one
-recovered matrix per observer).
+checked themselves. So do the earlier forms of five library paths: the
+phase convention with every anchor found by argmax, validation through a
+separately coerced, symmetrized and diagonalized matrix, the support split
+with every direction phase-fixed and wrapped, the pairwise conditions one
+pair at a time, and the scenario one observer at a time (one Householder
+completion, one checked ensemble and one recovered matrix per observer).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from statecompat.errors import (
     StateCompatError,
     StateOutsideSupportError,
     TraceNotOneError,
-    VectorOutsideSubspaceError,
 )
 from statecompat.linalg import (
     DEFAULT_TOL,
@@ -267,15 +267,17 @@ def svd_completion(psi: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def reference_fix_phase(v: np.ndarray) -> np.ndarray:
-    """The phase convention with a boolean-mask assignment, as the library first wrote it."""
+    """The phase convention with each column's anchor found by argmax, as the library had it.
+
+    The library now reads the anchors from the first row when all of them
+    lie there, and must give the same bits.
+    """
     v = np.asarray(v, dtype=np.complex128)
     cols = v.reshape(v.shape[0], -1)
     big = np.abs(cols) > PHASE_FLOOR
-    lead = cols[np.argmax(big, axis=0), np.arange(cols.shape[1])]
-    anchored = big.any(axis=0)
-    phase = np.ones_like(lead)
-    phase[anchored] = lead[anchored].conjugate() / np.abs(lead[anchored])
-    return (cols * phase).reshape(v.shape)
+    first, columns = big.argmax(axis=0), np.arange(cols.shape[1])
+    lead = np.where(big[first, columns], cols[first, columns], 1.0)  # unanchored: phase 1
+    return (cols * (lead.conj() / np.abs(lead))).reshape(v.shape)
 
 
 def reference_hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
@@ -316,6 +318,30 @@ def reference_validate_density(m, tol=DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
 
 
+def reference_split(rhos, tol=DEFAULT_TOL) -> tuple[Subspace, Subspace, np.ndarray]:
+    """Intersection, forbidden subspace and ascending defects, every direction phase-fixed.
+
+    The support split as the library first built it: one SVD of the stacked
+    conjugated null-space eigenvectors (zero-padded to d rows), all d right
+    singular vectors phase-fixed and both subspaces wrapped; a single
+    matrix's intersection is its phase-fixed support basis.
+    """
+    values = np.array([r.spectrum.eigenvalues for r in rhos])
+    vectors = np.array([r.spectrum.eigenvectors for r in rhos])
+    ranks = (values > zero_cutoff(values, tol)[:, None]).sum(axis=1)
+    dim = values.shape[1]
+    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
+    if rows.shape[0] < dim:
+        rows = np.concatenate((rows, np.zeros((dim - rows.shape[0], dim))))
+    _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
+    defects = sigma[::-1].copy()
+    directions = reference_fix_phase(vh[::-1].conj().T)
+    count = int(np.sum(defects <= tol.match_abs / np.sqrt(2.0)))
+    single = len(rhos) == 1
+    inside = reference_fix_phase(vectors[0, :, : ranks[0]]) if single else directions[:, :count]
+    return Subspace._trusted(dim, inside), Subspace._trusted(dim, directions[:, count:]), defects
+
+
 def loop_pairwise(rhos, tol=DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Commute flags, commutator norms, product flags and overlaps, one pair of matrices at a time."""
     n = len(rhos)
@@ -350,6 +376,10 @@ def householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
 
 
+class OutsideSubspaceError(StateCompatError):
+    """The vector :func:`orthonormal_basis_containing` must complete lies outside the subspace."""
+
+
 def orthonormal_basis_containing(psi, subspace: Subspace, tol=DEFAULT_TOL) -> Subspace:
     """Complete a unit vector inside ``subspace`` to an orthonormal basis of it.
 
@@ -369,7 +399,7 @@ def orthonormal_basis_containing(psi, subspace: Subspace, tol=DEFAULT_TOL) -> Su
     coeffs = subspace.basis.conj().T @ psi
     defect = float(np.linalg.norm(psi - subspace.basis @ coeffs))
     if defect > tol.match_abs:
-        raise VectorOutsideSubspaceError(
+        raise OutsideSubspaceError(
             f"vector lies outside the subspace (projection defect {defect:.3e})"
         )
     rest = _householder_completions(subspace.basis[None], coeffs[None])[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from statecompat.compat import forbidden_subspace, full_report, support_compatible
 from statecompat.density import (
     DensityMatrix,
     Ensemble,
@@ -27,7 +28,13 @@ from statecompat.generate import (
 )
 from statecompat.linalg import DEFAULT_TOL, hermitian_eig
 
-from conftest import eigen_ensemble, ensemble_to_density, reference_validate_density, span_of
+from conftest import (
+    eigen_ensemble,
+    ensemble_to_density,
+    reference_split,
+    reference_validate_density,
+    span_of,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -114,6 +121,58 @@ def test_validate_matches_the_reference_bit_for_bit():
         count += 1
         clamped += bool(np.linalg.eigvalsh((m + m.conj().T) / 2)[0] < -1e-13)
     assert count == 165 and clamped == 15  # the planted eigenvalues of about -1e-12
+
+
+def invariant_sets():
+    """Sets of validated matrices for the report-versus-subspaces invariants.
+
+    Every run of one to three consecutive :func:`oracle_inputs` matrices of
+    one size and each size's whole list; pure pairs whose matrices lie 1e-9
+    to 1e-3 apart (the theta sweep, flipping at sqrt(2) match_abs); and the
+    repeated-state triple [a, a, b] on both sides of its flip.
+    """
+    by_dim = {}
+    for m in oracle_inputs():
+        by_dim.setdefault(m.shape[0], []).append(validate_density(m))
+    for rhos in by_dim.values():
+        for k in (1, 2, 3):
+            yield from (rhos[i : i + k] for i in range(len(rhos) - k + 1))
+        yield rhos
+
+    def pure(v):
+        return validate_density(np.outer(v, v.conj()))
+
+    for distance in (1e-9, 1e-8, 1.4e-8, 1.42e-8, 1e-7, 1e-5, 3e-5, 1e-3):
+        theta = float(np.arcsin(distance / np.sqrt(2)))
+        yield [pure(E0), pure(np.cos(theta) * E0 + np.sin(theta) * E1)]
+    frame = random_unitary(3, np.random.default_rng(89))
+    for theta in (8.5e-9, 1.15e-8):
+        a = pure(frame[:, 0])
+        yield [a, a, pure(np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1])]
+
+
+def test_report_and_subspace_functions_cannot_contradict():
+    threshold = DEFAULT_TOL.match_abs / np.sqrt(2.0)
+    verdicts = []
+    for rhos in invariant_sets():
+        report = full_report(rhos)
+        compatible, intersection = support_compatible(rhos)
+        forbidden = forbidden_subspace(rhos)
+        ref_intersection, ref_forbidden, defects = reference_split(rhos)
+        assert report.intersection_dim == intersection.dim == ref_intersection.dim
+        assert report.forbidden_dim == forbidden.dim == report.dim - report.intersection_dim
+        assert report.compatible == compatible == (intersection.dim >= 1)
+        assert same_bits(intersection.basis, ref_intersection.basis)
+        assert same_bits(forbidden.basis, ref_forbidden.basis)
+        ratio = defects / threshold
+        assert report.marginal == bool(np.any((ratio > 0.1) & (ratio < 10.0)))
+        if compatible:
+            assert same_bits(report.witness, intersection.basis[:, 0])
+            assert same_bits(report.witness, ref_intersection.basis[:, 0])
+        else:
+            assert report.witness is None
+        verdicts.append(compatible)
+    assert (len(verdicts), sum(verdicts)) == (473, 340)
 
 
 @pytest.mark.parametrize(

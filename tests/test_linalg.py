@@ -11,7 +11,6 @@ from statecompat.errors import (
     NotHermitianError,
     NotSquareError,
     StateCompatError,
-    VectorOutsideSubspaceError,
 )
 from statecompat.generate import crandn, random_subspace, random_unit_vector, random_unitary
 from statecompat.compat import forbidden_subspace, support_compatible
@@ -20,6 +19,7 @@ from statecompat.generate import generate_instance
 from statecompat.linalg import (
     DEFAULT_TOL,
     ORTHO_TOL,
+    PHASE_FLOOR,
     Subspace,
     Tolerances,
     _householder_completions,
@@ -29,6 +29,7 @@ from statecompat.linalg import (
 )
 
 from conftest import (
+    OutsideSubspaceError,
     householder_completion,
     loop_fix_phase,
     loop_partial_trace,
@@ -352,7 +353,7 @@ def test_batched_householder_completions_match_one_at_a_time():
 def test_basis_containing_rejects_outside_vector():
     sub = Subspace(3, np.eye(3, dtype=complex)[:, :2])
     outside = np.array([0.0, 0.6, 0.8], dtype=complex)
-    with pytest.raises(VectorOutsideSubspaceError):
+    with pytest.raises(OutsideSubspaceError):
         orthonormal_basis_containing(outside, sub)
 
 
@@ -540,3 +541,34 @@ def test_fix_phase_leaves_unanchored_columns_without_warnings():
         assert np.array_equal(column, got[:, j])
         np.testing.assert_allclose(column, loop_fix_phase(m[:, j]), rtol=0, atol=ulps)
     assert np.array_equal(got.view(np.uint64), reference_fix_phase(m).view(np.uint64))
+
+
+def fix_phase_cases():
+    """Inputs whose anchors all lie in the first row, and inputs where some do not."""
+    rng = np.random.default_rng(73)
+    for d in (1, 2, 3, 5, 8):
+        yield random_unitary(d, rng)  # the first row anchors every column
+        yield np.linalg.eigh(rand_hermitian(rng, d))[1][:, ::-1]  # a reversed view, as validated
+    yield np.eye(4, dtype=complex)  # only the first column anchors in row 0
+    yield np.eye(4, dtype=complex)[:, [2, 0, 3, 1]]  # permutation columns
+    at_floor = crandn(rng, 4, 3)
+    at_floor[0, 1] = PHASE_FLOOR  # exactly the floor: not above it, the second entry anchors
+    at_floor[0, 2] = 1j * PHASE_FLOOR * (1.0 + 1e-15)  # just above: it anchors
+    yield at_floor
+    zero = crandn(rng, 3, 3)
+    zero[:, 1] = 0.0  # returned unrotated
+    yield zero
+    yield crandn(rng, 6)  # a 1-d vector
+    yield np.array([[0.3 - 0.4j]])  # 1 x 1
+    yield np.array([PHASE_FLOOR, 0.5j, 0.1])  # a 1-d vector anchored past its first entry
+
+
+def test_fix_phase_matches_the_reference_bit_for_bit():
+    count = 0
+    for m in fix_phase_cases():
+        got, want = fix_phase(m), reference_fix_phase(m)
+        assert got.shape == want.shape == np.shape(m)
+        got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        count += 1
+    assert count == 17
