@@ -51,7 +51,6 @@ from .scenario import (
     ObserverRecovery,
     ScenarioResult,
     build_joint_state,
-    joint_zero_outcome_probability,
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
@@ -78,7 +77,6 @@ __all__ = [
     "forbidden_subspace",
     "full_report",
     "hermitian_eig",
-    "joint_zero_outcome_probability",
     "null_space",
     "observer_conditional_state",
     "observer_reduced_density",

@@ -28,10 +28,6 @@ EXIT_INCOMPATIBLE = 1
 EXIT_ERROR = 2
 
 
-def _diag_code(exc: Exception) -> str:
-    return type(exc).__name__.removesuffix("Error")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statecompat",
@@ -40,24 +36,17 @@ def build_parser() -> argparse.ArgumentParser:
         "compatible ones.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_tol_flags(p):
-        p.add_argument("--tol-rank", type=float, default=None, metavar="FLOAT",
-                       help="relative rank cutoff (default 1e-10)")
-        p.add_argument("--tol-match", type=float, default=None, metavar="FLOAT",
-                       help="absolute matching threshold (default 1e-8)")
-
-    check = sub.add_parser("check", help="compatibility report for an instance file")
-    check.add_argument("--input", required=True, metavar="PATH")
-    check.add_argument("--output", default=None, metavar="PATH")
-    add_tol_flags(check)
-
-    scenario = sub.add_parser(
-        "scenario", help="compatibility report plus joint-state recovery check"
-    )
-    scenario.add_argument("--input", required=True, metavar="PATH")
-    scenario.add_argument("--output", default=None, metavar="PATH")
-    add_tol_flags(scenario)
+    for verb, text in (
+        ("check", "compatibility report for an instance file"),
+        ("scenario", "compatibility report plus joint-state recovery check"),
+    ):
+        report = sub.add_parser(verb, help=text)
+        report.add_argument("--input", required=True, metavar="PATH")
+        report.add_argument("--output", default=None, metavar="PATH")
+        report.add_argument("--tol-rank", type=float, default=None, metavar="FLOAT",
+                            help="relative rank cutoff (default 1e-10)")
+        report.add_argument("--tol-match", type=float, default=None, metavar="FLOAT",
+                            help="absolute matching threshold (default 1e-8)")
 
     generate = sub.add_parser("generate", help="write a seeded random instance file")
     generate.add_argument("--dim", type=int, default=2, metavar="INT")
@@ -90,30 +79,31 @@ def _load_validated(
         try:
             rhos.append(validate_density(matrix, tol))
         except StateCompatError as exc:
-            problems.append(f"{name}: {_diag_code(exc)}: {exc}")
+            problems.append(f"{name}: {type(exc).__name__.removesuffix('Error')}: {exc}")
     if problems:
         raise StateCompatError("\n".join(problems))
     return instance, tol, rhos
 
 
-def cmd_check(args) -> int:
+def cmd_report(args) -> int:
+    """The ``check`` and ``scenario`` verbs: write the report and return the exit code.
+
+    ``scenario`` adds the round trip around the report's witness. On an
+    incompatible set it writes the report before its diagnostic.
+    """
     instance, tol, rhos = _load_validated(args.input, args.tol_rank, args.tol_match)
     report = full_report(rhos, tol)
-    _emit(report_payload(report, instance.names, tol, instance), args.output)
-    return EXIT_OK if report.compatible else EXIT_INCOMPATIBLE
-
-
-def cmd_scenario(args) -> int:
-    instance, tol, rhos = _load_validated(args.input, args.tol_rank, args.tol_match)
-    report = full_report(rhos, tol)
-    try:
-        result = scenario_with_shared_state(rhos, report.witness, tol)
-    except IncompatibleError as exc:
-        _emit(report_payload(report, instance.names, tol, instance), args.output)
-        print(f"statecompat: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+    result = failure = None
+    if args.command == "scenario":
+        try:
+            result = scenario_with_shared_state(rhos, report.witness, tol)
+        except IncompatibleError as exc:
+            failure = exc
     _emit(report_payload(report, instance.names, tol, instance, result), args.output)
-    return EXIT_OK if result.success else EXIT_INCOMPATIBLE
+    if failure is not None:
+        print(f"statecompat: {failure}", file=sys.stderr)
+    passed = report.compatible if result is None else result.success
+    return EXIT_OK if passed else EXIT_INCOMPATIBLE
 
 
 def cmd_generate(args) -> int:
@@ -134,9 +124,7 @@ def cmd_generate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {"check": cmd_check, "scenario": cmd_scenario, "generate": cmd_generate}[
-        args.command
-    ]
+    handler = cmd_generate if args.command == "generate" else cmd_report
     try:
         return handler(args)
     except (ValueError, OSError) as exc:  # StateCompatError is a ValueError

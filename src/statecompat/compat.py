@@ -9,16 +9,22 @@ for the same decision on bare subspaces). A direction belongs to every
 support when its root-sum-square distance from them is at most
 ``match_abs/sqrt(2)``; then every matrix the scenario rebuilds around it lies
 within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
-Every other direction is forbidden. The SVD yields the intersection
-dimension, the defects and the raw directions; :func:`full_report` and the
-scenario phase-fix only the witness column, and only the functions that
-return subspaces phase-fix and wrap the columns they return. Two older
-pairwise conditions are evaluated alongside for comparison: commutation of
-the pair (neither necessary nor sufficient) and a nonzero operator product
-(necessary but strictly weaker). Both are computed for all pairs at once:
-the overlaps tr(rho_a rho_b) as one Gram product of the flattened matrices,
-which equals the trace because the package's density matrices are exactly
-Hermitian, and the commutator norms from one batched product per matrix.
+Every other direction is forbidden. Every entry point that decides the
+intersection (:func:`support_compatible`, :func:`forbidden_subspace`,
+:func:`full_report` and :func:`statecompat.scenario.run_scenario`) starts
+with :func:`_split_set`: it checks the set, stacks the spectra once and
+runs the SVD, which yields the intersection dimension, the defects and the
+raw directions. :func:`full_report` and the scenario phase-fix only the
+witness column, and only the functions that return subspaces phase-fix and
+wrap the columns they return.
+
+Two older pairwise conditions are evaluated alongside for comparison:
+commutation of the pair (neither necessary nor sufficient) and a nonzero
+operator product (necessary but strictly weaker). Both are computed for all
+pairs at once: the overlaps tr(rho_a rho_b) as one Gram product of the
+flattened matrices, which equals the trace because the package's density
+matrices are exactly Hermitian, and the commutator norms from one batched
+product per matrix.
 """
 
 from __future__ import annotations
@@ -83,18 +89,20 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
     return rhos
 
 
-def _split_spectra(
-    values: np.ndarray, vectors: np.ndarray, tol: Tolerances
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Intersection dimension, defects and directions of stacked spectra (see :func:`_split_rows`).
+def _split_set(rhos, tol: Tolerances) -> tuple:
+    """The checked set, its stacked spectra, and the intersection split of their supports.
 
-    The rows are the conjugated null-space eigenvectors, matrix by matrix
-    (see :func:`statecompat.density._spectra` for the stacking).
+    Returns (rhos, values, vectors, count, defects, directions): the set as
+    a list, the eigenvalues (n, d) and eigenvectors (n, d, d) stacked once
+    (see :func:`statecompat.density._spectra`), and the intersection
+    dimension, defects and directions of one SVD (see :func:`_split_rows`)
+    whose rows are the conjugated null-space eigenvectors, matrix by matrix.
     """
-    ranks = _ranks(values, tol)
+    rhos = _check_rhos(rhos)
+    values, vectors = _spectra(rhos)
     dim = values.shape[1]
-    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
-    return _split_rows(rows, dim, tol)
+    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= _ranks(values, tol)[:, None]].conj()
+    return (rhos, values, vectors, *_split_rows(rows, dim, tol))
 
 
 def _intersection_basis(vectors: np.ndarray, count: int, directions: np.ndarray) -> np.ndarray:
@@ -112,8 +120,7 @@ def support_compatible(
     rhos, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    values, vectors = _spectra(_check_rhos(rhos))
-    count, _, directions = _split_spectra(values, vectors, tol)
+    _, values, vectors, count, _, directions = _split_set(rhos, tol)
     basis = _intersection_basis(vectors, count, directions)
     return count >= 1, Subspace._trusted(values.shape[1], basis)
 
@@ -123,8 +130,7 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     It is spanned by the null spaces of the matrices taken together.
     """
-    values, vectors = _spectra(_check_rhos(rhos))
-    count, _, directions = _split_spectra(values, vectors, tol)
+    _, values, _, count, _, directions = _split_set(rhos, tol)
     return Subspace._trusted(values.shape[1], fix_phase(directions[:, count:]))
 
 
@@ -175,9 +181,7 @@ def product_nonzero(
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
-    rhos = _check_rhos(rhos)
-    values, vectors = _spectra(rhos)
-    count, defects, directions = _split_spectra(values, vectors, tol)
+    rhos, values, vectors, count, defects, directions = _split_set(rhos, tol)
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
 

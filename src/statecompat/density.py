@@ -24,6 +24,13 @@ they are computed in one array pass over the stacked spectra
 completion cut to the largest rank, the surplus eigenvectors, and the
 ensemble checks as stacked tests that name the first offending observer.
 :func:`ensemble_containing` is that pass for one matrix.
+
+Two absolute tolerances hold every "must be one" decision of the package,
+one per meaning: :data:`TRACE_TOL` (1e-8) for a total probability, the trace
+of a density matrix and an ensemble's weight sum; :data:`UNIT_TOL` (1e-10)
+for a norm or overlap, of ensemble states, of the joint state and of the
+ensembles' leading states in :func:`statecompat.scenario.build_joint_state`.
+Everything else compares against :class:`statecompat.linalg.Tolerances`.
 """
 
 from __future__ import annotations
@@ -53,14 +60,14 @@ from .linalg import (
     zero_cutoff,
 )
 
-#: Absolute tolerance on the trace of a density matrix.
+#: Absolute tolerance on a total probability that must be one: the trace of a
+#: density matrix, the weight sum of an ensemble (whose defect is then
+#: renormalized away).
 TRACE_TOL = 1e-8
 
-#: Absolute tolerance on the norm of ensemble states.
+#: Absolute tolerance on a norm or overlap that must be one: ensemble states,
+#: joint states, and the overlap of the ensembles' leading states.
 UNIT_TOL = 1e-10
-
-#: Tolerated defect of an ensemble's weight sum before renormalization.
-WEIGHT_SUM_TOL = 1e-8
 
 
 class DensityMatrix:
@@ -99,7 +106,7 @@ class DensityMatrix:
 
 @dataclass(eq=False)
 class Ensemble:
-    """Positive weights and unit states; weights must sum to one within 1e-8.
+    """Positive weights and unit states; weights must sum to one within :data:`TRACE_TOL`.
 
     A weight-sum defect below the tolerance is silently renormalized away so
     that values surviving a file round trip remain acceptable. The terms are
@@ -114,10 +121,15 @@ class Ensemble:
             raise StateCompatError("ensemble dimension must be positive")
         if not self.terms:
             raise StateCompatError("ensemble must contain at least one term")
-        weights = np.array([float(w) for w, _ in self.terms])
+        try:
+            weights = np.array([float(w) for w, _ in self.terms])
+        except (TypeError, ValueError) as exc:
+            raise StateCompatError(
+                f"ensemble terms must be (real weight, state) pairs: {exc}"
+            ) from exc
         try:
             states = np.array([s for _, s in self.terms], dtype=np.complex128)
-        except ValueError:  # states of different lengths
+        except (TypeError, ValueError):  # states of different lengths, or not numbers
             states = None
         if states is None or states.ndim != 2 or states.shape[1] != self.dim:
             for _, state in self.terms:
@@ -143,7 +155,7 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
     Row k holds ensemble k: the terms of ``weights`` (n, m) and ``states``
     (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
     the first of these checks it fails: positive weights, unit states within
-    :data:`UNIT_TOL`, a weight sum within :data:`WEIGHT_SUM_TOL` of one.
+    :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one.
     """
     weights = np.where(keep, weights, 0.0)
     norms = np.linalg.norm(states, axis=-1)
@@ -151,7 +163,7 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
     unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
     totals = weights.sum(axis=1)
     # kept weights that pass are positive, so their sum is never NaN
-    fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= WEIGHT_SUM_TOL)
+    fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= TRACE_TOL)
     if fine.all():
         return totals
     k = int(np.argmin(fine))
@@ -164,7 +176,7 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
             raise StateCompatError("vector contains non-finite entries")
         raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[k, i]:.12g})")
     raise StateCompatError(
-        f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {WEIGHT_SUM_TOL}"
+        f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {TRACE_TOL}"
     )
 
 

@@ -27,7 +27,7 @@ complex128, so every double round-trips bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -51,8 +51,7 @@ class Instance:
 
     def tolerances(self, rank_rel: float | None = None, match_abs: float | None = None) -> Tolerances:
         """Resolve tolerances: explicit arguments beat file overrides beat defaults."""
-        merged = {}
-        merged.update(self.tol_overrides)
+        merged = dict(self.tol_overrides)
         if rank_rel is not None:
             merged["rank_rel"] = rank_rel
         if match_abs is not None:
@@ -149,7 +148,11 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-vector_to_pairs = matrix_to_pairs
+def _to_json(value):
+    """A report field as JSON: a complex array as ``[re, im]`` pairs, any other array as lists."""
+    if isinstance(value, np.ndarray):
+        return matrix_to_pairs(value) if value.dtype.kind == "c" else value.tolist()
+    return value
 
 
 def instance_payload(instance: Instance) -> dict:
@@ -172,24 +175,17 @@ def report_payload(
     instance: Instance,
     scenario: ScenarioResult | None = None,
 ) -> dict:
-    """Assemble the JSON object written by the check and scenario commands."""
+    """Assemble the JSON object written by the check and scenario commands.
+
+    ``"report"`` holds every :class:`CompatReport` field, through
+    :func:`_to_json`, and the matrix names.
+    """
     payload = {
         "tolerances": {"rank_rel": tol.rank_rel, "match_abs": tol.match_abs},
         "instance": instance_payload(instance),
         "report": {
-            "dim": report.dim,
-            "n_matrices": report.n_matrices,
             "names": list(names),
-            "compatible": report.compatible,
-            "intersection_dim": report.intersection_dim,
-            "forbidden_dim": report.forbidden_dim,
-            "witness": None if report.witness is None else vector_to_pairs(report.witness),
-            "pairwise_commute": np.asarray(report.pairwise_commute).tolist(),
-            "commute_residual": np.asarray(report.commute_residual).tolist(),
-            "pairwise_product_nonzero": np.asarray(report.pairwise_product_nonzero).tolist(),
-            "product_overlap": np.asarray(report.product_overlap).tolist(),
-            "marginal": report.marginal,
-            "notes": list(report.notes),
+            **{f.name: _to_json(getattr(report, f.name)) for f in fields(report)},
         },
     }
     if scenario is not None:

@@ -11,6 +11,7 @@ function boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +50,24 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rel", "match_abs"):
             value = getattr(self, name)
-            if not 0.0 < value < 1e-2:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1e-2):
                 raise StateCompatError(f"{name} must lie in (0, 1e-2), got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
 
 
+def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
+    """``np.asarray``, raising :class:`StateCompatError` for input numpy cannot convert."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged nesting, strings, objects
+        raise StateCompatError(f"cannot read the {what} as an array of numbers: {exc}") from exc
+
+
 def as_complex_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d complex128 array."""
-    arr = np.asarray(v, dtype=np.complex128)
+    arr = as_array(v, "vector")
     if arr.ndim != 1:
         raise StateCompatError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
@@ -70,7 +79,7 @@ def as_complex_vector(v) -> np.ndarray:
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a finite, non-empty 2-d complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
+    arr = as_array(m, "matrix")
     if arr.ndim != 2:
         raise StateCompatError(f"expected a 2-d matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -172,7 +181,7 @@ class Subspace:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise StateCompatError("ambient dimension must be positive")
-        basis = np.asarray(self.basis, dtype=np.complex128)
+        basis = as_array(self.basis, "basis")
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise StateCompatError(
                 f"basis must be {self.ambient_dim} x k, got shape {basis.shape}"

@@ -26,14 +26,19 @@ matrix rows^T rows^*; neither step needs the dense form.
 state, decompose every input around it, condition each observer on the
 level-0 outcome, trace down to the system, and report the distance to the
 original assignment. It computes only what it returns: the spectra are
-stacked once for the support test and the ensembles, one array call
-(:func:`statecompat.density._ensembles_around`) gives every ensemble, and
-observer k's level-0 rows of the joint state (phi and k's own scaled extra
+stacked once, by the support test of the check path
+(:func:`statecompat.compat._split_set`), and serve the ensembles too; one
+array call (:func:`statecompat.density._ensembles_around`) gives every
+ensemble, and observer k's level-0 rows of the joint state (phi and k's own scaled extra
 terms) are read straight from those arrays, so all n reductions are one
 batched Gram product and no :class:`CompositeState` is built. A Gram matrix
 is positive semidefinite by construction, so the recovered matrices are not
 validated or diagonalized again; the distance to the validated input is the
-check. A single assignment is realized by two observers holding it.
+check. A single assignment is realized by two observers holding it. The
+probability of the all-zero outcome comes from the same arrays, as
+:attr:`ScenarioResult.joint_zero_probability`; the tests check it against the
+all-zero block of the :class:`CompositeState` that :func:`build_joint_state`
+assembles.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import _check_rhos, _intersection_basis, _split_spectra
-from .density import DensityMatrix, _ensembles_around, _spectra
+from .compat import _check_rhos, _intersection_basis, _split_set
+from .density import UNIT_TOL, DensityMatrix, _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -51,10 +56,7 @@ from .errors import (
     StateCompatError,
     ZeroProjectionError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, as_complex_vector
-
-#: Absolute tolerance on the norm of composite-state amplitudes.
-NORM_TOL = 1e-10
+from .linalg import DEFAULT_TOL, Tolerances, as_array, as_complex_matrix, as_complex_vector
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
@@ -104,7 +106,7 @@ class CompositeState(BlockState):
             )
         if self.system_dim < 1:
             raise StateCompatError("system dimension must be positive")
-        patterns = np.asarray(self.patterns)
+        patterns = as_array(self.patterns, "ancilla patterns", None)
         if not np.issubdtype(patterns.dtype, np.integer):
             raise StateCompatError(f"ancilla patterns must be integers, got {patterns.dtype}")
         patterns = np.ascontiguousarray(patterns, dtype=np.intp)
@@ -126,7 +128,7 @@ class CompositeState(BlockState):
         if len({row.tobytes() for row in patterns}) != n_blocks:
             raise StateCompatError("ancilla patterns must be distinct")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > UNIT_TOL:
             raise StateCompatError(f"composite state is not normalized (|v| = {norm:.12g})")
         zero_rows = amps[~patterns.any(axis=1)]
         if float(np.linalg.norm(zero_rows)) == 0.0:
@@ -158,7 +160,8 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     """Assemble the composite pure state from per-observer ensembles.
 
     Every ensemble's first term must carry the shared state (the term-0
-    states must pairwise overlap to within 1e-10 of unit modulus) with a
+    states must overlap with the first one to within
+    :data:`statecompat.density.UNIT_TOL` of unit modulus) with a
     strictly positive weight. Ancilla k needs one level per extra term of
     every *other* ensemble, so its dimension is 1 + max over j != k of the
     extra-term counts; an observer whose peers are all single-term gets a
@@ -177,10 +180,10 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     leads = np.array([e.terms[0][1] for e in ensembles])
     overlaps = np.abs(leads @ phi.conj())  # |<phi, lead_k>|
     lead_weights = np.array([e.terms[0][0] for e in ensembles])
-    bad = np.flatnonzero((overlaps < 1.0 - 1e-10) | ~(lead_weights > 0.0))
+    bad = np.flatnonzero((overlaps < 1.0 - UNIT_TOL) | ~(lead_weights > 0.0))
     if bad.size:
         k = int(bad[0])
-        if overlaps[k] < 1.0 - 1e-10:
+        if overlaps[k] < 1.0 - UNIT_TOL:
             raise CommonStateMismatchError(
                 f"ensemble {k} leads with a state of overlap {overlaps[k]:.12g} "
                 "with the shared state; the leading states must coincide up to phase"
@@ -202,12 +205,6 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     amplitudes = np.vstack((phi, np.sqrt(weights / lead_weights[owner])[:, None] * states))
     amplitudes /= np.linalg.norm(amplitudes)
     return CompositeState(ancilla_dims, system_dim, patterns, amplitudes)
-
-
-def joint_zero_outcome_probability(psi: CompositeState) -> float:
-    """Probability that every observer finds their ancilla at level 0."""
-    block = psi.amplitudes[~psi.patterns.any(axis=1)]
-    return float(np.vdot(block, block).real)
 
 
 def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
@@ -281,11 +278,10 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     Raises :class:`IncompatibleError` when the supports share no state. For a
     compatible set, each observer's recovered density matrix should match the
     corresponding input to within ``tol.match_abs`` in Frobenius norm. The
-    spectra are stacked once, for the support test and the ensembles.
+    spectra are stacked once, by :func:`statecompat.compat._split_set`, for
+    the support test and the ensembles.
     """
-    rhos = _check_rhos(rhos)
-    values, vectors = _spectra(rhos)
-    count, _, directions = _split_spectra(values, vectors, tol)
+    rhos, values, vectors, count, _, directions = _split_set(rhos, tol)
     if count == 0:
         raise IncompatibleError(_NO_SHARED_STATE)
     return _realize(rhos, values, vectors, _intersection_basis(vectors, 1, directions)[:, 0], tol)
@@ -300,15 +296,12 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
     """
     if phi is None:
         raise IncompatibleError(_NO_SHARED_STATE)
-    rhos = list(rhos)
-    if not rhos:
-        raise StateCompatError("need at least one observer, got 0")
+    rhos = _check_rhos(rhos)
     phi = as_complex_vector(phi)
-    for rho in rhos:
-        if rho.dim != phi.shape[0]:
-            raise DimensionMismatchError(
-                f"vector length {phi.shape[0]} != ambient dimension {rho.dim}"
-            )
+    if phi.shape[0] != rhos[0].dim:
+        raise DimensionMismatchError(
+            f"vector length {phi.shape[0]} != ambient dimension {rhos[0].dim}"
+        )
     return _realize(rhos, *_spectra(rhos), phi, tol)
 
 

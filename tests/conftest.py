@@ -7,13 +7,14 @@ single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
-one subspace) live here as references for the tests that use them, and are
-checked themselves. So do the earlier forms of five library paths: the
-phase convention with every anchor found by argmax, validation through a
-separately coerced, symmetrized and diagonalized matrix, the support split
-with every direction phase-fixed and wrapped, the pairwise conditions one
-pair at a time, and the scenario one observer at a time (one Householder
-completion, one checked ensemble and one recovered matrix per observer).
+one subspace, the all-zero outcome probability of a joint state) live here
+as references for the tests that use them, and are checked themselves. So
+do the earlier forms of five library paths: the phase convention with every
+anchor found by argmax, validation through a separately coerced, symmetrized
+and diagonalized matrix, the support split with every direction phase-fixed
+and wrapped, the pairwise conditions one pair at a time, and the scenario
+one observer at a time (one Householder completion, one checked ensemble and
+one recovered matrix per observer).
 """
 
 from __future__ import annotations
@@ -430,6 +431,15 @@ def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:
     terms += [(r0, state) for state in householder_completion(basis, coeffs).T]
     terms += [(float(surplus[i]), vectors[:, i]) for i in extra]
     return Ensemble(rho.dim, terms)
+
+
+def joint_zero_outcome_probability(psi: CompositeState) -> float:
+    """Probability that every observer finds their ancilla at level 0.
+
+    It is the squared norm of the all-zero pattern's block.
+    """
+    block = psi.amplitudes[~psi.patterns.any(axis=1)]
+    return float(np.vdot(block, block).real)
 
 
 def loop_scenario(rhos, phi, tol=DEFAULT_TOL) -> tuple[CompositeState, ScenarioResult]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import statecompat
 from statecompat import compat
 from statecompat.cli import main
-from statecompat.compat import full_report
+from statecompat.compat import CompatReport, full_report
 from statecompat.density import validate_density
 from statecompat.generate import random_unitary
 from statecompat.linalg import DEFAULT_TOL
@@ -187,6 +188,25 @@ def test_scenario_incompatible_exits_one(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert "scenario" not in payload
     assert payload["report"]["compatible"] is False
+
+
+@pytest.mark.parametrize("verb", ["check", "scenario"])
+@pytest.mark.parametrize("matrices", [spin_pair(), [np.diag([0.75, 0.25]), np.eye(2) / 2]])
+def test_report_schema(tmp_path, verb, matrices):
+    """The report holds every CompatReport field plus the names; the scenario section's
+    keys are its own, written only when the round trip ran."""
+    path = write_instance(tmp_path / "inst.json", matrices)
+    out = tmp_path / "rep.json"
+    code = main([verb, "--input", str(path), "--output", str(out)])
+    payload = json.loads(out.read_text())
+    ran = verb == "scenario" and code == 0
+    assert set(payload) == {"instance", "report", "tolerances"} | ({"scenario"} if ran else set())
+    assert set(payload["report"]) == {"names"} | {f.name for f in fields(CompatReport)}
+    assert set(payload["tolerances"]) == {"rank_rel", "match_abs"}
+    if ran:
+        scenario = payload["scenario"]
+        assert set(scenario) == {"joint_zero_outcome_probability", "observers", "success"}
+        assert [set(o) for o in scenario["observers"]] == [{"name", "recovery_distance"}] * 2
 
 
 def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):

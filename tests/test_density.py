@@ -26,7 +26,8 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, hermitian_eig
+from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, hermitian_eig, zero_cutoff
+from statecompat.scenario import CompositeState, scenario_with_shared_state
 
 from conftest import (
     eigen_ensemble,
@@ -417,6 +418,97 @@ def test_support_of_reconstruction_matches_state_span():
         supp = support(ensemble_to_density(e))
         span = span_of(np.column_stack(states))
         assert np.linalg.norm(supp.projector() - span.projector()) <= 1e-8
+
+
+# ------------------------------------------------------ tolerance boundaries
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_a_total_probability_is_one_within_trace_tol(factor):
+    """The trace of a density matrix and the weight sum of an ensemble share TRACE_TOL = 1e-8."""
+    excess = factor * 1e-8
+    matrix = np.diag([0.5 + excess, 0.5])
+    terms = [(0.5 + excess, E0), (0.5, E1)]
+    if factor < 1.0:
+        assert validate_density(matrix).matrix.trace().real == pytest.approx(1.0, abs=1e-15)
+        assert sum(w for w, _ in Ensemble(2, terms).terms) == pytest.approx(1.0, abs=1e-15)
+    else:
+        with pytest.raises(TraceNotOneError):
+            validate_density(matrix)
+        with pytest.raises(StateCompatError, match="weights sum to"):
+            Ensemble(2, terms)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_ensemble_state_is_unit_within_unit_tol(factor, sign):
+    """UNIT_TOL = 1e-10 on each side of unit norm."""
+    state = (1.0 + sign * factor * 1e-10) * E0
+    if factor < 1.0:
+        Ensemble(2, [(1.0, state)])
+    else:
+        with pytest.raises(StateCompatError, match="not unit norm"):
+            Ensemble(2, [(1.0, state)])
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("rank_rel", [1e-10, 1e-6])
+def test_negative_eigenvalues_are_clamped_up_to_the_zero_cutoff(factor, rank_rel):
+    """validate_density's negativity threshold is zero_cutoff of the spectrum (relative to
+    its largest eigenvalue, 0.7 here): accepted and clamped to zero below it, refused above."""
+    tol = Tolerances(rank_rel=rank_rel)
+    depth = factor * float(zero_cutoff(np.array([0.7, 0.3, 0.0]), tol))
+    matrix = np.diag([0.7, 0.3 + depth, -depth])
+    if factor < 1.0:
+        rho = validate_density(matrix, tol)
+        assert rho.spectrum.eigenvalues[-1] == 0.0
+        np.testing.assert_allclose(rho.matrix, np.diag([0.7, 0.3 + depth, 0.0]) / (1.0 + depth),
+                                   rtol=0, atol=1e-16)
+    else:
+        with pytest.raises(NotPositiveError):
+            validate_density(matrix, tol)
+
+
+# ------------------------------------------------------------ unreadable input
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_density([[1, 0], [0]]),
+        lambda: validate_density("abc"),
+        lambda: DensityMatrix([[1, 0], [0]]),
+        lambda: Ensemble(2, [("x", E0)]),
+        lambda: Ensemble(2, [(None, E0)]),
+        lambda: Ensemble(2, [(1.0, "ab")]),
+        lambda: Ensemble(2, [(1.0,)]),
+        lambda: ensemble_containing(validate_density(np.diag([1.0, 0.0])), "ab"),
+        lambda: scenario_with_shared_state([validate_density(np.diag([1.0, 0.0]))], [1, [0]]),
+        lambda: Subspace(2, [[1, 0], [0]]),
+        lambda: CompositeState([2, 2], 2, [[0, 0], [1]], [[1.0, 0.0], [0.0, 0.0]]),
+        lambda: Tolerances(rank_rel="1e-3"),
+        lambda: Tolerances(match_abs=np.array([1e-3, 1e-3])),
+    ],
+    ids=["ragged matrix", "string matrix", "ragged DensityMatrix", "string weight",
+         "None weight", "string state", "term without state", "string vector",
+         "ragged shared state", "ragged basis", "ragged patterns", "string tolerance",
+         "array tolerance"],
+)
+def test_unreadable_input_raises_a_one_line_statecompat_error(call):
+    """Input numpy cannot convert raises the package's error class, not a bare
+    ValueError or TypeError, with a one-line message."""
+    with pytest.raises(StateCompatError) as info:
+        call()
+    assert str(info.value) and "\n" not in str(info.value)
+
+
+def test_numpy_scalars_are_still_numbers():
+    tol = Tolerances(rank_rel=np.float64(1e-9), match_abs=np.float32(1e-7))
+    matrix = np.array([[np.float32(0.5), 0], [0, np.complex64(0.5)]], dtype=object)
+    rho = validate_density(matrix, tol)
+    assert rho.matrix.dtype == np.complex128
+    ensemble = Ensemble(2, [(np.float64(0.5), [np.int64(1), 0]), (np.float32(0.5), E1)])
+    assert [w for w, _ in ensemble.terms] == [0.5, 0.5]
 
 
 def test_density_matrix_direct_construction_checks_shape():

@@ -11,7 +11,6 @@ from statecompat.fileio import (
     load_instance,
     matrix_to_pairs,
     parse_instance,
-    vector_to_pairs,
 )
 from statecompat.generate import crandn
 
@@ -148,7 +147,7 @@ def test_serialize_parse_is_bit_exact(tmp_path):
 def test_vector_pairs_round_trip():
     rng = np.random.default_rng(1)
     v = crandn(rng, 5)
-    again = pairs_to_vector(json.loads(json.dumps(vector_to_pairs(v))))
+    again = pairs_to_vector(json.loads(json.dumps(matrix_to_pairs(v))))
     assert np.array_equal(again, v)
 
 

@@ -8,6 +8,7 @@ from conftest import (
     dense_conditional,
     dense_joint_tensor,
     dense_to_blocks,
+    joint_zero_outcome_probability,
     loop_ensemble_containing,
     loop_scenario,
     partial_trace,
@@ -39,7 +40,6 @@ from statecompat.generate import (
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
-    joint_zero_outcome_probability,
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
@@ -126,6 +126,31 @@ def test_joint_state_accepts_common_state_up_to_phase():
         [Ensemble(2, [(1.0, E0)]), Ensemble(2, [(0.5, phase * E0), (0.5, E1)])]
     )
     assert joint_zero_outcome_probability(psi) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_leading_states_coincide_within_unit_tol(factor):
+    """build_joint_state accepts leads whose overlap with the shared state is within
+    UNIT_TOL = 1e-10 of one."""
+    overlap = 1.0 - factor * 1e-10
+    lead = np.array([overlap, np.sqrt(1.0 - overlap**2)], dtype=complex)
+    ensembles = [Ensemble(2, [(1.0, E0)]), Ensemble(2, [(1.0, lead)])]
+    if factor < 1.0:
+        assert build_joint_state(ensembles).ancilla_dims == [1, 1]
+    else:
+        with pytest.raises(CommonStateMismatchError, match="overlap"):
+            build_joint_state(ensembles)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_composite_state_is_unit_within_unit_tol(factor, sign):
+    amplitudes = [[1.0 + sign * factor * 1e-10, 0.0]]
+    if factor < 1.0:
+        CompositeState([1, 1], 2, [[0, 0]], amplitudes)
+    else:
+        with pytest.raises(StateCompatError, match="not normalized"):
+            CompositeState([1, 1], 2, [[0, 0]], amplitudes)
 
 
 # --------------------------------------------------- joint outcome probability
@@ -494,6 +519,7 @@ def test_batched_scenario_matches_the_per_observer_loop(dim, n):
     assert psi.ancilla_dims == psi_ref.ancilla_dims
     np.testing.assert_array_equal(psi.patterns, psi_ref.patterns)
     assert np.max(np.abs(psi.amplitudes - psi_ref.amplitudes)) <= 1e-15
+    assert abs(joint_zero_outcome_probability(psi) - ref.joint_zero_probability) <= 1e-15
     for ensemble, rho in zip(ensembles[:10], rhos):
         assert_same_ensemble(ensemble, loop_ensemble_containing(rho, phi))
 
@@ -508,6 +534,14 @@ def test_batched_scenario_of_one_matrix_is_its_pair():
         assert single.success and len(single.recoveries) == 1
         assert single.distances == pair.distances[:1]
         assert single.joint_zero_probability == pair.joint_zero_probability
+
+
+def test_shared_state_scenario_checks_the_set():
+    """scenario_with_shared_state checks its set as the other entry points do."""
+    with pytest.raises(StateCompatError, match="at least one"):
+        scenario_with_shared_state([], E0)
+    with pytest.raises(DimensionMismatchError):
+        scenario_with_shared_state([pure(E0), validate_density(np.eye(3) / 3)], E0)
 
 
 def raised(call, *args):
