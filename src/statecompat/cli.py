@@ -13,6 +13,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .compat import full_report
@@ -28,6 +29,7 @@ EXIT_INCOMPATIBLE = 1
 EXIT_ERROR = 2
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statecompat",

@@ -22,12 +22,23 @@ FILE`` pretty-prints one); reading accepts any layout. Numbers move between
 JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for shape
 and type, then converted in one ``np.array`` call and reinterpreted as
 complex128, so every double round-trips bit for bit.
+
+An input laid out as the writer lays it out is echoed as read, without
+re-encoding a number: one line of ASCII (less one trailing newline) with no
+backslash or DEL, the top-level keys a sorted subset of ``dim``, ``matrices``
+and ``tolerances``, each matrix entry exactly ``name`` then ``rows``, and the
+``tolerances`` nonempty with sorted keys. Every file that ``generate`` writes
+is such a line, and so is a report's ``"instance"`` when no name needs an
+escape. The echo parses to the same matrices bit for bit; it can differ from
+the re-encoding only in how numbers are spelled (``1`` against ``1.0``,
+``1e-5`` against ``1e-05``), in whitespace between tokens, and in a key that
+the line repeats. Any other input is re-encoded.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -48,6 +59,9 @@ class Instance:
     names: list[str]
     matrices: list[np.ndarray]
     tol_overrides: dict[str, float] = field(default_factory=dict)
+    #: the file's line, when a report may echo it as read; set by :func:`load_instance`,
+    #: so code that changes a loaded instance must set it to None
+    echo: str | None = None
 
     def tolerances(self, rank_rel: float | None = None, match_abs: float | None = None) -> Tolerances:
         """Resolve tolerances: explicit arguments beat file overrides beat defaults."""
@@ -133,13 +147,27 @@ def parse_instance(obj) -> Instance:
     return Instance(dim=dim, names=names, matrices=matrices, tol_overrides=overrides)
 
 
+def _echo(text: str, obj: dict) -> str | None:
+    """``text`` less one trailing newline, if it spells ``obj`` as the writer
+    would up to numbers and whitespace (see the module docstring); else None."""
+    line, tols = text.removesuffix("\n"), obj.get("tolerances")
+    # a line break ends the line; a backslash or DEL in a string may be spelled otherwise
+    as_written = (line.isascii() and not any(c in line for c in "\n\r\\\x7f")
+                  and list(obj) == [key for key in ("dim", "matrices", "tolerances") if key in obj]
+                  and all(list(entry) == ["name", "rows"] for entry in obj["matrices"])
+                  and (tols is None or (bool(tols) and list(tols) == sorted(tols))))
+    return line if as_written else None
+
+
 def load_instance(path) -> Instance:
+    """Read and parse an instance file, keeping its line as the echo when it may be."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            text = fh.read()
+            obj = json.loads(text)
         except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    return parse_instance(obj)
+    return replace(parse_instance(obj), echo=_echo(text, obj))
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -153,6 +181,13 @@ def _to_json(value):
     if isinstance(value, np.ndarray):
         return matrix_to_pairs(value) if value.dtype.kind == "c" else value.tolist()
     return value
+
+
+@dataclass(frozen=True)
+class _Encoded:
+    """A value already spelled as JSON, which :func:`dump_payload` writes as is."""
+
+    text: str
 
 
 def instance_payload(instance: Instance) -> dict:
@@ -178,11 +213,12 @@ def report_payload(
     """Assemble the JSON object written by the check and scenario commands.
 
     ``"report"`` holds every :class:`CompatReport` field, through
-    :func:`_to_json`, and the matrix names.
+    :func:`_to_json`, and the matrix names. ``"instance"`` is the instance's
+    echo when it has one, else its re-encoding.
     """
     payload = {
         "tolerances": {"rank_rel": tol.rank_rel, "match_abs": tol.match_abs},
-        "instance": instance_payload(instance),
+        "instance": instance_payload(instance) if instance.echo is None else _Encoded(instance.echo),
         "report": {
             "names": list(names),
             **{f.name: _to_json(getattr(report, f.name)) for f in fields(report)},
@@ -203,8 +239,16 @@ def report_payload(
 def dump_payload(payload: dict, fh) -> None:
     """Write ``payload`` as one line of JSON with sorted keys.
 
-    A one-shot ``json.dumps`` without ``indent`` runs in the C encoder; with
-    ``indent`` CPython falls back to the pure-Python one. Both print floats
-    with ``float.__repr__``, so every value reads back bit-exactly.
+    The top-level values are written one by one, in key order: a value
+    already encoded goes in as is, and any other goes through ``json.dumps``
+    with sorted keys. So without an encoded value the line is byte-identical
+    to ``json.dumps(payload, sort_keys=True)``. ``json.dumps`` without
+    ``indent`` runs in the C encoder (with ``indent`` CPython falls back to
+    the pure-Python one), and it prints floats with ``float.__repr__``, so
+    every value reads back bit-exactly.
     """
-    fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    fh.write("{")
+    for i, (key, value) in enumerate(sorted(payload.items())):
+        text = value.text if isinstance(value, _Encoded) else json.dumps(value, sort_keys=True)
+        fh.write(f"{', ' if i else ''}{json.dumps(key)}: {text}")
+    fh.write("}\n")

@@ -52,6 +52,7 @@ class Tolerances:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0.0 < value < 1e-2):
                 raise StateCompatError(f"{name} must lie in (0, 1e-2), got {value!r}")
+            object.__setattr__(self, name, float(value))  # a numpy scalar is no JSON number
 
 
 DEFAULT_TOL = Tolerances()

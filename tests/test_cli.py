@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import statecompat
 from statecompat import compat
-from statecompat.cli import main
+from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
 from statecompat.density import validate_density
 from statecompat.generate import random_unitary
@@ -22,6 +22,7 @@ from statecompat.fileio import (
     Instance,
     dump_payload,
     instance_payload,
+    load_instance,
     parse_instance,
 )
 
@@ -345,6 +346,54 @@ def test_reports_are_byte_identical_one_line_sorted_json(tmp_path):
     for path in files:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def old_writer(report_text: str) -> str:
+    """A report as the writer before the echo wrote it: the instance re-encoded,
+    then ``json.dumps(payload, sort_keys=True)`` plus a newline."""
+    payload = json.loads(report_text)
+    payload["instance"] = instance_payload(parse_instance(payload["instance"]))
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["compatible", "incompatible", "pairwise-only"])
+def test_spliced_reports_match_the_old_writer(tmp_path, capsys, mode):
+    for dim in range(2, 9):
+        for count in (2, 3):
+            if mode == "pairwise-only" and (dim < 3 or count != 3):
+                continue
+            gen = tmp_path / f"{dim}-{count}.json"
+            assert main(["generate", "--dim", str(dim), "--count", str(count), "--seed", str(dim),
+                         "--mode", mode, "--output", str(gen)]) == 0
+            line = gen.read_text().removesuffix("\n")
+            assert load_instance(gen).echo == line
+            for verb in ("check", "scenario"):
+                out = tmp_path / f"{dim}-{count}.{verb}.json"
+                main([verb, "--input", str(gen), "--output", str(out)])
+                text = out.read_text()
+                assert text.startswith(f'{{"instance": {line}, ')
+                assert text == old_writer(text), (dim, count, verb)
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    gen, tight, plain, again = (tmp_path / f"{n}.json" for n in ("gen", "tight", "plain", "again"))
+    assert main(["generate", "--dim", "3", "--count", "2", "--seed", "4", "--output", str(gen)]) == 0
+    assert main(["check", "--input", str(gen), "--tol-rank", "1e-6", "--output", str(tight)]) == 0
+    assert main(["check", "--input", str(gen), "--output", str(plain)]) == 0
+    assert json.loads(tight.read_text())["tolerances"]["rank_rel"] == 1e-6
+    assert json.loads(plain.read_text())["tolerances"] == {"match_abs": 1e-8, "rank_rel": 1e-10}
+    generated = tmp_path / "defaults.json"
+    assert main(["generate", "--output", str(generated)]) == 0
+    inst = load_instance(generated)
+    assert inst.dim == 2 and len(inst.matrices) == 2  # the defaults, not the last check's input
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", "--input", str(gen), "--tol-bogus", "1"])
+    assert excinfo.value.code == 2
+    assert main(["check", "--input", str(gen), "--output", str(again)]) == 0
+    assert again.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
 
 
 def test_generate_seeds_differ(tmp_path):

@@ -1,8 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+from statecompat.compat import full_report
+from statecompat.density import validate_density
 from statecompat.errors import InstanceFormatError
 from statecompat.fileio import (
     Instance,
@@ -11,8 +14,10 @@ from statecompat.fileio import (
     load_instance,
     matrix_to_pairs,
     parse_instance,
+    report_payload,
 )
-from statecompat.generate import crandn
+from statecompat.generate import crandn, generate_instance
+from statecompat.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import pairs_to_vector
 
@@ -161,3 +166,129 @@ def test_tolerance_resolution_order():
     assert inst.tolerances().rank_rel == 1e-9          # file override
     assert inst.tolerances().match_abs == 1e-8         # default
     assert inst.tolerances(rank_rel=1e-7).rank_rel == 1e-7  # flag beats file
+
+
+def test_report_with_numpy_scalar_tolerances_is_written():
+    tol = Tolerances(rank_rel=np.float32(1e-6), match_abs=np.float64(1e-8))
+    assert type(tol.rank_rel) is float and type(tol.match_abs) is float
+    inst = Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0]).astype(complex)])
+    rhos = [validate_density(m, tol) for m in inst.matrices]
+    buf = io.StringIO()
+    dump_payload(report_payload(full_report(rhos, tol), inst.names, tol, inst), buf)
+    written = json.loads(buf.getvalue())["tolerances"]
+    assert written == {"match_abs": 1e-8, "rank_rel": float(np.float32(1e-6))}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{}, {"b": {"z": 1, "a": [1.5, None, -0.0, float("inf")]}, "a": "\u00e9", "\u00fc": True}],
+)
+def test_dump_payload_matches_json_dumps_without_encoded_values(payload):
+    buf = io.StringIO()
+    dump_payload(payload, buf)
+    assert buf.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+# -------------------------------------------------------------------- echo
+
+
+def canonical_obj() -> dict:
+    matrices = generate_instance(3, 2, 5, "compatible")
+    inst = Instance(dim=3, names=["rho_1", "rho_2"], matrices=matrices,
+                    tol_overrides={"match_abs": 1e-8, "rank_rel": 1e-10})
+    return instance_payload(inst)
+
+
+def reordered(obj: dict) -> dict:
+    return {key: obj[key] for key in reversed(list(obj))}
+
+
+def echoed_instance(path) -> str:
+    """The ``"instance"`` text of the report written for the instance file at ``path``."""
+    inst = load_instance(path)
+    report = full_report([validate_density(m) for m in inst.matrices])
+    buf = io.StringIO()
+    dump_payload(report_payload(report, inst.names, DEFAULT_TOL, inst), buf)
+    text, head, tail = buf.getvalue(), '{"instance": ', ', "report": '
+    assert text.startswith(head)
+    return text[len(head):text.index(tail)]
+
+
+def variant(obj: dict, how: str) -> str:
+    """The instance ``obj`` written out in one of the layouts the writer does not use."""
+    obj = json.loads(json.dumps(obj))
+    line = json.dumps(obj, sort_keys=True)
+    if how == "pretty":
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if how == "pretty-crlf":
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\r\n") + "\r\n"
+    if how == "crlf":
+        return line + "\r\n"
+    if how == "no-trailing-newline":
+        return line
+    if how == "unsorted-top-level":
+        return json.dumps(reordered(obj)) + "\n"
+    if how == "unsorted-entry":
+        obj["matrices"] = [reordered(entry) for entry in obj["matrices"]]
+        return json.dumps(obj) + "\n"
+    if how == "unsorted-tolerances":
+        obj["tolerances"] = reordered(obj["tolerances"])
+        return json.dumps(obj) + "\n"
+    if how == "empty-tolerances":
+        obj["tolerances"] = {}
+        return json.dumps(obj, sort_keys=True) + "\n"
+    if how == "names-left-out":
+        for entry in obj["matrices"]:
+            del entry["name"]
+        return json.dumps(obj, sort_keys=True) + "\n"
+    if how == "extra-top-level-key":
+        obj["comment"] = "by hand"
+        return json.dumps(obj, sort_keys=True) + "\n"
+    if how == "extra-entry-key":
+        obj["matrices"][0]["note"] = 1
+        return json.dumps(obj, sort_keys=True) + "\n"
+    if how == "non-ascii-name":
+        obj["matrices"][0]["name"] = "\u03c1_A"
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+    if how == "escaped-name":
+        return line.replace('"rho_1"', '"rho\\u005f1"') + "\n"
+    if how == "del-in-name":
+        return line.replace('"rho_1"', '"rho\x7f1"') + "\n"
+    raise AssertionError(how)
+
+
+@pytest.mark.parametrize("how", [
+    "pretty", "pretty-crlf", "crlf", "no-trailing-newline", "unsorted-top-level",
+    "unsorted-entry", "unsorted-tolerances", "empty-tolerances", "names-left-out",
+    "extra-top-level-key", "extra-entry-key", "non-ascii-name", "escaped-name", "del-in-name",
+])
+def test_other_layouts_are_echoed_as_the_canonical_encoding(tmp_path, how):
+    text = variant(canonical_obj(), how)
+    path = tmp_path / "variant.json"
+    path.write_bytes(text.encode("utf-8"))
+    canonical = json.dumps(instance_payload(parse_instance(json.loads(text))), sort_keys=True)
+    assert echoed_instance(path) == canonical
+    # only a line the writer could have written is kept as read
+    assert (load_instance(path).echo is not None) == (how in ("crlf", "no-trailing-newline"))
+
+
+def test_writer_line_is_echoed_as_read(tmp_path):
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(canonical_obj(), fh)
+    line = path.read_text().removesuffix("\n")
+    assert load_instance(path).echo == line
+    assert echoed_instance(path) == line
+
+
+def test_one_line_input_with_integers_is_echoed_as_read(tmp_path):
+    line = ('{"dim": 2, "matrices": [{"name": "a", "rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}, '
+            '{"name": "b", "rows": [[[1,0],[0,0]],[[0,0],[0,-0]]]}], "tolerances": {"rank_rel": 1e-5}}')
+    path = tmp_path / "ints.json"
+    path.write_text(line + "\n")
+    echo = echoed_instance(path)
+    assert echo == line
+    again = parse_instance(json.loads(echo))
+    for got, want in zip(again.matrices, load_instance(path).matrices):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert again.tol_overrides == {"rank_rel": 1e-5}
