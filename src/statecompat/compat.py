@@ -12,11 +12,13 @@ within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
 Every other direction is forbidden. Every entry point that decides the
 intersection (:func:`support_compatible`, :func:`forbidden_subspace`,
 :func:`full_report` and :func:`statecompat.scenario.run_scenario`) starts
-with :func:`_split_set`: it checks the set, stacks the spectra once and
-runs the SVD, which yields the intersection dimension, the defects and the
-raw directions. :func:`full_report` and the scenario phase-fix only the
-witness column, and only the functions that return subspaces phase-fix and
-wrap the columns they return.
+with :func:`_split_set`: it checks the set, stacks the spectra once, makes
+the one rank decision (:func:`statecompat.density._rank_split`) and runs the
+SVD, which yields the intersection dimension, the defects and the raw
+directions; the scenario reuses the spectra with their cutoffs and ranks.
+:func:`full_report` and the scenario phase-fix only the witness column, and
+only the functions that return subspaces phase-fix and wrap the columns they
+return.
 
 Two older pairwise conditions are evaluated alongside for comparison:
 commutation of the pair (neither necessary nor sufficient) and a nonzero
@@ -24,16 +26,18 @@ operator product (necessary but strictly weaker). Both are computed for all
 pairs at once: the overlaps tr(rho_a rho_b) as one Gram product of the
 flattened matrices, which equals the trace because the package's density
 matrices are exactly Hermitian, and the commutator norms from one batched
-product per matrix.
+product X = rho_a rho_b over the pairs a < b, as [rho_a, rho_b] = X - X^dag,
+taken in blocks of rows within a fixed byte budget (:data:`_PAIR_BLOCK_BYTES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .density import DensityMatrix, _ranks, _spectra
+from .density import DensityMatrix, _spectra
 from .errors import DimensionMismatchError, StateCompatError
 from .linalg import (
     DEFAULT_TOL,
@@ -43,6 +47,9 @@ from .linalg import (
     _split_rows,
     fix_phase,
 )
+
+#: Bytes of the pair products :func:`_commutator_norms` forms at once.
+_PAIR_BLOCK_BYTES = 1 << 18
 
 _MARGINAL_NOTE = (
     "marginal: a direction's distance from the supports lies within 10x "
@@ -92,17 +99,19 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
 def _split_set(rhos, tol: Tolerances) -> tuple:
     """The checked set, its stacked spectra, and the intersection split of their supports.
 
-    Returns (rhos, values, vectors, count, defects, directions): the set as
-    a list, the eigenvalues (n, d) and eigenvectors (n, d, d) stacked once
-    (see :func:`statecompat.density._spectra`), and the intersection
-    dimension, defects and directions of one SVD (see :func:`_split_rows`)
-    whose rows are the conjugated null-space eigenvectors, matrix by matrix.
+    Returns (rhos, spectra, count, defects, directions): the set as a list;
+    the eigenvalues (n, d) and eigenvectors (n, d, d) stacked once with
+    their zero cutoffs and ranks, by :func:`statecompat.density._spectra`,
+    as one tuple that the scenario's ensembles read too; and the
+    intersection dimension, defects and directions of one SVD (see
+    :func:`_split_rows`) whose rows are the conjugated null-space
+    eigenvectors, matrix by matrix.
     """
     rhos = _check_rhos(rhos)
-    values, vectors = _spectra(rhos)
+    spectra = values, vectors, _, ranks = _spectra(rhos, tol)
     dim = values.shape[1]
-    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= _ranks(values, tol)[:, None]].conj()
-    return (rhos, values, vectors, *_split_rows(rows, dim, tol))
+    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
+    return (rhos, spectra, *_split_rows(rows, dim, tol))
 
 
 def _intersection_basis(vectors: np.ndarray, count: int, directions: np.ndarray) -> np.ndarray:
@@ -120,7 +129,7 @@ def support_compatible(
     rhos, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    _, values, vectors, count, _, directions = _split_set(rhos, tol)
+    _, (values, vectors, _, _), count, _, directions = _split_set(rhos, tol)
     basis = _intersection_basis(vectors, count, directions)
     return count >= 1, Subspace._trusted(values.shape[1], basis)
 
@@ -130,8 +139,8 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     It is spanned by the null spaces of the matrices taken together.
     """
-    _, values, _, count, _, directions = _split_set(rhos, tol)
-    return Subspace._trusted(values.shape[1], fix_phase(directions[:, count:]))
+    _, _, count, _, directions = _split_set(rhos, tol)
+    return Subspace._trusted(directions.shape[0], fix_phase(directions[:, count:]))
 
 
 def _overlaps(matrices: np.ndarray) -> np.ndarray:
@@ -145,17 +154,35 @@ def _overlaps(matrices: np.ndarray) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
+@lru_cache(maxsize=16)
+def _block_pairs(n: int, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (first + a, b) with b > first + a of the rows first..last - 1, as (a, b).
+
+    Cached, as a set of n matrices has the same blocks at every call; the
+    arrays are read-only, as every call with these arguments shares them.
+    """
+    a, b = (np.arange(n) > np.arange(first, last)[:, None]).nonzero()
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def _commutator_norms(matrices: np.ndarray) -> np.ndarray:
     """||rho_a rho_b - rho_b rho_a||_F for all pairs of an (n, d, d) stack of Hermitian matrices.
 
-    Row a is one batched product X = rho_a rho_{a+1:}, as rho_b rho_a = X^dag; memory O(n^2 + nd^2).
+    For the pairs a < b, X = rho_a rho_b is one batched product and
+    rho_b rho_a = X^dag. The pairs go in blocks of whole rows a: as many
+    rows as keep n - 1 pairs per row within :data:`_PAIR_BLOCK_BYTES` of
+    products, and at least one, so memory stays O(n^2 + block). A block's
+    index arrays come from :func:`_block_pairs`, which keeps the last 16.
     """
-    n = len(matrices)
+    n, d = matrices.shape[:2]
     norms = np.zeros((n, n))
-    for a in range(n - 1):
-        x = matrices[a] @ matrices[a + 1 :]
-        diff = (x - x.conj().transpose(0, 2, 1)).reshape(n - a - 1, -1).view(np.float64)
-        norms[a, a + 1 :] = np.sqrt((diff * diff).sum(axis=1))
+    step = max(_PAIR_BLOCK_BYTES // (16 * d * d * max(n - 1, 1)), 1)
+    for first in range(0, n - 1, step):
+        a, b = _block_pairs(n, first, min(first + step, n - 1))
+        x = matrices[first:].take(a, axis=0) @ matrices.take(b, axis=0)
+        diff = (x - x.conj().transpose(0, 2, 1)).reshape(len(a), -1).view(np.float64)
+        norms[first:][a, b] = np.sqrt((diff * diff).sum(axis=1))
     return norms + norms.T
 
 
@@ -181,7 +208,7 @@ def product_nonzero(
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
-    rhos, values, vectors, count, defects, directions = _split_set(rhos, tol)
+    rhos, (values, vectors, _, _), count, defects, directions = _split_set(rhos, tol)
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
 

@@ -18,11 +18,20 @@ at the chosen vector; the eta_j come from one Householder reflector on the
 support's eigenvector basis, so no further factorization is needed. Such a
 rewriting exists exactly when the chosen vector lies in the support.
 
+Every rank comes from one decision, :func:`_rank_split`: an eigenvalue
+counts when it lies above its spectrum's zero cutoff. It is made once per
+set, where the spectra are stacked (:func:`_spectra`), and the support test
+of :mod:`statecompat.compat` and the scenario's ensembles read the same
+cutoffs and ranks.
+
 The scenario needs these ensembles for every observer around one state, so
 they are computed in one array pass over the stacked spectra
 (:func:`_ensembles_around`): all support defects, one batched Householder
 completion cut to the largest rank, the surplus eigenvectors, and the
 ensemble checks as stacked tests that name the first offending observer.
+The terms are written in place into one preallocated array (the state, the
+completion, the basis), and norms are summed squares, not
+``numpy.linalg.norm`` calls, so each quantity costs about one numpy call.
 :func:`ensemble_containing` is that pass for one matrix.
 
 Two absolute tolerances hold every "must be one" decision of the package,
@@ -158,7 +167,7 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
     :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one.
     """
     weights = np.where(keep, weights, 0.0)
-    norms = np.linalg.norm(states, axis=-1)
+    norms = np.sqrt((states.conj() * states).real.sum(axis=-1))
     positive = weights > 0.0
     unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
     totals = weights.sum(axis=1)
@@ -202,23 +211,30 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix._trusted(sym / trace, EigResult(values / trace, vectors))
 
 
-def _ranks(values: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Support dimension of each spectrum along the last axis: eigenvalues above its zero cutoff."""
-    return (values > zero_cutoff(values, tol)[..., None]).sum(axis=-1)
+def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The zero cutoffs and ranks of spectra stacked along the last axis.
+
+    The one rank decision of the package: an eigenvalue is kept when it lies
+    above its spectrum's :func:`statecompat.linalg.zero_cutoff`.
+    """
+    cutoffs = zero_cutoff(values, tol)
+    return cutoffs, (values > cutoffs[..., None]).sum(axis=-1)
 
 
-def _spectra(rhos) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues (n, d) and eigenvectors (n, d, d) of n matrices of one size, stacked."""
-    return (
-        np.array([r.spectrum.eigenvalues for r in rhos]),
-        np.array([r.spectrum.eigenvectors for r in rhos]),
-    )
+def _spectra(rhos, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """Stacked spectra of n matrices of one size: (values, vectors, cutoffs, ranks).
+
+    The eigenvalues (n, d) and eigenvectors (n, d, d), then their zero
+    cutoffs and ranks from :func:`_rank_split`: the one rank split of the set.
+    """
+    values = np.array([r.spectrum.eigenvalues for r in rhos])
+    return (values, np.array([r.spectrum.eigenvectors for r in rhos]), *_rank_split(values, tol))
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    spectrum = rho.spectrum
-    return Subspace._trusted(rho.dim, spectrum.eigenvectors[:, : _ranks(spectrum.eigenvalues, tol)])
+    rank = _rank_split(rho.spectrum.eigenvalues, tol)[1]
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, :rank])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -227,47 +243,51 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    spectrum = rho.spectrum
-    return Subspace._trusted(rho.dim, spectrum.eigenvectors[:, _ranks(spectrum.eigenvalues, tol) :])
+    rank = _rank_split(rho.spectrum.eigenvalues, tol)[1]
+    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, rank:])
 
 
 def _ensembles_around(
-    values: np.ndarray, vectors: np.ndarray, phi: np.ndarray, tol: Tolerances
+    values: np.ndarray, vectors: np.ndarray, cutoffs: np.ndarray, ranks: np.ndarray,
+    phi: np.ndarray, tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
-    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra and
-    ``phi`` a coerced d-vector. Each support basis is cut to the largest rank
-    R, its columns past its own rank zeroed, so one batched product gives
-    every support defect and one :func:`_householder_completions` call every
-    completion. Row k of the result is ensemble k as 2R candidate terms, of
-    which ``keep`` marks the real ones: phi with weight r_0, the completion
-    (R - 1 columns, weight r_0), then the eigenvectors with their surplus
-    r_i - r_0 (R columns). Weights are normalized as :class:`Ensemble` would.
-    Errors name the first observer that fails, with the check order of one
-    observer at a time: the support defect, then :func:`_check_terms`.
+    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra with
+    the ``cutoffs`` and ``ranks`` of :func:`_rank_split`, and ``phi`` a
+    coerced d-vector. Row k of the result is ensemble k as 2R candidate
+    terms, R the largest rank, of which ``keep`` marks the real ones: phi
+    with weight r_0, the completion (R - 1 columns, weight r_0), then the
+    eigenvectors with their surplus r_i - r_0 (R columns). The terms are
+    written in place into one (n, d, 2R) array, returned as its (n, 2R, d)
+    view: each support basis is cut to R, its columns past its own rank
+    zeroed, so one batched product gives every support defect and one
+    :func:`_householder_completions` call every completion. Weights are
+    normalized as :class:`Ensemble` would. Errors name the first observer
+    that fails, with the check order of one observer at a time: the support
+    defect, then :func:`_check_terms`.
     """
-    n = len(values)
-    cutoffs = zero_cutoff(values, tol)[:, None]
-    ranks = (values > cutoffs).sum(axis=1)
+    n, d = values.shape
     top = max(int(ranks.max()), 1)
     inside = np.arange(top) < ranks[:, None]
-    basis = vectors[:, :, :top] * inside[:, None]
-    coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
-    defects = np.linalg.norm(phi - (basis @ coeffs[:, :, None])[:, :, 0], axis=1)
     r0 = values[np.arange(n), ranks - 1]
-    surplus = values[:, :top] - r0[:, None]
-    keep = np.concatenate((inside, inside & (surplus > cutoffs)), axis=1)
+    weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
+    states = np.empty((n, d, 2 * top), dtype=np.complex128)
+    weights[:, :top] = r0[:, None]
+    surplus = np.subtract(values[:, :top], r0[:, None], out=weights[:, top:])
+    keep[:, :top] = inside
+    np.logical_and(inside, surplus > cutoffs[:, None], out=keep[:, top:])
     keep[:, 0] = True
-    weights = np.concatenate((np.repeat(r0[:, None], top, axis=1), surplus), axis=1)
-    states = np.concatenate(
-        (np.repeat(phi[None, :, None], n, axis=0),
-         _householder_completions(basis, coeffs), basis),
-        axis=2,
-    ).transpose(0, 2, 1)
-    outside = np.flatnonzero(defects > tol.match_abs)
-    if outside.size:
-        k = int(outside[0])
+    states[:, :, 0] = phi
+    basis = np.multiply(vectors[:, :, :top], inside[:, None], out=states[:, :, top:])
+    coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
+    states[:, :, 1:top] = _householder_completions(basis, coeffs)
+    gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
+    defects = np.sqrt((gap.conj() * gap).real.sum(axis=1))
+    states = states.transpose(0, 2, 1)
+    outside = defects > tol.match_abs
+    if outside.any():
+        k = int(outside.argmax())
         _check_terms(weights[:k], states[:k], keep[:k])
         raise StateOutsideSupportError(
             f"state has a null-space component (projection defect {defects[k]:.3e}); "
@@ -294,8 +314,6 @@ def ensemble_containing(
         raise DimensionMismatchError(
             f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
         )
-    spectrum = rho.spectrum
-    weights, states, keep = _ensembles_around(
-        spectrum.eigenvalues[None], spectrum.eigenvectors[None], psi, tol
-    )
+    values, vectors = rho.spectrum.eigenvalues[None], rho.spectrum.eigenvectors[None]
+    weights, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
     return Ensemble._trusted(rho.dim, list(zip(weights[keep].tolist(), states[keep])))

@@ -32,13 +32,15 @@ is such a line, and so is a report's ``"instance"`` when no name needs an
 escape. The echo parses to the same matrices bit for bit; it can differ from
 the re-encoding only in how numbers are spelled (``1`` against ``1.0``,
 ``1e-5`` against ``1e-05``), in whitespace between tokens, and in a key that
-the line repeats. Any other input is re-encoded.
+the line repeats. Any other input is re-encoded. :func:`load_instance`
+returns read-only matrices, and the line is echoed only while the instance
+still holds what was read from it (see :attr:`Instance.echo`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -59,9 +61,23 @@ class Instance:
     names: list[str]
     matrices: list[np.ndarray]
     tol_overrides: dict[str, float] = field(default_factory=dict)
-    #: the file's line, when a report may echo it as read; set by :func:`load_instance`,
-    #: so code that changes a loaded instance must set it to None
-    echo: str | None = None
+    #: the file's line, what it was read into (see :meth:`_holds`) and the matrices read,
+    #: set by :func:`load_instance`
+    _read: tuple | None = field(default=None, init=False, repr=False)
+
+    def _holds(self) -> tuple:
+        return self.dim, list(self.names), dict(self.tol_overrides), list(map(id, self.matrices))
+
+    @property
+    def echo(self) -> str | None:
+        """The file's line, for a report to echo, while the instance holds what was read from it.
+
+        That is the same dim, names and tolerance overrides, and the same
+        matrix objects (read-only) in the same order; the read matrices are
+        kept, so no other array can take their identities. After any change,
+        this is None and a report re-encodes the instance.
+        """
+        return self._read[0] if self._read and self._read[1] == self._holds() else None
 
     def tolerances(self, rank_rel: float | None = None, match_abs: float | None = None) -> Tolerances:
         """Resolve tolerances: explicit arguments beat file overrides beat defaults."""
@@ -160,14 +176,21 @@ def _echo(text: str, obj: dict) -> str | None:
 
 
 def load_instance(path) -> Instance:
-    """Read and parse an instance file, keeping its line as the echo when it may be."""
+    """Read and parse an instance file, keeping its line as the echo when it may be.
+
+    The matrices are read-only, so the echo cannot go stale by a write into one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
             obj = json.loads(text)
         except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    return replace(parse_instance(obj), echo=_echo(text, obj))
+    instance = parse_instance(obj)
+    for matrix in instance.matrices:
+        matrix.flags.writeable = False
+    instance._read = (_echo(text, obj), instance._holds(), list(instance.matrices))
+    return instance
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:

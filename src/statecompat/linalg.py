@@ -232,7 +232,7 @@ def _householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     nothing is divided by zero. A padding column of U_k yields a zero column.
     One batched product; no SVD.
     """
-    norms = np.linalg.norm(coeffs, axis=1)
+    norms = np.sqrt((coeffs.conj() * coeffs).real.sum(axis=1))
     v = coeffs / np.where(norms > 0.0, norms, 1.0)[:, None]
     lead = np.abs(v[:, 0])
     v[:, 0] += v[:, 0] / np.where(lead > 0.0, lead, 1.0) + (lead == 0.0)

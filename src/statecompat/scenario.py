@@ -26,7 +26,7 @@ matrix rows^T rows^*; neither step needs the dense form.
 state, decompose every input around it, condition each observer on the
 level-0 outcome, trace down to the system, and report the distance to the
 original assignment. It computes only what it returns: the spectra are
-stacked once, by the support test of the check path
+stacked and their ranks decided once, by the support test of the check path
 (:func:`statecompat.compat._split_set`), and serve the ensembles too; one
 array call (:func:`statecompat.density._ensembles_around`) gives every
 ensemble, and observer k's level-0 rows of the joint state (phi and k's own scaled extra
@@ -239,9 +239,9 @@ def _reduced_matrices(rows: np.ndarray) -> np.ndarray:
     its trace, as :func:`statecompat.density.validate_density` would leave
     it, and is positive semidefinite by construction.
     """
-    gram = np.swapaxes(rows, -1, -2) @ rows.conj()
-    gram = (gram + np.swapaxes(gram, -1, -2).conj()) / 2.0
-    return gram / np.trace(gram, axis1=-2, axis2=-1).real[..., None, None]
+    gram = rows.swapaxes(-1, -2) @ rows.conj()
+    gram = (gram + gram.swapaxes(-1, -2).conj()) / 2.0
+    return gram / gram.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def observer_reduced_density(
@@ -278,13 +278,14 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     Raises :class:`IncompatibleError` when the supports share no state. For a
     compatible set, each observer's recovered density matrix should match the
     corresponding input to within ``tol.match_abs`` in Frobenius norm. The
-    spectra are stacked once, by :func:`statecompat.compat._split_set`, for
-    the support test and the ensembles.
+    spectra are stacked and rank-split once, by
+    :func:`statecompat.compat._split_set`, for the support test and the
+    ensembles.
     """
-    rhos, values, vectors, count, _, directions = _split_set(rhos, tol)
+    rhos, spectra, count, _, directions = _split_set(rhos, tol)
     if count == 0:
         raise IncompatibleError(_NO_SHARED_STATE)
-    return _realize(rhos, values, vectors, _intersection_basis(vectors, 1, directions)[:, 0], tol)
+    return _realize(rhos, spectra, _intersection_basis(spectra[1], 1, directions)[:, 0], tol)
 
 
 def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
@@ -292,7 +293,9 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
 
     ``phi`` is a unit vector in every support, such as the witness of
     :func:`statecompat.compat.full_report`, or None when the supports share
-    no state, which raises :class:`IncompatibleError`.
+    no state, which raises :class:`IncompatibleError`. The spectra are
+    stacked and rank-split here, by :func:`statecompat.density._spectra` as
+    in the support test.
     """
     if phi is None:
         raise IncompatibleError(_NO_SHARED_STATE)
@@ -302,31 +305,31 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
         raise DimensionMismatchError(
             f"vector length {phi.shape[0]} != ambient dimension {rhos[0].dim}"
         )
-    return _realize(rhos, *_spectra(rhos), phi, tol)
+    return _realize(rhos, _spectra(rhos, tol), phi, tol)
 
 
-def _realize(rhos, values, vectors, phi, tol: Tolerances) -> ScenarioResult:
-    """The round trip around ``phi`` for matrices with the stacked spectra ``values``, ``vectors``.
+def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
+    """The round trip around ``phi`` for matrices with the stacked, rank-split ``spectra``.
 
-    One :func:`statecompat.density._ensembles_around` call gives every
-    ensemble as 2R candidate terms, R the largest rank. Scaling term i of
-    ensemble k by sqrt(w_ki / w_k0) and zeroing the terms it does not keep
-    gives observer k's level-0 rows of the joint state, phi first, as one
+    ``spectra`` is (values, vectors, cutoffs, ranks), as
+    :func:`statecompat.density._spectra` returns it. One
+    :func:`statecompat.density._ensembles_around` call gives every ensemble
+    as 2R candidate terms, R the largest rank. Scaling term i of ensemble k
+    by sqrt(w_ki / w_k0) and zeroing the terms it does not keep gives
+    observer k's level-0 rows of the joint state, phi first, as one
     (n, 2R, d) array, reduced by one batched Gram product; memory stays
     O(n R d + n d^2). The all-zero outcome has probability
     |phi|^2 / (|phi|^2 + the squared norm of every extra row). A single
     assignment is realized by two observers holding it and reported once.
     """
     if len(rhos) == 1:
-        values, vectors = np.repeat(values, 2, axis=0), np.repeat(vectors, 2, axis=0)
-    weights, states, keep = _ensembles_around(values, vectors, phi, tol)
+        spectra = [part[[0, 0]] for part in spectra]
+    weights, states, keep = _ensembles_around(*spectra, phi, tol)
     rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
     lead = np.vdot(phi, phi).real
     probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))
     recovered = _reduced_matrices(rows[: len(rhos)])
-    distances = np.linalg.norm(recovered - np.array([r.matrix for r in rhos]), axis=(1, 2))
-    recoveries = [
-        ObserverRecovery(DensityMatrix._trusted(m), float(d)) for m, d in zip(recovered, distances)
-    ]
-    success = bool(np.all(distances <= tol.match_abs))
-    return ScenarioResult(recoveries, probability, success)
+    diff = recovered - np.array([r.matrix for r in rhos])
+    dists = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2))).tolist()
+    recoveries = [ObserverRecovery(DensityMatrix._trusted(m), d) for m, d in zip(recovered, dists)]
+    return ScenarioResult(recoveries, probability, all(d <= tol.match_abs for d in dists))

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from statecompat import compat
 from statecompat.compat import (
     commutes,
     forbidden_subspace,
@@ -209,6 +210,37 @@ def test_pairwise_conditions_match_the_per_pair_loop(n, dim):
         assert abs(c_res - residual[i, j]) <= 1e-15 and abs(p_val - overlap[i, j]) <= 1e-15
     if n == 10 and dim > 1:  # every kind of pair occurs
         assert not commute.all() and commute[1, 4] and not product.all()
+
+
+def one_block_commutator_norms(matrices: np.ndarray) -> np.ndarray:
+    """Commutator norms of every pair a < b from one batched product, with no blocks."""
+    a, b = np.triu_indices(len(matrices), 1)
+    x = matrices[a] @ matrices[b]
+    diff = (x - x.conj().transpose(0, 2, 1)).reshape(len(a), -1).view(np.float64)
+    norms = np.zeros((len(matrices),) * 2)
+    norms[a, b] = np.sqrt((diff * diff).sum(axis=1))
+    return norms + norms.T
+
+
+@pytest.mark.parametrize("n, dim", [(100, 3), (12, 32)])
+def test_commutator_blocks_meet_at_the_seam(n, dim):
+    """Pairs that span several row blocks: the same bits as one block, and the per-pair loop."""
+    assert n * (n - 1) // 2 * 16 * dim**2 > 2 * compat._PAIR_BLOCK_BYTES  # at least two blocks
+    rhos = mixed_pairwise_set(n, dim, np.random.default_rng(n + dim))
+    matrices = np.array([r.matrix for r in rhos])
+    norms = compat._commutator_norms(matrices)
+    assert np.array_equal(norms, one_block_commutator_norms(matrices))
+    assert np.max(np.abs(norms - loop_pairwise(rhos)[1])) <= 1e-15
+    assert np.array_equal(full_report(rhos).commute_residual, norms)
+
+
+@pytest.mark.parametrize("budget", [1, 16 * 9 * 9 * 4, 16 * 9 * 9 * 9 - 1])
+def test_commutator_norms_do_not_depend_on_the_block_size(monkeypatch, budget):
+    """One row per block, blocks of four rows, and all rows but the last in one: the same bits."""
+    rhos = mixed_pairwise_set(10, 3, np.random.default_rng(3))
+    matrices = np.array([r.matrix for r in rhos])
+    monkeypatch.setattr(compat, "_PAIR_BLOCK_BYTES", budget)
+    assert np.array_equal(compat._commutator_norms(matrices), one_block_commutator_norms(matrices))
 
 
 def test_full_report_memory_is_quadratic_in_the_count():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -292,3 +293,76 @@ def test_one_line_input_with_integers_is_echoed_as_read(tmp_path):
     for got, want in zip(again.matrices, load_instance(path).matrices):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert again.tol_overrides == {"rank_rel": 1e-5}
+
+
+def instance_text(inst: Instance, report) -> str:
+    """The ``"instance"`` text of ``report`` written beside ``inst``."""
+    buf = io.StringIO()
+    dump_payload(report_payload(report, inst.names, DEFAULT_TOL, inst), buf)
+    text, head, tail = buf.getvalue(), '{"instance": ', ', "report": '
+    return text[len(head):text.index(tail)]
+
+
+FLIPPED = np.diag([0.0, 1.0, 0.0]).astype(complex)
+
+CHANGES = {
+    "dim": lambda inst: setattr(inst, "dim", 4),
+    "name": lambda inst: inst.names.__setitem__(0, "renamed"),
+    "names-replaced": lambda inst: setattr(inst, "names", ["x", "y"]),
+    "tolerance-changed": lambda inst: inst.tol_overrides.__setitem__("rank_rel", 1e-9),
+    "tolerance-added": lambda inst: inst.tol_overrides.__setitem__("match_abs", 1e-9),
+    "tolerance-removed": lambda inst: inst.tol_overrides.clear(),
+    "matrix-replaced": lambda inst: inst.matrices.__setitem__(0, FLIPPED),
+    "matrix-copied": lambda inst: inst.matrices.__setitem__(0, inst.matrices[0].copy()),
+    "matrices-swapped": lambda inst: inst.matrices.reverse(),
+    "matrix-appended": lambda inst: inst.matrices.append(FLIPPED),
+    "matrix-removed": lambda inst: inst.matrices.pop(),
+    "matrices-replaced": lambda inst: setattr(inst, "matrices", [FLIPPED, FLIPPED]),
+}
+
+
+@pytest.mark.parametrize("change", list(CHANGES))
+def test_changed_instance_is_re_encoded(tmp_path, change):
+    obj = canonical_obj()
+    obj["tolerances"] = {"rank_rel": 1e-10}
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(obj, fh)
+    inst = load_instance(path)
+    report = full_report([validate_density(m) for m in inst.matrices])
+    assert instance_text(inst, report) == path.read_text().removesuffix("\n")
+    CHANGES[change](inst)
+    assert inst.echo is None
+    assert instance_text(inst, report) == json.dumps(instance_payload(inst), sort_keys=True)
+
+
+def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(instance_payload(Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0])])),
+                     fh)
+    inst = load_instance(path)
+    inst.matrices[0] = np.diag([0.0, 1.0]).astype(complex)
+    report = full_report([validate_density(m) for m in inst.matrices])
+    shown = parse_instance(json.loads(instance_text(inst, report))).matrices[0]
+    assert shown[0, 0] == 0.0 and shown[1, 1] == 1.0
+    assert abs(report.witness[1]) == 1.0
+
+
+def test_loaded_matrices_are_read_only(tmp_path):
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(canonical_obj(), fh)
+    inst = load_instance(path)
+    with pytest.raises(ValueError, match="read-only"):
+        inst.matrices[0][0, 0] = 0.0
+    assert inst.echo == path.read_text().removesuffix("\n")
+
+
+def test_replaced_instance_keeps_no_echo(tmp_path):
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(canonical_obj(), fh)
+    inst = load_instance(path)
+    assert inst.echo is not None
+    assert dataclasses.replace(inst).echo is None

@@ -596,3 +596,45 @@ def test_zero_leading_coefficient_needs_no_division():
     assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
     assert_same_ensemble(ensemble, loop_ensemble_containing(rhos[0], E1))
     np.testing.assert_allclose(ensemble.terms[1][1], -E0, atol=1e-15)
+
+
+@pytest.mark.parametrize("eps, compatible", [(0.99e-10, False), (1.01e-10, True)])
+def test_every_entry_point_reads_one_rank_decision(eps, compatible):
+    """diag(1 - eps, eps, 0) beside |1><1|, eps just below or above the zero cutoff 1e-10:
+    the rank of the first matrix decides the set, for the report, both scenarios and the
+    ensemble around |1> alike."""
+    e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    rhos = [validate_density(np.diag([1.0 - eps, eps, 0.0])), pure(e1)]
+    report = full_report(rhos)
+    assert report.compatible is compatible
+    if compatible:
+        np.testing.assert_allclose(report.witness, e1, rtol=0, atol=1e-15)
+        assert run_scenario(rhos).success
+        assert scenario_with_shared_state(rhos, report.witness).success
+        assert scenario_with_shared_state(rhos, e1).success
+        ensemble = ensemble_containing(rhos[0], e1)
+        assert np.array_equal(ensemble.terms[0][1], e1) and ensemble.terms[0][0] > 0.0
+    else:
+        with pytest.raises(IncompatibleError):
+            run_scenario(rhos)
+        with pytest.raises(IncompatibleError):
+            scenario_with_shared_state(rhos, report.witness)
+        with pytest.raises(StateOutsideSupportError):
+            scenario_with_shared_state(rhos, e1)
+        with pytest.raises(StateOutsideSupportError):
+            ensemble_containing(rhos[0], e1)
+
+
+@pytest.mark.parametrize(
+    "dim, count, seed", [(2, 2, 1), (3, 3, 7), (5, 4, 3), (8, 3, 5), (3, 8, 11), (4, 1, 2)]
+)
+def test_scenario_around_the_report_witness_is_run_scenario(dim, count, seed):
+    """run_scenario and scenario_with_shared_state on the report's witness: the same bits."""
+    matrices = generate_instance(dim, max(count, 2), seed, "compatible")[:count]
+    rhos = [validate_density(m) for m in matrices]
+    got = run_scenario(rhos)
+    shared = scenario_with_shared_state(rhos, full_report(rhos).witness)
+    assert got.success and got.distances == shared.distances
+    assert got.joint_zero_probability == shared.joint_zero_probability
+    for a, b in zip(got.recoveries, shared.recoveries, strict=True):
+        assert np.array_equal(a.recovered.matrix, b.recovered.matrix)
