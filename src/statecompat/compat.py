@@ -55,6 +55,10 @@ _MARGINAL_NOTE = (
     "marginal: a direction's distance from the supports lies within 10x "
     "of match_abs/sqrt(2); the compatibility verdict is numerically fragile"
 )
+_MARGINAL_RANK_NOTE = (
+    "marginal: an eigenvalue lies within 10x of its matrix's zero cutoff; "
+    "the rank, and with it the support, is numerically fragile"
+)
 
 
 @dataclass(eq=False)
@@ -68,8 +72,10 @@ class CompatReport:
     product traces). ``marginal`` is set when some direction's distance from
     the supports lies within a factor of 10 of the membership threshold
     ``match_abs/sqrt(2)`` on either side, i.e. a slightly different tolerance
-    could move it into or out of the intersection, so the verdict is
-    numerically fragile.
+    could move it into or out of the intersection, or when some eigenvalue
+    lies within a factor of 10 of its matrix's zero cutoff, i.e. a slightly
+    different ``rank_rel`` could change that matrix's support; either way
+    the verdict is numerically fragile, and ``notes`` says which.
     """
 
     dim: int
@@ -208,12 +214,13 @@ def product_nonzero(
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
-    rhos, (values, vectors, _, _), count, defects, directions = _split_set(rhos, tol)
+    rhos, (values, vectors, cutoffs, _), count, defects, directions = _split_set(rhos, tol)
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
 
-    ratio = defects / _membership_threshold(tol)
-    marginal = bool(np.count_nonzero((ratio > 0.1) & (ratio < 10.0)))
+    notes = [note for note, ratio in ((_MARGINAL_NOTE, defects / _membership_threshold(tol)),
+                                      (_MARGINAL_RANK_NOTE, values / cutoffs[:, None]))
+             if np.count_nonzero((ratio > 0.1) & (ratio < 10.0))]
 
     return CompatReport(
         dim=values.shape[1],
@@ -226,6 +233,6 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
         commute_residual=commute_res,
         pairwise_product_nonzero=(overlaps > tol.rank_rel) | np.eye(len(rhos), dtype=bool),
         product_overlap=overlaps,
-        marginal=marginal,
-        notes=[_MARGINAL_NOTE] if marginal else [],
+        marginal=bool(notes),
+        notes=notes,
     )

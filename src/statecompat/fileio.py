@@ -35,6 +35,24 @@ the re-encoding only in how numbers are spelled (``1`` against ``1.0``,
 the line repeats. Any other input is re-encoded. :func:`load_instance`
 returns read-only matrices, and the line is echoed only while the instance
 still holds what was read from it (see :attr:`Instance.echo`).
+
+Two decoders read a file (:func:`_decode`); both give the same instance bit
+for bit wherever both accept the text. orjson reads almost every file,
+about four times faster than the standard ``json``. It refuses some inputs
+that ``json`` reads, and those go to ``json``, so they decode or fail as
+they always have: ``NaN`` and ``Infinity`` (which :func:`dump_payload`
+writes for a non-finite entry), numbers beyond a double, lone surrogates,
+and invalid JSON, whose error is ``json``'s. orjson has no nesting limit and
+overflows the C stack on deep enough input (measured on Linux with an 8 MiB
+stack: 50,000 nested objects parse and 60,000 crash the process), so it
+gets only texts with at most :data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``,
+a bound on their depth; ``json`` reads the rest and refuses deep nesting
+with a ``RecursionError``, which becomes an :class:`InstanceFormatError`. A
+valid instance nests six levels deep. orjson reads an integer beyond 64 bits
+as the nearest double, which is the double ``json``'s integer converts to;
+only a ``dim`` of 2**64 or more reads differently, and it is refused either
+way. The writer stays on ``json.dumps``, which spells every float as
+``float.__repr__`` does, so reports stay byte-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +62,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .compat import CompatReport
 from .errors import InstanceFormatError
@@ -51,6 +70,10 @@ from .linalg import Tolerances
 from .scenario import ScenarioResult
 
 _TOL_KEYS = ("rank_rel", "match_abs")
+
+#: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
+#: count bounds the nesting depth, which orjson does not limit itself.
+ORJSON_MAX_OPENINGS = 16384
 
 
 @dataclass(eq=False)
@@ -175,18 +198,40 @@ def _echo(text: str, obj: dict) -> str | None:
     return line if as_written else None
 
 
+def _decode(text: str):
+    """The JSON value of ``text``, by orjson when it takes the text, else by ``json``.
+
+    orjson gets the text when it opens at most :data:`ORJSON_MAX_OPENINGS`
+    arrays and objects, counted on the UTF-8 bytes, and gives way to
+    ``json`` whenever it refuses the text (see the module docstring).
+    """
+    raw = text.encode()
+    octets = np.frombuffer(raw, np.uint8)
+    if np.count_nonzero(octets == ord("[")) + np.count_nonzero(octets == ord("{")) <= ORJSON_MAX_OPENINGS:
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
 def load_instance(path) -> Instance:
     """Read and parse an instance file, keeping its line as the echo when it may be.
 
     The matrices are read-only, so the echo cannot go stale by a write into one.
+    Input nested too deeply to decode, or to quote in a diagnostic, raises
+    :class:`InstanceFormatError` like any other unreadable input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-            obj = json.loads(text)
-        except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
-            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    instance = parse_instance(obj)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+                obj = _decode(text)
+            except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
+                raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+        instance = parse_instance(obj)
+    except RecursionError as exc:
+        raise InstanceFormatError(f"instance nested too deeply: {exc}") from exc
     for matrix in instance.matrices:
         matrix.flags.writeable = False
     instance._read = (_echo(text, obj), instance._holds(), list(instance.matrices))

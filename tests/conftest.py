@@ -14,17 +14,21 @@ anchor found by argmax, validation through a separately coerced, symmetrized
 and diagonalized matrix, the support split with every direction phase-fixed
 and wrapped, the pairwise conditions one pair at a time, and the scenario
 one observer at a time (one Householder completion, one checked ensemble and
-one recovered matrix per observer).
+one recovered matrix per observer). The instance reader keeps its earlier
+decoder, the standard ``json`` alone, as the oracle of the orjson path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 from functools import reduce
 from math import prod
+from unittest import mock
 
 import numpy as np
 
+from statecompat import fileio
 from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
@@ -479,3 +483,9 @@ def loop_scenario(rhos, phi, tol=DEFAULT_TOL) -> tuple[CompositeState, ScenarioR
         recoveries.append(ObserverRecovery(DensityMatrix(gram), distance))
     success = all(r.distance <= tol.match_abs for r in recoveries)
     return psi, ScenarioResult(recoveries, float(np.sum(np.abs(psi.amplitudes[0]) ** 2)), success)
+
+
+def json_load_instance(path) -> fileio.Instance:
+    """:func:`statecompat.fileio.load_instance` decoding with ``json.loads`` alone, as before orjson."""
+    with mock.patch.object(fileio, "_decode", json.loads):
+        return fileio.load_instance(path)

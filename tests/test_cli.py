@@ -98,6 +98,22 @@ def test_check_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def run_check_process(path) -> subprocess.CompletedProcess:
+    """``check`` on ``path`` in a fresh interpreter, as the console script runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "statecompat.cli", "check", "--input", str(path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+def assert_one_line_input_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2  # killed by a signal, it would be negative
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("statecompat: error: ")
+    assert proc.stdout == ""
+
+
 def test_check_huge_integer_is_an_input_error(tmp_path):
     payload = instance_payload(
         Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0]).astype(complex)])
@@ -105,15 +121,21 @@ def test_check_huge_integer_is_an_input_error(tmp_path):
     payload["matrices"][0]["rows"][0][1][0] = 10**400
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload))
-    env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "statecompat.cli", "check", "--input", str(path)],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and "(0,1) re" in proc.stderr
-    assert proc.stdout == ""
+    proc = run_check_process(path)
+    assert_one_line_input_error(proc)
+    assert "(0,1) re" in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 10**6 + "]" * 10**6,  # over the opening bound of the orjson path: json
+    '{"a": ' * 16384 + "1" + "}" * 16384,  # at the bound: orjson
+    '{"dim": 1, "matrices": [{"rows": [[[Infinity, 0.0]]]}]}',
+    '{"dim": 1, "matrices": [{"rows": [[[1.0, 0.0]]]}],}',
+], ids=["1e6-nested-arrays", "16384-nested-objects", "infinity-entry", "invalid-json"])
+def test_check_unreadable_input_is_one_line_error(tmp_path, text):
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    assert_one_line_input_error(run_check_process(path))
 
 
 def test_check_tolerance_flags_are_honored(tmp_path, capsys):

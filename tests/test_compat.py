@@ -388,6 +388,31 @@ def test_marginal_flag_on_near_threshold_instance():
         assert any("marginal" in note for note in report.notes) == marginal
 
 
+@pytest.mark.parametrize("eps, compatible, marginal", [
+    (0.99e-10, False, True),  # eps is 0.99 of the zero cutoff: rank 1, |1> outside
+    (1.01e-10, True, True),   # 1.01 of it: rank 2, |1> in both supports
+    (1e-8, True, False),      # 100 times it: above the band
+])
+def test_marginal_flag_sees_the_rank_cutoff(eps, compatible, marginal):
+    # diag(1 - eps, eps, 0) beside |1><1|: the verdict flips where eps crosses
+    # the zero cutoff rank_rel (1 - eps), and no intersection defect is near
+    # its threshold on either side, so only the rank decision is fragile.
+    rhos = [validate_density(np.diag([1 - eps, eps, 0.0])), validate_density(np.diag([0.0, 1.0, 0.0]))]
+    report = full_report(rhos)
+    assert report.compatible == compatible
+    assert report.marginal == marginal
+    assert report.notes == ([compat._MARGINAL_RANK_NOTE] if marginal else [])
+
+
+def test_marginal_notes_name_both_causes():
+    # the theta = 1.06e-9 pair of test_marginal_flag_on_near_threshold_instance,
+    # with a full-rank matrix whose smaller eigenvalue is twice its zero cutoff
+    rhos = [UP_Z, tilted_up(1.06e-9), validate_density(np.diag([1 - 2e-10, 2e-10]))]
+    report = full_report(rhos)
+    assert report.compatible and report.marginal
+    assert report.notes == [compat._MARGINAL_NOTE, compat._MARGINAL_RANK_NOTE]
+
+
 @pytest.mark.parametrize("distance", [1e-9, 1e-8, 1e-7, 1e-5, 3e-5, 1e-3])
 def test_theta_sweep_keeps_the_invariants(distance):
     """Pure pairs whose matrices lie ``distance`` apart in Frobenius norm.

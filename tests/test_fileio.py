@@ -1,10 +1,13 @@
 import dataclasses
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 
+from statecompat import fileio
 from statecompat.compat import full_report
 from statecompat.density import validate_density
 from statecompat.errors import InstanceFormatError
@@ -20,7 +23,7 @@ from statecompat.fileio import (
 from statecompat.generate import crandn, generate_instance
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
-from conftest import pairs_to_vector
+from conftest import json_load_instance, pairs_to_vector
 
 
 def sample_obj():
@@ -366,3 +369,127 @@ def test_replaced_instance_keeps_no_echo(tmp_path):
     inst = load_instance(path)
     assert inst.echo is not None
     assert dataclasses.replace(inst).echo is None
+
+
+# ---------------------------------------------------------------- decoders
+
+
+@pytest.fixture
+def orjson_calls(monkeypatch) -> list:
+    """The texts that :func:`statecompat.fileio._decode` hands to orjson in the test."""
+    calls = []
+
+    def loads(raw):
+        calls.append(raw)
+        return orjson.loads(raw)
+
+    monkeypatch.setattr(fileio, "orjson", SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
+    return calls
+
+
+def assert_same_instance(got: Instance, want: Instance) -> None:
+    assert (got.dim, got.names, got.echo) == (want.dim, want.names, want.echo)
+    assert list(got.tol_overrides) == list(want.tol_overrides)
+    tols = [np.array(list(inst.tol_overrides.values()), dtype=np.float64) for inst in (got, want)]
+    assert np.array_equal(tols[0].view(np.uint64), tols[1].view(np.uint64))
+    assert len(got.matrices) == len(want.matrices)
+    for a, b in zip(got.matrices, want.matrices):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def write_generated(path, dim: int, count: int, seed: int, mode: str) -> None:
+    names = [f"rho_{i + 1}" for i in range(count)]
+    inst = Instance(dim=dim, names=names, matrices=generate_instance(dim, count, seed, mode))
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(instance_payload(inst), fh)
+
+
+#: The (dim, count, mode) shapes of the cli-roundtrip benchmark's files, then
+#: every generate mode at dim 3.
+GENERATED = ([(d, c, mode) for d in (8, 16, 24, 32) for c in (2, 3)
+              for mode in ("compatible", "incompatible")]
+             + [(3, 3, mode) for mode in ("compatible", "incompatible", "pairwise-only")])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_files_decode_as_json_decodes_them(tmp_path, orjson_calls, seed):
+    for dim, count, mode in GENERATED:
+        path = tmp_path / f"d{dim}c{count}-{mode}.json"
+        write_generated(path, dim, count, seed, mode)
+        assert_same_instance(load_instance(path), json_load_instance(path))
+    assert len(orjson_calls) == len(GENERATED)
+
+
+def one_matrix_line(number: str = "0.5", name: str = '"a"') -> str:
+    """A one-matrix instance line with ``number`` spelled as an entry and as a tolerance."""
+    return ('{"dim": 2, "matrices": [{"name": %s, "rows": [[[%s, 0.0], [0.0, 0.25]], '
+            '[[0.0, -0.25], [0.5, -0.0]]]}], "tolerances": {"rank_rel": %s}}' % (name, number, number))
+
+
+@pytest.mark.parametrize("text", [
+    *(one_matrix_line(number) for number in (
+        "-0.0", "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+        str(2**53 + 1), str(2**64 - 1), str(2**64), str(10**30), "Infinity", "NaN",
+    )),
+    one_matrix_line(name='"\\ud800"'),
+    one_matrix_line(name='"\\ud83d\\ude00"'),
+    one_matrix_line().replace('"dim": 2,', '"dim": 3, "dim": 2,').replace(
+        '"name": "a",', '"name": "b", "name": "a",').replace('"rank_rel":', '"rank_rel": 1, "rank_rel":'),
+], ids=["-0.0", "5e-324", "2.2250738585072011e-308", "max-double", "2**53+1", "2**64-1", "2**64",
+        "10**30", "Infinity", "NaN", "lone-surrogate-name", "surrogate-pair-name", "duplicate-keys"])
+def test_special_inputs_decode_as_json_decodes_them(tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text + "\n")
+    assert_same_instance(load_instance(path), json_load_instance(path))
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json", b'{"dim": 1,}', b"", b"[1 2]", b'{"dim": 1} x', b"01", b'{"name": "\t"}',
+    b"\xef\xbb\xbf{}", b'{"dim": 1, "name": "\xff"}', b'{"dim": ' + b"1" * 5000 + b"}",
+], ids=["bare-word", "trailing-comma", "empty", "missing-comma", "extra-data", "leading-zero",
+        "raw-tab", "bom", "bad-utf8", "5000-digit-integer"])
+def test_invalid_json_gives_the_json_message(tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    with pytest.raises(InstanceFormatError) as got:
+        load_instance(path)
+    with pytest.raises(InstanceFormatError) as want:
+        json_load_instance(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_dim_beyond_64_bits_is_no_positive_integer(tmp_path):
+    # orjson reads an integer beyond 64 bits as a double; json's int was
+    # refused by the row count instead
+    path = tmp_path / "inst.json"
+    path.write_text(one_matrix_line().replace('"dim": 2', f'"dim": {2**64}'))
+    with pytest.raises(InstanceFormatError, match='"dim" must be a positive integer'):
+        load_instance(path)
+    with pytest.raises(InstanceFormatError, match=f"expected {2**64} rows"):
+        json_load_instance(path)
+
+
+def test_the_opening_count_picks_the_decoder(orjson_calls):
+    bound = fileio.ORJSON_MAX_OPENINGS
+    deepest = fileio._decode("[" * bound + "]" * bound)  # at the bound: orjson
+    for _ in range(bound - 1):
+        (deepest,) = deepest
+    assert deepest == [] and len(orjson_calls) == 1
+    with pytest.raises(RecursionError):  # one more: json, which refuses the depth
+        fileio._decode("[" * (bound + 1) + "]" * (bound + 1))
+    # a bracket in a string counts too, as the count only bounds the depth
+    assert fileio._decode(json.dumps(["[" * bound])) == ["[" * bound]
+    assert len(orjson_calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": ' * 16384 + "1" + "}" * 16384,
+    '{"dim": 1, "matrices": [{"rows": [[[' + "[" * 5000 + "]" * 5000 + ", 0.0]]]}]}",
+], ids=["16384-objects", "deep-entry"])
+def test_deep_nesting_is_an_instance_format_error(tmp_path, text):
+    # Deeper input, which orjson could not survive, is tried only in a
+    # separate process (test_cli.py), so that a crash fails one test.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError):
+        load_instance(path)
