@@ -6,7 +6,8 @@ Verbs:
   generate  write a seeded random instance file
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,
-2 input or validation error. Reports go to --output or standard output;
+2 input or validation error, also for an instance of more than
+MAX_INSTANCE_MATRICES matrices. Reports go to --output or standard output;
 diagnostics go to standard error.
 """
 
@@ -20,7 +21,7 @@ from .compat import full_report
 from .density import DensityMatrix, validate_density
 from .errors import IncompatibleError, StateCompatError
 from .fileio import Instance, dump_payload, instance_payload, load_instance, report_payload
-from .generate import MAX_INSTANCE_ENTRIES, generate_instance
+from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, generate_instance
 from .linalg import Tolerances
 from .scenario import scenario_with_shared_state
 
@@ -71,10 +72,19 @@ def _emit(payload: dict, output: str | None) -> None:
             dump_payload(payload, fh)
 
 
+def _cap_count(count: int, what: str) -> None:
+    """Refuse more than :data:`MAX_INSTANCE_MATRICES` matrices; ``what`` names the count."""
+    if count > MAX_INSTANCE_MATRICES:
+        raise StateCompatError(
+            f"{what} too large: {count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
+        )
+
+
 def _load_validated(
     path: str, tol_rank: float | None, tol_match: float | None
 ) -> tuple[Instance, Tolerances, list[DensityMatrix]]:
     instance = load_instance(path)
+    _cap_count(len(instance.matrices), "instance")
     tol = instance.tolerances(rank_rel=tol_rank, match_abs=tol_match)
     rhos, problems = [], []
     for name, matrix in zip(instance.names, instance.matrices):
@@ -117,6 +127,7 @@ def cmd_generate(args) -> int:
             f"{flag} too large: {args.count} matrices of {args.dim} x {args.dim} are "
             f"{entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
         )
+    _cap_count(args.count, "--count")
     matrices = generate_instance(args.dim, args.count, args.seed, args.mode)
     names = [f"rho_{i + 1}" for i in range(len(matrices))]
     instance = Instance(dim=args.dim, names=names, matrices=matrices)

@@ -36,10 +36,12 @@ completion, the basis), and norms are summed squares, not
 
 Two absolute tolerances hold every "must be one" decision of the package,
 one per meaning: :data:`TRACE_TOL` (1e-8) for a total probability, the trace
-of a density matrix and an ensemble's weight sum; :data:`UNIT_TOL` (1e-10)
-for a norm or overlap, of ensemble states, of the joint state and of the
-ensembles' leading states in :func:`statecompat.scenario.build_joint_state`.
-Everything else compares against :class:`statecompat.linalg.Tolerances`.
+of a density matrix and an ensemble's weight sum; :data:`UNIT_TOL` (1e-10,
+defined in :mod:`statecompat.linalg`) for a norm or overlap, of ensemble
+states, of the joint state, of the ensembles' leading states in
+:func:`statecompat.scenario.build_joint_state` and of the columns of a
+caller-supplied subspace basis. Everything else compares against
+:class:`statecompat.linalg.Tolerances`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     NotPositiveError,
     StateCompatError,
     StateOutsideSupportError,
@@ -57,6 +58,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    UNIT_TOL,
     EigResult,
     Subspace,
     Tolerances,
@@ -73,10 +75,6 @@ from .linalg import (
 #: density matrix, the weight sum of an ensemble (whose defect is then
 #: renormalized away).
 TRACE_TOL = 1e-8
-
-#: Absolute tolerance on a norm or overlap that must be one: ensemble states,
-#: joint states, and the overlap of the ensembles' leading states.
-UNIT_TOL = 1e-10
 
 
 class DensityMatrix:
@@ -118,8 +116,9 @@ class Ensemble:
     """Positive weights and unit states; weights must sum to one within :data:`TRACE_TOL`.
 
     A weight-sum defect below the tolerance is silently renormalized away so
-    that values surviving a file round trip remain acceptable. The terms are
-    checked together by :func:`_check_terms`, the states as one array.
+    that values surviving a file round trip remain acceptable. Each state is
+    coerced to a finite vector of length ``dim``; then the terms are checked
+    together by :func:`_check_terms`, the states as one array.
     """
 
     dim: int
@@ -136,17 +135,7 @@ class Ensemble:
             raise StateCompatError(
                 f"ensemble terms must be (real weight, state) pairs: {exc}"
             ) from exc
-        try:
-            states = np.array([s for _, s in self.terms], dtype=np.complex128)
-        except (TypeError, ValueError):  # states of different lengths, or not numbers
-            states = None
-        if states is None or states.ndim != 2 or states.shape[1] != self.dim:
-            for _, state in self.terms:
-                state = as_complex_vector(state)
-                if state.shape[0] != self.dim:
-                    raise StateCompatError(
-                        f"ensemble state has length {state.shape[0]}, expected {self.dim}"
-                    )
+        states = np.array([as_complex_vector(s, self.dim) for _, s in self.terms])
         total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
         self.terms = list(zip((weights / total[0]).tolist(), states))
 
@@ -164,12 +153,14 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
     Row k holds ensemble k: the terms of ``weights`` (n, m) and ``states``
     (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
     the first of these checks it fails: positive weights, unit states within
-    :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one.
+    :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one. The
+    states are finite: :class:`Ensemble` coerces them, and
+    :func:`_ensembles_around` computes them around a coerced state.
     """
     weights = np.where(keep, weights, 0.0)
     norms = np.sqrt((states.conj() * states).real.sum(axis=-1))
     positive = weights > 0.0
-    unit = np.abs(norms - 1.0) <= UNIT_TOL  # False for a non-finite state too
+    unit = np.abs(norms - 1.0) <= UNIT_TOL
     totals = weights.sum(axis=1)
     # kept weights that pass are positive, so their sum is never NaN
     fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= TRACE_TOL)
@@ -181,8 +172,6 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
         raise StateCompatError(f"ensemble weights must be positive, got {bad!r}")
     if not (unit[k] | ~keep[k]).all():
         i = int(np.argmin(unit[k] | ~keep[k]))
-        if not np.isfinite(states[k, i]).all():
-            raise StateCompatError("vector contains non-finite entries")
         raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[k, i]:.12g})")
     raise StateCompatError(
         f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {TRACE_TOL}"
@@ -309,11 +298,7 @@ def ensemble_containing(
     nonzero. Everything is read from ``rho.spectrum``, by
     :func:`_ensembles_around` for this one matrix.
     """
-    psi = as_complex_vector(psi)
-    if psi.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
-        )
+    psi = as_complex_vector(psi, rho.dim)
     values, vectors = rho.spectrum.eigenvalues[None], rho.spectrum.eigenvectors[None]
     weights, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
     return Ensemble._trusted(rho.dim, list(zip(weights[keep].tolist(), states[keep])))

@@ -43,12 +43,20 @@ that ``json`` reads, and those go to ``json``, so they decode or fail as
 they always have: ``NaN`` and ``Infinity`` (which :func:`dump_payload`
 writes for a non-finite entry), numbers beyond a double, lone surrogates,
 and invalid JSON, whose error is ``json``'s. orjson has no nesting limit and
-overflows the C stack on deep enough input (measured on Linux with an 8 MiB
-stack: 50,000 nested objects parse and 60,000 crash the process), so it
-gets only texts with at most :data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``,
-a bound on their depth; ``json`` reads the rest and refuses deep nesting
-with a ``RecursionError``, which becomes an :class:`InstanceFormatError`. A
-valid instance nests six levels deep. orjson reads an integer beyond 64 bits
+overflows the C stack on deep enough input, and a thread's stack can be
+small: 512 KiB is the default for threads on macOS. Measured with orjson
+3.8.3 on Linux, a thread with a 512 KiB stack is killed by 4,096 nested
+objects or 12,000 nested arrays, one with 1 MiB by 8,000 objects, and one
+with 2 MiB by 16,384 objects, while 512 KiB survives 1,026 objects nested
+inside or around 4,974 arrays and crashes at 6,974 openings. So orjson
+gets only texts with at most :data:`ORJSON_MAX_OBJECTS` ``{`` and at most
+:data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``, bounds on their depth; a
+valid instance nests six levels deep and opens one object per matrix plus
+two, so no valid instance of at most
+:data:`statecompat.generate.MAX_INSTANCE_MATRICES` matrices exceeds the
+object bound. ``json`` reads the rest and refuses deep nesting with a
+``RecursionError`` (on a 512 KiB thread too), which becomes an
+:class:`InstanceFormatError`. orjson reads an integer beyond 64 bits
 as the nearest double, which is the double ``json``'s integer converts to;
 only a ``dim`` of 2**64 or more reads differently, and it is refused either
 way. The writer stays on ``json.dumps``, which spells every float as
@@ -66,14 +74,18 @@ import orjson
 
 from .compat import CompatReport
 from .errors import InstanceFormatError
+from .generate import MAX_INSTANCE_MATRICES
 from .linalg import Tolerances
 from .scenario import ScenarioResult
 
-_TOL_KEYS = ("rank_rel", "match_abs")
-
 #: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
 #: count bounds the nesting depth, which orjson does not limit itself.
-ORJSON_MAX_OPENINGS = 16384
+ORJSON_MAX_OPENINGS = 4096
+
+#: The most ``{`` a text may hold for orjson to decode it, which costs more
+#: stack per level than ``[``: the top-level object, ``tolerances`` and one
+#: object per matrix of an instance under the matrix cap.
+ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
 
 
 @dataclass(eq=False)
@@ -179,8 +191,9 @@ def parse_instance(obj) -> Instance:
         tols = obj["tolerances"]
         if not isinstance(tols, dict):
             raise InstanceFormatError('"tolerances" must be an object')
+        known = [f.name for f in fields(Tolerances)]
         for key, value in tols.items():
-            if key not in _TOL_KEYS:
+            if key not in known:
                 raise InstanceFormatError(f"unknown tolerance {key!r}")
             overrides[key] = _as_number(value, f"tolerances.{key}")
     return Instance(dim=dim, names=names, matrices=matrices, tol_overrides=overrides)
@@ -201,13 +214,16 @@ def _echo(text: str, obj: dict) -> str | None:
 def _decode(text: str):
     """The JSON value of ``text``, by orjson when it takes the text, else by ``json``.
 
-    orjson gets the text when it opens at most :data:`ORJSON_MAX_OPENINGS`
-    arrays and objects, counted on the UTF-8 bytes, and gives way to
-    ``json`` whenever it refuses the text (see the module docstring).
+    orjson gets the text when it opens at most :data:`ORJSON_MAX_OBJECTS`
+    objects and :data:`ORJSON_MAX_OPENINGS` arrays and objects together,
+    counted on the UTF-8 bytes, and gives way to ``json`` whenever it
+    refuses the text (see the module docstring).
     """
     raw = text.encode()
     octets = np.frombuffer(raw, np.uint8)
-    if np.count_nonzero(octets == ord("[")) + np.count_nonzero(octets == ord("{")) <= ORJSON_MAX_OPENINGS:
+    objects = np.count_nonzero(octets == ord("{"))
+    openings = objects + np.count_nonzero(octets == ord("["))
+    if objects <= ORJSON_MAX_OBJECTS and openings <= ORJSON_MAX_OPENINGS:
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
@@ -285,7 +301,7 @@ def report_payload(
     echo when it has one, else its re-encoding.
     """
     payload = {
-        "tolerances": {"rank_rel": tol.rank_rel, "match_abs": tol.match_abs},
+        "tolerances": {f.name: getattr(tol, f.name) for f in fields(tol)},
         "instance": instance_payload(instance) if instance.echo is None else _Encoded(instance.echo),
         "report": {
             "names": list(names),

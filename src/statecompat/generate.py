@@ -16,6 +16,11 @@ import numpy as np
 #: generates: 2**24 complex128 entries are 256 MiB.
 MAX_INSTANCE_ENTRIES = 1 << 24
 
+#: Most matrices in an instance the command line generates, checks or
+#: realizes: a report holds count x count pairwise tables, so 1024 matrices
+#: of 2 x 2 already give a 55 MB report.
+MAX_INSTANCE_MATRICES = 1024
+
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard complex normal samples."""

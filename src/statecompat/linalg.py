@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,8 +27,11 @@ from .errors import (
 #: Modulus below which a component cannot anchor the global phase convention.
 PHASE_FLOOR = 1e-8
 
-#: Entrywise tolerance for the orthonormality of stored subspace bases.
-ORTHO_TOL = 1e-10
+#: Absolute tolerance on a norm or overlap that must be one (or, off the
+#: diagonal of a Gram matrix, zero): ensemble states, joint states, the
+#: overlap of the ensembles' leading states, and the orthonormality of
+#: caller-supplied subspace bases, entrywise.
+UNIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,11 @@ class Tolerances:
     match_abs: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "match_abs"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (isinstance(value, numbers.Real) and 0.0 < value < 1e-2):
-                raise StateCompatError(f"{name} must lie in (0, 1e-2), got {value!r}")
-            object.__setattr__(self, name, float(value))  # a numpy scalar is no JSON number
+                raise StateCompatError(f"{f.name} must lie in (0, 1e-2), got {value!r}")
+            object.__setattr__(self, f.name, float(value))  # a numpy scalar is no JSON number
 
 
 DEFAULT_TOL = Tolerances()
@@ -66,28 +69,31 @@ def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
         raise StateCompatError(f"cannot read the {what} as an array of numbers: {exc}") from exc
 
 
-def as_complex_vector(v) -> np.ndarray:
-    """Coerce to a finite 1-d complex128 array."""
-    arr = as_array(v, "vector")
-    if arr.ndim != 1:
-        raise StateCompatError(f"expected a 1-d vector, got shape {arr.shape}")
+def _as_finite(value, ndim: int, what: str) -> np.ndarray:
+    """Coerce to a finite, non-empty complex128 array of ``ndim`` axes; ``what`` names it."""
+    arr = as_array(value, what)
+    if arr.ndim != ndim:
+        raise StateCompatError(f"expected a {ndim}-d {what}, got shape {arr.shape}")
     if arr.size == 0:
-        raise StateCompatError("vector must not be empty")
-    if not np.isfinite(arr).all():
-        raise StateCompatError("vector contains non-finite entries")
+        raise StateCompatError(f"{what} must not be empty")
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # cheaper than .all() on small arrays
+        raise StateCompatError(f"{what} contains non-finite entries")
+    return arr
+
+
+def as_complex_vector(v, length: int | None = None) -> np.ndarray:
+    """Coerce to a finite 1-d complex128 array, of ``length`` entries when one is given."""
+    arr = _as_finite(v, 1, "vector")
+    if length is not None and arr.shape[0] != length:
+        raise DimensionMismatchError(
+            f"vector length {arr.shape[0]} != ambient dimension {length}"
+        )
     return arr
 
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a finite, non-empty 2-d complex128 array."""
-    arr = as_array(m, "matrix")
-    if arr.ndim != 2:
-        raise StateCompatError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        raise StateCompatError("matrix must not be empty")
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # cheaper than .all() on small arrays
-        raise StateCompatError("matrix contains non-finite entries")
-    return arr
+    return _as_finite(m, 2, "matrix")
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -170,7 +176,7 @@ class Subspace:
 
     The basis may be empty (shape ``(ambient_dim, 0)``); a caller-supplied
     basis is checked for finite entries and entrywise orthonormality within
-    :data:`ORTHO_TOL`. Bases the package computes itself (eigenvectors,
+    :data:`UNIT_TOL`. Bases the package computes itself (eigenvectors,
     singular vectors, Householder completions) are orthonormal by
     construction and enter through :meth:`_trusted`, which skips the Gram
     product.
@@ -194,7 +200,7 @@ class Subspace:
         if basis.shape[1] > 0:
             gram = basis.conj().T @ basis
             defect = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-            if defect > ORTHO_TOL:
+            if defect > UNIT_TOL:
                 raise StateCompatError(
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )

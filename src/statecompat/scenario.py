@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import _check_rhos, _intersection_basis, _split_set
-from .density import UNIT_TOL, DensityMatrix, _ensembles_around, _spectra
+from .density import DensityMatrix, _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -56,7 +56,7 @@ from .errors import (
     StateCompatError,
     ZeroProjectionError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_array, as_complex_matrix, as_complex_vector
+from .linalg import DEFAULT_TOL, UNIT_TOL, Tolerances, as_array, as_complex_matrix, as_complex_vector
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
@@ -161,7 +161,7 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
 
     Every ensemble's first term must carry the shared state (the term-0
     states must overlap with the first one to within
-    :data:`statecompat.density.UNIT_TOL` of unit modulus) with a
+    :data:`statecompat.linalg.UNIT_TOL` of unit modulus) with a
     strictly positive weight. Ancilla k needs one level per extra term of
     every *other* ensemble, so its dimension is 1 + max over j != k of the
     extra-term counts; an observer whose peers are all single-term gets a
@@ -257,8 +257,6 @@ def observer_reduced_density(
     is accepted for the call shape of the other stages and not needed.
     """
     dims = [int(d) for d in factor_dims]
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
     if not isinstance(conditional, BlockState):
         raise StateCompatError(
             f"expected a BlockState, got {type(conditional).__name__}"
@@ -300,12 +298,7 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
     if phi is None:
         raise IncompatibleError(_NO_SHARED_STATE)
     rhos = _check_rhos(rhos)
-    phi = as_complex_vector(phi)
-    if phi.shape[0] != rhos[0].dim:
-        raise DimensionMismatchError(
-            f"vector length {phi.shape[0]} != ambient dimension {rhos[0].dim}"
-        )
-    return _realize(rhos, _spectra(rhos, tol), phi, tol)
+    return _realize(rhos, _spectra(rhos, tol), as_complex_vector(phi, rhos[0].dim), tol)
 
 
 def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:

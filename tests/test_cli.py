@@ -15,7 +15,7 @@ from statecompat import compat
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
 from statecompat.density import validate_density
-from statecompat.generate import random_unitary
+from statecompat.generate import MAX_INSTANCE_MATRICES, random_unitary
 from statecompat.linalg import DEFAULT_TOL
 from statecompat.scenario import run_scenario
 from statecompat.fileio import (
@@ -128,7 +128,7 @@ def test_check_huge_integer_is_an_input_error(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[" * 10**6 + "]" * 10**6,  # over the opening bound of the orjson path: json
-    '{"a": ' * 16384 + "1" + "}" * 16384,  # at the bound: orjson
+    '{"a": ' * 16384 + "1" + "}" * 16384,  # over the object bound of the orjson path: json
     '{"dim": 1, "matrices": [{"rows": [[[Infinity, 0.0]]]}]}',
     '{"dim": 1, "matrices": [{"rows": [[[1.0, 0.0]]]}],}',
 ], ids=["1e6-nested-arrays", "16384-nested-objects", "infinity-entry", "invalid-json"])
@@ -136,6 +136,52 @@ def test_check_unreadable_input_is_one_line_error(tmp_path, text):
     path = tmp_path / "unreadable.json"
     path.write_text(text)
     assert_one_line_input_error(run_check_process(path))
+
+
+#: ``load_instance`` on the file ``sys.argv[1]`` in a thread with a 512 KiB
+#: stack, the default for threads on macOS; prints the error's class name.
+SMALL_STACK_LOAD = """
+import sys, threading
+from statecompat.errors import InstanceFormatError
+from statecompat.fileio import load_instance
+
+def load():
+    try:
+        load_instance(sys.argv[1])
+    except InstanceFormatError as exc:
+        print(type(exc).__name__)
+
+threading.stack_size(512 * 1024)
+thread = threading.Thread(target=load)
+thread.start()
+thread.join()
+"""
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": ' * 4096 + "1" + "}" * 4096,
+    "[" * 12000 + "]" * 12000,
+], ids=["4096-nested-objects", "12000-nested-arrays"])
+def test_deep_input_is_refused_on_a_small_thread_stack(tmp_path, text):
+    # orjson overflows a 512 KiB stack on either text; json refuses both
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SMALL_STACK_LOAD, str(path)],
+                          capture_output=True, text=True, env=env, check=False, timeout=120)
+    assert proc.returncode == 0  # killed by a signal, it would be negative
+    assert (proc.stdout, proc.stderr) == ("InstanceFormatError\n", "")
+
+
+@pytest.mark.parametrize("verb", ["check", "scenario"])
+def test_report_verbs_refuse_more_matrices_than_the_cap(tmp_path, capsys, verb):
+    # 1x1 matrices: each is valid, and only the count is over the cap
+    count = MAX_INSTANCE_MATRICES + 1
+    path = write_instance(tmp_path / "many.json", [np.ones((1, 1))] * count)
+    assert main([verb, "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert f"{count} matrices" in err and "cap" in err
 
 
 def test_check_tolerance_flags_are_honored(tmp_path, capsys):
@@ -469,6 +515,7 @@ def test_generate_caps_its_size_before_allocating(capsys):
         (["--dim", "100000"], "--dim"),
         (["--dim", "2897", "--count", "2"], "--dim"),  # 16785218 entries, just over 2**24
         (["--dim", "2", "--count", "5000000"], "--count"),
+        (["--dim", "2", "--count", "1025"], "--count"),
     ]:
         assert main(["generate"] + argv) == 2
         err = capsys.readouterr().err

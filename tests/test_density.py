@@ -11,6 +11,7 @@ from statecompat.density import (
     validate_density,
 )
 from statecompat.errors import (
+    DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
     StateCompatError,
@@ -500,6 +501,18 @@ def test_unreadable_input_raises_a_one_line_statecompat_error(call):
     with pytest.raises(StateCompatError) as info:
         call()
     assert str(info.value) and "\n" not in str(info.value)
+
+
+def test_a_state_of_the_wrong_length_gets_one_error():
+    """Ensembles, the decomposition and the scenario check a state's length in one place."""
+    rho = validate_density(np.diag([0.5, 0.5]))
+    state = np.ones(3) / np.sqrt(3.0)
+    for call in (lambda: Ensemble(2, [(1.0, state)]),
+                 lambda: ensemble_containing(rho, state),
+                 lambda: scenario_with_shared_state([rho, rho], state)):
+        with pytest.raises(DimensionMismatchError) as info:
+            call()
+        assert str(info.value) == "vector length 3 != ambient dimension 2"
 
 
 def test_numpy_scalars_are_still_numbers():

@@ -20,7 +20,7 @@ from statecompat.fileio import (
     parse_instance,
     report_payload,
 )
-from statecompat.generate import crandn, generate_instance
+from statecompat.generate import MAX_INSTANCE_MATRICES, crandn, generate_instance
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import json_load_instance, pairs_to_vector
@@ -479,6 +479,16 @@ def test_the_opening_count_picks_the_decoder(orjson_calls):
         fileio._decode("[" * (bound + 1) + "]" * (bound + 1))
     # a bracket in a string counts too, as the count only bounds the depth
     assert fileio._decode(json.dumps(["[" * bound])) == ["[" * bound]
+    assert len(orjson_calls) == 1
+
+
+def test_the_object_count_picks_the_decoder(orjson_calls):
+    # a flat list: the object count decides, whatever the depth
+    bound = fileio.ORJSON_MAX_OBJECTS
+    assert bound == 2 + MAX_INSTANCE_MATRICES  # the top level, tolerances, one per matrix
+    assert fileio._decode(json.dumps([{}] * bound)) == [{}] * bound
+    assert len(orjson_calls) == 1
+    assert fileio._decode(json.dumps([{}] * (bound + 1))) == [{}] * (bound + 1)  # json
     assert len(orjson_calls) == 1
 
 

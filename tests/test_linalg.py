@@ -18,8 +18,8 @@ from statecompat.density import null_space, support, validate_density
 from statecompat.generate import generate_instance
 from statecompat.linalg import (
     DEFAULT_TOL,
-    ORTHO_TOL,
     PHASE_FLOOR,
+    UNIT_TOL,
     Subspace,
     Tolerances,
     _householder_completions,
@@ -237,7 +237,7 @@ def orthonormality_defect(basis: np.ndarray) -> float:
 
 def test_internally_built_subspaces_are_orthonormal():
     """Bases from eigh, the intersection SVD and the Householder completion skip
-    the constructor's Gram check; each is orthonormal within ORTHO_TOL."""
+    the constructor's Gram check; each is orthonormal within UNIT_TOL."""
     cases = [(d, c, "compatible") for d in (2, 3, 5, 16) for c in (2, 3, 4)]
     cases += [(d, c, "incompatible") for d in (2, 4, 7) for c in (2, 3)]
     cases += [(d, 3, "pairwise-only") for d in (3, 6)]
@@ -250,7 +250,7 @@ def test_internally_built_subspaces_are_orthonormal():
             witness = intersection.basis[:, 0]
             built += [orthonormal_basis_containing(witness, support(r)) for r in rhos]
         for sub in built:
-            assert orthonormality_defect(sub.basis) <= ORTHO_TOL, (dim, count, mode)
+            assert orthonormality_defect(sub.basis) <= UNIT_TOL, (dim, count, mode)
 
 
 def test_subspace_rejects_too_many_columns():
