@@ -72,11 +72,11 @@ def _emit(payload: dict, output: str | None) -> None:
             dump_payload(payload, fh)
 
 
-def _cap_count(count: int, what: str) -> None:
-    """Refuse more than :data:`MAX_INSTANCE_MATRICES` matrices; ``what`` names the count."""
+def _cap_count(count: int) -> None:
+    """Refuse a ``--count`` over :data:`MAX_INSTANCE_MATRICES`, as reading refuses such an instance."""
     if count > MAX_INSTANCE_MATRICES:
         raise StateCompatError(
-            f"{what} too large: {count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
+            f"--count too large: {count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
         )
 
 
@@ -84,7 +84,6 @@ def _load_validated(
     path: str, tol_rank: float | None, tol_match: float | None
 ) -> tuple[Instance, Tolerances, list[DensityMatrix]]:
     instance = load_instance(path)
-    _cap_count(len(instance.matrices), "instance")
     tol = instance.tolerances(rank_rel=tol_rank, match_abs=tol_match)
     rhos, problems = [], []
     for name, matrix in zip(instance.names, instance.matrices):
@@ -127,7 +126,7 @@ def cmd_generate(args) -> int:
             f"{flag} too large: {args.count} matrices of {args.dim} x {args.dim} are "
             f"{entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
         )
-    _cap_count(args.count, "--count")
+    _cap_count(args.count)
     matrices = generate_instance(args.dim, args.count, args.seed, args.mode)
     names = [f"rho_{i + 1}" for i in range(len(matrices))]
     instance = Instance(dim=args.dim, names=names, matrices=matrices)

@@ -15,10 +15,10 @@ intersection (:func:`support_compatible`, :func:`forbidden_subspace`,
 with :func:`_split_set`: it checks the set, stacks the spectra once, makes
 the one rank decision (:func:`statecompat.density._rank_split`) and runs the
 SVD, which yields the intersection dimension, the defects and the raw
-directions; the scenario reuses the spectra with their cutoffs and ranks.
-:func:`full_report` and the scenario phase-fix only the witness column, and
-only the functions that return subspaces phase-fix and wrap the columns they
-return.
+directions, conjugated as rows; the scenario reuses the spectra with their
+cutoffs and ranks. :func:`full_report` and the scenario conjugate and
+phase-fix only the witness column, and only the functions that return
+subspaces conjugate, phase-fix and wrap the columns they return.
 
 Two older pairwise conditions are evaluated alongside for comparison:
 commutation of the pair (neither necessary nor sufficient) and a nonzero
@@ -43,9 +43,9 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _fix_columns,
     _membership_threshold,
     _split_rows,
-    fix_phase,
 )
 
 #: Bytes of the pair products :func:`_commutator_norms` forms at once.
@@ -105,38 +105,36 @@ def _check_rhos(rhos) -> list[DensityMatrix]:
 def _split_set(rhos, tol: Tolerances) -> tuple:
     """The checked set, its stacked spectra, and the intersection split of their supports.
 
-    Returns (rhos, spectra, count, defects, directions): the set as a list;
+    Returns (rhos, spectra, count, defects, conjugated): the set as a list;
     the eigenvalues (n, d) and eigenvectors (n, d, d) stacked once with
-    their zero cutoffs and ranks, by :func:`statecompat.density._spectra`,
-    as one tuple that the scenario's ensembles read too; and the
-    intersection dimension, defects and directions of one SVD (see
-    :func:`_split_rows`) whose rows are the conjugated null-space
-    eigenvectors, matrix by matrix.
+    their zero cutoffs, kept eigenvalues and ranks, by
+    :func:`statecompat.density._spectra`, as one tuple that the scenario's
+    ensembles read too; and the intersection dimension, defects and
+    conjugated directions of one SVD (see :func:`_split_rows`) whose rows
+    are the conjugated null-space eigenvectors, matrix by matrix.
     """
     rhos = _check_rhos(rhos)
-    spectra = values, vectors, _, ranks = _spectra(rhos, tol)
-    dim = values.shape[1]
-    rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
-    return (rhos, spectra, *_split_rows(rows, dim, tol))
+    spectra = _, vectors, _, kept, _ = _spectra(rhos, tol)
+    rows = vectors.transpose(0, 2, 1)[~kept].conj()
+    return (rhos, spectra, *_split_rows(rows, vectors.shape[1], tol))
 
 
-def _intersection_basis(vectors: np.ndarray, count: int, directions: np.ndarray) -> np.ndarray:
+def _intersection_basis(vectors: np.ndarray, count: int, conjugated: np.ndarray) -> np.ndarray:
     """The first ``count`` intersection directions, phase-fixed; for one matrix, its support's.
 
     A single matrix's intersection is its support, spanned by its leading
     eigenvectors in the order validation left them; the SVD counts them
     too, since one matrix's null-space rows are orthonormal (singular values
-    0 or 1). Only the columns returned are phase-fixed: for a witness, one.
+    0 or 1). Only the columns returned are conjugated and phase-fixed: for
+    the witness of :func:`full_report` and the scenario, one.
     """
-    return fix_phase((vectors[0] if len(vectors) == 1 else directions)[:, :count])
+    return _fix_columns(vectors[0, :, :count] if len(vectors) == 1 else conjugated[:count].conj().T)
 
 
-def support_compatible(
-    rhos, tol: Tolerances = DEFAULT_TOL
-) -> tuple[bool, Subspace]:
+def support_compatible(rhos, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    _, (values, vectors, _, _), count, _, directions = _split_set(rhos, tol)
-    basis = _intersection_basis(vectors, count, directions)
+    _, (values, vectors, *_), count, _, conjugated = _split_set(rhos, tol)
+    basis = _intersection_basis(vectors, count, conjugated)
     return count >= 1, Subspace._trusted(values.shape[1], basis)
 
 
@@ -145,8 +143,8 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     It is spanned by the null spaces of the matrices taken together.
     """
-    _, _, count, _, directions = _split_set(rhos, tol)
-    return Subspace._trusted(directions.shape[0], fix_phase(directions[:, count:]))
+    _, _, count, _, conjugated = _split_set(rhos, tol)
+    return Subspace._trusted(conjugated.shape[1], _fix_columns(conjugated[count:].conj().T))
 
 
 def _overlaps(matrices: np.ndarray) -> np.ndarray:
@@ -188,7 +186,7 @@ def _commutator_norms(matrices: np.ndarray) -> np.ndarray:
         a, b = _block_pairs(n, first, min(first + step, n - 1))
         x = matrices[first:].take(a, axis=0) @ matrices.take(b, axis=0)
         diff = (x - x.conj().transpose(0, 2, 1)).reshape(len(a), -1).view(np.float64)
-        norms[first:][a, b] = np.sqrt((diff * diff).sum(axis=1))
+        norms[first:][a, b] = np.sqrt(np.add.reduce(diff * diff, axis=1))
     return norms + norms.T
 
 
@@ -212,26 +210,44 @@ def product_nonzero(
     return overlap > tol.rank_rel, overlap
 
 
+def _near_cut(rows: list, cuts: list, scales: list) -> bool:
+    """Whether some entry of a row, divided by its row's scale, lies strictly between 0.1 and 10.
+
+    Each row is sorted, and its first ``cut`` entries lie on one side of its
+    scale and the rest on the other, so its ratios are sorted with 1 at the
+    cut. A ratio in the band, which holds 1, has one of the two ratios that
+    flank the cut between itself and 1, and that one is in the band too: the
+    two decide the row. Each is one correctly rounded division, as numpy's.
+    """
+    return any(0.1 < x / scale < 10.0
+               for row, cut, scale in zip(rows, cuts, scales)
+               for x in row[max(cut - 1, 0):cut + 1])
+
+
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
-    rhos, (values, vectors, cutoffs, _), count, defects, directions = _split_set(rhos, tol)
+    rhos, (values, vectors, cutoffs, _, ranks), count, defects, conjugated = _split_set(rhos, tol)
+    n, dim = values.shape
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
+    product = overlaps > tol.rank_rel
+    product.flat[:: n + 1] = True  # a matrix's product with itself is nonzero
 
-    notes = [note for note, ratio in ((_MARGINAL_NOTE, defects / _membership_threshold(tol)),
-                                      (_MARGINAL_RANK_NOTE, values / cutoffs[:, None]))
-             if np.count_nonzero((ratio > 0.1) & (ratio < 10.0))]
+    # the defects ascend, cut at the count; the spectra descend, cut at their ranks
+    near = (_near_cut([defects.tolist()], [count], [_membership_threshold(tol)]),
+            _near_cut(values.tolist(), ranks.tolist(), cutoffs.tolist()))
+    notes = [note for note, hit in zip((_MARGINAL_NOTE, _MARGINAL_RANK_NOTE), near) if hit]
 
     return CompatReport(
-        dim=values.shape[1],
-        n_matrices=len(rhos),
+        dim=dim,
+        n_matrices=n,
         compatible=count >= 1,
         intersection_dim=count,
-        witness=_intersection_basis(vectors, 1, directions)[:, 0] if count else None,
-        forbidden_dim=values.shape[1] - count,
+        witness=_intersection_basis(vectors, 1, conjugated)[:, 0] if count else None,
+        forbidden_dim=dim - count,
         pairwise_commute=commute_res <= tol.match_abs,
         commute_residual=commute_res,
-        pairwise_product_nonzero=(overlaps > tol.rank_rel) | np.eye(len(rhos), dtype=bool),
+        pairwise_product_nonzero=product,
         product_overlap=overlaps,
         marginal=bool(notes),
         notes=notes,

@@ -62,9 +62,9 @@ from .linalg import (
     EigResult,
     Subspace,
     Tolerances,
-    as_complex_matrix,
     _hermitian_part_eig,
     _householder_completions,
+    as_complex_matrix,
     as_complex_vector,
     hermitian_eig,
     require_square,
@@ -181,12 +181,20 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
 def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, trace one, and positivity; return the cleaned matrix.
 
+    The checks run in this order: the shape (two axes, not empty), finite
+    entries, a square, the Hermiticity defect, the eigendecomposition, the
+    trace, positivity. All but the last two are those of
+    :func:`statecompat.linalg.hermitian_eig`, where one probe, ||M||_F^2,
+    stands in for the shape, finiteness and square checks: they run one at a
+    time only for an input that fails it, so the non-finite test rides on
+    the probe and the same classes and messages come out in the same order.
     The input is symmetrized, eigenvalues within the negative tolerance band
-    are clamped to zero, and the trace is renormalized to exactly one. The
-    result keeps this one eigendecomposition, clamped and scaled the same way.
+    are clamped to zero and the matrix rebuilt from its spectrum, and the
+    trace is renormalized to exactly one. The result keeps this one
+    eigendecomposition, clamped and scaled the same way.
     """
-    sym, values, vectors = _hermitian_part_eig(require_square(as_complex_matrix(m)), tol)
-    trace = sym.trace().real
+    sym, values, vectors = _hermitian_part_eig(m, tol)
+    trace = np.add.reduce(sym.diagonal()).real  # sym.trace().real without the method's wrapper
     if abs(trace - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
     lowest = float(values[-1])
@@ -196,25 +204,28 @@ def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
         values = np.maximum(values, 0.0)
         sym = (vectors * values) @ vectors.conj().T
         sym = (sym + sym.conj().T) / 2.0
-        trace = sym.trace().real
+        trace = np.add.reduce(sym.diagonal()).real
     return DensityMatrix._trusted(sym / trace, EigResult(values / trace, vectors))
 
 
-def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The zero cutoffs and ranks of spectra stacked along the last axis.
+def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """The zero cutoffs, kept eigenvalues and ranks of spectra stacked along the last axis.
 
     The one rank decision of the package: an eigenvalue is kept when it lies
-    above its spectrum's :func:`statecompat.linalg.zero_cutoff`.
+    above its spectrum's :func:`statecompat.linalg.zero_cutoff`. The spectra
+    are descending, so the kept ones lead and ``kept[..., i]`` is ``i < rank``.
     """
     cutoffs = zero_cutoff(values, tol)
-    return cutoffs, (values > cutoffs[..., None]).sum(axis=-1)
+    kept = values > cutoffs[..., None]
+    return cutoffs, kept, np.add.reduce(kept, axis=-1)
 
 
 def _spectra(rhos, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """Stacked spectra of n matrices of one size: (values, vectors, cutoffs, ranks).
+    """Stacked spectra of n matrices of one size: (values, vectors, cutoffs, kept, ranks).
 
     The eigenvalues (n, d) and eigenvectors (n, d, d), then their zero
-    cutoffs and ranks from :func:`_rank_split`: the one rank split of the set.
+    cutoffs, kept eigenvalues and ranks from :func:`_rank_split`: the one
+    rank split of the set.
     """
     values = np.array([r.spectrum.eigenvalues for r in rhos])
     return (values, np.array([r.spectrum.eigenvectors for r in rhos]), *_rank_split(values, tol))
@@ -222,7 +233,7 @@ def _spectra(rhos, tol: Tolerances) -> tuple[np.ndarray, ...]:
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    rank = _rank_split(rho.spectrum.eigenvalues, tol)[1]
+    rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
     return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, :rank])
 
 
@@ -232,19 +243,19 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    rank = _rank_split(rho.spectrum.eigenvalues, tol)[1]
+    rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
     return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, rank:])
 
 
 def _ensembles_around(
-    values: np.ndarray, vectors: np.ndarray, cutoffs: np.ndarray, ranks: np.ndarray,
-    phi: np.ndarray, tol: Tolerances,
+    values: np.ndarray, vectors: np.ndarray, cutoffs: np.ndarray, kept: np.ndarray,
+    ranks: np.ndarray, phi: np.ndarray, tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
-    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra with
-    the ``cutoffs`` and ``ranks`` of :func:`_rank_split`, and ``phi`` a
-    coerced d-vector. Row k of the result is ensemble k as 2R candidate
+    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra with the
+    ``cutoffs``, ``kept`` and ``ranks`` of :func:`_rank_split`, and ``phi``
+    a coerced d-vector. Row k of the result is ensemble k as 2R candidate
     terms, R the largest rank, of which ``keep`` marks the real ones: phi
     with weight r_0, the completion (R - 1 columns, weight r_0), then the
     eigenvectors with their surplus r_i - r_0 (R columns). The terms are
@@ -258,7 +269,7 @@ def _ensembles_around(
     """
     n, d = values.shape
     top = max(int(ranks.max()), 1)
-    inside = np.arange(top) < ranks[:, None]
+    inside = kept[:, :top]
     r0 = values[np.arange(n), ranks - 1]
     weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
     states = np.empty((n, d, 2 * top), dtype=np.complex128)

@@ -70,7 +70,6 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .compat import CompatReport
 from .errors import InstanceFormatError
@@ -177,6 +176,9 @@ def parse_instance(obj) -> Instance:
     raw_matrices = obj.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise InstanceFormatError('"matrices" must be a nonempty list')
+    if len(raw_matrices) > MAX_INSTANCE_MATRICES:  # before any matrix is converted
+        raise InstanceFormatError(f"instance too large: {len(raw_matrices)} matrices, "
+                                  f"over the cap of {MAX_INSTANCE_MATRICES}")
     names, matrices = [], []
     for idx, entry in enumerate(raw_matrices):
         if not isinstance(entry, dict) or "rows" not in entry:
@@ -224,6 +226,7 @@ def _decode(text: str):
     objects = np.count_nonzero(octets == ord("{"))
     openings = objects + np.count_nonzero(octets == ord("["))
     if objects <= ORJSON_MAX_OBJECTS and openings <= ORJSON_MAX_OPENINGS:
+        import orjson  # here, so that a process that decodes nothing (generate) never loads it
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:

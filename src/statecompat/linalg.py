@@ -114,25 +114,30 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     gives the same bits for the columns the first row would anchor.
     """
     v = np.asarray(v, dtype=np.complex128)
-    cols = v.reshape(v.shape[0], -1)
+    return _fix_columns(v.reshape(v.shape[0], -1)).reshape(v.shape)
+
+
+def _fix_columns(cols: np.ndarray) -> np.ndarray:
+    """:func:`fix_phase` of a complex128 matrix, without its coercion: a few calls on the fast path."""
     lead = cols[0]
     modulus = np.abs(lead)
-    if np.count_nonzero(modulus > PHASE_FLOOR) < modulus.size:
+    if not all(x > PHASE_FLOOR for x in modulus.tolist()):
         big = np.abs(cols) > PHASE_FLOOR
         first, columns = big.argmax(axis=0), np.arange(cols.shape[1])
         lead = np.where(big[first, columns], cols[first, columns], 1.0)  # unanchored: phase 1
         modulus = np.abs(lead)
-    return (cols * (lead.conj() / modulus)).reshape(v.shape)
+    return cols * (lead.conj() / modulus)
 
 
 def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Threshold below which an eigenvalue or singular value counts as zero.
 
     Relative to the largest value present, with an absolute floor so an
-    all-zero spectrum still yields a positive cutoff. A stack of spectra
-    (along the last axis) gets one cutoff each.
+    all-zero spectrum still yields a positive cutoff: the floor is the
+    maximum's initial value. A stack of spectra (along the last axis) gets
+    one cutoff each.
     """
-    return tol.rank_rel * np.maximum(values.max(axis=-1, initial=0.0), 1e-30)
+    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=1e-30)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +155,35 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> EigResult:
     are symmetrized to (M + M^dag)/2 before decomposition; larger defects are
     rejected. Eigenvector columns follow the global phase convention.
     """
-    return EigResult(*_hermitian_part_eig(require_square(as_complex_matrix(m)), tol)[1:])
+    return EigResult(*_hermitian_part_eig(m, tol)[1:])
 
 
-def _hermitian_part_eig(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """(M + M^dag)/2 and the :func:`hermitian_eig` eigenvalues and vectors of a coerced square M."""
+def _hermitian_part_eig(m, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """(M + M^dag)/2 and its :func:`hermitian_eig` eigenvalues and vectors, after checking M.
+
+    The checks, in order: M converts to a complex array, has two axes, is
+    not empty, has finite entries, is square, and its Hermiticity defect is
+    at most ``tol.match_abs``. One probe stands in for the middle four:
+    ||M||_F^2, a ``vdot``, is finite exactly when every entry is finite and
+    none is huge (beyond about 1e154). Only an input that fails the probe
+    runs them one at a time, which raises for every such input except a
+    huge finite one; so a non-finite entry never reaches M - M^dag, where an
+    infinite one would raise a floating-point warning.
+    """
+    m = as_array(m, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not math.isfinite(np.vdot(m, m).real):
+        m = require_square(as_complex_matrix(m))
     mh = m.conj().T
     diff = m - mh
     defect = math.sqrt(np.vdot(diff, diff).real)
     if defect > tol.match_abs:
-        raise NotHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}"
-        )
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}")
     sym = (m + mh) / 2.0
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return sym, w[::-1].copy(), fix_phase(v[:, ::-1])
+    return sym, w[::-1], _fix_columns(v[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,28 +267,28 @@ def _membership_threshold(tol: Tolerances) -> float:
     return tol.match_abs / math.sqrt(2.0)
 
 
-def _split_rows(
-    rows: np.ndarray, ambient: int, tol: Tolerances
-) -> tuple[int, np.ndarray, np.ndarray]:
+def _split_rows(rows: np.ndarray, ambient: int, tol: Tolerances) -> tuple[int, np.ndarray, np.ndarray]:
     """Intersection dimension, defects and directions from one SVD of A, A^dag A = sum_k (I - P_k).
 
     For a unit vector v, ||Av||^2 is then the sum of its squared distances
     from the subspaces, so each singular value (the defects, ascending) is
     the root-sum-square distance of its right singular vector (the
-    directions, columns in the same order, not phase-fixed) from the family;
-    the SVD resolves small principal angles to absolute accuracy, where an
+    directions, in the same order, not phase-fixed) from the family; the
+    SVD resolves small principal angles to absolute accuracy, where an
     eigendecomposition of A^dag A would square them. ``rows`` is padded with
     zero rows to at least ``ambient``, which leaves A^dag A unchanged. The
     leading directions, those with defect at most ``tol.match_abs/sqrt(2)``,
     span the intersection and the rest its complement, so the count and
-    ``ambient`` minus it are the two dimensions. Callers phase-fix only the
-    columns they return.
+    ``ambient`` minus it are the two dimensions. The directions come back
+    conjugated, one per row, as the SVD gives them: callers conjugate and
+    phase-fix only the ones they return.
     """
     if rows.shape[0] < ambient:
         rows = np.concatenate((rows, np.zeros((ambient - rows.shape[0], ambient))))
     _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
-    count = int(np.count_nonzero(sigma <= _membership_threshold(tol)))
-    return count, sigma[::-1], vh[::-1].conj().T
+    threshold = _membership_threshold(tol)
+    count = sum(s <= threshold for s in sigma.tolist())
+    return count, sigma[::-1], vh[::-1]
 
 
 def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -291,5 +307,5 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if len(subspaces) == 1:
         return Subspace._trusted(ambient, fix_phase(subspaces[0].basis))
     rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
-    count, _, directions = _split_rows(rows, ambient, tol)
-    return Subspace._trusted(ambient, fix_phase(directions[:, :count]))
+    count, _, conjugated = _split_rows(rows, ambient, tol)
+    return Subspace._trusted(ambient, fix_phase(conjugated[:count].conj().T))

@@ -280,10 +280,10 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     :func:`statecompat.compat._split_set`, for the support test and the
     ensembles.
     """
-    rhos, spectra, count, _, directions = _split_set(rhos, tol)
+    rhos, spectra, count, _, conjugated = _split_set(rhos, tol)
     if count == 0:
         raise IncompatibleError(_NO_SHARED_STATE)
-    return _realize(rhos, spectra, _intersection_basis(spectra[1], 1, directions)[:, 0], tol)
+    return _realize(rhos, spectra, _intersection_basis(spectra[1], 1, conjugated)[:, 0], tol)
 
 
 def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
@@ -304,7 +304,7 @@ def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> Scen
 def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
     """The round trip around ``phi`` for matrices with the stacked, rank-split ``spectra``.
 
-    ``spectra`` is (values, vectors, cutoffs, ranks), as
+    ``spectra`` is (values, vectors, cutoffs, kept, ranks), as
     :func:`statecompat.density._spectra` returns it. One
     :func:`statecompat.density._ensembles_around` call gives every ensemble
     as 2R candidate terms, R the largest rank. Scaling term i of ensemble k

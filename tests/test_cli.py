@@ -522,6 +522,26 @@ def test_generate_caps_its_size_before_allocating(capsys):
         assert err.count("\n") == 1 and flag in err and "cap" in err, err
 
 
+#: ``cli.main`` on the argv ``sys.argv[1:]`` in a fresh interpreter; prints
+#: its exit code and whether orjson was imported.
+MAIN_AND_IMPORTS = """
+import sys
+from statecompat import cli
+code = cli.main(sys.argv[1:])
+print(code, "orjson" in sys.modules)
+"""
+
+
+def test_only_reading_an_instance_imports_orjson(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
+    path = str(tmp_path / "gen.json")
+    for argv, printed in [(["generate", "--output", path], "0 False\n"),
+                          (["check", "--input", path, "--output", str(tmp_path / "r.json")], "0 True\n")]:
+        proc = subprocess.run([sys.executable, "-c", MAIN_AND_IMPORTS, *argv],
+                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        assert (proc.stdout, proc.stderr) == (printed, "")
+
+
 def test_generated_instances_keep_their_promises(tmp_path, capsys):
     """compatible -> check 0 and scenario 0; incompatible -> check 1."""
     for seed in range(4):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from statecompat import compat
 from statecompat.compat import forbidden_subspace, full_report, support_compatible
 from statecompat.density import (
     DensityMatrix,
@@ -33,6 +34,7 @@ from statecompat.scenario import CompositeState, scenario_with_shared_state
 from conftest import (
     eigen_ensemble,
     ensemble_to_density,
+    reference_hermitian_eig,
     reference_split,
     reference_validate_density,
     span_of,
@@ -177,6 +179,37 @@ def test_report_and_subspace_functions_cannot_contradict():
     assert (len(verdicts), sum(verdicts)) == (473, 340)
 
 
+def all_entries_notes(rhos, tol=DEFAULT_TOL) -> list[str]:
+    """The marginal notes with every ratio tested, as the report first computed them."""
+    values = np.array([r.spectrum.eigenvalues for r in rhos])
+    ratios = [reference_split(rhos, tol)[2] / (tol.match_abs / np.sqrt(2.0)),
+              values / zero_cutoff(values, tol)[:, None]]
+    return [note for note, ratio in zip((compat._MARGINAL_NOTE, compat._MARGINAL_RANK_NOTE), ratios)
+            if np.count_nonzero((ratio > 0.1) & (ratio < 10.0))]
+
+
+def test_marginal_notes_match_every_ratio_tested():
+    """The report tests only the two ratios flanking each cut; it finds what testing all finds.
+
+    Over the invariant sets, and over diag(1 - eps, eps, 0) beside |1><1|
+    with eps swept through the rank band and pure pairs swept through the
+    defect band, both notes appear in each combination.
+    """
+    sets = list(invariant_sets())
+    for eps in np.logspace(-12, -8, 41):
+        sets.append([validate_density(np.diag([1 - eps, eps, 0.0])), validate_density(np.diag([0.0, 1.0, 0.0]))])
+    for distance in np.logspace(-10, -6, 41):
+        theta = float(np.arcsin(distance / np.sqrt(2)))
+        pair = [validate_density(np.outer(v, v.conj())) for v in (E0, np.cos(theta) * E0 + np.sin(theta) * E1)]
+        sets += [pair, pair + [validate_density(np.diag([1 - 2e-10, 2e-10]))]]
+    seen = set()
+    for rhos in sets:
+        notes = full_report(rhos).notes
+        assert notes == all_entries_notes(rhos)
+        seen.add(tuple(notes))
+    assert len(seen) == 4
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -195,6 +228,36 @@ def test_validate_raises_what_the_reference_raises(bad):
         reference_validate_density(bad)
     with pytest.raises(StateCompatError) as got:
         validate_density(bad)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def folded_check_inputs():
+    """Inputs refused by the checks that validation's one probe stands in for, or by the defect test after them."""
+    e = DEFAULT_TOL.match_abs * (1.0 + 1e-9) / np.sqrt(2.0)  # ||M - M^dag|| = sqrt(2) e
+    yield "nan-off-diagonal", np.array([[0.5, np.nan], [0.0, 0.5]])
+    for sign in (1.0, -1.0):
+        yield f"{sign:+.0f}inf-on-diagonal", np.diag([sign * np.inf, 0.5])
+        yield f"{sign:+.0f}inf-off-diagonal", np.array([[0.5, sign * np.inf], [sign * np.inf, 0.5]])
+        yield f"{sign:+.0f}inf-one-off-diagonal", np.array([[0.5, sign * np.inf], [0.0, 0.5]])
+    yield "inf-imaginary", np.array([[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]])
+    yield "non-finite-non-square", np.array([[0.5, 0.0, np.inf], [0.0, 0.5, 0.0]])
+    yield "empty", np.zeros((0, 0))
+    yield "1-d", np.array([0.5, 0.5])
+    yield "1x1-nan", np.array([[np.nan]])
+    yield "defect-just-above-match_abs", np.array([[0.5, e], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("entry, reference", [(validate_density, reference_validate_density),
+                                              (hermitian_eig, reference_hermitian_eig)])
+@pytest.mark.parametrize("bad", [m for _, m in folded_check_inputs()],
+                         ids=[name for name, _ in folded_check_inputs()])
+def test_folded_checks_raise_what_the_reference_raises(entry, reference, bad):
+    # also without a floating-point warning, which the suite turns into an error
+    with pytest.raises(StateCompatError) as want:
+        reference(bad)
+    with pytest.raises(StateCompatError) as got:
+        entry(bad)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +94,26 @@ def test_parse_names_the_offending_entry(entry, message):
     with pytest.raises(InstanceFormatError) as excinfo:
         parse_instance(obj)
     assert str(excinfo.value).startswith(message)
+
+
+@pytest.mark.parametrize("count", [MAX_INSTANCE_MATRICES, MAX_INSTANCE_MATRICES + 1])
+def test_the_matrix_cap_is_checked_before_any_matrix_is_read(monkeypatch, count):
+    parsed = []
+    original = fileio._parse_matrix
+
+    def counting(*args):
+        parsed.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(fileio, "_parse_matrix", counting)
+    obj = {"dim": 1, "matrices": [{"rows": [[[1.0, 0.0]]]}] * count}
+    if count > MAX_INSTANCE_MATRICES:
+        with pytest.raises(InstanceFormatError) as excinfo:
+            parse_instance(obj)
+        assert str(excinfo.value) == f"instance too large: {count} matrices, over the cap of 1024"
+    else:
+        parse_instance(obj)
+    assert len(parsed) == (0 if count > MAX_INSTANCE_MATRICES else count)
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -383,7 +404,7 @@ def orjson_calls(monkeypatch) -> list:
         calls.append(raw)
         return orjson.loads(raw)
 
-    monkeypatch.setattr(fileio, "orjson", SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
+    monkeypatch.setitem(sys.modules, "orjson", SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
     return calls
 
 
