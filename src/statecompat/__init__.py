@@ -48,7 +48,6 @@ from .linalg import (
 from .scenario import (
     BlockState,
     CompositeState,
-    ObserverRecovery,
     ScenarioResult,
     build_joint_state,
     observer_conditional_state,
@@ -67,7 +66,6 @@ __all__ = [
     "DensityMatrix",
     "EigResult",
     "Ensemble",
-    "ObserverRecovery",
     "ScenarioResult",
     "Subspace",
     "Tolerances",

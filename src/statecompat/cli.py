@@ -2,7 +2,9 @@
 
 Verbs:
   check     read an instance file, decide compatibility, write a report
-  scenario  additionally build the joint state and verify every recovery
+  scenario  additionally run the round trip around the report's witness: each
+            observer's state after finding their ancilla at level 0, and its
+            distance from their input
   generate  write a seeded random instance file
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,
@@ -35,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statecompat",
         description="Decide whether several density-matrix assignments can "
-        "describe the same system, and construct the state that realizes "
-        "compatible ones.",
+        "describe the same system, and run the round trip in which each "
+        "observer of a compatible set recovers their own assignment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, text in (
@@ -70,14 +72,6 @@ def _emit(payload: dict, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8") as fh:
             dump_payload(payload, fh)
-
-
-def _cap_count(count: int) -> None:
-    """Refuse a ``--count`` over :data:`MAX_INSTANCE_MATRICES`, as reading refuses such an instance."""
-    if count > MAX_INSTANCE_MATRICES:
-        raise StateCompatError(
-            f"--count too large: {count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
-        )
 
 
 def _load_validated(
@@ -126,7 +120,10 @@ def cmd_generate(args) -> int:
             f"{flag} too large: {args.count} matrices of {args.dim} x {args.dim} are "
             f"{entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
         )
-    _cap_count(args.count)
+    if args.count > MAX_INSTANCE_MATRICES:  # reading refuses such an instance too
+        raise StateCompatError(
+            f"--count too large: {args.count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
+        )
     matrices = generate_instance(args.dim, args.count, args.seed, args.mode)
     names = [f"rho_{i + 1}" for i in range(len(matrices))]
     instance = Instance(dim=args.dim, names=names, matrices=matrices)

@@ -85,8 +85,9 @@ class DensityMatrix:
     computed, and supports, null spaces and ensembles read it instead of
     diagonalizing again. Built without one, the matrix is diagonalized the
     first time ``spectrum`` is read, so matrices that are only compared,
-    such as the scenario's recovered ones, are never diagonalized. The
-    pairwise conditions need ``matrix`` exactly Hermitian, as validated.
+    such as :func:`statecompat.scenario.observer_reduced_density` returns,
+    are never diagonalized. The pairwise conditions need ``matrix`` exactly
+    Hermitian, as validated.
     """
 
     def __init__(self, matrix, spectrum: EigResult | None = None):

@@ -315,8 +315,8 @@ def report_payload(
         payload["scenario"] = {
             "joint_zero_outcome_probability": scenario.joint_zero_probability,
             "observers": [
-                {"name": name, "recovery_distance": rec.distance}
-                for name, rec in zip(names, scenario.recoveries)
+                {"name": name, "recovery_distance": distance}
+                for name, distance in zip(names, scenario.distances)
             ],
             "success": scenario.success,
         }

@@ -102,23 +102,17 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the first component with modulus > 1e-8 real positive by a global phase.
-
-    Works on a vector or on each column of a matrix; a vector or column with
-    no such component is returned unrotated. When every column's first entry
-    has modulus above the floor, as for almost every eigen- or singular
-    vector, the first row is the anchor and is read directly. Only when some
-    column's first entry is at or below 1e-8 does the general path run,
-    which finds each column's first entry above the floor by argmax; it
-    gives the same bits for the columns the first row would anchor.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    return _fix_columns(v.reshape(v.shape[0], -1)).reshape(v.shape)
-
-
 def _fix_columns(cols: np.ndarray) -> np.ndarray:
-    """:func:`fix_phase` of a complex128 matrix, without its coercion: a few calls on the fast path."""
+    """Make each column's first entry of modulus > 1e-8 real positive by a global phase.
+
+    ``cols`` is a complex128 matrix; a column with no such entry is returned
+    unrotated. When every column's first entry has modulus above the floor,
+    as for almost every eigen- or singular vector, the first row is the
+    anchor and is read directly. Only when some column's first entry is at
+    or below 1e-8 does the general path run, which finds each column's
+    first entry above the floor by argmax; it gives the same bits for the
+    columns the first row would anchor.
+    """
     lead = cols[0]
     modulus = np.abs(lead)
     if not all(x > PHASE_FLOOR for x in modulus.tolist()):
@@ -305,7 +299,7 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
     if len(subspaces) == 1:
-        return Subspace._trusted(ambient, fix_phase(subspaces[0].basis))
+        return Subspace._trusted(ambient, _fix_columns(subspaces[0].basis))
     rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
     count, _, conjugated = _split_rows(rows, ambient, tol)
-    return Subspace._trusted(ambient, fix_phase(conjugated[:count].conj().T))
+    return Subspace._trusted(ambient, _fix_columns(conjugated[:count].conj().T))

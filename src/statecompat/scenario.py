@@ -32,10 +32,11 @@ array call (:func:`statecompat.density._ensembles_around`) gives every
 ensemble, and observer k's level-0 rows of the joint state (phi and k's own scaled extra
 terms) are read straight from those arrays, so all n reductions are one
 batched Gram product and no :class:`CompositeState` is built. A Gram matrix
-is positive semidefinite by construction, so the recovered matrices are not
-validated or diagonalized again; the distance to the validated input is the
-check. A single assignment is realized by two observers holding it. The
-probability of the all-zero outcome comes from the same arrays, as
+is positive semidefinite by construction, so the recovered matrices are
+returned as that one stack, not validated or diagonalized again; the
+distance to the validated input is the check. A single assignment is
+realized by two observers holding it. The probability of the all-zero
+outcome comes from the same arrays, as
 :attr:`ScenarioResult.joint_zero_probability`; the tests check it against the
 all-zero block of the :class:`CompositeState` that :func:`build_joint_state`
 assembles.
@@ -138,22 +139,19 @@ class CompositeState(BlockState):
 
 
 @dataclass(eq=False)
-class ObserverRecovery:
-    """What one observer reconstructs after the level-0 outcome."""
-
-    recovered: DensityMatrix
-    distance: float
-
-
-@dataclass(eq=False)
 class ScenarioResult:
-    recoveries: list[ObserverRecovery]
+    """The round trip's outcome, as :func:`run_scenario` computes it.
+
+    ``recovered`` is the (n, d, d) stack of the states the observers assign
+    after finding their ancilla at level 0, and ``distances[k]`` is the
+    Frobenius distance of ``recovered[k]`` from input k. ``success`` says
+    every distance is within ``match_abs``.
+    """
+
+    recovered: np.ndarray
+    distances: list[float]
     joint_zero_probability: float
     success: bool
-
-    @property
-    def distances(self) -> list[float]:
-        return [r.distance for r in self.recoveries]
 
 
 def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeState:
@@ -324,5 +322,4 @@ def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
     recovered = _reduced_matrices(rows[: len(rhos)])
     diff = recovered - np.array([r.matrix for r in rhos])
     dists = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2))).tolist()
-    recoveries = [ObserverRecovery(DensityMatrix._trusted(m), d) for m, d in zip(recovered, dists)]
-    return ScenarioResult(recoveries, probability, all(d <= tol.match_abs for d in dists))
+    return ScenarioResult(recovered, dists, probability, all(d <= tol.match_abs for d in dists))

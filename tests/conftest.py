@@ -7,7 +7,8 @@ single SVD of stacked complement projectors used by the library. Helpers the
 library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
-one subspace, the all-zero outcome probability of a joint state) live here
+one subspace, the all-zero outcome probability of a joint state, the phase
+convention on a vector or a matrix of any dtype) live here
 as references for the tests that use them, and are checked themselves. So
 do the earlier forms of five library paths: the phase convention with every
 anchor found by argmax, validation through a separately coerced, symmetrized
@@ -46,19 +47,14 @@ from statecompat.linalg import (
     PHASE_FLOOR,
     EigResult,
     Subspace,
+    _fix_columns,
     _householder_completions,
     as_complex_matrix,
     as_complex_vector,
-    fix_phase,
     require_square,
     zero_cutoff,
 )
-from statecompat.scenario import (
-    BlockState,
-    CompositeState,
-    ObserverRecovery,
-    ScenarioResult,
-)
+from statecompat.scenario import BlockState, CompositeState, ScenarioResult
 
 
 def tensor_product_vec(vs) -> np.ndarray:
@@ -123,6 +119,17 @@ def eigen_ensemble(rho) -> Ensemble:
 def pairs_to_vector(pairs) -> np.ndarray:
     """A complex vector from its JSON spelling as [re, im] pairs."""
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """The library's phase convention on a vector or on each column of a matrix.
+
+    Coerces to complex128 and hands the columns to
+    :func:`statecompat.linalg._fix_columns`, which the library calls on
+    arrays that are already complex128 and 2-d.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    return _fix_columns(v.reshape(v.shape[0], -1)).reshape(v.shape)
 
 
 def loop_fix_phase(v: np.ndarray) -> np.ndarray:
@@ -472,17 +479,18 @@ def loop_scenario(rhos, phi, tol=DEFAULT_TOL) -> tuple[CompositeState, ScenarioR
             amplitudes.append(np.sqrt(w / e.terms[0][0]) * s)
     amplitudes = np.array(amplitudes) / np.linalg.norm(amplitudes)
     psi = CompositeState(ancilla_dims, rhos[0].dim, np.array(patterns), amplitudes)
-    recoveries, start = [], 1
+    recovered, distances, start = [], [], 1
     for rho, m in zip(rhos, extras):
         rows = np.concatenate((psi.amplitudes[:1], psi.amplitudes[start : start + m]))
         start += m
         gram = rows.T @ rows.conj()
         gram = (gram + gram.conj().T) / 2.0
         gram /= np.trace(gram).real
-        distance = float(np.linalg.norm(gram - rho.matrix))
-        recoveries.append(ObserverRecovery(DensityMatrix(gram), distance))
-    success = all(r.distance <= tol.match_abs for r in recoveries)
-    return psi, ScenarioResult(recoveries, float(np.sum(np.abs(psi.amplitudes[0]) ** 2)), success)
+        recovered.append(gram)
+        distances.append(float(np.linalg.norm(gram - rho.matrix)))
+    success = all(d <= tol.match_abs for d in distances)
+    probability = float(np.sum(np.abs(psi.amplitudes[0]) ** 2))
+    return psi, ScenarioResult(np.array(recovered), distances, probability, success)
 
 
 def json_load_instance(path) -> fileio.Instance:

@@ -336,6 +336,13 @@ def test_ensemble_rejects_bad_weight_sum():
         Ensemble(2, [(0.5, E0), (0.4, E1)])
 
 
+def test_ensemble_rejects_dimension_zero_and_no_terms():
+    with pytest.raises(StateCompatError, match="dimension must be positive"):
+        Ensemble(0, [(1.0, E0)])
+    with pytest.raises(StateCompatError, match="at least one term"):
+        Ensemble(2, [])
+
+
 def test_ensemble_renormalizes_tiny_defect():
     e = Ensemble(2, [(0.5 + 3e-9, E0), (0.5, E1)])
     assert sum(w for w, _ in e.terms) == pytest.approx(1.0, abs=1e-15)

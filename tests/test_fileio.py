@@ -70,6 +70,11 @@ def test_parse_defaults_matrix_names():
         lambda o: o["matrices"][0]["rows"][0].__setitem__(0, [True, 0.0]),
         lambda o: o["matrices"][0]["rows"][0].__setitem__(0, [0.0, None]),
         lambda o: o["matrices"][0]["rows"][0].__setitem__(0, [{}, 0.0]),
+        lambda o: o["matrices"].__setitem__(0, [[[1.0, 0.0]]]),
+        lambda o: o["matrices"][0].pop("rows"),
+        lambda o: o["matrices"][0].update(name=""),
+        lambda o: o["matrices"][0].update(name=7),
+        lambda o: o.update(tolerances=[1e-9]),
     ],
 )
 def test_parse_rejects_malformed(mutate):
@@ -77,6 +82,12 @@ def test_parse_rejects_malformed(mutate):
     mutate(obj)
     with pytest.raises(InstanceFormatError):
         parse_instance(obj)
+
+
+def test_parse_rejects_a_top_level_value_that_is_not_an_object():
+    for value in ([sample_obj()], "instance", 2, None):
+        with pytest.raises(InstanceFormatError, match="must hold a JSON object"):
+            parse_instance(value)
 
 
 @pytest.mark.parametrize(

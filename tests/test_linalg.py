@@ -23,13 +23,13 @@ from statecompat.linalg import (
     Subspace,
     Tolerances,
     _householder_completions,
-    fix_phase,
     hermitian_eig,
     subspace_intersection,
 )
 
 from conftest import (
     OutsideSubspaceError,
+    fix_phase,
     householder_completion,
     loop_fix_phase,
     loop_partial_trace,
@@ -256,6 +256,11 @@ def test_internally_built_subspaces_are_orthonormal():
 def test_subspace_rejects_too_many_columns():
     with pytest.raises(StateCompatError):
         Subspace(2, np.eye(3)[:2, :])  # 2x3: "basis" larger than ambient space
+    with pytest.raises(StateCompatError, match="ambient dimension must be positive"):
+        Subspace(0, np.zeros((0, 0)))
+    for basis in (E0, np.eye(3)[:, :1], np.zeros((1, 2, 1))):  # 1-d, 3 rows, 3-d
+        with pytest.raises(StateCompatError, match="basis must be 2 x k"):
+            Subspace(2, basis)
 
 
 def test_subspace_empty_and_full():

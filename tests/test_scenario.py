@@ -292,8 +292,8 @@ def test_scenario_recovers_every_observer():
         rhos = [validate_density(m) for m in compatible_instance(dim, count, rng)]
         result = run_scenario(rhos)
         assert result.success, result.distances
-        for rec, rho in zip(result.recoveries, rhos):
-            assert np.linalg.norm(rec.recovered.matrix - rho.matrix) <= 1e-8
+        for recovered, rho in zip(result.recovered, rhos):
+            assert np.linalg.norm(recovered - rho.matrix) <= 1e-8
 
 
 def test_conditioning_order_consistency():
@@ -363,6 +363,8 @@ def test_composite_state_validation():
         CompositeState([2, 2], 2, zero_one.astype(float), half)
     with pytest.raises(StateCompatError, match="two positive"):
         CompositeState([2], 2, [[0], [1]], half)
+    with pytest.raises(StateCompatError, match="system dimension must be positive"):
+        CompositeState([2, 2], 0, zero_one, np.zeros((2, 0)))
     psi = CompositeState([2, 3], 2, [[0, 0], [1, 2]], half)
     assert psi.patterns.dtype == np.intp
     assert joint_zero_outcome_probability(psi) == pytest.approx(0.5, abs=1e-15)
@@ -392,9 +394,7 @@ def test_block_state_matches_dense_reference():
                     np.testing.assert_allclose(block_tensor(block), slab, rtol=0, atol=atol)
                     v = slab.reshape(-1)
                     via_dense = partial_trace(np.outer(v, v.conj()), slab.shape, {slab.ndim - 1})
-                    np.testing.assert_allclose(
-                        result.recoveries[k].recovered.matrix, via_dense, atol=1e-14
-                    )
+                    np.testing.assert_allclose(result.recovered[k], via_dense, atol=1e-14)
 
 
 def test_thousand_observer_state_is_stored_as_blocks():
@@ -411,7 +411,7 @@ def test_scenario_thousand_observers():
     rhos = [validate_density(m) for m in compatible_instance(3, 1000, rng)]
     result = run_scenario(rhos)
     assert result.success, max(result.distances)
-    assert len(result.recoveries) == 1000
+    assert len(result.recovered) == 1000
     assert 0.0 < result.joint_zero_probability <= 1.0
 
 
@@ -423,9 +423,9 @@ def test_recovered_matrices_pass_validation_unchanged():
         for count in (2, 3, 5):
             for seed in range(3):
                 rhos = [validate_density(m) for m in generate_instance(dim, count, seed)]
-                for rec in run_scenario(rhos).recoveries:
-                    again = validate_density(rec.recovered.matrix)
-                    np.testing.assert_allclose(again.matrix, rec.recovered.matrix, rtol=0, atol=4 * ulp)
+                for recovered in run_scenario(rhos).recovered:
+                    again = validate_density(recovered)
+                    np.testing.assert_allclose(again.matrix, recovered, rtol=0, atol=4 * ulp)
 
 
 def near_common_mixed_set(dim, ranks, angle, rng):
@@ -511,9 +511,7 @@ def test_batched_scenario_matches_the_per_observer_loop(dim, n):
         assert got.success is ref.success is True
         assert abs(got.joint_zero_probability - ref.joint_zero_probability) <= 1e-15
         assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
-        recovered = np.array([r.recovered.matrix for r in got.recoveries])
-        expected = np.array([r.recovered.matrix for r in ref.recoveries])
-        assert np.max(np.abs(recovered - expected)) <= 1e-15
+        assert np.max(np.abs(got.recovered - ref.recovered)) <= 1e-15
     ensembles = [ensemble_containing(r, phi) for r in rhos]
     psi = build_joint_state(ensembles)
     assert psi.ancilla_dims == psi_ref.ancilla_dims
@@ -531,7 +529,7 @@ def test_batched_scenario_of_one_matrix_is_its_pair():
         phi = support(rho).basis[:, 0]
         single = scenario_with_shared_state([rho], phi)
         pair = scenario_with_shared_state([rho, rho], phi)
-        assert single.success and len(single.recoveries) == 1
+        assert single.success and len(single.recovered) == 1
         assert single.distances == pair.distances[:1]
         assert single.joint_zero_probability == pair.joint_zero_probability
 
@@ -636,5 +634,4 @@ def test_scenario_around_the_report_witness_is_run_scenario(dim, count, seed):
     shared = scenario_with_shared_state(rhos, full_report(rhos).witness)
     assert got.success and got.distances == shared.distances
     assert got.joint_zero_probability == shared.joint_zero_probability
-    for a, b in zip(got.recoveries, shared.recoveries, strict=True):
-        assert np.array_equal(a.recovered.matrix, b.recovered.matrix)
+    assert np.array_equal(got.recovered, shared.recovered)

@@ -97,7 +97,10 @@ def fingerprint(mod, name: str, op, out) -> bytes:
         return b"|".join(parts)
     if name == "scenario-observers":
         parts = [repr((out.joint_zero_probability, out.success, out.distances)).encode()]
-        parts += [array_bytes(rec.recovered.matrix) for rec in out.recoveries]
+        if hasattr(out, "recovered"):  # the (n, d, d) stack
+            parts += [array_bytes(matrix) for matrix in out.recovered]
+        else:  # a ref from before that stack: one wrapped matrix per observer
+            parts += [array_bytes(rec.recovered.matrix) for rec in out.recoveries]
         return b"|".join(parts)
     return repr(out).encode() + b"|" + op.out_path.read_bytes()
 
