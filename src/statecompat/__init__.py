@@ -42,7 +42,6 @@ from .linalg import (
     EigResult,
     Subspace,
     Tolerances,
-    hermitian_eig,
     subspace_intersection,
 )
 from .scenario import (
@@ -74,7 +73,6 @@ __all__ = [
     "ensemble_containing",
     "forbidden_subspace",
     "full_report",
-    "hermitian_eig",
     "null_space",
     "observer_conditional_state",
     "observer_reduced_density",

@@ -24,7 +24,7 @@ from .density import DensityMatrix, validate_density
 from .errors import IncompatibleError, StateCompatError
 from .fileio import Instance, dump_payload, instance_payload, load_instance, report_payload
 from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, generate_instance
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .scenario import scenario_with_shared_state
 
 EXIT_OK = 0
@@ -41,6 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         "observer of a compatible set recovers their own assignment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the default tolerances as the help writes them: 1e-8, not Python's 1e-08
+    rank, match = (f"{x:g}".replace("e-0", "e-") for x in (DEFAULT_TOL.rank_rel, DEFAULT_TOL.match_abs))
     for verb, text in (
         ("check", "compatibility report for an instance file"),
         ("scenario", "compatibility report plus joint-state recovery check"),
@@ -49,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         report.add_argument("--input", required=True, metavar="PATH")
         report.add_argument("--output", default=None, metavar="PATH")
         report.add_argument("--tol-rank", type=float, default=None, metavar="FLOAT",
-                            help="relative rank cutoff (default 1e-10)")
+                            help=f"relative rank cutoff (default {rank})")
         report.add_argument("--tol-match", type=float, default=None, metavar="FLOAT",
-                            help="absolute matching threshold (default 1e-8)")
+                            help=f"absolute matching threshold (default {match})")
 
     generate = sub.add_parser("generate", help="write a seeded random instance file")
     generate.add_argument("--dim", type=int, default=2, metavar="INT")

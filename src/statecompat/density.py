@@ -1,14 +1,15 @@
 """Density matrices, their supports and null spaces, and ensemble decompositions.
 
 A density matrix is a Hermitian, positive-semidefinite, trace-one operator.
-:func:`validate_density` makes one pass over each input (one Hermiticity
-defect, symmetrization, eigendecomposition and trace) and keeps that
-spectrum; supports, null spaces, the support intersection and the ensembles
-below all read it. An ensemble is a list of positive weights and unit states
-(not necessarily orthogonal) whose weighted projectors sum to the density
-matrix. This module can rewrite a density matrix as an ensemble in which an
-arbitrarily chosen support vector appears explicitly: with eigenvalues r_i
-(smallest nonzero value r_0) and eigenvectors psi_i,
+A :class:`DensityMatrix` exists only after validation: its constructor, which
+:func:`validate_density` calls, makes one pass over each input (one
+Hermiticity defect, symmetrization, eigendecomposition and trace) and keeps
+that spectrum; supports, null spaces, the support intersection and the
+ensembles below all read it. An ensemble is a list of positive weights and
+unit states (not necessarily orthogonal) whose weighted projectors sum to the
+density matrix. This module can rewrite a density matrix as an ensemble in
+which an arbitrarily chosen support vector appears explicitly: with
+eigenvalues r_i (smallest nonzero value r_0) and eigenvectors psi_i,
 
     rho = r_0 |psi><psi| + sum_{j>0} r_0 |eta_j><eta_j|
           + sum_i (r_i - r_0) |psi_i><psi_i|,
@@ -59,15 +60,13 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     UNIT_TOL,
+    _CUTOFF_FLOOR,
     EigResult,
     Subspace,
     Tolerances,
     _hermitian_part_eig,
     _householder_completions,
-    as_complex_matrix,
     as_complex_vector,
-    hermitian_eig,
-    require_square,
     zero_cutoff,
 )
 
@@ -78,34 +77,42 @@ TRACE_TOL = 1e-8
 
 
 class DensityMatrix:
-    """A density matrix and, once read, its spectrum; validate inputs with :func:`validate_density`.
+    """A validated density matrix and its one eigendecomposition.
 
-    ``spectrum`` is the eigendecomposition of ``matrix`` (eigenvalues
-    descending, eigenvectors phase-fixed). Validation passes the one it
-    computed, and supports, null spaces and ensembles read it instead of
-    diagonalizing again. Built without one, the matrix is diagonalized the
-    first time ``spectrum`` is read, so matrices that are only compared,
-    such as :func:`statecompat.scenario.observer_reduced_density` returns,
-    are never diagonalized. The pairwise conditions need ``matrix`` exactly
-    Hermitian, as validated.
+    ``DensityMatrix(m, tol)`` is the validation; there is no other way to
+    make one. The checks run in this order: the shape (two axes, not empty),
+    finite entries, a square, the Hermiticity defect, the eigendecomposition,
+    the trace, positivity. All but the last two are those of
+    :func:`statecompat.linalg._hermitian_part_eig`, where one probe,
+    ||M||_F^2, stands in for the shape, finiteness and square checks: they
+    run one at a time only for an input that fails it, so the non-finite test
+    rides on the probe and the same classes and messages come out in the same
+    order. The input is symmetrized, eigenvalues within the negative
+    tolerance band are clamped to zero and the matrix rebuilt from its
+    spectrum, and the trace is renormalized to exactly one.
+
+    ``matrix`` is the cleaned, exactly Hermitian matrix the pairwise
+    conditions need, and ``spectrum`` its eigendecomposition (eigenvalues
+    descending, eigenvectors phase-fixed), clamped and scaled the same way;
+    supports, null spaces and ensembles read it instead of diagonalizing
+    again.
     """
 
-    def __init__(self, matrix, spectrum: EigResult | None = None):
-        self.matrix = require_square(as_complex_matrix(matrix))
-        self._spectrum = spectrum
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, spectrum: EigResult | None = None) -> "DensityMatrix":
-        """A density matrix on a square complex128 matrix the package computed, unchecked."""
-        rho = object.__new__(cls)
-        rho.matrix, rho._spectrum = matrix, spectrum
-        return rho
-
-    @property
-    def spectrum(self) -> EigResult:
-        if self._spectrum is None:
-            self._spectrum = hermitian_eig(self.matrix)
-        return self._spectrum
+    def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
+        sym, values, vectors = _hermitian_part_eig(m, tol)
+        trace = np.add.reduce(sym.diagonal()).real  # sym.trace().real without the method's wrapper
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
+        lowest = float(values[-1])
+        if lowest < -tol.rank_rel * max(float(values[0]), _CUTOFF_FLOOR):
+            raise NotPositiveError(f"eigenvalue {lowest:.6g} is negative beyond tolerance")
+        if lowest < 0.0:
+            values = np.maximum(values, 0.0)
+            sym = (vectors * values) @ vectors.conj().T
+            sym = (sym + sym.conj().T) / 2.0
+            trace = np.add.reduce(sym.diagonal()).real
+        self.matrix = sym / trace
+        self.spectrum = EigResult(values / trace, vectors)
 
     @property
     def dim(self) -> int:
@@ -182,31 +189,10 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
 def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, trace one, and positivity; return the cleaned matrix.
 
-    The checks run in this order: the shape (two axes, not empty), finite
-    entries, a square, the Hermiticity defect, the eigendecomposition, the
-    trace, positivity. All but the last two are those of
-    :func:`statecompat.linalg.hermitian_eig`, where one probe, ||M||_F^2,
-    stands in for the shape, finiteness and square checks: they run one at a
-    time only for an input that fails it, so the non-finite test rides on
-    the probe and the same classes and messages come out in the same order.
-    The input is symmetrized, eigenvalues within the negative tolerance band
-    are clamped to zero and the matrix rebuilt from its spectrum, and the
-    trace is renormalized to exactly one. The result keeps this one
-    eigendecomposition, clamped and scaled the same way.
+    The same as ``DensityMatrix(m, tol)``, whose constructor is the
+    validation (see :class:`DensityMatrix`).
     """
-    sym, values, vectors = _hermitian_part_eig(m, tol)
-    trace = np.add.reduce(sym.diagonal()).real  # sym.trace().real without the method's wrapper
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    lowest = float(values[-1])
-    if lowest < -tol.rank_rel * max(float(values[0]), 1e-30):
-        raise NotPositiveError(f"eigenvalue {lowest:.6g} is negative beyond tolerance")
-    if lowest < 0.0:
-        values = np.maximum(values, 0.0)
-        sym = (vectors * values) @ vectors.conj().T
-        sym = (sym + sym.conj().T) / 2.0
-        trace = np.add.reduce(sym.diagonal()).real
-    return DensityMatrix._trusted(sym / trace, EigResult(values / trace, vectors))
+    return DensityMatrix(m, tol)
 
 
 def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:

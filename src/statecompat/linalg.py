@@ -27,6 +27,10 @@ from .errors import (
 #: Modulus below which a component cannot anchor the global phase convention.
 PHASE_FLOOR = 1e-8
 
+#: Floor of every zero cutoff: the largest eigenvalue or singular value is
+#: taken as at least this, so an all-zero spectrum still has a positive cutoff.
+_CUTOFF_FLOOR = 1e-30
+
 #: Absolute tolerance on a norm or overlap that must be one (or, off the
 #: diagonal of a Gram matrix, zero): ensemble states, joint states, the
 #: overlap of the ensembles' leading states, and the orthonormality of
@@ -128,10 +132,10 @@ def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
     Relative to the largest value present, with an absolute floor so an
     all-zero spectrum still yields a positive cutoff: the floor is the
-    maximum's initial value. A stack of spectra (along the last axis) gets
-    one cutoff each.
+    maximum's initial value, :data:`_CUTOFF_FLOOR`. A stack of spectra (along
+    the last axis) gets one cutoff each.
     """
-    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=1e-30)
+    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=_CUTOFF_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,18 +146,12 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> EigResult:
-    """Eigendecomposition of a (near-)Hermitian matrix, eigenvalues descending.
-
-    Inputs whose Hermiticity defect ||M - M^dag||_F is at most ``tol.match_abs``
-    are symmetrized to (M + M^dag)/2 before decomposition; larger defects are
-    rejected. Eigenvector columns follow the global phase convention.
-    """
-    return EigResult(*_hermitian_part_eig(m, tol)[1:])
-
-
 def _hermitian_part_eig(m, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """(M + M^dag)/2 and its :func:`hermitian_eig` eigenvalues and vectors, after checking M.
+    """(M + M^dag)/2 and its eigenvalues and vectors, after checking M.
+
+    The eigenvalues are descending and the eigenvector columns follow the
+    global phase convention (:func:`_fix_columns`). The one caller is the
+    :class:`statecompat.density.DensityMatrix` constructor, the validation.
 
     The checks, in order: M converts to a complex array, has two axes, is
     not empty, has finite entries, is square, and its Hermiticity defect is

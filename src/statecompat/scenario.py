@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import _check_rhos, _intersection_basis, _split_set
-from .density import DensityMatrix, _ensembles_around, _spectra
+from .density import _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -209,16 +209,17 @@ def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
     """State of the remaining factors after observer k finds level 0.
 
     Keeps the blocks whose pattern has ancilla k at level 0, drops that
-    factor from the patterns, and renormalizes. States built by
-    :func:`build_joint_state` always survive the projection; the zero check
-    guards hand-built inputs.
+    factor from the patterns, and renormalizes. The kept rows include the
+    all-zero block, which :class:`CompositeState` requires to be nonzero, so
+    the same exact-zero test here refuses only a state whose amplitudes were
+    edited after it was checked.
     """
     if not 0 <= k < psi.n_observers:
         raise StateCompatError(f"observer index {k} out of range (0..{psi.n_observers - 1})")
     keep = psi.patterns[:, k] == 0
     rows = psi.amplitudes[keep]
     norm = float(np.linalg.norm(rows))
-    if norm <= 1e-15:
+    if norm == 0.0:
         raise ZeroProjectionError(f"level-0 outcome of observer {k} has zero amplitude")
     kept = psi.patterns[keep]
     return BlockState(
@@ -244,15 +245,16 @@ def _reduced_matrices(rows: np.ndarray) -> np.ndarray:
 
 def observer_reduced_density(
     conditional: BlockState, factor_dims, system_index: int, tol: Tolerances = DEFAULT_TOL
-) -> DensityMatrix:
-    """Partial trace of a conditional block state down to the system factor.
+) -> np.ndarray:
+    """Partial trace of a conditional block state down to the system factor: a (d, d) array.
 
     ``factor_dims`` must list the state's ancillas and then the system, and
     ``system_index`` must point at the last. The patterns are distinct basis
     states, so the trace is the sum of the blocks' outer products (see
-    :func:`_reduced_matrices`); the result is positive semidefinite by
-    construction and is returned without another eigendecomposition. ``tol``
-    is accepted for the call shape of the other stages and not needed.
+    :func:`_reduced_matrices`); the result is the unit-trace Gram array,
+    positive semidefinite by construction, as :attr:`ScenarioResult.recovered`
+    holds one per observer, not validated or diagonalized. ``tol`` is
+    accepted for the call shape of the other stages and not needed.
     """
     dims = [int(d) for d in factor_dims]
     if not isinstance(conditional, BlockState):
@@ -265,7 +267,7 @@ def observer_reduced_density(
             f"block state has factors {expected} with the system last, "
             f"got {dims} and system index {system_index}"
         )
-    return DensityMatrix(_reduced_matrices(conditional.amplitudes))
+    return _reduced_matrices(conditional.amplitudes)
 
 
 def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:

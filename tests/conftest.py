@@ -8,8 +8,12 @@ library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
 one subspace, the all-zero outcome probability of a joint state, the phase
-convention on a vector or a matrix of any dtype) live here
-as references for the tests that use them, and are checked themselves. So
+convention on a vector or a matrix of any dtype, the eigendecomposition of a
+Hermitian matrix without validation's trace and positivity checks) live here
+as references for the tests that use them, and are checked themselves.
+:func:`unchecked_density` builds a :class:`DensityMatrix` record around
+given bits, past the constructor's validation: the validation oracle's
+result, and a record that validation would refuse for an error-path test. So
 do the earlier forms of five library paths: the phase convention with every
 anchor found by argmax, validation through a separately coerced, symmetrized
 and diagonalized matrix, the support split with every direction phase-fixed
@@ -48,6 +52,7 @@ from statecompat.linalg import (
     EigResult,
     Subspace,
     _fix_columns,
+    _hermitian_part_eig,
     _householder_completions,
     as_complex_matrix,
     as_complex_vector,
@@ -130,6 +135,23 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.complex128)
     return _fix_columns(v.reshape(v.shape[0], -1)).reshape(v.shape)
+
+
+def hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
+    """The eigendecomposition validation computes, before its trace and positivity checks.
+
+    Eigenvalues descending, eigenvector columns phase-fixed; the checks of
+    :func:`statecompat.linalg._hermitian_part_eig` (readable, two axes, not
+    empty, finite, square, Hermiticity defect at most ``tol.match_abs``).
+    """
+    return EigResult(*_hermitian_part_eig(m, tol)[1:])
+
+
+def unchecked_density(matrix, spectrum: EigResult) -> DensityMatrix:
+    """A :class:`DensityMatrix` record on a matrix and spectrum as given, not validated."""
+    rho = object.__new__(DensityMatrix)
+    rho.matrix, rho.spectrum = matrix, spectrum
+    return rho
 
 
 def loop_fix_phase(v: np.ndarray) -> np.ndarray:
@@ -327,7 +349,7 @@ def reference_validate_density(m, tol=DEFAULT_TOL) -> DensityMatrix:
         sym = (eig.eigenvectors * values) @ eig.eigenvectors.conj().T
         sym = (sym + sym.conj().T) / 2.0
     trace = float(np.trace(sym).real)
-    return DensityMatrix(sym / trace, EigResult(values / trace, eig.eigenvectors))
+    return unchecked_density(sym / trace, EigResult(values / trace, eig.eigenvectors))
 
 
 def reference_split(rhos, tol=DEFAULT_TOL) -> tuple[Subspace, Subspace, np.ndarray]:

@@ -28,12 +28,13 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, hermitian_eig, zero_cutoff
+from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, zero_cutoff
 from statecompat.scenario import CompositeState, scenario_with_shared_state
 
 from conftest import (
     eigen_ensemble,
     ensemble_to_density,
+    hermitian_eig,
     reference_hermitian_eig,
     reference_split,
     reference_validate_density,
@@ -119,9 +120,10 @@ def test_validate_matches_the_reference_bit_for_bit():
     count = clamped = 0
     for m in oracle_inputs():
         got, want = validate_density(m), reference_validate_density(m)
-        assert same_bits(got.matrix, want.matrix)
-        assert same_bits(got.spectrum.eigenvalues, want.spectrum.eigenvalues)
-        assert same_bits(got.spectrum.eigenvectors, want.spectrum.eigenvectors)
+        for rho in (got, DensityMatrix(m, DEFAULT_TOL)):  # the constructor is the validation
+            assert same_bits(rho.matrix, want.matrix)
+            assert same_bits(rho.spectrum.eigenvalues, want.spectrum.eigenvalues)
+            assert same_bits(rho.spectrum.eigenvectors, want.spectrum.eigenvectors)
         count += 1
         clamped += bool(np.linalg.eigvalsh((m + m.conj().T) / 2)[0] < -1e-13)
     assert count == 165 and clamped == 15  # the planted eigenvalues of about -1e-12
@@ -220,16 +222,19 @@ def test_marginal_notes_match_every_ratio_tested():
         np.diag([1.0, 1.0]),
         np.diag([1.5, -0.5]),
         np.diag([1.0 + 1e-6, -1e-6]),
+        np.diag([2.0, -1.0]),
     ],
-    ids=["non-finite", "3-d", "non-square", "non-hermitian", "trace", "negative", "just-negative"],
+    ids=["non-finite", "3-d", "non-square", "non-hermitian", "trace", "negative", "just-negative",
+         "eigenvalue-minus-one"],
 )
 def test_validate_raises_what_the_reference_raises(bad):
     with pytest.raises(StateCompatError) as want:
         reference_validate_density(bad)
-    with pytest.raises(StateCompatError) as got:
-        validate_density(bad)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+    for entry in (validate_density, DensityMatrix):
+        with pytest.raises(StateCompatError) as got:
+            entry(bad)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def folded_check_inputs():
@@ -249,7 +254,8 @@ def folded_check_inputs():
 
 
 @pytest.mark.parametrize("entry, reference", [(validate_density, reference_validate_density),
-                                              (hermitian_eig, reference_hermitian_eig)])
+                                              (hermitian_eig, reference_hermitian_eig),
+                                              (DensityMatrix, reference_validate_density)])
 @pytest.mark.parametrize("bad", [m for _, m in folded_check_inputs()],
                          ids=[name for name, _ in folded_check_inputs()])
 def test_folded_checks_raise_what_the_reference_raises(entry, reference, bad):
@@ -262,7 +268,7 @@ def test_folded_checks_raise_what_the_reference_raises(entry, reference, bad):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("entry", [validate_density, hermitian_eig])
+@pytest.mark.parametrize("entry", [validate_density, hermitian_eig, DensityMatrix])
 def test_empty_matrix_is_refused(entry):
     with pytest.raises(StateCompatError, match="matrix must not be empty"):
         entry(np.zeros((0, 0)))

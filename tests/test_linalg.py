@@ -23,13 +23,13 @@ from statecompat.linalg import (
     Subspace,
     Tolerances,
     _householder_completions,
-    hermitian_eig,
     subspace_intersection,
 )
 
 from conftest import (
     OutsideSubspaceError,
     fix_phase,
+    hermitian_eig,
     householder_completion,
     loop_fix_phase,
     loop_partial_trace,

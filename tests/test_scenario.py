@@ -13,10 +13,10 @@ from conftest import (
     loop_scenario,
     partial_trace,
     projection_defect,
+    unchecked_density,
 )
 from statecompat.compat import full_report, support_compatible
 from statecompat.density import (
-    DensityMatrix,
     Ensemble,
     ensemble_containing,
     support,
@@ -37,6 +37,7 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
+from statecompat.linalg import EigResult
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
@@ -112,6 +113,12 @@ def test_joint_state_rejects_single_observer():
 def test_joint_state_rejects_mismatched_common_state():
     with pytest.raises(CommonStateMismatchError):
         build_joint_state([Ensemble(2, [(1.0, E0)]), Ensemble(2, [(1.0, E1)])])
+    zero_lead = Ensemble(2, [(0.5, E0), (0.5, E1)])
+    zero_lead.terms[0] = (0.0, E0)  # edited after its checks: the shared state at weight zero
+    with pytest.raises(StateCompatError) as info:
+        build_joint_state([Ensemble(2, [(1.0, E0)]), zero_lead])
+    assert type(info.value) is StateCompatError
+    assert str(info.value) == "ensemble 1 gives the shared state zero weight"
 
 
 def test_joint_state_rejects_mixed_system_dims():
@@ -222,18 +229,24 @@ def test_conditional_zero_projection_guard():
         observer_conditional_state(psi, 0)
 
 
+def test_conditional_state_keeps_a_tiny_all_zero_block():
+    """An all-zero block the state accepts, however small, survives the level-0 outcome."""
+    psi = CompositeState([2, 2], 2, [[0, 0], [0, 1]], [[1e-16, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(observer_conditional_state(psi, 1).amplitudes, [[1.0, 0.0]])
+
+
 def test_reduced_density_product_state():
     rng = np.random.default_rng(9)
     phi = random_unit_vector(3, rng)
     cond = dense_to_blocks(np.kron(np.array([1.0 + 0j]), phi), [1, 3], 1)  # |b0>|phi>
     rho = observer_reduced_density(cond, [1, 3], 1)
-    np.testing.assert_allclose(rho.matrix, np.outer(phi, phi.conj()), atol=1e-12)
+    np.testing.assert_allclose(rho, np.outer(phi, phi.conj()), atol=1e-12)
 
 
 def test_reduced_density_bell_type():
     cond = dense_to_blocks(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), [2, 2], 1)
     rho = observer_reduced_density(cond, [2, 2], 1)
-    np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_reduced_density_matches_generic_partial_trace():
@@ -244,7 +257,7 @@ def test_reduced_density_matches_generic_partial_trace():
         factors = blocks.ancilla_dims + [blocks.system_dim]
         via_scenario = observer_reduced_density(blocks, factors, len(factors) - 1)
         via_ptrace = partial_trace(np.outer(v, v.conj()), dims, {sys_idx})
-        np.testing.assert_allclose(via_scenario.matrix, via_ptrace, atol=1e-12)
+        np.testing.assert_allclose(via_scenario, via_ptrace, atol=1e-12)
 
 
 def test_reduced_density_rejects_bad_dims():
@@ -311,7 +324,7 @@ def test_conditioning_order_consistency():
         dims = [d for j, d in enumerate(psi.ancilla_dims) if j != k] + [psi.system_dim]
         normalized_then_trace = observer_reduced_density(
             observer_conditional_state(psi, k), dims, len(dims) - 1
-        ).matrix
+        )
         trace_then_normalize = (
             partial_trace(np.outer(slab, slab.conj()), dims, {len(dims) - 1}) / p_k
         )
@@ -333,7 +346,7 @@ def test_scaling_ensemble_weights_changes_nothing():
         dims = [d for j, d in enumerate(base.ancilla_dims) if j != k] + [base.system_dim]
         rho_a = observer_reduced_density(observer_conditional_state(base, k), dims, len(dims) - 1)
         rho_b = observer_reduced_density(observer_conditional_state(scaled, k), dims, len(dims) - 1)
-        np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, atol=1e-10)
+        np.testing.assert_allclose(rho_a, rho_b, atol=1e-10)
 
 
 def test_composite_state_validation():
@@ -560,7 +573,8 @@ def test_batched_scenario_raises_like_the_per_observer_loop():
     outside = validate_density(away @ random_density(2, rng) @ away.conj().T)  # defect 1
     tilted = np.column_stack([np.cos(0.5) * phi + np.sin(0.5) * away[:, 0], away[:, 1]])
     partly = validate_density(tilted @ random_density(2, rng) @ tilted.conj().T)  # sin(0.5)
-    doubled = DensityMatrix(2.0 * rhos[1].matrix)  # unchecked: its ensemble weights sum to 2
+    values, vectors = rhos[1].spectrum.eigenvalues, rhos[1].spectrum.eigenvectors
+    doubled = unchecked_density(2.0 * rhos[1].matrix, EigResult(2.0 * values, vectors))  # weights sum to 2
     cases = {
         "outside 2 and 4": (rhos[:2] + [partly, rhos[3], outside, rhos[5]], phi),
         "weight sum at 1, outside at 3": ([rhos[0], doubled, rhos[2], outside], phi),
