@@ -135,7 +135,7 @@ def support_compatible(rhos, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, Subsp
     """Whether all supports share a state, plus the intersection itself."""
     _, (values, vectors, *_), count, _, conjugated = _split_set(rhos, tol)
     basis = _intersection_basis(vectors, count, conjugated)
-    return count >= 1, Subspace._trusted(values.shape[1], basis)
+    return count >= 1, Subspace(values.shape[1], basis)
 
 
 def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -144,7 +144,7 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     It is spanned by the null spaces of the matrices taken together.
     """
     _, _, count, _, conjugated = _split_set(rhos, tol)
-    return Subspace._trusted(conjugated.shape[1], _fix_columns(conjugated[count:].conj().T))
+    return Subspace(conjugated.shape[1], _fix_columns(conjugated[count:].conj().T))
 
 
 def _overlaps(matrices: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ of a density matrix and an ensemble's weight sum; :data:`UNIT_TOL` (1e-10,
 defined in :mod:`statecompat.linalg`) for a norm or overlap, of ensemble
 states, of the joint state, of the ensembles' leading states in
 :func:`statecompat.scenario.build_joint_state` and of the columns of a
-caller-supplied subspace basis. Everything else compares against
+subspace basis. Everything else compares against
 :class:`statecompat.linalg.Tolerances`.
 """
 
@@ -123,10 +123,15 @@ class DensityMatrix:
 class Ensemble:
     """Positive weights and unit states; weights must sum to one within :data:`TRACE_TOL`.
 
-    A weight-sum defect below the tolerance is silently renormalized away so
-    that values surviving a file round trip remain acceptable. Each state is
-    coerced to a finite vector of length ``dim``; then the terms are checked
-    together by :func:`_check_terms`, the states as one array.
+    The constructor is the one way to make one, and it checks its input,
+    also where the package built the terms (:func:`ensemble_containing`).
+    Each state is coerced to a finite vector of length ``dim``; then the
+    terms are checked together by :func:`_check_terms`, the states as one
+    array. A weight-sum defect below the tolerance is silently renormalized
+    away so that values surviving a file round trip remain acceptable.
+    ``terms`` is a plain list that a caller can edit afterwards, so
+    :func:`statecompat.scenario.build_joint_state` checks each ensemble
+    again before it reads one.
     """
 
     dim: int
@@ -146,13 +151,6 @@ class Ensemble:
         states = np.array([as_complex_vector(s, self.dim) for _, s in self.terms])
         total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
         self.terms = list(zip((weights / total[0]).tolist(), states))
-
-    @classmethod
-    def _trusted(cls, dim: int, terms: list[tuple[float, np.ndarray]]) -> "Ensemble":
-        """An ensemble on terms :func:`_check_terms` has passed and normalized, unchecked."""
-        ensemble = object.__new__(cls)
-        ensemble.dim, ensemble.terms = dim, terms
-        return ensemble
 
 
 def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -221,7 +219,7 @@ def _spectra(rhos, tol: Tolerances) -> tuple[np.ndarray, ...]:
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
     rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, :rank])
+    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, :rank])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -231,7 +229,7 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     sum to the identity.
     """
     rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
-    return Subspace._trusted(rho.dim, rho.spectrum.eigenvectors[:, rank:])
+    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, rank:])
 
 
 def _ensembles_around(
@@ -294,9 +292,11 @@ def ensemble_containing(
     completing ``psi`` (each with weight r_0; they lie in the support and are
     orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
     nonzero. Everything is read from ``rho.spectrum``, by
-    :func:`_ensembles_around` for this one matrix.
+    :func:`_ensembles_around` for this one matrix, and the terms it keeps
+    are checked again by the :class:`Ensemble` constructor, whose second
+    renormalization can move a weight by a few units in the last place.
     """
     psi = as_complex_vector(psi, rho.dim)
     values, vectors = rho.spectrum.eigenvalues[None], rho.spectrum.eigenvectors[None]
     weights, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
-    return Ensemble._trusted(rho.dim, list(zip(weights[keep].tolist(), states[keep])))
+    return Ensemble(rho.dim, list(zip(weights[keep].tolist(), states[keep])))

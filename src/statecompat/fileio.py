@@ -19,8 +19,9 @@ be re-derived from the report alone.
 
 Files are written as one line of JSON with sorted keys (``python -m json.tool
 FILE`` pretty-prints one); reading accepts any layout. Numbers move between
-JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for shape
-and type, then converted in one ``np.array`` call and reinterpreted as
+JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for shape,
+a matrix holding anything but floats has its values checked one by one,
+and then all are converted in one ``np.array`` call and reinterpreted as
 complex128, so every double round-trips bit for bit.
 
 An input laid out as the writer lays it out is echoed as read, without
@@ -154,13 +155,9 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
                 i, j = divmod(k, dim)
                 raise InstanceFormatError(f"{where}: entry ({i},{j}) must be a [re, im] pair")
     flat = list(chain.from_iterable(pairs))
-    if not all(t is not bool and issubclass(t, (int, float)) for t in set(map(type, flat))):
+    if set(map(type, flat)) != {float}:  # an int may overflow a double: each value is checked
         _reject_first_bad_number(flat, dim, where)
-    try:
-        values = np.array(flat, dtype=np.float64)
-    except OverflowError:
-        _reject_first_bad_number(flat, dim, where)
-        raise
+    values = np.array(flat, dtype=np.float64)
     # Reinterpret the [re, im] doubles in place: bit-exact, unlike re + 1j*im,
     # which turns -0.0 into 0.0 and an infinite imaginary part into a NaN real.
     return values.view(np.complex128).reshape(dim, dim)

@@ -34,7 +34,7 @@ _CUTOFF_FLOOR = 1e-30
 #: Absolute tolerance on a norm or overlap that must be one (or, off the
 #: diagonal of a Gram matrix, zero): ensemble states, joint states, the
 #: overlap of the ensembles' leading states, and the orthonormality of
-#: caller-supplied subspace bases, entrywise.
+#: subspace bases, entrywise.
 UNIT_TOL = 1e-10
 
 
@@ -182,12 +182,11 @@ def _hermitian_part_eig(m, tol: Tolerances) -> tuple[np.ndarray, ...]:
 class Subspace:
     """A subspace of C^ambient_dim, stored as orthonormal basis columns.
 
-    The basis may be empty (shape ``(ambient_dim, 0)``); a caller-supplied
-    basis is checked for finite entries and entrywise orthonormality within
-    :data:`UNIT_TOL`. Bases the package computes itself (eigenvectors,
-    singular vectors, Householder completions) are orthonormal by
-    construction and enter through :meth:`_trusted`, which skips the Gram
-    product.
+    The constructor is the one way to make one, and it checks the basis: two
+    axes of ``ambient_dim`` rows and at most as many columns, finite
+    entries, and entrywise orthonormality within :data:`UNIT_TOL`. The basis
+    may be empty (shape ``(ambient_dim, 0)``). Bases the package computes
+    (eigenvectors, singular vectors) pass the same check as a caller's.
     """
 
     ambient_dim: int
@@ -213,14 +212,6 @@ class Subspace:
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )
         object.__setattr__(self, "basis", basis)
-
-    @classmethod
-    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
-        """A subspace on a complex128 basis the package computed, without re-checking it."""
-        subspace = object.__new__(cls)
-        object.__setattr__(subspace, "ambient_dim", ambient_dim)
-        object.__setattr__(subspace, "basis", basis)
-        return subspace
 
     @property
     def dim(self) -> int:
@@ -297,7 +288,7 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if any(s.ambient_dim != ambient for s in subspaces):
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
     if len(subspaces) == 1:
-        return Subspace._trusted(ambient, _fix_columns(subspaces[0].basis))
+        return Subspace(ambient, _fix_columns(subspaces[0].basis))
     rows = np.vstack([np.eye(ambient) - s.projector() for s in subspaces])
     count, _, conjugated = _split_rows(rows, ambient, tol)
-    return Subspace._trusted(ambient, _fix_columns(conjugated[:count].conj().T))
+    return Subspace(ambient, _fix_columns(conjugated[:count].conj().T))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import _check_rhos, _intersection_basis, _split_set
-from .density import _ensembles_around, _spectra
+from .density import Ensemble, _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -157,17 +157,20 @@ class ScenarioResult:
 def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeState:
     """Assemble the composite pure state from per-observer ensembles.
 
-    Every ensemble's first term must carry the shared state (the term-0
-    states must overlap with the first one to within
-    :data:`statecompat.linalg.UNIT_TOL` of unit modulus) with a
-    strictly positive weight. Ancilla k needs one level per extra term of
-    every *other* ensemble, so its dimension is 1 + max over j != k of the
-    extra-term counts; an observer whose peers are all single-term gets a
-    trivial one-level ancilla. The state has one block for the shared state
-    and one per extra term, grouped by observer: extra term i of ensemble k
-    sits at ancilla k's level 0 and every other ancilla's level i.
+    Each ensemble is first checked again as ``Ensemble(e.dim, e.terms)``, so
+    terms edited after their ensemble was made are refused as the
+    constructor refuses them, and every weight is positive. Every
+    ensemble's first term must carry the shared state: the term-0 states
+    must overlap with the first one to within
+    :data:`statecompat.linalg.UNIT_TOL` of unit modulus. Ancilla k needs one
+    level per extra term of every *other* ensemble, so its dimension is
+    1 + max over j != k of the extra-term counts; an observer whose peers
+    are all single-term gets a trivial one-level ancilla. The state has one
+    block for the shared state and one per extra term, grouped by observer:
+    extra term i of ensemble k sits at ancilla k's level 0 and every other
+    ancilla's level i.
     """
-    ensembles = list(ensembles)
+    ensembles = [Ensemble(e.dim, e.terms) for e in ensembles]
     n = len(ensembles)
     if n < 2:
         raise StateCompatError(f"need at least two observers, got {n}")
@@ -177,16 +180,14 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     phi = ensembles[0].terms[0][1]
     leads = np.array([e.terms[0][1] for e in ensembles])
     overlaps = np.abs(leads @ phi.conj())  # |<phi, lead_k>|
-    lead_weights = np.array([e.terms[0][0] for e in ensembles])
-    bad = np.flatnonzero((overlaps < 1.0 - UNIT_TOL) | ~(lead_weights > 0.0))
+    bad = np.flatnonzero(overlaps < 1.0 - UNIT_TOL)
     if bad.size:
         k = int(bad[0])
-        if overlaps[k] < 1.0 - UNIT_TOL:
-            raise CommonStateMismatchError(
-                f"ensemble {k} leads with a state of overlap {overlaps[k]:.12g} "
-                "with the shared state; the leading states must coincide up to phase"
-            )
-        raise StateCompatError(f"ensemble {k} gives the shared state zero weight")
+        raise CommonStateMismatchError(
+            f"ensemble {k} leads with a state of overlap {overlaps[k]:.12g} "
+            "with the shared state; the leading states must coincide up to phase"
+        )
+    lead_weights = np.array([e.terms[0][0] for e in ensembles])
     extras = np.array([len(e.terms) - 1 for e in ensembles])
     # the largest extra count among the others is the overall largest, unless
     # observer j holds it, in which case it is the runner-up

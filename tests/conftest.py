@@ -373,7 +373,7 @@ def reference_split(rhos, tol=DEFAULT_TOL) -> tuple[Subspace, Subspace, np.ndarr
     count = int(np.sum(defects <= tol.match_abs / np.sqrt(2.0)))
     single = len(rhos) == 1
     inside = reference_fix_phase(vectors[0, :, : ranks[0]]) if single else directions[:, :count]
-    return Subspace._trusted(dim, inside), Subspace._trusted(dim, directions[:, count:]), defects
+    return Subspace(dim, inside), Subspace(dim, directions[:, count:]), defects
 
 
 def loop_pairwise(rhos, tol=DEFAULT_TOL) -> tuple[np.ndarray, ...]:
@@ -437,7 +437,7 @@ def orthonormal_basis_containing(psi, subspace: Subspace, tol=DEFAULT_TOL) -> Su
             f"vector lies outside the subspace (projection defect {defect:.3e})"
         )
     rest = _householder_completions(subspace.basis[None], coeffs[None])[0]
-    return Subspace._trusted(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
+    return Subspace(subspace.ambient_dim, fix_phase(np.column_stack((psi / norm, rest))))
 
 
 def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:

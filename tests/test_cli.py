@@ -14,8 +14,16 @@ import statecompat
 from statecompat import compat
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
-from statecompat.density import validate_density
-from statecompat.generate import MAX_INSTANCE_MATRICES, random_unitary
+from statecompat.density import DensityMatrix, validate_density
+from statecompat.errors import NumericalFailureError
+from statecompat.generate import (
+    MAX_INSTANCE_MATRICES,
+    generate_instance,
+    pairwise_only_instance,
+    random_density,
+    random_subspace,
+    random_unitary,
+)
 from statecompat.linalg import DEFAULT_TOL
 from statecompat.scenario import run_scenario
 from statecompat.fileio import (
@@ -506,8 +514,36 @@ def test_generate_pairwise_only_pattern(tmp_path, capsys):
 
 def test_generate_rejects_bad_parameters(capsys):
     assert main(["generate", "--dim", "1"]) == 2
+    assert main(["generate", "--count", "1"]) == 2
     assert main(["generate", "--dim", "3", "--count", "2", "--mode", "pairwise-only"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: generate_instance(3, 3, 1, "mixed"), "unknown mode 'mixed'"),
+    (lambda rng: random_density(3, rng, rank=0), "rank must lie in 1..3, got 0"),
+    (lambda rng: random_density(3, rng, rank=4), "rank must lie in 1..3, got 4"),
+    (lambda rng: random_subspace(3, 4, rng), "subspace dimension must lie in 0..3, got 4"),
+    (lambda rng: pairwise_only_instance(2, rng), "needs dimension >= 3, got 2"),
+], ids=["mode", "rank-0", "rank-over-dim", "sub-dim-over-dim", "pairwise-dim-2"])
+def test_generators_refuse_parameters_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
+
+
+def test_a_failed_eigendecomposition_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    write_instance(path, [np.eye(2) / 2])  # one matrix, so one line: each failing matrix gets its own
+
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(NumericalFailureError, match="eigendecomposition failed"):
+        DensityMatrix(np.eye(2) / 2)
+    assert main(["check", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "eigendecomposition failed" in err, err
 
 
 def test_generate_caps_its_size_before_allocating(capsys):

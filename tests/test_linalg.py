@@ -236,8 +236,8 @@ def orthonormality_defect(basis: np.ndarray) -> float:
 
 
 def test_internally_built_subspaces_are_orthonormal():
-    """Bases from eigh, the intersection SVD and the Householder completion skip
-    the constructor's Gram check; each is orthonormal within UNIT_TOL."""
+    """Bases from eigh, the intersection SVD and the Householder completion pass
+    the constructor's Gram check too; each is orthonormal within UNIT_TOL."""
     cases = [(d, c, "compatible") for d in (2, 3, 5, 16) for c in (2, 3, 4)]
     cases += [(d, c, "incompatible") for d in (2, 4, 7) for c in (2, 3)]
     cases += [(d, 3, "pairwise-only") for d in (3, 6)]

@@ -113,12 +113,30 @@ def test_joint_state_rejects_single_observer():
 def test_joint_state_rejects_mismatched_common_state():
     with pytest.raises(CommonStateMismatchError):
         build_joint_state([Ensemble(2, [(1.0, E0)]), Ensemble(2, [(1.0, E1)])])
-    zero_lead = Ensemble(2, [(0.5, E0), (0.5, E1)])
-    zero_lead.terms[0] = (0.0, E0)  # edited after its checks: the shared state at weight zero
-    with pytest.raises(StateCompatError) as info:
-        build_joint_state([Ensemble(2, [(1.0, E0)]), zero_lead])
-    assert type(info.value) is StateCompatError
-    assert str(info.value) == "ensemble 1 gives the shared state zero weight"
+
+    def zero_lead(terms):  # edited after its checks: the shared state at weight zero
+        terms[0] = (0.0, E0)
+
+    def negative_extra(terms):
+        terms[1] = (-0.5, E1)
+
+    def nan_state(terms):
+        terms[1][1][0] = np.nan
+
+    edits = [
+        (zero_lead, "ensemble weights must be positive, got 0.0"),
+        (negative_extra, "ensemble weights must be positive, got -0.5"),
+        (nan_state, "vector contains non-finite entries"),
+    ]
+    for edit, message in edits:
+        edited = Ensemble(2, [(0.5, E0), (0.5, E1)])
+        edit(edited.terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StateCompatError) as info:
+                build_joint_state([Ensemble(2, [(1.0, E0)]), edited])
+        assert type(info.value) is StateCompatError
+        assert str(info.value) == message
 
 
 def test_joint_state_rejects_mixed_system_dims():
