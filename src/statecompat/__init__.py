@@ -35,7 +35,6 @@ from .errors import (
     StateCompatError,
     StateOutsideSupportError,
     TraceNotOneError,
-    ZeroProjectionError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -95,5 +94,4 @@ __all__ = [
     "StateCompatError",
     "StateOutsideSupportError",
     "TraceNotOneError",
-    "ZeroProjectionError",
 ]

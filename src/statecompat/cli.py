@@ -9,8 +9,8 @@ Verbs:
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,
 2 input or validation error, also for an instance of more than
-MAX_INSTANCE_MATRICES matrices. Reports go to --output or standard output;
-diagnostics go to standard error.
+MAX_INSTANCE_MATRICES matrices or MAX_INSTANCE_ENTRIES matrix entries.
+Reports go to --output or standard output; diagnostics go to standard error.
 """
 
 from __future__ import annotations

@@ -67,6 +67,7 @@ from .linalg import (
     _hermitian_part_eig,
     _householder_completions,
     as_complex_vector,
+    read_only,
     zero_cutoff,
 )
 
@@ -119,7 +120,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Positive weights and unit states; weights must sum to one within :data:`TRACE_TOL`.
 
@@ -129,13 +130,13 @@ class Ensemble:
     terms are checked together by :func:`_check_terms`, the states as one
     array. A weight-sum defect below the tolerance is silently renormalized
     away so that values surviving a file round trip remain acceptable.
-    ``terms`` is a plain list that a caller can edit afterwards, so
-    :func:`statecompat.scenario.build_joint_state` checks each ensemble
-    again before it reads one.
+    An ensemble cannot change after its checks: it is frozen, and ``terms``
+    is a tuple of (weight, state) pairs whose states are rows of one
+    read-only array of its own, so every reader can rely on the checks.
     """
 
     dim: int
-    terms: list[tuple[float, np.ndarray]]
+    terms: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
         if self.dim < 1:
@@ -148,9 +149,9 @@ class Ensemble:
             raise StateCompatError(
                 f"ensemble terms must be (real weight, state) pairs: {exc}"
             ) from exc
-        states = np.array([as_complex_vector(s, self.dim) for _, s in self.terms])
+        states = read_only([as_complex_vector(s, self.dim) for _, s in self.terms])
         total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
-        self.terms = list(zip((weights / total[0]).tolist(), states))
+        object.__setattr__(self, "terms", tuple(zip((weights / total[0]).tolist(), states)))
 
 
 def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -47,10 +47,6 @@ class CommonStateMismatchError(StateCompatError):
     """The leading ensemble states do not agree on a single shared state."""
 
 
-class ZeroProjectionError(StateCompatError):
-    """Projecting onto the requested measurement outcome annihilates the state."""
-
-
 class IncompatibleError(StateCompatError):
     """The density matrices share no common support state."""
 

@@ -33,9 +33,9 @@ is such a line, and so is a report's ``"instance"`` when no name needs an
 escape. The echo parses to the same matrices bit for bit; it can differ from
 the re-encoding only in how numbers are spelled (``1`` against ``1.0``,
 ``1e-5`` against ``1e-05``), in whitespace between tokens, and in a key that
-the line repeats. Any other input is re-encoded. :func:`load_instance`
-returns read-only matrices, and the line is echoed only while the instance
-still holds what was read from it (see :attr:`Instance.echo`).
+the line repeats. Any other input is re-encoded. An :class:`Instance` cannot
+change after it is made, so :func:`load_instance` sets its echo once, and
+the echo always spells what the instance holds.
 
 Two decoders read a file (:func:`_decode`); both give the same instance bit
 for bit wherever both accept the text. orjson reads almost every file,
@@ -69,13 +69,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
 from .compat import CompatReport
 from .errors import InstanceFormatError
-from .generate import MAX_INSTANCE_MATRICES
-from .linalg import Tolerances
+from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES
+from .linalg import Tolerances, read_only
 from .scenario import ScenarioResult
 
 #: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
@@ -88,31 +89,34 @@ ORJSON_MAX_OPENINGS = 4096
 ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """Parsed instance file: raw matrices plus optional tolerance overrides."""
+    """Parsed instance file: raw matrices plus optional tolerance overrides.
+
+    An instance cannot change after it is made: it is frozen, ``names`` and
+    ``matrices`` are tuples, each matrix is a read-only copy that no caller
+    holds, and ``tol_overrides`` is a read-only mapping. ``echo`` is the
+    file's line, which a report echoes instead of re-encoding the instance;
+    only :func:`load_instance` sets it, and an instance made any other way,
+    by :func:`dataclasses.replace` too, has None; a copy or an unpickled
+    instance keeps it.
+    """
 
     dim: int
-    names: list[str]
-    matrices: list[np.ndarray]
-    tol_overrides: dict[str, float] = field(default_factory=dict)
-    #: the file's line, what it was read into (see :meth:`_holds`) and the matrices read,
-    #: set by :func:`load_instance`
-    _read: tuple | None = field(default=None, init=False, repr=False)
+    names: tuple[str, ...]
+    matrices: tuple[np.ndarray, ...]
+    tol_overrides: MappingProxyType[str, float] = field(default_factory=dict)
+    echo: str | None = field(default=None, init=False, repr=False)
 
-    def _holds(self) -> tuple:
-        return self.dim, list(self.names), dict(self.tol_overrides), list(map(id, self.matrices))
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "matrices", tuple(map(read_only, self.matrices)))
+        object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
 
-    @property
-    def echo(self) -> str | None:
-        """The file's line, for a report to echo, while the instance holds what was read from it.
-
-        That is the same dim, names and tolerance overrides, and the same
-        matrix objects (read-only) in the same order; the read matrices are
-        kept, so no other array can take their identities. After any change,
-        this is None and a report re-encodes the instance.
-        """
-        return self._read[0] if self._read and self._read[1] == self._holds() else None
+    def __reduce__(self):
+        """Copies and unpickled instances are made by the constructor, and keep the echo."""
+        return (Instance, (self.dim, self.names, self.matrices, dict(self.tol_overrides)),
+                {"echo": self.echo})
 
     def tolerances(self, rank_rel: float | None = None, match_abs: float | None = None) -> Tolerances:
         """Resolve tolerances: explicit arguments beat file overrides beat defaults."""
@@ -176,6 +180,10 @@ def parse_instance(obj) -> Instance:
     if len(raw_matrices) > MAX_INSTANCE_MATRICES:  # before any matrix is converted
         raise InstanceFormatError(f"instance too large: {len(raw_matrices)} matrices, "
                                   f"over the cap of {MAX_INSTANCE_MATRICES}")
+    entries = len(raw_matrices) * dim**2
+    if entries > MAX_INSTANCE_ENTRIES:  # the cap of generate, also before any conversion
+        raise InstanceFormatError(f"instance too large: {len(raw_matrices)} matrices of {dim} x {dim} "
+                                  f"are {entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}")
     names, matrices = [], []
     for idx, entry in enumerate(raw_matrices):
         if not isinstance(entry, dict) or "rows" not in entry:
@@ -234,7 +242,7 @@ def _decode(text: str):
 def load_instance(path) -> Instance:
     """Read and parse an instance file, keeping its line as the echo when it may be.
 
-    The matrices are read-only, so the echo cannot go stale by a write into one.
+    The instance cannot change, so the echo set here spells it as long as it lives.
     Input nested too deeply to decode, or to quote in a diagnostic, raises
     :class:`InstanceFormatError` like any other unreadable input.
     """
@@ -248,9 +256,7 @@ def load_instance(path) -> Instance:
         instance = parse_instance(obj)
     except RecursionError as exc:
         raise InstanceFormatError(f"instance nested too deeply: {exc}") from exc
-    for matrix in instance.matrices:
-        matrix.flags.writeable = False
-    instance._read = (_echo(text, obj), instance._holds(), list(instance.matrices))
+    object.__setattr__(instance, "echo", _echo(text, obj))
     return instance
 
 

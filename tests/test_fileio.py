@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import io
 import json
+import operator
+import pickle
 import sys
 from types import SimpleNamespace
 
@@ -21,7 +24,7 @@ from statecompat.fileio import (
     parse_instance,
     report_payload,
 )
-from statecompat.generate import MAX_INSTANCE_MATRICES, crandn, generate_instance
+from statecompat.generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, crandn, generate_instance
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import json_load_instance, pairs_to_vector
@@ -39,7 +42,7 @@ def sample_obj():
 
 def test_parse_round_trips_values():
     inst = parse_instance(sample_obj())
-    assert inst.dim == 2 and inst.names == ["a"]
+    assert inst.dim == 2 and inst.names == ("a",)
     assert inst.matrices[0][0, 1] == 0.25j
     np.testing.assert_allclose(
         inst.matrices[0], np.array([[0.5, 0.25j], [-0.25j, 0.5]]), atol=0
@@ -50,7 +53,7 @@ def test_parse_round_trips_values():
 def test_parse_defaults_matrix_names():
     obj = sample_obj()
     del obj["matrices"][0]["name"]
-    assert parse_instance(obj).names == ["rho_1"]
+    assert parse_instance(obj).names == ("rho_1",)
 
 
 @pytest.mark.parametrize(
@@ -127,6 +130,37 @@ def test_the_matrix_cap_is_checked_before_any_matrix_is_read(monkeypatch, count)
     assert len(parsed) == (0 if count > MAX_INSTANCE_MATRICES else count)
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_the_entry_cap_is_checked_before_any_matrix_is_read(monkeypatch, count):
+    parsed = []
+    original = fileio._parse_matrix
+
+    def counting(*args):
+        parsed.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(fileio, "_parse_matrix", counting)
+    monkeypatch.setattr(fileio, "MAX_INSTANCE_ENTRIES", 8)
+    obj = {"dim": 2, "matrices": [{"rows": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}] * count}
+    if count * 2**2 > 8:
+        with pytest.raises(InstanceFormatError) as excinfo:
+            parse_instance(obj)
+        assert str(excinfo.value) == ("instance too large: 3 matrices of 2 x 2 are 12 entries, "
+                                      "over the cap of 8")
+    else:
+        parse_instance(obj)
+    assert len(parsed) == (0 if count * 2**2 > 8 else count)
+
+
+def test_one_matrix_over_the_entry_cap_is_refused(tmp_path):
+    dim = 4097  # one 4097 x 4097 matrix is 16,785,409 entries, over 2**24
+    assert dim**2 > MAX_INSTANCE_ENTRIES == 2**24
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": dim, "matrices": [{"rows": []}]}))
+    with pytest.raises(InstanceFormatError, match=f"are {dim**2} entries, over the cap of {2**24}$"):
+        load_instance(path)
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -162,7 +196,7 @@ def test_serialize_parse_is_identity(tmp_path):
     with open(path, "w") as fh:
         dump_payload(instance_payload(inst), fh)
     again = load_instance(path)
-    assert again.names == ["x", "y"]
+    assert again.names == ("x", "y")
     for got, want in zip(again.matrices, matrices):
         assert np.array_equal(got, want)  # bit-exact double round trip
 
@@ -340,35 +374,58 @@ def instance_text(inst: Instance, report) -> str:
 
 FLIPPED = np.diag([0.0, 1.0, 0.0]).astype(complex)
 
+FROZEN = dataclasses.FrozenInstanceError
+
+#: change -> (the change made in place, the error that refuses it, the same
+#: change as the fields of a new instance)
 CHANGES = {
-    "dim": lambda inst: setattr(inst, "dim", 4),
-    "name": lambda inst: inst.names.__setitem__(0, "renamed"),
-    "names-replaced": lambda inst: setattr(inst, "names", ["x", "y"]),
-    "tolerance-changed": lambda inst: inst.tol_overrides.__setitem__("rank_rel", 1e-9),
-    "tolerance-added": lambda inst: inst.tol_overrides.__setitem__("match_abs", 1e-9),
-    "tolerance-removed": lambda inst: inst.tol_overrides.clear(),
-    "matrix-replaced": lambda inst: inst.matrices.__setitem__(0, FLIPPED),
-    "matrix-copied": lambda inst: inst.matrices.__setitem__(0, inst.matrices[0].copy()),
-    "matrices-swapped": lambda inst: inst.matrices.reverse(),
-    "matrix-appended": lambda inst: inst.matrices.append(FLIPPED),
-    "matrix-removed": lambda inst: inst.matrices.pop(),
-    "matrices-replaced": lambda inst: setattr(inst, "matrices", [FLIPPED, FLIPPED]),
+    "dim": (lambda inst: setattr(inst, "dim", 4), FROZEN, lambda inst: {"dim": 4}),
+    "name": (lambda inst: operator.setitem(inst.names, 0, "renamed"), TypeError,
+             lambda inst: {"names": ("renamed", *inst.names[1:])}),
+    "names-replaced": (lambda inst: setattr(inst, "names", ("x", "y")), FROZEN,
+                       lambda inst: {"names": ("x", "y")}),
+    "tolerance-changed": (lambda inst: operator.setitem(inst.tol_overrides, "rank_rel", 1e-9),
+                          TypeError, lambda inst: {"tol_overrides": {"rank_rel": 1e-9}}),
+    "tolerance-added": (lambda inst: operator.setitem(inst.tol_overrides, "match_abs", 1e-9),
+                        TypeError, lambda inst: {"tol_overrides": {**inst.tol_overrides,
+                                                                   "match_abs": 1e-9}}),
+    "tolerance-removed": (lambda inst: operator.delitem(inst.tol_overrides, "rank_rel"),
+                          TypeError, lambda inst: {"tol_overrides": {}}),
+    "matrix-replaced": (lambda inst: operator.setitem(inst.matrices, 0, FLIPPED), TypeError,
+                        lambda inst: {"matrices": (FLIPPED, *inst.matrices[1:])}),
+    "matrix-copied": (lambda inst: operator.setitem(inst.matrices[0], (0, 0), 0.0), ValueError,
+                      lambda inst: {"matrices": (inst.matrices[0].copy(), *inst.matrices[1:])}),
+    "matrices-swapped": (lambda inst: inst.matrices.reverse(), AttributeError,
+                         lambda inst: {"matrices": inst.matrices[::-1]}),
+    "matrix-appended": (lambda inst: inst.matrices.append(FLIPPED), AttributeError,
+                        lambda inst: {"matrices": (*inst.matrices, FLIPPED)}),
+    "matrix-removed": (lambda inst: inst.matrices.pop(), AttributeError,
+                       lambda inst: {"matrices": inst.matrices[:-1]}),
+    "matrices-replaced": (lambda inst: setattr(inst, "matrices", (FLIPPED, FLIPPED)), FROZEN,
+                          lambda inst: {"matrices": (FLIPPED, FLIPPED)}),
 }
 
 
 @pytest.mark.parametrize("change", list(CHANGES))
 def test_changed_instance_is_re_encoded(tmp_path, change):
+    """A loaded instance refuses each change where it is made and keeps its
+    echo; the same change, made as a new instance, has none and is re-encoded."""
     obj = canonical_obj()
     obj["tolerances"] = {"rank_rel": 1e-10}
     path = tmp_path / "inst.json"
     with open(path, "w", encoding="utf-8") as fh:
         dump_payload(obj, fh)
+    line = path.read_text().removesuffix("\n")
     inst = load_instance(path)
     report = full_report([validate_density(m) for m in inst.matrices])
-    assert instance_text(inst, report) == path.read_text().removesuffix("\n")
-    CHANGES[change](inst)
-    assert inst.echo is None
-    assert instance_text(inst, report) == json.dumps(instance_payload(inst), sort_keys=True)
+    assert instance_text(inst, report) == line
+    edit, refusal, fields = CHANGES[change]
+    with pytest.raises(refusal):
+        edit(inst)
+    assert inst.echo == line and instance_text(inst, report) == line
+    changed = dataclasses.replace(inst, **fields(inst))
+    assert changed.echo is None
+    assert instance_text(changed, report) == json.dumps(instance_payload(changed), sort_keys=True)
 
 
 def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):
@@ -376,8 +433,7 @@ def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         dump_payload(instance_payload(Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0])])),
                      fh)
-    inst = load_instance(path)
-    inst.matrices[0] = np.diag([0.0, 1.0]).astype(complex)
+    inst = dataclasses.replace(load_instance(path), matrices=[np.diag([0.0, 1.0]).astype(complex)])
     report = full_report([validate_density(m) for m in inst.matrices])
     shown = parse_instance(json.loads(instance_text(inst, report))).matrices[0]
     assert shown[0, 0] == 0.0 and shown[1, 1] == 1.0
@@ -392,6 +448,19 @@ def test_loaded_matrices_are_read_only(tmp_path):
     with pytest.raises(ValueError, match="read-only"):
         inst.matrices[0][0, 0] = 0.0
     assert inst.echo == path.read_text().removesuffix("\n")
+
+
+def test_copied_and_unpickled_instances_keep_their_echo_and_cannot_change(tmp_path):
+    path = tmp_path / "inst.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(canonical_obj(), fh)
+    inst = load_instance(path)
+    for again in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert_same_instance(again, inst)
+        assert again.echo == path.read_text().removesuffix("\n")
+        assert not any(m.flags.writeable for m in again.matrices)
+        with pytest.raises(TypeError):
+            again.tol_overrides["rank_rel"] = 1e-9
 
 
 def test_replaced_instance_keeps_no_echo(tmp_path):
@@ -497,8 +566,8 @@ def test_a_dim_beyond_64_bits_is_no_positive_integer(tmp_path):
     path.write_text(one_matrix_line().replace('"dim": 2', f'"dim": {2**64}'))
     with pytest.raises(InstanceFormatError, match='"dim" must be a positive integer'):
         load_instance(path)
-    with pytest.raises(InstanceFormatError, match=f"expected {2**64} rows"):
-        json_load_instance(path)
+    with pytest.raises(InstanceFormatError, match="over the cap of 16777216"):
+        json_load_instance(path)  # refused before any row is read
 
 
 def test_the_opening_count_picks_the_decoder(orjson_calls):

@@ -1,7 +1,9 @@
+import dataclasses
+import operator
+import warnings
+
 import numpy as np
 import pytest
-
-import warnings
 
 from conftest import (
     block_tensor,
@@ -28,7 +30,6 @@ from statecompat.errors import (
     IncompatibleError,
     StateCompatError,
     StateOutsideSupportError,
-    ZeroProjectionError,
 )
 from statecompat.generate import (
     compatible_instance,
@@ -70,7 +71,7 @@ def test_joint_state_trivial_shared_pure():
     rng = np.random.default_rng(1)
     phi = random_unit_vector(2, rng)
     psi = build_joint_state([Ensemble(2, [(1.0, phi)]), Ensemble(2, [(1.0, phi)])])
-    assert psi.ancilla_dims == [1, 1]
+    assert psi.ancilla_dims == (1, 1)
     np.testing.assert_array_equal(psi.patterns, [[0, 0]])
     np.testing.assert_allclose(psi.amplitudes, [phi], atol=1e-14)
     np.testing.assert_allclose(block_tensor(psi).reshape(-1), phi, atol=1e-14)
@@ -78,7 +79,7 @@ def test_joint_state_trivial_shared_pure():
 
 def test_joint_state_hand_expanded_two_observers():
     psi = two_observer_example()
-    assert psi.ancilla_dims == [2, 1]
+    assert psi.ancilla_dims == (2, 1)
     assert psi.system_dim == 2
     # (|a0 b0>|0> + |a1 b0>|1>) / sqrt(2): one block per populated (a, b) pattern
     np.testing.assert_array_equal(psi.patterns, [[0, 0], [1, 0]])
@@ -94,7 +95,7 @@ def test_joint_state_three_observers_four_terms():
     chis = [random_unit_vector(2, rng) for _ in range(3)]
     ensembles = [Ensemble(2, [(0.5, phi), (0.5, chi)]) for chi in chis]
     psi = build_joint_state(ensembles)
-    assert psi.ancilla_dims == [2, 2, 2]
+    assert psi.ancilla_dims == (2, 2, 2)
     tensor = block_tensor(psi)
     # the only populated ancilla patterns: 000, 011, 101, 110, each weight 1/4
     np.testing.assert_allclose(tensor[0, 0, 0], phi / 2, atol=1e-12)
@@ -114,27 +115,27 @@ def test_joint_state_rejects_mismatched_common_state():
     with pytest.raises(CommonStateMismatchError):
         build_joint_state([Ensemble(2, [(1.0, E0)]), Ensemble(2, [(1.0, E1)])])
 
-    def zero_lead(terms):  # edited after its checks: the shared state at weight zero
-        terms[0] = (0.0, E0)
-
-    def negative_extra(terms):
-        terms[1] = (-0.5, E1)
-
-    def nan_state(terms):
-        terms[1][1][0] = np.nan
-
-    edits = [
-        (zero_lead, "ensemble weights must be positive, got 0.0"),
-        (negative_extra, "ensemble weights must be positive, got -0.5"),
-        (nan_state, "vector contains non-finite entries"),
+    # An ensemble cannot change after its checks: each edit is refused where
+    # it is made, and the constructor refuses the edited terms.
+    edits = [  # (edit, its refusal, the edited terms, the constructor's message)
+        (lambda terms: operator.setitem(terms, 0, (0.0, E0)), TypeError,
+         [(0.0, E0), (0.5, E1)], "ensemble weights must be positive, got 0.0"),
+        (lambda terms: operator.setitem(terms, 1, (-0.5, E1)), TypeError,
+         [(0.5, E0), (-0.5, E1)], "ensemble weights must be positive, got -0.5"),
+        (lambda terms: operator.setitem(terms[1][1], 0, np.nan), ValueError,
+         [(0.5, E0), (0.5, np.array([np.nan, 1.0]))], "vector contains non-finite entries"),
     ]
-    for edit, message in edits:
+    for edit, refusal, terms, message in edits:
         edited = Ensemble(2, [(0.5, E0), (0.5, E1)])
-        edit(edited.terms)
+        with pytest.raises(refusal):
+            edit(edited.terms)
+        assert [w for w, _ in edited.terms] == [0.5, 0.5]
+        np.testing.assert_array_equal(edited.terms[1][1], E1)
+        assert build_joint_state([Ensemble(2, [(1.0, E0)]), edited]).ancilla_dims == (2, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(StateCompatError) as info:
-                build_joint_state([Ensemble(2, [(1.0, E0)]), edited])
+                Ensemble(2, terms)
         assert type(info.value) is StateCompatError
         assert str(info.value) == message
 
@@ -161,7 +162,7 @@ def test_leading_states_coincide_within_unit_tol(factor):
     lead = np.array([overlap, np.sqrt(1.0 - overlap**2)], dtype=complex)
     ensembles = [Ensemble(2, [(1.0, E0)]), Ensemble(2, [(1.0, lead)])]
     if factor < 1.0:
-        assert build_joint_state(ensembles).ancilla_dims == [1, 1]
+        assert build_joint_state(ensembles).ancilla_dims == (1, 1)
     else:
         with pytest.raises(CommonStateMismatchError, match="overlap"):
             build_joint_state(ensembles)
@@ -209,7 +210,7 @@ def test_conditional_trivial_state():
     phi = random_unit_vector(2, rng)
     psi = build_joint_state([Ensemble(2, [(1.0, phi)])] * 2)
     cond = observer_conditional_state(psi, 0)
-    assert cond.ancilla_dims == [1]
+    assert cond.ancilla_dims == (1,)
     np.testing.assert_array_equal(cond.patterns, [[0]])
     np.testing.assert_allclose(cond.amplitudes, [phi], atol=1e-14)
     np.testing.assert_allclose(block_tensor(cond).reshape(-1), phi, atol=1e-14)
@@ -219,7 +220,7 @@ def test_conditional_states_of_hand_example():
     psi = two_observer_example()
     # Bob conditions on b0: keeps both branches, (|a0>|0> + |a1>|1>)/sqrt(2)
     bob = observer_conditional_state(psi, 1)
-    assert bob.ancilla_dims == [2]
+    assert bob.ancilla_dims == (2,)
     np.testing.assert_array_equal(bob.patterns, [[0], [1]])
     np.testing.assert_allclose(bob.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-14)
     np.testing.assert_allclose(
@@ -227,7 +228,7 @@ def test_conditional_states_of_hand_example():
     )
     # Alice conditions on a0: the a1 branch dies, leaving |b0>|0>
     alice = observer_conditional_state(psi, 0)
-    assert alice.ancilla_dims == [1]
+    assert alice.ancilla_dims == (1,)
     np.testing.assert_array_equal(alice.patterns, [[0]])
     np.testing.assert_allclose(alice.amplitudes, [[1, 0]], atol=1e-14)
     np.testing.assert_allclose(block_tensor(alice).reshape(-1), [1, 0], atol=1e-14)
@@ -240,11 +241,18 @@ def test_conditional_rejects_bad_index():
 
 
 def test_conditional_zero_projection_guard():
+    """No state conditioning reads has zero level-0 rows: the constructor
+    refuses such a state, and a checked state refuses every edit."""
     psi = two_observer_example()
-    # hand-tamper: move all amplitude out of the a0 slab, into the a1 b0 block
-    psi.amplitudes = np.array([[0, 0], [1, 0]], dtype=complex)
-    with pytest.raises(ZeroProjectionError):
-        observer_conditional_state(psi, 0)
+    # all amplitude moved out of the a0 slab, into the a1 b0 block
+    tampered = np.array([[0, 0], [1, 0]], dtype=complex)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.amplitudes = tampered
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amplitudes[...] = tampered
+    with pytest.raises(StateCompatError, match="all-zero ancilla outcome must have nonzero"):
+        CompositeState(psi.ancilla_dims, psi.system_dim, psi.patterns, tampered)
+    np.testing.assert_allclose(observer_conditional_state(psi, 0).amplitudes, [[1, 0]], atol=1e-14)
 
 
 def test_conditional_state_keeps_a_tiny_all_zero_block():
@@ -272,7 +280,7 @@ def test_reduced_density_matches_generic_partial_trace():
     for dims, sys_idx in [([2, 3], 1), ([3, 2, 2], 2), ([2, 2, 3], 0)]:
         v = random_unit_vector(int(np.prod(dims)), rng)
         blocks = dense_to_blocks(v, dims, sys_idx)
-        factors = blocks.ancilla_dims + [blocks.system_dim]
+        factors = [*blocks.ancilla_dims, blocks.system_dim]
         via_scenario = observer_reduced_density(blocks, factors, len(factors) - 1)
         via_ptrace = partial_trace(np.outer(v, v.conj()), dims, {sys_idx})
         np.testing.assert_allclose(via_scenario, via_ptrace, atol=1e-12)
@@ -432,7 +440,7 @@ def test_thousand_observer_state_is_stored_as_blocks():
     rng = np.random.default_rng(23)
     phi, chi = random_unit_vector(3, rng), random_unit_vector(3, rng)
     psi = build_joint_state([Ensemble(3, [(0.5, phi), (0.5, chi)])] * 1000)
-    assert psi.ancilla_dims == [2] * 1000
+    assert psi.ancilla_dims == (2,) * 1000
     assert psi.amplitudes.shape == (1001, 3)
     assert psi.patterns.shape == (1001, 1000)
 
