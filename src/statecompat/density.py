@@ -20,7 +20,8 @@ support's eigenvector basis, so no further factorization is needed. Such a
 rewriting exists exactly when the chosen vector lies in the support.
 
 Every rank comes from one decision, :func:`_rank_split`: an eigenvalue
-counts when it lies above its spectrum's zero cutoff. It is made once per
+counts when it lies above its spectrum's zero cutoff (:func:`zero_cutoff`,
+whose floor validation's positivity test reads too). It is made once per
 set, where the spectra are stacked (:func:`_spectra`), and the support test
 of :mod:`statecompat.compat` and the scenario's ensembles read the same
 cutoffs and ranks.
@@ -47,12 +48,16 @@ subspace basis. Everything else compares against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    NotHermitianError,
     NotPositiveError,
+    NotSquareError,
+    NumericalFailureError,
     StateCompatError,
     StateOutsideSupportError,
     TraceNotOneError,
@@ -60,15 +65,15 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     UNIT_TOL,
-    _CUTOFF_FLOOR,
     EigResult,
     Subspace,
     Tolerances,
-    _hermitian_part_eig,
+    _as_finite,
+    _fix_columns,
     _householder_completions,
+    as_array,
     as_complex_vector,
     read_only,
-    zero_cutoff,
 )
 
 #: Absolute tolerance on a total probability that must be one: the trace of a
@@ -76,21 +81,42 @@ from .linalg import (
 #: renormalized away).
 TRACE_TOL = 1e-8
 
+#: Floor of every zero cutoff: the largest eigenvalue is taken as at least
+#: this, so an all-zero spectrum still has a positive cutoff.
+_CUTOFF_FLOOR = 1e-30
+
+
+def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Threshold below which an eigenvalue counts as zero.
+
+    Relative to the largest value present, with an absolute floor so an
+    all-zero spectrum still yields a positive cutoff: the floor is the
+    maximum's initial value, :data:`_CUTOFF_FLOOR`. A stack of spectra (along
+    the last axis) gets one cutoff each.
+    """
+    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=_CUTOFF_FLOOR)
+
 
 class DensityMatrix:
     """A validated density matrix and its one eigendecomposition.
 
     ``DensityMatrix(m, tol)`` is the validation; there is no other way to
-    make one. The checks run in this order: the shape (two axes, not empty),
-    finite entries, a square, the Hermiticity defect, the eigendecomposition,
-    the trace, positivity. All but the last two are those of
-    :func:`statecompat.linalg._hermitian_part_eig`, where one probe,
-    ||M||_F^2, stands in for the shape, finiteness and square checks: they
-    run one at a time only for an input that fails it, so the non-finite test
-    rides on the probe and the same classes and messages come out in the same
-    order. The input is symmetrized, eigenvalues within the negative
-    tolerance band are clamped to zero and the matrix rebuilt from its
-    spectrum, and the trace is renormalized to exactly one.
+    make one. The checks run in this order: M converts to a complex array,
+    has two axes, is not empty, has finite entries, is square, its
+    Hermiticity defect is at most ``tol.match_abs``, the eigendecomposition
+    of (M + M^dag)/2 succeeds, the trace is one within :data:`TRACE_TOL`,
+    and no eigenvalue is negative beyond the zero cutoff. One probe stands
+    in for the shape, finiteness and square checks: ||M||_F^2, a ``vdot``,
+    is finite exactly when every entry is finite and none is huge (beyond
+    about 1e154). Only an input that fails the probe runs them one at a
+    time, which raises for every such input except a huge finite one; so
+    the same classes and messages come out in the same order, and a
+    non-finite entry never reaches M - M^dag, where an infinite one would
+    raise a floating-point warning. The eigenvalues are put in descending
+    order and the eigenvector columns phase-fixed (see
+    :func:`statecompat.linalg._fix_columns`); eigenvalues within the
+    negative tolerance band are clamped to zero and the matrix rebuilt from
+    its spectrum, and the trace is renormalized to exactly one.
 
     ``matrix`` is the cleaned, exactly Hermitian matrix the pairwise
     conditions need, and ``spectrum`` its eigendecomposition (eigenvalues
@@ -100,7 +126,22 @@ class DensityMatrix:
     """
 
     def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
-        sym, values, vectors = _hermitian_part_eig(m, tol)
+        m = as_array(m, "matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not math.isfinite(np.vdot(m, m).real):
+            m = _as_finite(m, 2, "matrix")
+            if m.shape[0] != m.shape[1]:
+                raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+        mh = m.conj().T
+        diff = m - mh
+        defect = math.sqrt(np.vdot(diff, diff).real)
+        if defect > tol.match_abs:
+            raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}")
+        sym = (m + mh) / 2.0
+        try:
+            values, vectors = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+        values, vectors = values[::-1], _fix_columns(vectors[:, ::-1])
         trace = np.add.reduce(sym.diagonal()).real  # sym.trace().real without the method's wrapper
         if abs(trace - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
@@ -133,6 +174,8 @@ class Ensemble:
     An ensemble cannot change after its checks: it is frozen, and ``terms``
     is a tuple of (weight, state) pairs whose states are rows of one
     read-only array of its own, so every reader can rely on the checks.
+    Copies and pickles are made by the constructor, so they are checked and
+    read-only too.
     """
 
     dim: int
@@ -152,6 +195,9 @@ class Ensemble:
         states = read_only([as_complex_vector(s, self.dim) for _, s in self.terms])
         total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
         object.__setattr__(self, "terms", tuple(zip((weights / total[0]).tolist(), states)))
+
+    def __reduce__(self):
+        return (Ensemble, (self.dim, self.terms))
 
 
 def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -198,8 +244,8 @@ def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The zero cutoffs, kept eigenvalues and ranks of spectra stacked along the last axis.
 
     The one rank decision of the package: an eigenvalue is kept when it lies
-    above its spectrum's :func:`statecompat.linalg.zero_cutoff`. The spectra
-    are descending, so the kept ones lead and ``kept[..., i]`` is ``i < rank``.
+    above its spectrum's :func:`zero_cutoff`. The spectra are descending, so
+    the kept ones lead and ``kept[..., i]`` is ``i < rank``.
     """
     cutoffs = zero_cutoff(values, tol)
     kept = values > cutoffs[..., None]
@@ -236,7 +282,7 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def _ensembles_around(
     values: np.ndarray, vectors: np.ndarray, cutoffs: np.ndarray, kept: np.ndarray,
     ranks: np.ndarray, phi: np.ndarray, tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
     ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra with the
@@ -248,9 +294,10 @@ def _ensembles_around(
     written in place into one (n, d, 2R) array, returned as its (n, 2R, d)
     view: each support basis is cut to R, its columns past its own rank
     zeroed, so one batched product gives every support defect and one
-    :func:`_householder_completions` call every completion. Weights are
-    normalized as :class:`Ensemble` would. Errors name the first observer
-    that fails, with the check order of one observer at a time: the support
+    :func:`_householder_completions` call every completion. The weights are
+    returned as computed, with their :func:`_check_terms` totals, so that
+    each caller divides them once. Errors name the first observer that
+    fails, with the check order of one observer at a time: the support
     defect, then :func:`_check_terms`.
     """
     n, d = values.shape
@@ -279,7 +326,7 @@ def _ensembles_around(
             f"state has a null-space component (projection defect {defects[k]:.3e}); "
             "no ensemble for this density matrix can contain it"
         )
-    return weights / _check_terms(weights, states, keep)[:, None], states, keep
+    return weights, _check_terms(weights, states, keep), states, keep
 
 
 def ensemble_containing(
@@ -293,11 +340,11 @@ def ensemble_containing(
     completing ``psi`` (each with weight r_0; they lie in the support and are
     orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
     nonzero. Everything is read from ``rho.spectrum``, by
-    :func:`_ensembles_around` for this one matrix, and the terms it keeps
-    are checked again by the :class:`Ensemble` constructor, whose second
-    renormalization can move a weight by a few units in the last place.
+    :func:`_ensembles_around` for this one matrix; the terms it keeps are
+    handed to the :class:`Ensemble` constructor as computed, so its
+    normalization is the only one.
     """
     psi = as_complex_vector(psi, rho.dim)
     values, vectors = rho.spectrum.eigenvalues[None], rho.spectrum.eigenvectors[None]
-    weights, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
+    weights, _, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
     return Ensemble(rho.dim, list(zip(weights[keep].tolist(), states[keep])))

@@ -1,11 +1,12 @@
-"""Dense complex linear algebra on small matrices.
+"""Dense complex linear algebra on small matrices, shared by the other modules.
 
-Hermitian eigendecomposition and orthonormal-basis subspace arithmetic (the
-intersection of a family, decided by one SVD, and the batched completion of
-vectors to bases of subspaces, one Householder reflector each), all with
-explicit numerical tolerances. Matrices and vectors are plain ``numpy``
-arrays of complex128; coercion and structural validation happen at the
-function boundaries.
+The coercion of inputs to finite complex arrays, the tolerances, the phase
+convention of eigen- and singular vectors, and orthonormal-basis subspace
+arithmetic (the intersection of a family, decided by one SVD, and the
+batched completion of vectors to bases of subspaces, one Householder
+reflector each). Matrices and vectors are plain ``numpy`` arrays of
+complex128. What a density matrix is, its validation and its zero cutoff,
+is decided in :mod:`statecompat.density`.
 """
 
 from __future__ import annotations
@@ -16,20 +17,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotSquareError,
-    NumericalFailureError,
-    StateCompatError,
-)
+from .errors import DimensionMismatchError, StateCompatError
 
 #: Modulus below which a component cannot anchor the global phase convention.
 PHASE_FLOOR = 1e-8
-
-#: Floor of every zero cutoff: the largest eigenvalue or singular value is
-#: taken as at least this, so an all-zero spectrum still has a positive cutoff.
-_CUTOFF_FLOOR = 1e-30
 
 #: Absolute tolerance on a norm or overlap that must be one (or, off the
 #: diagonal of a Gram matrix, zero): ensemble states, joint states, the
@@ -95,11 +86,6 @@ def as_complex_vector(v, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite, non-empty 2-d complex128 array."""
-    return _as_finite(m, 2, "matrix")
-
-
 def read_only(a, dtype=None) -> np.ndarray:
     """A read-only copy of ``a`` (of ``dtype`` when one is given).
 
@@ -109,12 +95,6 @@ def read_only(a, dtype=None) -> np.ndarray:
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)  # half the cost of setting ``a.flags.writeable``
     return a
-
-
-def require_square(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    return m
 
 
 def _fix_columns(cols: np.ndarray) -> np.ndarray:
@@ -138,55 +118,12 @@ def _fix_columns(cols: np.ndarray) -> np.ndarray:
     return cols * (lead.conj() / modulus)
 
 
-def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Threshold below which an eigenvalue or singular value counts as zero.
-
-    Relative to the largest value present, with an absolute floor so an
-    all-zero spectrum still yields a positive cutoff: the floor is the
-    maximum's initial value, :data:`_CUTOFF_FLOOR`. A stack of spectra (along
-    the last axis) gets one cutoff each.
-    """
-    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=_CUTOFF_FLOOR)
-
-
 @dataclass(frozen=True, eq=False)
 class EigResult:
     """Eigenvalues in descending order, eigenvector i (column i) paired with eigenvalue i."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _hermitian_part_eig(m, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """(M + M^dag)/2 and its eigenvalues and vectors, after checking M.
-
-    The eigenvalues are descending and the eigenvector columns follow the
-    global phase convention (:func:`_fix_columns`). The one caller is the
-    :class:`statecompat.density.DensityMatrix` constructor, the validation.
-
-    The checks, in order: M converts to a complex array, has two axes, is
-    not empty, has finite entries, is square, and its Hermiticity defect is
-    at most ``tol.match_abs``. One probe stands in for the middle four:
-    ||M||_F^2, a ``vdot``, is finite exactly when every entry is finite and
-    none is huge (beyond about 1e154). Only an input that fails the probe
-    runs them one at a time, which raises for every such input except a
-    huge finite one; so a non-finite entry never reaches M - M^dag, where an
-    infinite one would raise a floating-point warning.
-    """
-    m = as_array(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not math.isfinite(np.vdot(m, m).real):
-        m = require_square(as_complex_matrix(m))
-    mh = m.conj().T
-    diff = m - mh
-    defect = math.sqrt(np.vdot(diff, diff).real)
-    if defect > tol.match_abs:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}")
-    sym = (m + mh) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return sym, w[::-1], _fix_columns(v[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +134,9 @@ class Subspace:
     axes of ``ambient_dim`` rows and at most as many columns, finite
     entries, and entrywise orthonormality within :data:`UNIT_TOL`. The basis
     may be empty (shape ``(ambient_dim, 0)``). Bases the package computes
-    (eigenvectors, singular vectors) pass the same check as a caller's.
+    (eigenvectors, singular vectors) pass the same check as a caller's. The
+    subspace keeps a read-only copy of the basis, so no array the caller
+    holds can change it, and copies and pickles are made by the constructor.
     """
 
     ambient_dim: int
@@ -222,7 +161,10 @@ class Subspace:
                 raise StateCompatError(
                     f"basis columns are not orthonormal (defect {defect:.3e})"
                 )
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", read_only(basis))
+
+    def __reduce__(self):
+        return (Subspace, (self.ambient_dim, self.basis))
 
     @property
     def dim(self) -> int:

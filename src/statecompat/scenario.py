@@ -56,7 +56,7 @@ from .errors import (
     IncompatibleError,
     StateCompatError,
 )
-from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, as_array, as_complex_matrix,
+from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, as_array,
                      as_complex_vector, read_only)
 
 _NO_SHARED_STATE = (
@@ -78,7 +78,8 @@ class BlockState:
     level-0 outcome; such a slice keeps the parent's distinct patterns. A
     block state cannot change: it is frozen, ``ancilla_dims`` is a tuple of
     ints, and the arrays are read-only copies, of dtype intp and complex128,
-    that no caller holds.
+    that no caller holds. Copies and pickles are made by the constructor of
+    the copied class, so a copied :class:`CompositeState` is checked again.
     """
 
     ancilla_dims: tuple[int, ...]
@@ -90,6 +91,9 @@ class BlockState:
         object.__setattr__(self, "ancilla_dims", tuple(map(int, self.ancilla_dims)))
         object.__setattr__(self, "patterns", read_only(self.patterns, np.intp))
         object.__setattr__(self, "amplitudes", read_only(self.amplitudes, np.complex128))
+
+    def __reduce__(self):
+        return (type(self), (self.ancilla_dims, self.system_dim, self.patterns, self.amplitudes))
 
     @property
     def n_observers(self) -> int:
@@ -120,7 +124,7 @@ class CompositeState(BlockState):
         patterns = as_array(self.patterns, "ancilla patterns", None)
         if not np.issubdtype(patterns.dtype, np.integer):
             raise StateCompatError(f"ancilla patterns must be integers, got {patterns.dtype}")
-        amps = as_complex_matrix(self.amplitudes)
+        amps = _as_finite(self.amplitudes, 2, "matrix")
         n_blocks = amps.shape[0]
         if patterns.shape != (n_blocks, len(dims)):
             raise DimensionMismatchError(
@@ -322,7 +326,8 @@ def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
     """
     if len(rhos) == 1:
         spectra = [part[[0, 0]] for part in spectra]
-    weights, states, keep = _ensembles_around(*spectra, phi, tol)
+    weights, totals, states, keep = _ensembles_around(*spectra, phi, tol)
+    weights = weights / totals[:, None]
     rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
     lead = np.vdot(phi, phi).real
     probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))

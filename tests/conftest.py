@@ -8,9 +8,8 @@ library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
 one subspace, the all-zero outcome probability of a joint state, the phase
-convention on a vector or a matrix of any dtype, the eigendecomposition of a
-Hermitian matrix without validation's trace and positivity checks) live here
-as references for the tests that use them, and are checked themselves.
+convention on a vector or a matrix of any dtype) live here as references for
+the tests that use them, and are checked themselves.
 :func:`unchecked_density` builds a :class:`DensityMatrix` record around
 given bits, past the constructor's validation: the validation oracle's
 result, and a record that validation would refuse for an error-path test. So
@@ -34,13 +33,14 @@ from unittest import mock
 import numpy as np
 
 from statecompat import fileio
-from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
+from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density, zero_cutoff
 from statecompat.errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
     IncompatibleError,
     NotHermitianError,
     NotPositiveError,
+    NotSquareError,
     NumericalFailureError,
     StateCompatError,
     StateOutsideSupportError,
@@ -52,12 +52,8 @@ from statecompat.linalg import (
     EigResult,
     Subspace,
     _fix_columns,
-    _hermitian_part_eig,
     _householder_completions,
-    as_complex_matrix,
     as_complex_vector,
-    require_square,
-    zero_cutoff,
 )
 from statecompat.scenario import BlockState, CompositeState, ScenarioResult
 
@@ -135,16 +131,6 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.complex128)
     return _fix_columns(v.reshape(v.shape[0], -1)).reshape(v.shape)
-
-
-def hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
-    """The eigendecomposition validation computes, before its trace and positivity checks.
-
-    Eigenvalues descending, eigenvector columns phase-fixed; the checks of
-    :func:`statecompat.linalg._hermitian_part_eig` (readable, two axes, not
-    empty, finite, square, Hermiticity defect at most ``tol.match_abs``).
-    """
-    return EigResult(*_hermitian_part_eig(m, tol)[1:])
 
 
 def unchecked_density(matrix, spectrum: EigResult) -> DensityMatrix:
@@ -314,9 +300,30 @@ def reference_fix_phase(v: np.ndarray) -> np.ndarray:
     return (cols * (lead.conj() / np.abs(lead))).reshape(v.shape)
 
 
+def reference_square_matrix(m) -> np.ndarray:
+    """Coerce to complex128 and check one step at a time, with validation's classes and messages.
+
+    Readable, two axes, not empty, finite entries, square: the checks the
+    library folds into one probe.
+    """
+    try:
+        m = np.array(m, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise StateCompatError(f"cannot read the matrix as an array of numbers: {exc}") from exc
+    if m.ndim != 2:
+        raise StateCompatError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise StateCompatError("matrix must not be empty")
+    if not np.isfinite(m).all():
+        raise StateCompatError("matrix contains non-finite entries")
+    if m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+    return m
+
+
 def reference_hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
     """Coerce, check the Hermiticity defect by numpy.linalg.norm, symmetrize, eigh, order, fix phases."""
-    m = require_square(as_complex_matrix(m))
+    m = reference_square_matrix(m)
     defect = float(np.linalg.norm(m - m.conj().T))
     if defect > tol.match_abs:
         raise NotHermitianError(
@@ -332,7 +339,7 @@ def reference_hermitian_eig(m, tol=DEFAULT_TOL) -> EigResult:
 
 def reference_validate_density(m, tol=DEFAULT_TOL) -> DensityMatrix:
     """validate_density through reference_hermitian_eig, coercing and symmetrizing separately."""
-    m = require_square(as_complex_matrix(m))
+    m = reference_square_matrix(m)
     eig = reference_hermitian_eig(m, tol)
     sym = (m + m.conj().T) / 2.0
     trace = float(np.trace(sym).real)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from collections.abc import Mapping
 
 import numpy as np
@@ -13,6 +15,7 @@ from statecompat.density import (
     null_space,
     support,
     validate_density,
+    zero_cutoff,
 )
 from statecompat.errors import (
     DimensionMismatchError,
@@ -32,13 +35,12 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, zero_cutoff
+from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances
 from statecompat.scenario import BlockState, CompositeState, scenario_with_shared_state
 
 from conftest import (
     eigen_ensemble,
     ensemble_to_density,
-    hermitian_eig,
     reference_hermitian_eig,
     reference_split,
     reference_validate_density,
@@ -257,9 +259,16 @@ def folded_check_inputs():
     yield "defect-just-above-match_abs", np.array([[0.5, e], [0.0, 0.5]])
 
 
-@pytest.mark.parametrize("entry, reference", [(validate_density, reference_validate_density),
-                                              (hermitian_eig, reference_hermitian_eig),
-                                              (DensityMatrix, reference_validate_density)])
+def validated_spectrum(m):
+    """The constructor's eigendecomposition, whose checks before the trace reference_hermitian_eig makes."""
+    return DensityMatrix(m).spectrum
+
+
+@pytest.mark.parametrize("entry, reference", [
+    (validate_density, reference_validate_density),
+    pytest.param(validated_spectrum, reference_hermitian_eig, id="hermitian_eig-reference_hermitian_eig"),
+    (DensityMatrix, reference_validate_density),
+])
 @pytest.mark.parametrize("bad", [m for _, m in folded_check_inputs()],
                          ids=[name for name, _ in folded_check_inputs()])
 def test_folded_checks_raise_what_the_reference_raises(entry, reference, bad):
@@ -272,7 +281,7 @@ def test_folded_checks_raise_what_the_reference_raises(entry, reference, bad):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("entry", [validate_density, hermitian_eig, DensityMatrix])
+@pytest.mark.parametrize("entry", [validate_density, DensityMatrix])
 def test_empty_matrix_is_refused(entry):
     with pytest.raises(StateCompatError, match="matrix must not be empty"):
         entry(np.zeros((0, 0)))
@@ -608,9 +617,10 @@ def test_numpy_scalars_are_still_numbers():
 
 
 def caller_arrays():
-    """Writeable arrays a caller holds: two states, block patterns and amplitudes, a matrix."""
+    """Writeable arrays a caller holds: two states, block patterns and amplitudes, a matrix, a basis."""
     return {"e0": E0.copy(), "e1": E1.copy(), "patterns": np.array([[0, 0], [1, 0]]),
-            "amplitudes": np.eye(2, dtype=complex) / np.sqrt(2), "matrix": np.diag([1.0, 0.0])}
+            "amplitudes": np.eye(2, dtype=complex) / np.sqrt(2), "matrix": np.diag([1.0, 0.0]),
+            "basis": np.array([[1.0], [1.0j]]) / np.sqrt(2)}
 
 
 MADE = {
@@ -618,6 +628,7 @@ MADE = {
     "BlockState": lambda a: BlockState([2, 1], 2, a["patterns"], a["amplitudes"]),
     "CompositeState": lambda a: CompositeState([2, 1], 2, a["patterns"], a["amplitudes"]),
     "Instance": lambda a: Instance(2, ["a"], [a["matrix"]], {"rank_rel": 1e-9}),
+    "Subspace": lambda a: Subspace(2, a["basis"]),
 }
 
 
@@ -650,6 +661,41 @@ def test_checked_objects_cannot_change(kind):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert all(array.flags.writeable for array in passed.values())
+
+
+def same_value(got, want) -> bool:
+    """Equal fields: arrays of one dtype and the same entries, tuples item by item."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(same_value, got, want))
+    return got == want
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("kind", list(MADE))
+def test_copies_and_pickles_are_made_by_the_constructor(kind, how, monkeypatch):
+    """A copy or an unpickled object runs its class's checks once, has the
+    original's fields, and cannot change either."""
+    made = MADE[kind](caller_arrays())
+    cls, checks = type(made), []
+    original = cls.__post_init__
+
+    def counted(self):
+        checks.append(type(self))
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    again = COPIES[how](made)
+    assert type(again) is cls and checks == [cls]
+    arrays = []
+    for field in dataclasses.fields(made):
+        assert same_value(getattr(again, field.name), getattr(made, field.name)), field.name
+        arrays += stored_arrays(getattr(again, field.name))
+    assert arrays and not any(array.flags.writeable for array in arrays)
 
 
 def test_density_matrix_direct_construction_checks_shape():

@@ -14,8 +14,8 @@ from statecompat.errors import (
 )
 from statecompat.generate import crandn, random_subspace, random_unit_vector, random_unitary
 from statecompat.compat import forbidden_subspace, support_compatible
-from statecompat.density import null_space, support, validate_density
-from statecompat.generate import generate_instance
+from statecompat.density import DensityMatrix, null_space, support, validate_density
+from statecompat.generate import generate_instance, random_density
 from statecompat.linalg import (
     DEFAULT_TOL,
     PHASE_FLOOR,
@@ -29,7 +29,6 @@ from statecompat.linalg import (
 from conftest import (
     OutsideSubspaceError,
     fix_phase,
-    hermitian_eig,
     householder_completion,
     loop_fix_phase,
     loop_partial_trace,
@@ -39,6 +38,7 @@ from conftest import (
     proj,
     rank_formula_intersection_dim,
     reference_fix_phase,
+    reference_hermitian_eig,
     span_of,
     subspace_span_union,
     svd_completion,
@@ -82,16 +82,18 @@ def test_tolerances_defaults():
     assert DEFAULT_TOL.match_abs == 1e-8
 
 
-# ------------------------------------------------------------- hermitian_eig
+# -------------------------------------------- validation's eigendecomposition
+# Validation, the DensityMatrix constructor, diagonalizes each matrix once
+# with this module's phase convention; its spectrum is checked here.
 
 
 def test_eig_identity():
-    res = hermitian_eig(np.eye(2))
-    np.testing.assert_allclose(res.eigenvalues, [1.0, 1.0])
+    res = DensityMatrix(np.eye(2) / 2).spectrum
+    np.testing.assert_allclose(res.eigenvalues, [0.5, 0.5])
 
 
 def test_eig_diagonal():
-    res = hermitian_eig(np.diag([0.75, 0.25]))
+    res = DensityMatrix(np.diag([0.75, 0.25])).spectrum
     np.testing.assert_allclose(res.eigenvalues, [0.75, 0.25])
     np.testing.assert_allclose(res.eigenvectors[:, 0], E0, atol=1e-14)
     np.testing.assert_allclose(res.eigenvectors[:, 1], E1, atol=1e-14)
@@ -99,10 +101,10 @@ def test_eig_diagonal():
 
 def test_eig_reconstruction_random_6x6():
     rng = np.random.default_rng(42)
-    h = rand_hermitian(rng, 6)
-    res = hermitian_eig(h)
+    m = random_density(6, rng)
+    res = DensityMatrix(m).spectrum
     rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
-    assert np.linalg.norm(rebuilt - h) <= 1e-10
+    assert np.linalg.norm(rebuilt - m) <= 1e-12
     gram = res.eigenvectors.conj().T @ res.eigenvectors
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
 
@@ -110,7 +112,10 @@ def test_eig_reconstruction_random_6x6():
 def test_eig_descending_and_phase_fixed():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        res = hermitian_eig(rand_hermitian(rng, 5))
+        m = random_density(5, rng)
+        res = DensityMatrix(m).spectrum
+        want = reference_hermitian_eig(m)
+        np.testing.assert_allclose(res.eigenvalues, want.eigenvalues, atol=1e-14)
         assert np.all(np.diff(res.eigenvalues) <= 1e-12)
         for j in range(5):
             v = res.eigenvectors[:, j]
@@ -119,19 +124,19 @@ def test_eig_descending_and_phase_fixed():
 
 
 def test_eig_rejects_non_square():
-    with pytest.raises(NotSquareError):
-        hermitian_eig(np.ones((2, 3)))
+    with pytest.raises(NotSquareError, match="matrix is 2x3, not square"):
+        DensityMatrix(np.ones((2, 3)))
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        DensityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_symmetrizes_small_defect():
     h = np.diag([0.75, 0.25]).astype(complex)
     h[0, 1] += 1e-9  # below match_abs, symmetrized away
-    res = hermitian_eig(h)
+    res = DensityMatrix(h).spectrum
     np.testing.assert_allclose(res.eigenvalues, [0.75, 0.25], atol=1e-9)
 
 
@@ -222,6 +227,16 @@ def test_ptrace_is_linear():
 
 
 # -------------------------------------------------------------------- Subspace
+
+
+def test_subspace_keeps_its_own_read_only_basis():
+    basis = np.eye(3, 2, dtype=complex)
+    s = Subspace(3, basis)
+    assert not np.shares_memory(s.basis, basis) and basis.flags.writeable
+    basis[:, 0] = 5.0  # the caller's array, after the check
+    np.testing.assert_array_equal(s.basis.conj().T @ s.basis, np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        s.basis[0, 0] = 5.0
 
 
 def test_subspace_rejects_non_orthonormal():

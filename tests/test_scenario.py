@@ -20,6 +20,8 @@ from conftest import (
 from statecompat.compat import full_report, support_compatible
 from statecompat.density import (
     Ensemble,
+    _ensembles_around,
+    _spectra,
     ensemble_containing,
     support,
     validate_density,
@@ -38,7 +40,7 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import EigResult
+from statecompat.linalg import DEFAULT_TOL, EigResult
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
@@ -559,6 +561,44 @@ def test_batched_scenario_matches_the_per_observer_loop(dim, n):
     assert abs(joint_zero_outcome_probability(psi) - ref.joint_zero_probability) <= 1e-15
     for ensemble, rho in zip(ensembles[:10], rhos):
         assert_same_ensemble(ensemble, loop_ensemble_containing(rho, phi))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_ensemble_containing_is_the_kernels_ensemble(dim):
+    """ensemble_containing(rho_k, phi) holds the kept terms of observer k in the
+    scenario kernel, the weights divided once, as _realize divides them, over
+    the compatible check-many-small shapes (counts 2-4).
+
+    The weights are the same bits where the kernel's weight rows hold fewer
+    than eight entries (2 x the set's largest rank), as at dims 2 and 3.
+    numpy sums eight or more numbers pairwise, so the kernel's row, with
+    zeros for the dropped terms, and the ensemble's row of kept weights can
+    round differently: by at most 4 units in the last place (2 seen over
+    3,600 ensembles). The states are the same bits at dims 2 and 3 and for an
+    observer of the set's largest rank; otherwise the kernel pads the
+    observer's support basis to that rank, and its stacked products round
+    differently: by at most 4 eps in an entry (2.2 seen).
+    """
+    eps = np.finfo(float).eps
+    for count in (2, 3, 4):
+        for seed in range(20):
+            matrices = generate_instance(dim, count, 7919 * dim + 101 * count + seed, "compatible")
+            rhos = [validate_density(m) for m in matrices]
+            phi = support_compatible(rhos)[1].basis[:, 0]
+            spectra = _spectra(rhos, DEFAULT_TOL)
+            weights, totals, states, keep = _ensembles_around(*spectra, phi, DEFAULT_TOL)
+            weights = weights / totals[:, None]
+            ranks = spectra[4]
+            for k, rho in enumerate(rhos):
+                terms = ensemble_containing(rho, phi).terms
+                got_w, got_s = np.array([w for w, _ in terms]), np.array([s for _, s in terms])
+                want_w, want_s = weights[k][keep[k]], states[k][keep[k]]
+                if weights.shape[1] < 8:
+                    assert np.array_equal(got_w, want_w)
+                assert np.all(np.abs(got_w - want_w) <= 4 * np.spacing(want_w))
+                if dim <= 3 or ranks[k] == ranks.max():
+                    assert np.array_equal(got_s, want_s)
+                assert np.max(np.abs(got_s - want_s)) <= 4 * eps
 
 
 def test_batched_scenario_of_one_matrix_is_its_pair():
