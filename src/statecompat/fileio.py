@@ -17,12 +17,12 @@ precision. An instance file looks like::
 the instance it was computed from under ``"instance"``, so every verdict can
 be re-derived from the report alone.
 
-Files are written as one line of JSON with sorted keys (``python -m json.tool
-FILE`` pretty-prints one); reading accepts any layout. Numbers move between
-JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for shape,
-a matrix holding anything but floats has its values checked one by one,
-and then all are converted in one ``np.array`` call and reinterpreted as
-complex128, so every double round-trips bit for bit.
+Files are written as one line of ASCII JSON with sorted keys (``python -m
+json.tool FILE`` pretty-prints one); reading accepts any layout. Numbers move
+between JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for
+shape, a matrix holding anything but floats has its values checked one by
+one, and then all are converted in one ``np.array`` call and reinterpreted
+as complex128, so every double round-trips bit for bit.
 
 An input laid out as the writer lays it out is echoed as read, without
 re-encoding a number: one line of ASCII (less one trailing newline) with no
@@ -32,7 +32,7 @@ and ``tolerances``, each matrix entry exactly ``name`` then ``rows``, and the
 is such a line, and so is a report's ``"instance"`` when no name needs an
 escape. The echo parses to the same matrices bit for bit; it can differ from
 the re-encoding only in how numbers are spelled (``1`` against ``1.0``,
-``1e-5`` against ``1e-05``), in whitespace between tokens, and in a key that
+``1e-05`` against ``1e-5``), in whitespace between tokens, and in a key that
 the line repeats. Any other input is re-encoded. An :class:`Instance` cannot
 change after it is made, so :func:`load_instance` sets its echo once, and
 the echo always spells what the instance holds.
@@ -60,13 +60,22 @@ object bound. ``json`` reads the rest and refuses deep nesting with a
 :class:`InstanceFormatError`. orjson reads an integer beyond 64 bits
 as the nearest double, which is the double ``json``'s integer converts to;
 only a ``dim`` of 2**64 or more reads differently, and it is refused either
-way. The writer stays on ``json.dumps``, which spells every float as
-``float.__repr__`` does, so reports stay byte-identical.
+way.
+
+The writer spells each double as orjson does, where ``json.dumps`` spells it
+as ``float.__repr__`` does. Both write the shortest digits that read back to
+the same double; they differ only in the exponent (``1e-7`` against
+``1e-07``, ``1e16`` against ``1e+16``) and in where they switch to one
+(``0.00001`` against ``1e-05``). So every number reads back bit for bit under
+either decoder, and identical inputs give identical bytes. A value that
+orjson would write otherwise (a ``null`` for a NaN, raw UTF-8, an integer it
+refuses) is written by ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from types import MappingProxyType
@@ -227,11 +236,10 @@ def _decode(text: str):
     refuses the text (see the module docstring).
     """
     raw = text.encode()
-    octets = np.frombuffer(raw, np.uint8)
-    objects = np.count_nonzero(octets == ord("{"))
-    openings = objects + np.count_nonzero(octets == ord("["))
+    objects = raw.count(b"{")
+    openings = objects + raw.count(b"[")
     if objects <= ORJSON_MAX_OBJECTS and openings <= ORJSON_MAX_OPENINGS:
-        import orjson  # here, so that a process that decodes nothing (generate) never loads it
+        import orjson  # here, so that importing the package or the CLI does not load it
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
@@ -326,19 +334,63 @@ def report_payload(
     return payload
 
 
-def dump_payload(payload: dict, fh) -> None:
-    """Write ``payload`` as one line of JSON with sorted keys.
+def _nonfinite(value) -> bool:
+    """Whether ``value`` holds a NaN or infinite float, at any depth of lists and dicts."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return any(map(_nonfinite, value))
+    return isinstance(value, dict) and any(map(_nonfinite, value.values()))
 
-    The top-level values are written one by one, in key order: a value
-    already encoded goes in as is, and any other goes through ``json.dumps``
-    with sorted keys. So without an encoded value the line is byte-identical
-    to ``json.dumps(payload, sort_keys=True)``. ``json.dumps`` without
-    ``indent`` runs in the C encoder (with ``indent`` CPython falls back to
-    the pure-Python one), and it prints floats with ``float.__repr__``, so
-    every value reads back bit-exactly.
+
+def _leaf(value, orjson) -> str:
+    """``value`` as JSON: orjson's text, unless orjson would spell it otherwise
+    than ``json.dumps`` in more than its float digits and separators.
+
+    That is a value orjson refuses (an integer beyond 64 bits, a non-string
+    key, a lone surrogate, a numpy scalar), one whose text holds a byte
+    that ``json.dumps`` escapes (non-ASCII, DEL), and one whose text holds a
+    ``null`` that orjson wrote for a NaN or an infinity; each is written by
+    ``json.dumps`` with sorted keys instead.
     """
-    fh.write("{")
-    for i, (key, value) in enumerate(sorted(payload.items())):
-        text = value.text if isinstance(value, _Encoded) else json.dumps(value, sort_keys=True)
-        fh.write(f"{', ' if i else ''}{json.dumps(key)}: {text}")
-    fh.write("}\n")
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+    except TypeError:  # orjson.JSONEncodeError is one
+        return json.dumps(value, sort_keys=True)
+    if text.isascii() and b"\x7f" not in text and not (b"null" in text and _nonfinite(value)):
+        return text.decode("ascii")
+    return json.dumps(value, sort_keys=True)
+
+
+def _pieces(value, orjson):
+    """The JSON text of ``value`` in pieces: a dict with string keys key by key,
+    in sorted order, an encoded value as is, and any other value as a leaf."""
+    if isinstance(value, _Encoded):
+        yield value.text
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield "{"
+        for i, (key, item) in enumerate(sorted(value.items())):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _pieces(item, orjson)
+        yield "}"
+    else:
+        yield _leaf(value, orjson)
+
+
+def dump_payload(payload: dict, fh) -> None:
+    """Write ``payload`` as one line of ASCII JSON with sorted keys.
+
+    A dict with string keys is written key by key, in sorted order, laid out
+    as ``json.dumps`` lays it out (``", "`` between items, ``": "`` after a
+    key), and a value already encoded goes in as is. Every other value is a
+    leaf, written by :func:`_leaf`: by orjson, compact, or by ``json.dumps``
+    where orjson would spell it otherwise in more than its float digits. The
+    test is made per leaf, so a report's ``"witness": null`` leaves its
+    pairwise tables to orjson. The line parses to what ``json.dumps(payload,
+    sort_keys=True)`` parses to, every float bit for bit. orjson is imported
+    here, on the first write, so importing the package does not load it.
+    """
+    import orjson
+
+    fh.writelines(_pieces(payload, orjson))
+    fh.write("\n")

@@ -19,13 +19,17 @@ and diagonalized matrix, the support split with every direction phase-fixed
 and wrapped, the pairwise conditions one pair at a time, and the scenario
 one observer at a time (one Householder completion, one checked ensemble and
 one recovered matrix per observer). The instance reader keeps its earlier
-decoder, the standard ``json`` alone, as the oracle of the orjson path.
+decoder, the standard ``json`` alone, as the oracle of the orjson path, and
+the files the writer writes are checked against the spelling of
+``json.dumps`` value by value, with floats compared bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import struct
 from functools import reduce
 from math import prod
 from unittest import mock
@@ -526,3 +530,41 @@ def json_load_instance(path) -> fileio.Instance:
     """:func:`statecompat.fileio.load_instance` decoding with ``json.loads`` alone, as before orjson."""
     with mock.patch.object(fileio, "_decode", json.loads):
         return fileio.load_instance(path)
+
+
+def json_bits(value):
+    """A decoded JSON value with each float replaced by its 64-bit pattern, so
+    that ``==`` compares floats bit for bit (-0.0 against 0.0, NaN to NaN)."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, list):
+        return [json_bits(item) for item in value]
+    if isinstance(value, dict):
+        return {key: json_bits(item) for key, item in value.items()}
+    return value
+
+
+def written_json(text: str):
+    """The value of a file's ``text``, after checking that it is what the writer
+    writes: one line of ASCII JSON with every object's keys in sorted order."""
+    assert text.isascii() and text.endswith("\n") and "\n" not in text[:-1]
+
+    def sorted_object(pairs):
+        keys = [key for key, _ in pairs]
+        assert keys == sorted(keys), keys
+        return dict(pairs)
+
+    return json.loads(text, object_pairs_hook=sorted_object)
+
+
+def write_to_text(payload) -> str:
+    """What :func:`statecompat.fileio.dump_payload` writes for ``payload``."""
+    buf = io.StringIO()
+    fileio.dump_payload(payload, buf)
+    return buf.getvalue()
+
+
+def assert_spells_as_json_dumps(text: str, value) -> None:
+    """``text`` is a line the writer wrote and reads as ``json.dumps(value,
+    sort_keys=True)`` reads, every float bit for bit."""
+    assert json_bits(written_json(text)) == json_bits(json.loads(json.dumps(value, sort_keys=True)))

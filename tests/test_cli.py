@@ -6,6 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,14 @@ from statecompat.fileio import (
     parse_instance,
 )
 
-from conftest import count_linalg, pairs_to_vector
+from conftest import (
+    assert_spells_as_json_dumps,
+    count_linalg,
+    json_bits,
+    pairs_to_vector,
+    write_to_text,
+    written_json,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -421,15 +429,16 @@ def test_reports_are_byte_identical_one_line_sorted_json(tmp_path):
         files.append(first)
     for path in files:
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        value = written_json(text)  # one ASCII line, sorted keys
+        assert write_to_text(value) == text  # the writer's own spelling of what it reads
+        assert json_bits(orjson.loads(text)) == json_bits(value)  # both decoders read the same
 
 
-def old_writer(report_text: str) -> str:
-    """A report as the writer before the echo wrote it: the instance re-encoded,
-    then ``json.dumps(payload, sort_keys=True)`` plus a newline."""
+def re_encoded(report_text: str) -> dict:
+    """A report's payload with its instance re-encoded, as the writer before the echo wrote it."""
     payload = json.loads(report_text)
     payload["instance"] = instance_payload(parse_instance(payload["instance"]))
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return payload
 
 
 @pytest.mark.parametrize("mode", ["compatible", "incompatible", "pairwise-only"])
@@ -448,7 +457,9 @@ def test_spliced_reports_match_the_old_writer(tmp_path, capsys, mode):
                 main([verb, "--input", str(gen), "--output", str(out)])
                 text = out.read_text()
                 assert text.startswith(f'{{"instance": {line}, ')
-                assert text == old_writer(text), (dim, count, verb)
+                payload = re_encoded(text)
+                assert text == write_to_text(payload), (dim, count, verb)
+                assert_spells_as_json_dumps(text, payload)
     capsys.readouterr()
 
 
@@ -558,20 +569,22 @@ def test_generate_caps_its_size_before_allocating(capsys):
         assert err.count("\n") == 1 and flag in err and "cap" in err, err
 
 
-#: ``cli.main`` on the argv ``sys.argv[1:]`` in a fresh interpreter; prints
-#: its exit code and whether orjson was imported.
+#: ``cli.main`` on the argv ``sys.argv[1:]`` in a fresh interpreter, or only
+#: the import of ``statecompat.cli`` when there is none; prints the exit code
+#: (None for the import) and whether orjson was imported.
 MAIN_AND_IMPORTS = """
 import sys
 from statecompat import cli
-code = cli.main(sys.argv[1:])
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
 print(code, "orjson" in sys.modules)
 """
 
 
-def test_only_reading_an_instance_imports_orjson(tmp_path):
+def test_orjson_is_imported_only_to_read_or_write_a_file(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
     path = str(tmp_path / "gen.json")
-    for argv, printed in [(["generate", "--output", path], "0 False\n"),
+    for argv, printed in [([], "None False\n"),
+                          (["generate", "--output", path], "0 True\n"),
                           (["check", "--input", path, "--output", str(tmp_path / "r.json")], "0 True\n")]:
         proc = subprocess.run([sys.executable, "-c", MAIN_AND_IMPORTS, *argv],
                               capture_output=True, text=True, env=env, check=False, timeout=120)

@@ -27,7 +27,14 @@ from statecompat.fileio import (
 from statecompat.generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, crandn, generate_instance
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
-from conftest import json_load_instance, pairs_to_vector
+from conftest import (
+    assert_spells_as_json_dumps,
+    json_bits,
+    json_load_instance,
+    pairs_to_vector,
+    write_to_text,
+    written_json,
+)
 
 
 def sample_obj():
@@ -259,6 +266,120 @@ def test_dump_payload_matches_json_dumps_without_encoded_values(payload):
     assert buf.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
 
 
+# ------------------------------------------------------------------ writer
+
+
+def bit_patterns() -> np.ndarray:
+    """100,000 random finite doubles, then -0.0, +-5e-324, +-max and the
+    doubles around each power of two from 2**53 to 2**64."""
+    bits = np.random.default_rng(22).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    powers = np.array([2.0**k for k in range(53, 65)])
+    edges = np.concatenate([[-0.0, 5e-324, -5e-324, np.finfo(np.float64).max, np.finfo(np.float64).min],
+                            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    return np.concatenate([doubles[np.isfinite(doubles)], edges])
+
+
+@pytest.mark.parametrize("name, spelling", [("rho", '"rows":[[['), ("\u03c1", '"rows": [[[')],
+                         ids=["orjson", "json-for-a-non-ascii-name"])
+def test_written_doubles_read_back_bit_for_bit(tmp_path, name, spelling):
+    doubles = bit_patterns()
+    dim = int(np.ceil(np.sqrt(doubles.size / 2)))
+    flat = np.zeros(2 * dim * dim)
+    flat[:doubles.size] = doubles
+    matrix = flat.view(np.complex128).reshape(dim, dim)
+    path = tmp_path / "bits.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(instance_payload(Instance(dim=dim, names=[name], matrices=[matrix])), fh)
+    text = path.read_text()
+    assert spelling in text and text.isascii()
+    for inst in (load_instance(path), json_load_instance(path)):
+        assert np.array_equal(inst.matrices[0].view(np.uint64), matrix.view(np.uint64))
+
+
+#: Leaves that orjson would spell otherwise than ``json.dumps`` in more than
+#: their float digits; most also hold a float the two spell differently.
+JSON_LEAVES = {
+    "nan": [1e-7, float("nan")],
+    "infinity": float("inf"),
+    "nested-infinity": [[0.5, -float("inf")], None],
+    "non-finite-in-a-list-of-dicts": [{"x": float("nan"), "y": None}],
+    "integer-of-64-bits": [2**64, 1e-7],
+    "integer-beyond-64-bits": 10**30,
+    "negative-integer-beyond-64-bits": -(2**63) - 1,
+    "non-string-key": [{1: 1e-7}],
+    "lone-surrogate": ["\ud800", 1e-7],
+    "non-ascii": ["\u00e9", 1e-7],
+    "del": ["rho\x7f1", 1e-7],
+    "numpy-scalar": [np.float64(1e-7)],
+}
+
+#: Leaves that orjson writes, with the line that orjson writes for them.
+ORJSON_LEAVES = {
+    "none": (None, "null"),
+    "none-beside-floats": ([None, 1e-7, 1e16, 1e-5, -0.0], "[null,1e-7,1e16,0.00001,-0.0]"),
+    "null-in-a-string": (["null", 1e-7], '["null",1e-7]'),
+    "largest-64-bit-integers": ([2**64 - 1, -(2**63)], "[18446744073709551615,-9223372036854775808]"),
+    "list-of-dicts": ([{"b": 1e-7, "a": True}], '[{"a":true,"b":1e-7}]'),
+    "control-characters": ("\t\n\x00\x1f\"\\", '"\\t\\n\\u0000\\u001f\\"\\\\"'),
+}
+
+
+@pytest.mark.parametrize("leaf", list(JSON_LEAVES.values()), ids=list(JSON_LEAVES))
+def test_leaves_orjson_would_spell_otherwise_are_written_by_json(leaf):
+    text = write_to_text({"k": leaf, "z": {"y": leaf}})
+    spelled = json.dumps(leaf, sort_keys=True)
+    assert text == f'{{"k": {spelled}, "z": {{"y": {spelled}}}}}\n'
+    assert text.isascii()
+
+
+def test_non_finite_floats_are_never_written_as_null():
+    text = write_to_text({"a": [float("nan"), None], "b": -float("inf"), "c": None, "d": [None]})
+    assert text == '{"a": [NaN, null], "b": -Infinity, "c": null, "d": [null]}\n'
+
+
+@pytest.mark.parametrize("leaf, spelled", list(ORJSON_LEAVES.values()), ids=list(ORJSON_LEAVES))
+def test_other_leaves_are_written_by_orjson(leaf, spelled):
+    text = write_to_text({"k": leaf, "a": {"c": leaf, "b": 2**70}})
+    assert text == f'{{"a": {{"b": {2**70}, "c": {spelled}}}, "k": {spelled}}}\n'
+    assert_spells_as_json_dumps(text, {"k": leaf, "a": {"c": leaf, "b": 2**70}})
+
+
+def test_non_ascii_names_and_keys_are_escaped(tmp_path):
+    inst = Instance(dim=1, names=["\u03c1_A", "rho\x7f1"], matrices=[np.eye(1), np.eye(1)])
+    path = tmp_path / "names.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_payload(instance_payload(inst), fh)
+    text = path.read_text()
+    assert '"\\u03c1_A"' in text and '"rho\\u007f1"' in text
+    assert load_instance(path).names == inst.names
+    assert write_to_text({"\u00fc": 1, "\ud800": 2}) == '{"\\u00fc": 1, "\\ud800": 2}\n'
+    report = full_report([validate_density(m) for m in inst.matrices])
+    assert_spells_as_json_dumps(instance_text(inst, report) + "\n", instance_payload(inst))
+
+
+def test_no_pairwise_table_of_an_incompatible_report_goes_to_json(monkeypatch):
+    count = 300
+    matrices = generate_instance(2, count, 3, "incompatible")
+    inst = Instance(dim=2, names=[f"rho_{i + 1}" for i in range(count)], matrices=matrices)
+    report = full_report([validate_density(m) for m in matrices])
+    assert not report.compatible and report.witness is None
+    encoded, dumps = [], json.dumps
+
+    def counting(value, **kwargs):
+        encoded.append(value)
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    text = write_to_text(report_payload(report, inst.names, DEFAULT_TOL, inst))
+    monkeypatch.undo()
+    assert encoded and all(isinstance(value, str) for value in encoded)  # the keys alone
+    written = written_json(text)["report"]
+    assert written["witness"] is None
+    for table in ("pairwise_commute", "commute_residual", "pairwise_product_nonzero", "product_overlap"):
+        assert len(written[table]) == count and f'"{table}": [[' in text
+
+
 # -------------------------------------------------------------------- echo
 
 
@@ -336,10 +457,13 @@ def test_other_layouts_are_echoed_as_the_canonical_encoding(tmp_path, how):
     text = variant(canonical_obj(), how)
     path = tmp_path / "variant.json"
     path.write_bytes(text.encode("utf-8"))
-    canonical = json.dumps(instance_payload(parse_instance(json.loads(text))), sort_keys=True)
-    assert echoed_instance(path) == canonical
-    # only a line the writer could have written is kept as read
-    assert (load_instance(path).echo is not None) == (how in ("crlf", "no-trailing-newline"))
+    payload = instance_payload(parse_instance(json.loads(text)))
+    echoed = echoed_instance(path)
+    assert_spells_as_json_dumps(echoed + "\n", payload)
+    # only a line the writer could have written is kept as read; any other is re-encoded
+    kept = how in ("crlf", "no-trailing-newline")
+    assert (load_instance(path).echo is not None) == kept
+    assert echoed == (text.removesuffix("\r\n") if kept else write_to_text(payload).removesuffix("\n"))
 
 
 def test_writer_line_is_echoed_as_read(tmp_path):
@@ -425,7 +549,9 @@ def test_changed_instance_is_re_encoded(tmp_path, change):
     assert inst.echo == line and instance_text(inst, report) == line
     changed = dataclasses.replace(inst, **fields(inst))
     assert changed.echo is None
-    assert instance_text(changed, report) == json.dumps(instance_payload(changed), sort_keys=True)
+    canonical = write_to_text(instance_payload(changed))
+    assert_spells_as_json_dumps(canonical, instance_payload(changed))
+    assert instance_text(changed, report) == canonical.removesuffix("\n")
 
 
 def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):
@@ -484,7 +610,8 @@ def orjson_calls(monkeypatch) -> list:
         calls.append(raw)
         return orjson.loads(raw)
 
-    monkeypatch.setitem(sys.modules, "orjson", SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
+    monkeypatch.setitem(sys.modules, "orjson", SimpleNamespace(
+        loads=loads, JSONDecodeError=orjson.JSONDecodeError, dumps=orjson.dumps, OPT_SORT_KEYS=orjson.OPT_SORT_KEYS))
     return calls
 
 
@@ -517,6 +644,7 @@ def test_generated_files_decode_as_json_decodes_them(tmp_path, orjson_calls, see
     for dim, count, mode in GENERATED:
         path = tmp_path / f"d{dim}c{count}-{mode}.json"
         write_generated(path, dim, count, seed, mode)
+        written_json(path.read_text())
         assert_same_instance(load_instance(path), json_load_instance(path))
     assert len(orjson_calls) == len(GENERATED)
 
