@@ -29,12 +29,15 @@ cutoffs and ranks.
 The scenario needs these ensembles for every observer around one state, so
 they are computed in one array pass over the stacked spectra
 (:func:`_ensembles_around`): all support defects, one batched Householder
-completion cut to the largest rank, the surplus eigenvectors, and the
-ensemble checks as stacked tests that name the first offending observer.
+completion cut to the largest rank and the surplus eigenvectors. Of the
+ensemble checks it makes only those that can fail, naming the first
+offending observer: the support defect, the unit norm of the shared state
+and each weight sum; positive weights and unit terms hold by construction.
 The terms are written in place into one preallocated array (the state, the
 completion, the basis), and norms are summed squares, not
 ``numpy.linalg.norm`` calls, so each quantity costs about one numpy call.
-:func:`ensemble_containing` is that pass for one matrix.
+:func:`ensemble_containing` is that pass for one matrix, whose terms the
+:class:`Ensemble` constructor then checks in full.
 
 Two absolute tolerances hold every "must be one" decision of the package,
 one per meaning: :data:`TRACE_TOL` (1e-8) for a total probability, the trace
@@ -122,7 +125,9 @@ class DensityMatrix:
     conditions need, and ``spectrum`` its eigendecomposition (eigenvalues
     descending, eigenvectors phase-fixed), clamped and scaled the same way;
     supports, null spaces and ensembles read it instead of diagonalizing
-    again.
+    again. The three arrays are read-only, so a validated matrix stays as
+    validated and its readers need not check it again; copies and unpickled
+    matrices keep the original's bits and are read-only too.
     """
 
     def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
@@ -153,8 +158,16 @@ class DensityMatrix:
             sym = (vectors * values) @ vectors.conj().T
             sym = (sym + sym.conj().T) / 2.0
             trace = np.add.reduce(sym.diagonal()).real
-        self.matrix = sym / trace
-        self.spectrum = EigResult(values / trace, vectors)
+        matrix, values = sym / trace, values / trace
+        for array in (matrix, values, vectors):  # made here, so read-only without a copy
+            array.setflags(write=False)
+        self.matrix, self.spectrum = matrix, EigResult(values, vectors)
+
+    def __setstate__(self, state):
+        """A copy or an unpickled matrix keeps the original's bits, read-only too."""
+        self.__dict__.update(state)
+        for array in (self.matrix, self.spectrum.eigenvalues, self.spectrum.eigenvectors):
+            array.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -175,7 +188,8 @@ class Ensemble:
     is a tuple of (weight, state) pairs whose states are rows of one
     read-only array of its own, so every reader can rely on the checks.
     Copies and pickles are made by the constructor, so they are checked and
-    read-only too.
+    read-only too, and keep every bit of their terms: the weights, already
+    normalized, are not divided by their sum again (:func:`_copied_ensemble`).
     """
 
     dim: int
@@ -197,7 +211,20 @@ class Ensemble:
         object.__setattr__(self, "terms", tuple(zip((weights / total[0]).tolist(), states)))
 
     def __reduce__(self):
-        return (Ensemble, (self.dim, self.terms))
+        return (_copied_ensemble, (self.dim, self.terms))
+
+
+def _copied_ensemble(dim: int, terms) -> Ensemble:
+    """``Ensemble(dim, terms)``, checked in full, keeping the weights of ``terms`` as given.
+
+    Copies and pickles pass a checked ensemble's terms, whose weights are
+    normalized already: dividing them by their sum once more could move one
+    by an ulp. Whatever the terms, their weights have passed every check.
+    """
+    ensemble = Ensemble(dim, terms)
+    weights = [float(w) for w, _ in terms]
+    object.__setattr__(ensemble, "terms", tuple(zip(weights, (s for _, s in ensemble.terms))))
+    return ensemble
 
 
 def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -207,8 +234,9 @@ def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> n
     (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
     the first of these checks it fails: positive weights, unit states within
     :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one. The
-    states are finite: :class:`Ensemble` coerces them, and
-    :func:`_ensembles_around` computes them around a coerced state.
+    states are finite: :class:`Ensemble` coerces them. The tests also run it
+    over :func:`_ensembles_around`'s output, as the oracle of the checks
+    that kernel leaves out.
     """
     weights = np.where(keep, weights, 0.0)
     norms = np.sqrt((states.conj() * states).real.sum(axis=-1))
@@ -245,9 +273,10 @@ def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
 
     The one rank decision of the package: an eigenvalue is kept when it lies
     above its spectrum's :func:`zero_cutoff`. The spectra are descending, so
-    the kept ones lead and ``kept[..., i]`` is ``i < rank``.
+    the largest value is the leading one, read instead of reduced (the same
+    bits), the kept ones lead and ``kept[..., i]`` is ``i < rank``.
     """
-    cutoffs = zero_cutoff(values, tol)
+    cutoffs = tol.rank_rel * np.maximum(values[..., 0], _CUTOFF_FLOOR)
     kept = values > cutoffs[..., None]
     return cutoffs, kept, np.add.reduce(kept, axis=-1)
 
@@ -285,25 +314,36 @@ def _ensembles_around(
 ) -> tuple[np.ndarray, ...]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
-    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra with the
-    ``cutoffs``, ``kept`` and ``ranks`` of :func:`_rank_split`, and ``phi``
-    a coerced d-vector. Row k of the result is ensemble k as 2R candidate
-    terms, R the largest rank, of which ``keep`` marks the real ones: phi
-    with weight r_0, the completion (R - 1 columns, weight r_0), then the
-    eigenvectors with their surplus r_i - r_0 (R columns). The terms are
-    written in place into one (n, d, 2R) array, returned as its (n, 2R, d)
-    view: each support basis is cut to R, its columns past its own rank
-    zeroed, so one batched product gives every support defect and one
-    :func:`_householder_completions` call every completion. The weights are
-    returned as computed, with their :func:`_check_terms` totals, so that
-    each caller divides them once. Errors name the first observer that
-    fails, with the check order of one observer at a time: the support
-    defect, then :func:`_check_terms`.
+    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra of
+    validated matrices with the ``cutoffs``, ``kept`` and ``ranks`` of
+    :func:`_rank_split`, and ``phi`` a coerced d-vector. Row k of the result
+    is ensemble k as 2R candidate terms, R the largest rank, of which
+    ``keep`` marks the real ones: phi with weight r_0, the completion (R - 1
+    columns, weight r_0), then the eigenvectors with their surplus r_i - r_0
+    (R columns). The terms are written in place into one (n, d, 2R) array,
+    returned as its (n, 2R, d) view: each support basis is cut to R, its
+    columns past its own rank zeroed, so one batched product gives every
+    support defect and one :func:`_householder_completions` call every
+    completion. The weights are returned as computed, with their sums over
+    the kept terms, so that each caller divides them once.
+
+    Only the checks that can fail are made, with the messages of
+    :func:`_check_terms` and the order of one observer at a time: the
+    support defect (the first observer outside raises
+    :class:`StateOutsideSupportError` after the checks below pass for the
+    observers before it), the unit norm of phi within :data:`UNIT_TOL`,
+    checked once since phi is the one term a caller supplies, and each
+    weight sum within :data:`TRACE_TOL`, which a large ``tol.rank_rel``
+    breaks by dropping eigenvalues. The other checks of
+    :func:`_check_terms` hold by construction: a kept weight is r_0 or a
+    kept surplus, each above a zero cutoff greater than 0; a kept
+    eigenvector is a column of a validated spectrum, and a completion a
+    Householder reflection of an orthonormal support basis.
     """
     n, d = values.shape
-    top = max(int(ranks.max()), 1)
+    top = max(1, *ranks.tolist())
     inside = kept[:, :top]
-    r0 = values[np.arange(n), ranks - 1]
+    r0 = np.minimum.reduce(values, axis=1, where=kept, initial=np.inf)  # the least kept value
     weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
     states = np.empty((n, d, 2 * top), dtype=np.complex128)
     weights[:, :top] = r0[:, None]
@@ -316,17 +356,22 @@ def _ensembles_around(
     coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
     states[:, :, 1:top] = _householder_completions(basis, coeffs)
     gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
-    defects = np.sqrt((gap.conj() * gap).real.sum(axis=1))
-    states = states.transpose(0, 2, 1)
-    outside = defects > tol.match_abs
-    if outside.any():
-        k = int(outside.argmax())
-        _check_terms(weights[:k], states[:k], keep[:k])
+    defects = np.sqrt((gap.conj() * gap).real.sum(axis=1)).tolist()
+    first = next((k for k, defect in enumerate(defects) if defect > tol.match_abs), n)
+    if first:
+        norm = math.sqrt((phi.conj() * phi).real.sum())
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
+    totals = np.where(keep, weights, 0.0).sum(axis=1)
+    for total in totals[:first].tolist():
+        if not abs(total - 1.0) <= TRACE_TOL:
+            raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
+    if first < n:
         raise StateOutsideSupportError(
-            f"state has a null-space component (projection defect {defects[k]:.3e}); "
+            f"state has a null-space component (projection defect {defects[first]:.3e}); "
             "no ensemble for this density matrix can contain it"
         )
-    return weights, _check_terms(weights, states, keep), states, keep
+    return weights, totals, states.transpose(0, 2, 1), keep
 
 
 def ensemble_containing(

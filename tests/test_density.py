@@ -11,6 +11,7 @@ from statecompat.compat import forbidden_subspace, full_report, support_compatib
 from statecompat.density import (
     DensityMatrix,
     Ensemble,
+    _rank_split,
     ensemble_containing,
     null_space,
     support,
@@ -29,6 +30,7 @@ from statecompat.fileio import Instance
 from statecompat.generate import (
     compatible_instance,
     crandn,
+    generate_instance,
     incompatible_instance,
     pairwise_only_instance,
     random_density,
@@ -541,6 +543,20 @@ def test_an_ensemble_state_is_unit_within_unit_tol(factor, sign):
             Ensemble(2, [(1.0, state)])
 
 
+def test_rank_split_cutoffs_are_zero_cutoff_bit_for_bit():
+    """_rank_split reads a descending spectrum's leading value where zero_cutoff reduces
+    the whole spectrum to its maximum: the same cutoffs, stacked or one at a time, the
+    floor included."""
+    for tol in (DEFAULT_TOL, Tolerances(rank_rel=3e-3)):
+        for rhos in invariant_sets():
+            values = np.array([r.spectrum.eigenvalues for r in rhos])
+            assert same_bits(_rank_split(values, tol)[0], zero_cutoff(values, tol))
+            for v in values:
+                assert same_bits(_rank_split(v, tol)[0], zero_cutoff(v, tol))
+        zeros = np.zeros((2, 3))
+        assert same_bits(_rank_split(zeros, tol)[0], zero_cutoff(zeros, tol))
+
+
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 @pytest.mark.parametrize("rank_rel", [1e-10, 1e-6])
 def test_negative_eigenvalues_are_clamped_up_to_the_zero_cutoff(factor, rank_rel):
@@ -696,6 +712,53 @@ def test_copies_and_pickles_are_made_by_the_constructor(kind, how, monkeypatch):
         assert same_value(getattr(again, field.name), getattr(made, field.name)), field.name
         arrays += stored_arrays(getattr(again, field.name))
     assert arrays and not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("how", [None, *COPIES])
+def test_density_matrix_arrays_are_read_only(how):
+    """A validated matrix's ``matrix``, eigenvalues and eigenvectors refuse writes, on
+    the unclamped path and the clamped one, and so do those of a copy, a deep copy or
+    an unpickled matrix, which keeps every bit of the original."""
+    rng = np.random.default_rng(90)
+    for m in (random_density(3, rng), random_density(4, rng, rank=2), np.diag([0.6, 0.4, -1e-13])):
+        rho = validate_density(m)
+        again = rho if how is None else COPIES[how](rho)
+        assert type(again) is DensityMatrix
+        pairs = [(again.matrix, rho.matrix), (again.spectrum.eigenvalues, rho.spectrum.eigenvalues),
+                 (again.spectrum.eigenvectors, rho.spectrum.eigenvectors)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and same_bits(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+
+
+def test_copied_ensembles_keep_their_terms_bit_for_bit(monkeypatch):
+    """ensemble_containing's ensembles of generated compatible sets (dims 2-5, three
+    matrices, seeds 0-99): a copy, a deep copy and an unpickled ensemble each pass
+    through the constructor's checks once and keep every weight and state bit for bit,
+    though the constructor divides the weights by their sum once more."""
+    checks = []
+    original = Ensemble.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+
+    ensembles = []
+    for seed in range(100):
+        for dim in (2, 3, 4, 5):
+            rhos = [validate_density(m) for m in generate_instance(dim, 3, seed, "compatible")]
+            phi = support_compatible(rhos)[1].basis[:, 0]
+            ensembles += [ensemble_containing(rho, phi) for rho in rhos]
+    monkeypatch.setattr(Ensemble, "__post_init__", counted)
+    for how in COPIES.values():
+        for ensemble in ensembles:
+            again = how(ensemble)
+            assert checks.pop() is again and not checks
+            assert again.dim == ensemble.dim and len(again.terms) == len(ensemble.terms)
+            for (w, s), (w_ref, s_ref) in zip(again.terms, ensemble.terms):
+                assert type(w) is float and same_bits(w, w_ref)
+                assert same_bits(s, s_ref) and not s.flags.writeable
 
 
 def test_density_matrix_direct_construction_checks_shape():

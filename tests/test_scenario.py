@@ -20,6 +20,7 @@ from conftest import (
 from statecompat.compat import full_report, support_compatible
 from statecompat.density import (
     Ensemble,
+    _check_terms,
     _ensembles_around,
     _spectra,
     ensemble_containing,
@@ -40,7 +41,7 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, EigResult
+from statecompat.linalg import DEFAULT_TOL, UNIT_TOL, EigResult
 from statecompat.scenario import (
     CompositeState,
     build_joint_state,
@@ -601,6 +602,43 @@ def test_ensemble_containing_is_the_kernels_ensemble(dim):
                 assert np.max(np.abs(got_s - want_s)) <= 4 * eps
 
 
+def oracle_sets():
+    """(matrices, state) pairs for the kernel: generated sets of every mode (dims 2-5,
+    counts 2-4; pairwise-only at count 3), each matrix around a random state of its
+    support, each compatible pair and each compatible set around its witness; then
+    the scenario-observers shape, compatible sets at dim 3 of 2 to 8 matrices."""
+    shapes = [(mode, dim, count) for mode in ("compatible", "incompatible")
+              for dim in (2, 3, 4, 5) for count in (2, 3, 4)]
+    shapes += [("pairwise-only", dim, 3) for dim in (3, 4, 5)]
+    for mode, dim, count in shapes:
+        for seed in range(4):
+            rhos = [validate_density(m) for m in generate_instance(dim, count, 6100 + seed, mode)]
+            rng = np.random.default_rng(6100 + seed)
+            for rho in rhos:
+                basis = support(rho).basis
+                yield [rho], basis @ random_unit_vector(basis.shape[1], rng)
+            for group in [[a, b] for i, a in enumerate(rhos) for b in rhos[i + 1:]] + [rhos]:
+                compatible, witness = support_compatible(group)
+                if compatible:
+                    yield group, witness.basis[:, 0]
+    for n in range(2, 9):
+        for seed in range(4):
+            rhos = [validate_density(m) for m in generate_instance(3, n, 6200 + seed, "compatible")]
+            yield rhos, support_compatible(rhos)[1].basis[:, 0]
+
+
+def test_check_terms_passes_on_every_kernel_ensemble():
+    """The cross-check of the checks _ensembles_around leaves out: _check_terms, the
+    constructor's checks of an ensemble, passes on the kernel's candidate terms and
+    returns the kernel's weight sums bit for bit."""
+    cases = 0
+    for rhos, phi in oracle_sets():
+        weights, totals, states, keep = _ensembles_around(*_spectra(rhos, DEFAULT_TOL), phi, DEFAULT_TOL)
+        assert _check_terms(weights, states, keep).tobytes() == totals.tobytes()
+        cases += 1
+    assert cases == 732
+
+
 def test_batched_scenario_of_one_matrix_is_its_pair():
     rng = np.random.default_rng(77)
     for rho in mixed_rank_set(4, 3, rng):
@@ -660,6 +698,30 @@ def test_batched_scenario_raises_like_the_per_observer_loop():
         f"state has a null-space component (projection defect {defect:.3e}); "
         "no ensemble for this density matrix can contain it",
     )
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_shared_state_is_unit_within_unit_tol(sign):
+    """The shared state's norm is checked once, at UNIT_TOL, with the per-observer loop's
+    class and message; an observer outside its support raises first at position 0, the
+    norm first when that observer comes later."""
+    rng = np.random.default_rng(83)
+    dim = 4
+    rhos = mixed_rank_set(dim, 5, rng)
+    phi = support_compatible(rhos)[1].basis[:, 0]
+    assert scenario_with_shared_state(rhos, (1.0 + sign * 0.99 * UNIT_TOL) * phi).success
+    state = (1.0 + sign * 1.01 * UNIT_TOL) * phi
+    norm = raised(scenario_with_shared_state, rhos, state)
+    assert norm == raised(loop_scenario, rhos, state)
+    assert norm[0] is StateCompatError and norm[1].startswith("ensemble state is not unit norm")
+    away = random_unitary(dim, rng)[:, :2]
+    away, _ = np.linalg.qr(away - np.outer(phi, phi.conj() @ away))  # orthogonal to phi
+    outside = validate_density(away @ random_density(2, rng) @ away.conj().T)
+    first = raised(scenario_with_shared_state, [outside, *rhos], state)
+    assert first == raised(loop_scenario, [outside, *rhos], state)
+    assert first[0] is StateOutsideSupportError
+    later = [rhos[0], outside, *rhos[1:]]
+    assert raised(scenario_with_shared_state, later, state) == raised(loop_scenario, later, state) == norm
 
 
 def test_zero_leading_coefficient_needs_no_division():
