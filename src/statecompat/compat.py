@@ -93,11 +93,14 @@ class CompatReport:
 
 
 def _check_rhos(rhos) -> list[DensityMatrix]:
+    """The set as a list: at least one :class:`DensityMatrix`, and nothing else, all of one size."""
     rhos = list(rhos)
     if not rhos:
         raise StateCompatError("need at least one density matrix")
-    dim = rhos[0].dim
-    if any(r.dim != dim for r in rhos):
+    for k, rho in enumerate(rhos):
+        if not isinstance(rho, DensityMatrix):
+            raise StateCompatError(f"element {k} of the set has type {type(rho).__name__}, not DensityMatrix")
+    if len({rho.dim for rho in rhos}) > 1:
         raise DimensionMismatchError("density matrices have different dimensions")
     return rhos
 

@@ -20,11 +20,13 @@ support's eigenvector basis, so no further factorization is needed. Such a
 rewriting exists exactly when the chosen vector lies in the support.
 
 Every rank comes from one decision, :func:`_rank_split`: an eigenvalue
-counts when it lies above its spectrum's zero cutoff (:func:`zero_cutoff`,
-whose floor validation's positivity test reads too). It is made once per
-set, where the spectra are stacked (:func:`_spectra`), and the support test
-of :mod:`statecompat.compat` and the scenario's ensembles read the same
-cutoffs and ranks.
+counts when it lies above its spectrum's zero cutoff, ``rank_rel`` times the
+largest eigenvalue with a floor (:data:`_CUTOFF_FLOOR`) that validation's
+positivity test reads too. It is made once per set, where the spectra are
+stacked (:func:`_spectra`), and the support test of
+:mod:`statecompat.compat` and the scenario's ensembles read the same
+cutoffs and ranks. ``reduced_cutoffs`` in ``tests/conftest.py``, which
+reduces each spectrum to its maximum, is its oracle.
 
 The scenario needs these ensembles for every observer around one state, so
 they are computed in one array pass over the stacked spectra
@@ -37,7 +39,10 @@ The terms are written in place into one preallocated array (the state, the
 completion, the basis), and norms are summed squares, not
 ``numpy.linalg.norm`` calls, so each quantity costs about one numpy call.
 :func:`ensemble_containing` is that pass for one matrix, whose terms the
-:class:`Ensemble` constructor then checks in full.
+:class:`Ensemble` constructor then checks in full. The tests run
+``check_stacked_ensembles`` in ``tests/conftest.py``, the ensemble checks on
+stacked ensembles, over the pass's output as the oracle of the checks it
+leaves out.
 
 Two absolute tolerances hold every "must be one" decision of the package,
 one per meaning: :data:`TRACE_TOL` (1e-8) for a total probability, the trace
@@ -76,12 +81,12 @@ from .linalg import (
     _householder_completions,
     as_array,
     as_complex_vector,
+    as_dim,
     read_only,
 )
 
 #: Absolute tolerance on a total probability that must be one: the trace of a
-#: density matrix, the weight sum of an ensemble (whose defect is then
-#: renormalized away).
+#: density matrix, the weight sum of an ensemble.
 TRACE_TOL = 1e-8
 
 #: Floor of every zero cutoff: the largest eigenvalue is taken as at least
@@ -89,17 +94,7 @@ TRACE_TOL = 1e-8
 _CUTOFF_FLOOR = 1e-30
 
 
-def zero_cutoff(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Threshold below which an eigenvalue counts as zero.
-
-    Relative to the largest value present, with an absolute floor so an
-    all-zero spectrum still yields a positive cutoff: the floor is the
-    maximum's initial value, :data:`_CUTOFF_FLOOR`. A stack of spectra (along
-    the last axis) gets one cutoff each.
-    """
-    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=_CUTOFF_FLOOR)
-
-
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
     """A validated density matrix and its one eigendecomposition.
 
@@ -125,10 +120,14 @@ class DensityMatrix:
     conditions need, and ``spectrum`` its eigendecomposition (eigenvalues
     descending, eigenvectors phase-fixed), clamped and scaled the same way;
     supports, null spaces and ensembles read it instead of diagonalizing
-    again. The three arrays are read-only, so a validated matrix stays as
-    validated and its readers need not check it again; copies and unpickled
-    matrices keep the original's bits and are read-only too.
+    again. A validated matrix stays as validated, so its readers need not
+    check it again: it is frozen, like every checked type of the package,
+    and the three arrays are read-only. Copies and unpickled matrices keep
+    the original's bits and are read-only too, without a second validation.
     """
+
+    matrix: np.ndarray
+    spectrum: EigResult
 
     def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
         m = as_array(m, "matrix")
@@ -161,7 +160,8 @@ class DensityMatrix:
         matrix, values = sym / trace, values / trace
         for array in (matrix, values, vectors):  # made here, so read-only without a copy
             array.setflags(write=False)
-        self.matrix, self.spectrum = matrix, EigResult(values, vectors)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "spectrum", EigResult(values, vectors))
 
     def __setstate__(self, state):
         """A copy or an unpickled matrix keeps the original's bits, read-only too."""
@@ -180,83 +180,46 @@ class Ensemble:
 
     The constructor is the one way to make one, and it checks its input,
     also where the package built the terms (:func:`ensemble_containing`).
-    Each state is coerced to a finite vector of length ``dim``; then the
-    terms are checked together by :func:`_check_terms`, the states as one
-    array. A weight-sum defect below the tolerance is silently renormalized
-    away so that values surviving a file round trip remain acceptable.
-    An ensemble cannot change after its checks: it is frozen, and ``terms``
-    is a tuple of (weight, state) pairs whose states are rows of one
-    read-only array of its own, so every reader can rely on the checks.
-    Copies and pickles are made by the constructor, so they are checked and
-    read-only too, and keep every bit of their terms: the weights, already
-    normalized, are not divided by their sum again (:func:`_copied_ensemble`).
+    ``dim`` must be a positive integer. Each state is coerced to a finite
+    vector of length ``dim``; then the first of these checks that fails
+    raises: every weight positive (the first that is not is named), every
+    state of unit norm within :data:`UNIT_TOL` (the first that is not is
+    named), the weight sum one within :data:`TRACE_TOL`. The weights are
+    kept as given. An ensemble cannot change after its checks: it is
+    frozen, and ``terms`` is a tuple of (float weight, state) pairs whose
+    states are rows of one read-only array of its own, so every reader can
+    rely on the checks. Copies and pickles are made by the constructor, so
+    they are checked and read-only too, and keep every bit of their terms.
+    ``check_stacked_ensembles`` in ``tests/conftest.py`` makes the same
+    checks on stacked ensembles, as the oracle of :func:`_ensembles_around`.
     """
 
     dim: int
     terms: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise StateCompatError("ensemble dimension must be positive")
+        object.__setattr__(self, "dim", as_dim(self.dim, "ensemble dimension"))
         if not self.terms:
             raise StateCompatError("ensemble must contain at least one term")
         try:
-            weights = np.array([float(w) for w, _ in self.terms])
+            weights = [float(w) for w, _ in self.terms]
         except (TypeError, ValueError) as exc:
-            raise StateCompatError(
-                f"ensemble terms must be (real weight, state) pairs: {exc}"
-            ) from exc
+            raise StateCompatError(f"ensemble terms must be (real weight, state) pairs: {exc}") from exc
         states = read_only([as_complex_vector(s, self.dim) for _, s in self.terms])
-        total = _check_terms(weights[None], states[None], np.ones((1, len(weights)), dtype=bool))
-        object.__setattr__(self, "terms", tuple(zip((weights / total[0]).tolist(), states)))
+        bad = [w for w in weights if not w > 0.0]
+        if bad:
+            raise StateCompatError(f"ensemble weights must be positive, got {bad[0]!r}")
+        norms = np.sqrt((states.conj() * states).real.sum(axis=1)).tolist()
+        bad = [v for v in norms if not abs(v - 1.0) <= UNIT_TOL]
+        if bad:
+            raise StateCompatError(f"ensemble state is not unit norm (|v| = {bad[0]:.12g})")
+        total = np.sum(weights)
+        if not abs(total - 1.0) <= TRACE_TOL:
+            raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
+        object.__setattr__(self, "terms", tuple(zip(weights, states)))
 
     def __reduce__(self):
-        return (_copied_ensemble, (self.dim, self.terms))
-
-
-def _copied_ensemble(dim: int, terms) -> Ensemble:
-    """``Ensemble(dim, terms)``, checked in full, keeping the weights of ``terms`` as given.
-
-    Copies and pickles pass a checked ensemble's terms, whose weights are
-    normalized already: dividing them by their sum once more could move one
-    by an ulp. Whatever the terms, their weights have passed every check.
-    """
-    ensemble = Ensemble(dim, terms)
-    weights = [float(w) for w, _ in terms]
-    object.__setattr__(ensemble, "terms", tuple(zip(weights, (s for _, s in ensemble.terms))))
-    return ensemble
-
-
-def _check_terms(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The weight sums of n stacked ensembles, after checking that each is one.
-
-    Row k holds ensemble k: the terms of ``weights`` (n, m) and ``states``
-    (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
-    the first of these checks it fails: positive weights, unit states within
-    :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one. The
-    states are finite: :class:`Ensemble` coerces them. The tests also run it
-    over :func:`_ensembles_around`'s output, as the oracle of the checks
-    that kernel leaves out.
-    """
-    weights = np.where(keep, weights, 0.0)
-    norms = np.sqrt((states.conj() * states).real.sum(axis=-1))
-    positive = weights > 0.0
-    unit = np.abs(norms - 1.0) <= UNIT_TOL
-    totals = weights.sum(axis=1)
-    # kept weights that pass are positive, so their sum is never NaN
-    fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= TRACE_TOL)
-    if fine.all():
-        return totals
-    k = int(np.argmin(fine))
-    if not (positive[k] | ~keep[k]).all():
-        bad = float(weights[k, np.argmin(positive[k] | ~keep[k])])
-        raise StateCompatError(f"ensemble weights must be positive, got {bad!r}")
-    if not (unit[k] | ~keep[k]).all():
-        i = int(np.argmin(unit[k] | ~keep[k]))
-        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[k, i]:.12g})")
-    raise StateCompatError(
-        f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {TRACE_TOL}"
-    )
+        return (Ensemble, (self.dim, self.terms))
 
 
 def validate_density(m, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -272,9 +235,12 @@ def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The zero cutoffs, kept eigenvalues and ranks of spectra stacked along the last axis.
 
     The one rank decision of the package: an eigenvalue is kept when it lies
-    above its spectrum's :func:`zero_cutoff`. The spectra are descending, so
-    the largest value is the leading one, read instead of reduced (the same
-    bits), the kept ones lead and ``kept[..., i]`` is ``i < rank``.
+    above its spectrum's zero cutoff, ``tol.rank_rel`` times its largest
+    value, taken as at least :data:`_CUTOFF_FLOOR`. The spectra are
+    descending, so the largest value is the leading one, read instead of
+    reduced; ``reduced_cutoffs`` in ``tests/conftest.py`` reduces, as the
+    oracle of these bits. The kept ones lead and ``kept[..., i]`` is
+    ``i < rank``.
     """
     cutoffs = tol.rank_rel * np.maximum(values[..., 0], _CUTOFF_FLOOR)
     kept = values > cutoffs[..., None]
@@ -327,18 +293,20 @@ def _ensembles_around(
     completion. The weights are returned as computed, with their sums over
     the kept terms, so that each caller divides them once.
 
-    Only the checks that can fail are made, with the messages of
-    :func:`_check_terms` and the order of one observer at a time: the
-    support defect (the first observer outside raises
+    Only the checks that can fail are made, with the messages of the
+    :class:`Ensemble` constructor and the order of one observer at a time:
+    the support defect (the first observer outside raises
     :class:`StateOutsideSupportError` after the checks below pass for the
     observers before it), the unit norm of phi within :data:`UNIT_TOL`,
     checked once since phi is the one term a caller supplies, and each
     weight sum within :data:`TRACE_TOL`, which a large ``tol.rank_rel``
-    breaks by dropping eigenvalues. The other checks of
-    :func:`_check_terms` hold by construction: a kept weight is r_0 or a
-    kept surplus, each above a zero cutoff greater than 0; a kept
-    eigenvector is a column of a validated spectrum, and a completion a
-    Householder reflection of an orthonormal support basis.
+    breaks by dropping eigenvalues. The constructor's other checks hold by
+    construction: a kept weight is r_0 or a kept surplus, each above a zero
+    cutoff greater than 0; a kept eigenvector is a column of a validated
+    spectrum, and a completion a Householder reflection of an orthonormal
+    support basis. ``check_stacked_ensembles`` in ``tests/conftest.py``, the
+    constructor's checks on stacked ensembles, is the oracle that the tests
+    run over this output.
     """
     n, d = values.shape
     top = max(1, *ranks.tolist())
@@ -385,11 +353,11 @@ def ensemble_containing(
     completing ``psi`` (each with weight r_0; they lie in the support and are
     orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
     nonzero. Everything is read from ``rho.spectrum``, by
-    :func:`_ensembles_around` for this one matrix; the terms it keeps are
-    handed to the :class:`Ensemble` constructor as computed, so its
-    normalization is the only one.
+    :func:`_ensembles_around` for this one matrix; the weights it keeps are
+    divided once by their sum, and the :class:`Ensemble` constructor keeps
+    them as given.
     """
     psi = as_complex_vector(psi, rho.dim)
-    values, vectors = rho.spectrum.eigenvalues[None], rho.spectrum.eigenvectors[None]
-    weights, _, states, keep = _ensembles_around(values, vectors, *_rank_split(values, tol), psi, tol)
-    return Ensemble(rho.dim, list(zip(weights[keep].tolist(), states[keep])))
+    weights, _, states, keep = _ensembles_around(*_spectra([rho], tol), psi, tol)
+    weights = weights[keep]
+    return Ensemble(rho.dim, list(zip((weights / weights.sum()).tolist(), states[keep])))

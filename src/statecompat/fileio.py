@@ -85,7 +85,7 @@ import numpy as np
 from .compat import CompatReport
 from .errors import InstanceFormatError
 from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES
-from .linalg import Tolerances, read_only
+from .linalg import Tolerances, as_dim, read_only
 from .scenario import ScenarioResult
 
 #: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
@@ -102,9 +102,10 @@ ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
 class Instance:
     """Parsed instance file: raw matrices plus optional tolerance overrides.
 
-    An instance cannot change after it is made: it is frozen, ``names`` and
-    ``matrices`` are tuples, each matrix is a read-only copy that no caller
-    holds, and ``tol_overrides`` is a read-only mapping. ``echo`` is the
+    ``dim`` is a positive integer, stored as an ``int``. An instance cannot
+    change after it is made: it is frozen, ``names`` and ``matrices`` are
+    tuples, each matrix is a read-only copy that no caller holds, and
+    ``tol_overrides`` is a read-only mapping. ``echo`` is the
     file's line, which a report echoes instead of re-encoding the instance;
     only :func:`load_instance` sets it, and an instance made any other way,
     by :func:`dataclasses.replace` too, has None; a copy or an unpickled
@@ -118,6 +119,7 @@ class Instance:
     echo: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_dim(self.dim, "instance dimension"))
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "matrices", tuple(map(read_only, self.matrices)))
         object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))

@@ -86,6 +86,20 @@ def as_complex_vector(v, length: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_dim(value, what: str) -> int:
+    """A dimension as an ``int``: a positive integer, numpy's included; ``what`` names it.
+
+    A bool, a float or anything else that is not an integer raises
+    :class:`StateCompatError`, as a non-integer ``"dim"`` does in an
+    instance file, and so does a dimension below one.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StateCompatError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise StateCompatError(f"{what} must be positive")
+    return int(value)
+
+
 def read_only(a, dtype=None) -> np.ndarray:
     """A read-only copy of ``a`` (of ``dtype`` when one is given).
 
@@ -130,8 +144,9 @@ class EigResult:
 class Subspace:
     """A subspace of C^ambient_dim, stored as orthonormal basis columns.
 
-    The constructor is the one way to make one, and it checks the basis: two
-    axes of ``ambient_dim`` rows and at most as many columns, finite
+    The constructor is the one way to make one, and it checks
+    ``ambient_dim``, a positive integer, and the basis: two axes of
+    ``ambient_dim`` rows and at most as many columns, finite
     entries, and entrywise orthonormality within :data:`UNIT_TOL`. The basis
     may be empty (shape ``(ambient_dim, 0)``). Bases the package computes
     (eigenvectors, singular vectors) pass the same check as a caller's. The
@@ -143,8 +158,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise StateCompatError("ambient dimension must be positive")
+        object.__setattr__(self, "ambient_dim", as_dim(self.ambient_dim, "ambient dimension"))
         basis = as_array(self.basis, "basis")
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise StateCompatError(

@@ -57,7 +57,7 @@ from .errors import (
     StateCompatError,
 )
 from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, as_array,
-                     as_complex_vector, read_only)
+                     as_complex_vector, as_dim, read_only)
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
@@ -73,11 +73,13 @@ class BlockState:
     ``amplitudes`` (shape (B, system_dim)) is the system vector attached to
     it. Ancilla basis states without a row have zero amplitude.
 
-    This class does no validation. :func:`observer_conditional_state` returns
-    it for the rows of a validated :class:`CompositeState` that survive a
-    level-0 outcome; such a slice keeps the parent's distinct patterns. A
-    block state cannot change: it is frozen, ``ancilla_dims`` is a tuple of
-    ints, and the arrays are read-only copies, of dtype intp and complex128,
+    This class checks only the types: every dimension is a positive integer,
+    the patterns are integers and the amplitudes a finite complex matrix.
+    :func:`observer_conditional_state` returns it for the rows of a
+    validated :class:`CompositeState` that survive a level-0 outcome; such a
+    slice keeps the parent's distinct patterns. A block state cannot change:
+    it is frozen, ``ancilla_dims`` is a tuple of ints and ``system_dim`` an
+    int, and the arrays are read-only copies, of dtype intp and complex128,
     that no caller holds. Copies and pickles are made by the constructor of
     the copied class, so a copied :class:`CompositeState` is checked again.
     """
@@ -88,9 +90,14 @@ class BlockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ancilla_dims", tuple(map(int, self.ancilla_dims)))
-        object.__setattr__(self, "patterns", read_only(self.patterns, np.intp))
-        object.__setattr__(self, "amplitudes", read_only(self.amplitudes, np.complex128))
+        dims = tuple(as_dim(d, "ancilla dimension") for d in self.ancilla_dims)
+        object.__setattr__(self, "ancilla_dims", dims)
+        object.__setattr__(self, "system_dim", as_dim(self.system_dim, "system dimension"))
+        patterns = as_array(self.patterns, "ancilla patterns", None)
+        if not np.issubdtype(patterns.dtype, np.integer):
+            raise StateCompatError(f"ancilla patterns must be integers, got {patterns.dtype}")
+        object.__setattr__(self, "patterns", read_only(patterns, np.intp))
+        object.__setattr__(self, "amplitudes", read_only(_as_finite(self.amplitudes, 2, "matrix")))
 
     def __reduce__(self):
         return (type(self), (self.ancilla_dims, self.system_dim, self.patterns, self.amplitudes))
@@ -108,23 +115,16 @@ class CompositeState(BlockState):
     ancilla basis states with every level in range, ``amplitudes`` are finite
     and of unit Frobenius norm, and the all-zero pattern is present with a
     nonzero block, since the all-zero joint outcome has to be possible.
-    Memory is linear in the number of blocks. The constructor checks all of
-    this, then stores the fields as a :class:`BlockState` does, so the state
-    cannot change after its checks.
+    Memory is linear in the number of blocks. The constructor stores the
+    fields as a :class:`BlockState` does, with its checks, and then checks
+    the rest on what it stored, so the state cannot change after its checks.
     """
 
     def __post_init__(self):
-        dims = [int(d) for d in self.ancilla_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise StateCompatError(
-                f"need at least two positive ancilla dimensions, got {dims}"
-            )
-        if self.system_dim < 1:
-            raise StateCompatError("system dimension must be positive")
-        patterns = as_array(self.patterns, "ancilla patterns", None)
-        if not np.issubdtype(patterns.dtype, np.integer):
-            raise StateCompatError(f"ancilla patterns must be integers, got {patterns.dtype}")
-        amps = _as_finite(self.amplitudes, 2, "matrix")
+        super().__post_init__()
+        dims, patterns, amps = list(self.ancilla_dims), self.patterns, self.amplitudes
+        if len(dims) < 2:
+            raise StateCompatError(f"need at least two positive ancilla dimensions, got {dims}")
         n_blocks = amps.shape[0]
         if patterns.shape != (n_blocks, len(dims)):
             raise DimensionMismatchError(
@@ -147,7 +147,6 @@ class CompositeState(BlockState):
         zero_rows = amps[~patterns.any(axis=1)]
         if float(np.linalg.norm(zero_rows)) == 0.0:
             raise StateCompatError("the all-zero ancilla outcome must have nonzero amplitude")
-        super().__post_init__()
 
 
 @dataclass(eq=False)

@@ -8,8 +8,9 @@ library no longer needs (tensor products, a reshaping partial trace, spans,
 complements, eigen-ensembles, JSON vector parsing, the dense form of a block
 state, the SVD basis completion, the completion of one vector to a basis of
 one subspace, the all-zero outcome probability of a joint state, the phase
-convention on a vector or a matrix of any dtype) live here as references for
-the tests that use them, and are checked themselves.
+convention on a vector or a matrix of any dtype, the zero cutoff reduced over
+each whole spectrum, the ensemble checks on stacked, masked ensembles) live
+here as references for the tests that use them, and are checked themselves.
 :func:`unchecked_density` builds a :class:`DensityMatrix` record around
 given bits, past the constructor's validation: the validation oracle's
 result, and a record that validation would refuse for an error-path test. So
@@ -37,7 +38,7 @@ from unittest import mock
 import numpy as np
 
 from statecompat import fileio
-from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density, zero_cutoff
+from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
@@ -53,6 +54,7 @@ from statecompat.errors import (
 from statecompat.linalg import (
     DEFAULT_TOL,
     PHASE_FLOOR,
+    UNIT_TOL,
     EigResult,
     Subspace,
     _fix_columns,
@@ -138,10 +140,59 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def unchecked_density(matrix, spectrum: EigResult) -> DensityMatrix:
-    """A :class:`DensityMatrix` record on a matrix and spectrum as given, not validated."""
+    """A :class:`DensityMatrix` record on a matrix and spectrum as given, not validated.
+
+    The record is frozen, so its fields are set as its constructor sets them.
+    """
     rho = object.__new__(DensityMatrix)
-    rho.matrix, rho.spectrum = matrix, spectrum
+    object.__setattr__(rho, "matrix", matrix)
+    object.__setattr__(rho, "spectrum", spectrum)
     return rho
+
+
+def reduced_cutoffs(values: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """Threshold below which an eigenvalue counts as zero, each spectrum's maximum reduced.
+
+    ``tol.rank_rel`` times the largest value present, with the library's
+    absolute floor of 1e-30 as the maximum's initial value, so an all-zero
+    spectrum still yields a positive cutoff. A stack of spectra (along the
+    last axis) gets one cutoff each. The library's rank split reads a
+    descending spectrum's leading value instead, and must give these bits.
+    """
+    return tol.rank_rel * np.maximum.reduce(values, axis=-1, initial=1e-30)
+
+
+def check_stacked_ensembles(weights: np.ndarray, states: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The weight sums of n stacked ensembles, after checking that each is one.
+
+    Row k holds ensemble k: the terms of ``weights`` (n, m) and ``states``
+    (n, m, d) where ``keep`` (n, m) is set. The first row that fails raises
+    the first of these checks it fails, with the messages of the
+    :class:`Ensemble` constructor: positive weights, unit states within
+    :data:`UNIT_TOL`, a weight sum within :data:`TRACE_TOL` of one. The
+    states are finite. The tests run it over the scenario kernel's output,
+    as the oracle of the checks that kernel leaves out, and check it against
+    the constructor one ensemble at a time.
+    """
+    weights = np.where(keep, weights, 0.0)
+    norms = np.sqrt((states.conj() * states).real.sum(axis=-1))
+    positive = weights > 0.0
+    unit = np.abs(norms - 1.0) <= UNIT_TOL
+    totals = weights.sum(axis=1)
+    # kept weights that pass are positive, so their sum is never NaN
+    fine = (positive & unit | ~keep).all(axis=1) & (np.abs(totals - 1.0) <= TRACE_TOL)
+    if fine.all():
+        return totals
+    k = int(np.argmin(fine))
+    if not (positive[k] | ~keep[k]).all():
+        bad = float(weights[k, np.argmin(positive[k] | ~keep[k])])
+        raise StateCompatError(f"ensemble weights must be positive, got {bad!r}")
+    if not (unit[k] | ~keep[k]).all():
+        i = int(np.argmin(unit[k] | ~keep[k]))
+        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norms[k, i]:.12g})")
+    raise StateCompatError(
+        f"ensemble weights sum to {totals[k]:.12g}, outside 1 +- {TRACE_TOL}"
+    )
 
 
 def loop_fix_phase(v: np.ndarray) -> np.ndarray:
@@ -373,7 +424,7 @@ def reference_split(rhos, tol=DEFAULT_TOL) -> tuple[Subspace, Subspace, np.ndarr
     """
     values = np.array([r.spectrum.eigenvalues for r in rhos])
     vectors = np.array([r.spectrum.eigenvectors for r in rhos])
-    ranks = (values > zero_cutoff(values, tol)[:, None]).sum(axis=1)
+    ranks = (values > reduced_cutoffs(values, tol)[:, None]).sum(axis=1)
     dim = values.shape[1]
     rows = vectors.transpose(0, 2, 1)[np.arange(dim) >= ranks[:, None]].conj()
     if rows.shape[0] < dim:
@@ -459,7 +510,7 @@ def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:
             f"vector length {psi.shape[0]} != ambient dimension {rho.dim}"
         )
     values, vectors = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
-    rank = int(np.sum(values > zero_cutoff(values, tol)))
+    rank = int(np.sum(values > reduced_cutoffs(values, tol)))
     basis = vectors[:, :rank]
     coeffs = basis.conj().T @ psi
     defect = float(np.linalg.norm(psi - basis @ coeffs))
@@ -470,7 +521,7 @@ def loop_ensemble_containing(rho, psi, tol=DEFAULT_TOL) -> Ensemble:
         )
     r0 = float(values[rank - 1])
     surplus = values[:rank] - r0
-    extra = np.flatnonzero(surplus > zero_cutoff(values, tol))
+    extra = np.flatnonzero(surplus > reduced_cutoffs(values, tol))
     terms = [(r0, psi)]
     terms += [(r0, state) for state in householder_completion(basis, coeffs).T]
     terms += [(float(surplus[i]), vectors[:, i]) for i in extra]

@@ -24,7 +24,7 @@ from statecompat.generate import (
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL
-from statecompat.scenario import run_scenario
+from statecompat.scenario import run_scenario, scenario_with_shared_state
 
 from conftest import count_linalg, loop_pairwise, projection_defect
 
@@ -88,6 +88,24 @@ def test_rejects_empty_and_mismatched():
         support_compatible([])
     with pytest.raises(DimensionMismatchError):
         support_compatible([UP_Z, validate_density(np.eye(3) / 3)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [full_report, support_compatible, run_scenario,
+     lambda rhos: scenario_with_shared_state(rhos, E0), lambda rhos: commutes(*rhos)],
+    ids=["full_report", "support_compatible", "run_scenario", "scenario_with_shared_state",
+         "commutes"],
+)
+def test_a_set_holds_only_density_matrices(call):
+    """An element that is not a validated DensityMatrix, such as the array it would
+    be validated from, is refused with the package's error, naming its position
+    and its type, not met by an AttributeError."""
+    matrix = np.eye(2) / 2
+    for rhos, k, name in (([UP_Z, matrix], 1, "ndarray"), ([matrix.tolist(), UP_Z], 0, "list")):
+        with pytest.raises(StateCompatError) as info:
+            call(rhos)
+        assert str(info.value) == f"element {k} of the set has type {name}, not DensityMatrix"
 
 
 # ------------------------------------------------------------------ witness

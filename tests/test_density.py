@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -16,7 +17,6 @@ from statecompat.density import (
     null_space,
     support,
     validate_density,
-    zero_cutoff,
 )
 from statecompat.errors import (
     DimensionMismatchError,
@@ -41,11 +41,13 @@ from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances
 from statecompat.scenario import BlockState, CompositeState, scenario_with_shared_state
 
 from conftest import (
+    check_stacked_ensembles,
     eigen_ensemble,
     ensemble_to_density,
     reference_hermitian_eig,
     reference_split,
     reference_validate_density,
+    reduced_cutoffs,
     span_of,
 )
 
@@ -193,7 +195,7 @@ def all_entries_notes(rhos, tol=DEFAULT_TOL) -> list[str]:
     """The marginal notes with every ratio tested, as the report first computed them."""
     values = np.array([r.spectrum.eigenvalues for r in rhos])
     ratios = [reference_split(rhos, tol)[2] / (tol.match_abs / np.sqrt(2.0)),
-              values / zero_cutoff(values, tol)[:, None]]
+              values / reduced_cutoffs(values, tol)[:, None]]
     return [note for note, ratio in zip((compat._MARGINAL_NOTE, compat._MARGINAL_RANK_NOTE), ratios)
             if np.count_nonzero((ratio > 0.1) & (ratio < 10.0))]
 
@@ -364,9 +366,37 @@ def test_ensemble_rejects_dimension_zero_and_no_terms():
         Ensemble(2, [])
 
 
-def test_ensemble_renormalizes_tiny_defect():
-    e = Ensemble(2, [(0.5 + 3e-9, E0), (0.5, E1)])
-    assert sum(w for w, _ in e.terms) == pytest.approx(1.0, abs=1e-15)
+@pytest.mark.parametrize("terms", [
+    [(0.5, E0), (0.5, E1)],
+    [(0.5, E0), (0.0, E1), (-1.0, 2 * E1)],
+    [(0.5, 2 * E0), (float("nan"), E1)],
+    [(0.5, E0), (0.5, 1.5 * E1), (0.5, 2 * E0)],
+    [(0.5, E0), (0.4, E1)],
+    [(float("inf"), E0)],
+], ids=["fine", "weights", "nan-weight", "norms", "sum", "inf-weight"])
+def test_ensemble_checks_are_the_stacked_oracle_on_one_row(terms):
+    """The constructor makes the checks of check_stacked_ensembles, in its order and
+    with its messages: the first non-positive weight, then the first non-unit state,
+    then the weight sum."""
+    def outcome(call):
+        try:
+            call()
+        except StateCompatError as exc:
+            return type(exc), str(exc)
+        return None
+
+    weights, states = np.array([[w for w, _ in terms]]), np.array([[s for _, s in terms]])
+    keep = np.ones(weights.shape, dtype=bool)
+    assert (outcome(lambda: Ensemble(2, terms))
+            == outcome(lambda: check_stacked_ensembles(weights, states, keep)))
+
+
+def test_ensemble_keeps_its_weights_as_given():
+    """A weight sum off one by less than TRACE_TOL is accepted, and each weight is kept
+    as the float it was given, not divided by the sum."""
+    e = Ensemble(2, [(0.5 + 3e-9, E0), (np.float32(0.5), E1)])
+    assert [w for w, _ in e.terms] == [0.5 + 3e-9, 0.5]
+    assert all(type(w) is float for w, _ in e.terms)
 
 
 # --------------------------------------------------------- ensemble <-> rho
@@ -523,7 +553,7 @@ def test_a_total_probability_is_one_within_trace_tol(factor):
     terms = [(0.5 + excess, E0), (0.5, E1)]
     if factor < 1.0:
         assert validate_density(matrix).matrix.trace().real == pytest.approx(1.0, abs=1e-15)
-        assert sum(w for w, _ in Ensemble(2, terms).terms) == pytest.approx(1.0, abs=1e-15)
+        assert sum(w for w, _ in Ensemble(2, terms).terms) == pytest.approx(1.0 + excess, abs=1e-15)
     else:
         with pytest.raises(TraceNotOneError):
             validate_density(matrix)
@@ -544,26 +574,26 @@ def test_an_ensemble_state_is_unit_within_unit_tol(factor, sign):
 
 
 def test_rank_split_cutoffs_are_zero_cutoff_bit_for_bit():
-    """_rank_split reads a descending spectrum's leading value where zero_cutoff reduces
+    """_rank_split reads a descending spectrum's leading value where reduced_cutoffs reduces
     the whole spectrum to its maximum: the same cutoffs, stacked or one at a time, the
     floor included."""
     for tol in (DEFAULT_TOL, Tolerances(rank_rel=3e-3)):
         for rhos in invariant_sets():
             values = np.array([r.spectrum.eigenvalues for r in rhos])
-            assert same_bits(_rank_split(values, tol)[0], zero_cutoff(values, tol))
+            assert same_bits(_rank_split(values, tol)[0], reduced_cutoffs(values, tol))
             for v in values:
-                assert same_bits(_rank_split(v, tol)[0], zero_cutoff(v, tol))
+                assert same_bits(_rank_split(v, tol)[0], reduced_cutoffs(v, tol))
         zeros = np.zeros((2, 3))
-        assert same_bits(_rank_split(zeros, tol)[0], zero_cutoff(zeros, tol))
+        assert same_bits(_rank_split(zeros, tol)[0], reduced_cutoffs(zeros, tol))
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 @pytest.mark.parametrize("rank_rel", [1e-10, 1e-6])
 def test_negative_eigenvalues_are_clamped_up_to_the_zero_cutoff(factor, rank_rel):
-    """validate_density's negativity threshold is zero_cutoff of the spectrum (relative to
+    """validate_density's negativity threshold is the zero cutoff of the spectrum (relative to
     its largest eigenvalue, 0.7 here): accepted and clamped to zero below it, refused above."""
     tol = Tolerances(rank_rel=rank_rel)
-    depth = factor * float(zero_cutoff(np.array([0.7, 0.3, 0.0]), tol))
+    depth = factor * float(reduced_cutoffs(np.array([0.7, 0.3, 0.0]), tol))
     matrix = np.diag([0.7, 0.3 + depth, -depth])
     if factor < 1.0:
         rho = validate_density(matrix, tol)
@@ -640,12 +670,41 @@ def caller_arrays():
 
 
 MADE = {
+    "DensityMatrix": lambda a: DensityMatrix(a["matrix"]),
     "Ensemble": lambda a: Ensemble(2, [(0.5, a["e0"]), (0.5, a["e1"])]),
     "BlockState": lambda a: BlockState([2, 1], 2, a["patterns"], a["amplitudes"]),
     "CompositeState": lambda a: CompositeState([2, 1], 2, a["patterns"], a["amplitudes"]),
     "Instance": lambda a: Instance(2, ["a"], [a["matrix"]], {"rank_rel": 1e-9}),
     "Subspace": lambda a: Subspace(2, a["basis"]),
 }
+
+
+DIMENSIONS = {
+    "Ensemble.dim": (lambda d: Ensemble(d, [(1.0, E0)]), lambda e: [e.dim]),
+    "Subspace.ambient_dim": (lambda d: Subspace(d, np.eye(2)[:, :1]), lambda s: [s.ambient_dim]),
+    "BlockState.ancilla_dims": (lambda d: BlockState([d, 1], 2, [[0, 0]], [E0]),
+                                lambda b: list(b.ancilla_dims)),
+    "BlockState.system_dim": (lambda d: BlockState([2, 1], d, [[0, 0]], [E0]),
+                              lambda b: [b.system_dim]),
+    "CompositeState.ancilla_dims": (lambda d: CompositeState([d, 1], 2, [[0, 0]], [E0]),
+                                    lambda c: list(c.ancilla_dims)),
+    "CompositeState.system_dim": (lambda d: CompositeState([2, 1], d, [[0, 0]], [E0]),
+                                  lambda c: [c.system_dim]),
+    "Instance.dim": (lambda d: Instance(d, ["a"], [np.eye(2) / 2]), lambda i: [i.dim]),
+}
+
+
+@pytest.mark.parametrize("where", list(DIMENSIONS))
+def test_a_dimension_is_an_int(where):
+    """A checked type stores a numpy integer dimension as an int, and refuses a
+    float or a bool, also one equal to a valid dimension, as an instance file's
+    reader refuses ``"dim": true``; so an Instance writes no file its reader refuses."""
+    make, read = DIMENSIONS[where]
+    dims = read(make(np.int64(2)))
+    assert 2 in dims and all(type(d) is int for d in dims)
+    for bad in (2.0, 2.7, np.float64(2.0), True, np.bool_(True)):
+        with pytest.raises(StateCompatError, match=re.escape(f"must be an integer, got {bad!r}")):
+            make(bad)
 
 
 def stored_arrays(value):
@@ -692,7 +751,9 @@ COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pick
 
 
 @pytest.mark.parametrize("how", list(COPIES))
-@pytest.mark.parametrize("kind", list(MADE))
+# a DensityMatrix is copied without a second validation, keeping every bit
+# (test_density_matrix_arrays_are_read_only)
+@pytest.mark.parametrize("kind", [kind for kind in MADE if kind != "DensityMatrix"])
 def test_copies_and_pickles_are_made_by_the_constructor(kind, how, monkeypatch):
     """A copy or an unpickled object runs its class's checks once, has the
     original's fields, and cannot change either."""
@@ -736,7 +797,7 @@ def test_copied_ensembles_keep_their_terms_bit_for_bit(monkeypatch):
     """ensemble_containing's ensembles of generated compatible sets (dims 2-5, three
     matrices, seeds 0-99): a copy, a deep copy and an unpickled ensemble each pass
     through the constructor's checks once and keep every weight and state bit for bit,
-    though the constructor divides the weights by their sum once more."""
+    as the constructor keeps the weights it is given."""
     checks = []
     original = Ensemble.__post_init__
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     block_tensor,
+    check_stacked_ensembles,
     dense_conditional,
     dense_joint_tensor,
     dense_to_blocks,
@@ -20,7 +21,6 @@ from conftest import (
 from statecompat.compat import full_report, support_compatible
 from statecompat.density import (
     Ensemble,
-    _check_terms,
     _ensembles_around,
     _spectra,
     ensemble_containing,
@@ -628,13 +628,13 @@ def oracle_sets():
 
 
 def test_check_terms_passes_on_every_kernel_ensemble():
-    """The cross-check of the checks _ensembles_around leaves out: _check_terms, the
+    """The cross-check of the checks _ensembles_around leaves out: check_stacked_ensembles, the
     constructor's checks of an ensemble, passes on the kernel's candidate terms and
     returns the kernel's weight sums bit for bit."""
     cases = 0
     for rhos, phi in oracle_sets():
         weights, totals, states, keep = _ensembles_around(*_spectra(rhos, DEFAULT_TOL), phi, DEFAULT_TOL)
-        assert _check_terms(weights, states, keep).tobytes() == totals.tobytes()
+        assert check_stacked_ensembles(weights, states, keep).tobytes() == totals.tobytes()
         cases += 1
     assert cases == 732
 
