@@ -6,11 +6,25 @@ construction M M^dag / tr. Instance builders return raw matrices so that the
 validation path stays exercised downstream. Generated instances are kept
 well-conditioned on purpose: every eigenvalue inside a support sits orders of
 magnitude above the rank cutoff, so the verdicts they exhibit are stable.
+
+Draw order of :func:`compatible_instance`: the planted state's two
+``standard_normal(dim)`` draws, then per matrix ``uniform``, ``integers`` and,
+when the matrix has extra terms, ``dirichlet`` and one
+``standard_normal((n_extra, 2, dim))``, which yields the numbers of the
+n_extra pairs of ``standard_normal(dim)`` calls a per-term loop of
+:func:`random_unit_vector` makes, in the same order. So a seed gives the same
+matrices, bit for bit, as that loop did, and the generator ends where the
+loop left it. Only after every draw are the unit vectors formed, all at
+once, and the weighted outer products in blocks of at most
+:data:`BLOCK_BYTES` (at least one term each), so the function holds its
+output, the unit vectors and one block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .linalg import as_dim
 
 #: Largest instance, in matrix entries (count * dim^2), the command line
 #: generates, checks or realizes: 2**24 complex128 entries are 256 MiB.
@@ -20,6 +34,13 @@ MAX_INSTANCE_ENTRIES = 1 << 24
 #: realizes: a report holds count x count pairwise tables, so 1024 matrices
 #: of 2 x 2 already give a 55 MB report.
 MAX_INSTANCE_MATRICES = 1024
+
+#: Most bytes of weighted outer products :func:`compatible_instance` holds at
+#: once, unless one term is larger: 64 KiB, four terms at dim 32. A block stays
+#: below glibc's first mmap threshold (128 KiB), since freeing a larger one
+#: lets the heap keep more: blocks of 1 MiB raised the peak RSS of the
+#: cli-roundtrip benchmark by 0.7 MiB, blocks of 256 KiB by about 0.15 MiB.
+BLOCK_BYTES = 1 << 16
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -70,22 +91,46 @@ def _well_mixed(sub_dim: int, rng: np.random.Generator) -> np.ndarray:
 def compatible_instance(
     dim: int, count: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Matrices built from ensembles that all contain one planted common state."""
-    phi = random_unit_vector(dim, rng)
-    matrices = []
-    for _ in range(count):
+    """Matrices built from ensembles that all contain one planted common state.
+
+    Matrix k is p0 |phi><phi| plus n_extra pure terms w |chi><chi| whose
+    weights are (1 - p0) times a Dirichlet(2, ..., 2) draw, added in drawn
+    order; with no extra term it is p0 |phi><phi| / p0. Draws come first, in
+    the order the module docstring states. The planted state is row 0 of the
+    drawn normals, so it gets the same arithmetic as every chi: crandn's, then
+    ``np.linalg.norm``'s (two strided BLAS dot products, summed).
+    """
+    normals = [rng.standard_normal((1, 2, dim))]
+    draws, owners, weights = [], [], []
+    for m in range(count):
         p0 = rng.uniform(0.3, 0.7)
         n_extra = int(rng.integers(0, dim))
-        rho = p0 * np.outer(phi, phi.conj())
+        draws.append((p0, n_extra))
         if n_extra:
-            weights = (1.0 - p0) * rng.dirichlet(2.0 * np.ones(n_extra))
-            for w in weights:
-                chi = random_unit_vector(dim, rng)
-                rho = rho + w * np.outer(chi, chi.conj())
-        else:
-            rho = rho / p0
-        matrices.append(rho)
-    return matrices
+            owners += [m] * n_extra
+            weights.extend((1.0 - p0) * rng.dirichlet(np.full(n_extra, 2.0)))
+            normals.append(rng.standard_normal((n_extra, 2, dim)))
+    normals = np.concatenate(normals)
+    # crandn's (re + 1j * im) / sqrt(2), in place, beside only the normals
+    chis = 1j * normals[:, 1]
+    chis += normals[:, 0]
+    chis /= np.sqrt(2.0)
+    del normals
+    # one vector at a time: no batched sum adds in the order of BLAS's strided dot
+    chis /= np.sqrt([x.dot(x) + y.dot(y) for x, y in zip(chis.real, chis.imag)])[:, None]
+    phi, chis, weights = chis[0], chis[1:], np.array(weights)
+    outer = phi[:, None] * phi.conj()
+    rhos = [p0 * outer if n_extra else p0 * outer / p0 for p0, n_extra in draws]
+    del outer
+    step = max(1, BLOCK_BYTES // (chis.itemsize * dim * dim))
+    for start in range(0, len(owners), step):
+        chi = chis[start:start + step]
+        terms = chi[:, :, None] * chi[:, None, :].conj()
+        terms *= weights[start:start + step, None, None]
+        for m, term in zip(owners[start:start + step], terms):
+            rhos[m] += term
+        del terms, term  # so the next block is formed with this one freed
+    return rhos
 
 
 def incompatible_instance(
@@ -132,11 +177,13 @@ def pairwise_only_instance(dim: int, rng: np.random.Generator) -> list[np.ndarra
 def generate_instance(
     dim: int, count: int, seed: int, mode: str = "compatible"
 ) -> list[np.ndarray]:
-    """Dispatch on mode; deterministic for a fixed seed."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if count < 2:
-        raise ValueError(f"count must be at least 2, got {count}")
+    """Dispatch on mode; deterministic for a fixed seed.
+
+    ``dim`` and ``count`` must be integers of at least two, numpy's included
+    (:func:`~statecompat.linalg.as_dim`); anything else raises
+    :class:`~statecompat.errors.StateCompatError`, a ``ValueError``.
+    """
+    dim, count = as_dim(dim, "dimension", 2), as_dim(count, "count", 2)
     rng = np.random.default_rng(seed)
     if mode == "compatible":
         return compatible_instance(dim, count, rng)

@@ -86,17 +86,19 @@ def as_complex_vector(v, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_dim(value, what: str) -> int:
-    """A dimension as an ``int``: a positive integer, numpy's included; ``what`` names it.
+def as_dim(value, what: str, least: int = 1) -> int:
+    """A dimension as an ``int``: an integer of at least ``least``, numpy's included; ``what`` names it.
 
     A bool, a float or anything else that is not an integer raises
     :class:`StateCompatError`, as a non-integer ``"dim"`` does in an
-    instance file, and so does a dimension below one.
+    instance file, and so does a value below ``least`` (one by default:
+    "must be positive").
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise StateCompatError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise StateCompatError(f"{what} must be positive")
+    if value < least:
+        bound = "positive" if least == 1 else f"at least {least}, got {value}"
+        raise StateCompatError(f"{what} must be {bound}")
     return int(value)
 
 

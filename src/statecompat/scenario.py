@@ -264,7 +264,8 @@ def observer_reduced_density(
     holds one per observer, not validated or diagonalized. ``tol`` is
     accepted for the call shape of the other stages and not needed.
     """
-    dims = [int(d) for d in factor_dims]
+    # integers only; their values are checked against the state's factors below
+    dims = [as_dim(d, "factor dimension", 0) for d in factor_dims]
     if not isinstance(conditional, BlockState):
         raise StateCompatError(
             f"expected a BlockState, got {type(conditional).__name__}"

@@ -14,12 +14,13 @@ here as references for the tests that use them, and are checked themselves.
 :func:`unchecked_density` builds a :class:`DensityMatrix` record around
 given bits, past the constructor's validation: the validation oracle's
 result, and a record that validation would refuse for an error-path test. So
-do the earlier forms of five library paths: the phase convention with every
+do the earlier forms of six library paths: the phase convention with every
 anchor found by argmax, validation through a separately coerced, symmetrized
 and diagonalized matrix, the support split with every direction phase-fixed
-and wrapped, the pairwise conditions one pair at a time, and the scenario
-one observer at a time (one Householder completion, one checked ensemble and
-one recovered matrix per observer). The instance reader keeps its earlier
+and wrapped, the pairwise conditions one pair at a time, the scenario one
+observer at a time (one Householder completion, one checked ensemble and one
+recovered matrix per observer), and the planted compatible instance one
+extra term at a time. The instance reader keeps its earlier
 decoder, the standard ``json`` alone, as the oracle of the orjson path, and
 the files the writer writes are checked against the spelling of
 ``json.dumps`` value by value, with floats compared bit for bit.
@@ -51,6 +52,7 @@ from statecompat.errors import (
     StateOutsideSupportError,
     TraceNotOneError,
 )
+from statecompat.generate import random_unit_vector
 from statecompat.linalg import (
     DEFAULT_TOL,
     PHASE_FLOOR,
@@ -619,3 +621,24 @@ def assert_spells_as_json_dumps(text: str, value) -> None:
     """``text`` is a line the writer wrote and reads as ``json.dumps(value,
     sort_keys=True)`` reads, every float bit for bit."""
     assert json_bits(written_json(text)) == json_bits(json.loads(json.dumps(value, sort_keys=True)))
+
+
+def loop_compatible_instance(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The planted compatible instance one extra term at a time: the earlier form
+    of :func:`statecompat.generate.compatible_instance`, which must give its bits
+    and leave ``rng`` where this loop leaves it."""
+    phi = random_unit_vector(dim, rng)
+    matrices = []
+    for _ in range(count):
+        p0 = rng.uniform(0.3, 0.7)
+        n_extra = int(rng.integers(0, dim))
+        rho = p0 * np.outer(phi, phi.conj())
+        if n_extra:
+            weights = (1.0 - p0) * rng.dirichlet(2.0 * np.ones(n_extra))
+            for w in weights:
+                chi = random_unit_vector(dim, rng)
+                rho = rho + w * np.outer(chi, chi.conj())
+        else:
+            rho = rho / p0
+        matrices.append(rho)
+    return matrices

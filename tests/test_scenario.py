@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from statecompat.generate import (
 )
 from statecompat.linalg import DEFAULT_TOL, UNIT_TOL, EigResult
 from statecompat.scenario import (
+    BlockState,
     CompositeState,
     build_joint_state,
     observer_conditional_state,
@@ -301,6 +303,16 @@ def test_reduced_density_rejects_bad_dims():
         observer_reduced_density(bob, [2, 3], 1)
     with pytest.raises(DimensionMismatchError):
         observer_reduced_density(bob, [2, 2], 0)  # blocks reduce to the system only
+
+
+def test_reduced_density_refuses_float_factor_dims():
+    """A factor dimension that is not an integer is refused, not truncated to the
+    state's, also one equal to it; a numpy integer is taken."""
+    state = BlockState([2, 1], 2, [[0, 0]], [[1.0, 0.0]])
+    for dims, bad in [([2.7, 1.2, 2.9], 2.7), ([2.0, 1.0, 2.0], 2.0), ([2, 1, True], True)]:
+        with pytest.raises(StateCompatError, match=re.escape(f"factor dimension must be an integer, got {bad!r}")):
+            observer_reduced_density(state, dims, 2)
+    np.testing.assert_array_equal(observer_reduced_density(state, [np.int64(2), 1, 2], 2), [[1, 0], [0, 0]])
 
 
 # ----------------------------------------------------------------- run_scenario

@@ -8,21 +8,29 @@ Usage, from the repository root:
 directory and imported as the package ``statecompat_base`` (its imports are
 relative, so the renamed copy is self-contained). ``bench/workloads.py`` is
 loaded twice, once bound to each package, and each copy builds its own pool
-from the same seed. Every op then runs under both packages alternately,
-``--runs`` times each, the side that goes first alternating from op to op
-and from run to run; an op's time is its fastest run, and ``ops_per_s`` is
-the pool's op count over the sum of those times, as in ``bench/run.py``.
+from the same seed, ``--runs`` times, the two packages' set-ups alternating;
+a set-up is timed as ``bench/run.py`` times it (the pool built, then one op
+of each shape run to warm up) and ``setup_s`` is the fastest. Every op then
+runs under both packages alternately, ``--runs`` times each, the side that
+goes first alternating from op to op and from run to run; an op's time is
+its fastest run, and ``ops_per_s`` is the pool's op count over the sum of
+those times, as in ``bench/run.py``.
 
-Before timing, one untimed run of each op under each package must give equal
-outputs: the bytes of the written report (with ``report_payload`` and
-``dump_payload`` of each package) and the validated matrices and spectra for
-check-many-small, every field of the scenario result for scenario-observers,
-and the exit code and report file bytes for cli-roundtrip. A difference is
-printed and the script exits 1 without timing.
+Before timing the ops, the two pools' inputs must be equal bit for bit: each
+op's label, verb, dimension and planted verdict, its raw matrices, the
+matrices and spectra validated during set-up, and the bytes of the instance
+file set-up wrote. Then one untimed run of each op under each package must
+give equal outputs: the bytes of the written report (with ``report_payload``
+and ``dump_payload`` of each package) and the validated matrices and spectra
+for check-many-small, every field of the scenario result for
+scenario-observers, and the exit code and report file bytes for
+cli-roundtrip. The first op whose input or output differs is printed and the
+script exits 1 without timing the ops.
 
 The last line printed per workload is the ratio of the working tree's
-``ops_per_s`` to REF's. BLAS and OpenMP run with one thread each, as in the
-benchmark. Interleaving in one process keeps host drift out of the ratio,
+``ops_per_s`` to REF's, and beside it the ratio of the working tree's
+``setup_s`` to REF's. BLAS and OpenMP run with one thread each, as in the
+benchmark. Interleaving in one process keeps host drift out of the ratios,
 which separate processes on a shared host do not (see ``bench/run.py``).
 """
 
@@ -38,6 +46,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -81,6 +90,32 @@ def array_bytes(value) -> bytes:
     return repr((value.dtype.str, value.shape)).encode() + np.ascontiguousarray(value).tobytes()
 
 
+def density_bytes(rho) -> list[bytes]:
+    return [array_bytes(rho.matrix), array_bytes(rho.spectrum.eigenvalues),
+            array_bytes(rho.spectrum.eigenvectors)]
+
+
+def input_print(op) -> bytes:
+    """The bytes two packages' set-ups must agree on for one op's input."""
+    case = op.case
+    parts = [repr((case.label, op.verb, case.dim, case.expect_compatible)).encode()]
+    parts += [array_bytes(matrix) for matrix in case.matrices]
+    for rho in case.rhos or ():
+        parts += density_bytes(rho)
+    if case.path is not None:
+        parts.append(case.path.read_bytes())
+    return b"|".join(parts)
+
+
+def set_up(mod, load, seed: int, workdir: Path):
+    """The pool, and the seconds ``bench/run.py`` counts as set-up: the pool built and warmed."""
+    start = perf_counter()
+    ops = load.setup(seed, workdir)
+    for op in load.warm_ops(ops):
+        mod.attempt(load, op)
+    return ops, perf_counter() - start
+
+
 def fingerprint(mod, name: str, op, out) -> bytes:
     """The bytes two packages must agree on for one op's output."""
     if name == "check-many-small":
@@ -92,8 +127,7 @@ def fingerprint(mod, name: str, op, out) -> bytes:
         fileio.dump_payload(fileio.report_payload(report, names, mod.TOL, instance), text)
         parts = [text.getvalue().encode()]
         for rho in rhos:
-            parts += [array_bytes(rho.matrix), array_bytes(rho.spectrum.eigenvalues),
-                      array_bytes(rho.spectrum.eigenvectors)]
+            parts += density_bytes(rho)
         return b"|".join(parts)
     if name == "scenario-observers":
         parts = [repr((out.joint_zero_probability, out.success, out.distances)).encode()]
@@ -130,13 +164,23 @@ def main(argv=None) -> int:
 
 
 def compare(name: str, sides: dict, seed: int, runs: int, tmp: Path) -> int:
-    loads, pools = {}, {}
-    for side, mod in sides.items():
-        workdir = tmp / f"{name}-{side}"
-        workdir.mkdir()
-        loads[side] = mod.WORKLOADS[name]()
-        pools[side] = loads[side].setup(seed, workdir)
+    loads = {side: mod.WORKLOADS[name]() for side, mod in sides.items()}
+    pools, setup = {}, dict.fromkeys(sides, float("inf"))
+    for side in sides:
+        (tmp / f"{name}-{side}").mkdir()
+    for r in range(runs):
+        for side in ("base", "head") if r % 2 else ("head", "base"):
+            pools[side], took = set_up(sides[side], loads[side], seed, tmp / f"{name}-{side}")
+            setup[side] = min(setup[side], took)
     n = len(pools["base"])
+    if len(pools["head"]) != n:
+        print(f"{name}: the ref's pool has {n} ops, the working tree's {len(pools['head'])}")
+        return 1
+    for i in range(n):
+        if input_print(pools["base"][i]) != input_print(pools["head"][i]):
+            print(f"{name}: the input of op {i} ({pools['base'][i].case.label} "
+                  f"{pools['base'][i].verb}) differs between the ref and the working tree")
+            return 1
     for i in range(n):
         prints = {}
         for side, mod in sides.items():
@@ -158,9 +202,11 @@ def compare(name: str, sides: dict, seed: int, runs: int, tmp: Path) -> int:
                     return 1
                 best[side][i] = min(best[side][i], elapsed)
     rate = {side: n / sum(times) for side, times in best.items()}
-    print(f"{name}: {n} ops, equal outputs, fastest of {runs}: ref {rate['base']:.1f} ops/s, "
-          f"working tree {rate['head']:.1f} ops/s")
-    print(f"{name}: ratio {rate['head'] / rate['base']:.4f}")
+    print(f"{name}: {n} ops, equal inputs and outputs, fastest of {runs}: "
+          f"ref {rate['base']:.1f} ops/s, working tree {rate['head']:.1f} ops/s; "
+          f"set-up ref {setup['base'] * 1e3:.1f} ms, working tree {setup['head'] * 1e3:.1f} ms")
+    print(f"{name}: ratio {rate['head'] / rate['base']:.4f}, "
+          f"set-up ratio {setup['head'] / setup['base']:.4f}")
     return 0
 
 
