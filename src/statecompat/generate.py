@@ -18,6 +18,11 @@ loop left it. Only after every draw are the unit vectors formed, all at
 once, and the weighted outer products in blocks of at most
 :data:`BLOCK_BYTES` (at least one term each), so the function holds its
 output, the unit vectors and one block.
+
+Draw order of the frame modes, :func:`incompatible_instance` and
+:func:`pairwise_only_instance`, which build one matrix on each slice of one
+random unitary frame: the frame's ``crandn(dim, dim)``, then one Gram draw
+``crandn(r, r)`` per slice of r frame columns, in slice order.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ MAX_INSTANCE_ENTRIES = 1 << 24
 
 #: Most matrices in an instance the command line generates, checks or
 #: realizes: a report holds count x count pairwise tables, so 1024 matrices
-#: of 2 x 2 already give a 55 MB report.
+#: of 2 x 2 already give a 52 MB report (51.7 MB compatible, 52.6 MB
+#: incompatible, at seed 1).
 MAX_INSTANCE_MATRICES = 1024
 
 #: Most bytes of weighted outer products :func:`compatible_instance` holds at
@@ -82,12 +88,6 @@ def random_subspace(dim: int, sub_dim: int, rng: np.random.Generator) -> np.ndar
     return q
 
 
-def _well_mixed(sub_dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A sub_dim x sub_dim density matrix with every eigenvalue >= 0.3/sub_dim."""
-    gram = random_density(sub_dim, rng)
-    return 0.7 * gram + 0.3 * np.eye(sub_dim) / sub_dim
-
-
 def compatible_instance(
     dim: int, count: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -133,6 +133,22 @@ def compatible_instance(
     return rhos
 
 
+def _frame_instance(dim: int, slices: list[list[int]], rng: np.random.Generator) -> list[np.ndarray]:
+    """One matrix on the span of each slice of one random unitary frame.
+
+    Matrix k is 0.7 rho + 0.3 I / r in the basis of slice k's r frame columns,
+    rho a ``random_density(r)``, so every eigenvalue in its support is at
+    least 0.3 / r. Draws come in the order the module docstring states.
+    """
+    frame = random_unitary(dim, rng)
+    matrices = []
+    for kept in slices:
+        basis, r = frame[:, kept], len(kept)
+        sigma = 0.7 * random_density(r, rng) + 0.3 * np.eye(r) / r
+        matrices.append(basis @ sigma @ basis.conj().T)
+    return matrices
+
+
 def incompatible_instance(
     dim: int, count: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -140,20 +156,14 @@ def incompatible_instance(
 
     A random unitary frame u_1 ... u_d is split so each matrix omits a slice
     of the frame and every frame vector is omitted by someone; the supports
-    then have empty joint intersection. For dim = count = 2 this degenerates
-    to a pair of orthogonal pure states.
+    then have empty joint intersection. Matrix k omits the u_j with
+    j % count == k, so with count >= 2 none omits all of them, and when
+    count > dim the later matrices omit none and get full support. For
+    dim = count = 2 this degenerates to a pair of orthogonal pure states.
     """
-    frame = random_unitary(dim, rng)
-    excluded = [{j for j in range(dim) if j % count == k} for k in range(count)]
-    matrices = []
-    for k in range(count):
-        # count >= 2 keeps every slice proper, so kept is never empty; when
-        # count > dim the later observers exclude nothing and get full support.
-        kept = [j for j in range(dim) if j not in excluded[k]]
-        basis = frame[:, kept]
-        sigma = _well_mixed(len(kept), rng)
-        matrices.append(basis @ sigma @ basis.conj().T)
-    return matrices
+    if count < 2:
+        raise ValueError(f"the excluded-slice pattern needs count >= 2, got {count}")
+    return _frame_instance(dim, [[j for j in range(dim) if j % count != k] for k in range(count)], rng)
 
 
 def pairwise_only_instance(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -164,14 +174,7 @@ def pairwise_only_instance(dim: int, rng: np.random.Generator) -> list[np.ndarra
     """
     if dim < 3:
         raise ValueError(f"the three-plane pattern needs dimension >= 3, got {dim}")
-    frame = random_unitary(dim, rng)
-    planes = [(0, 1), (1, 2), (0, 2)]
-    matrices = []
-    for a, b in planes:
-        basis = frame[:, [a, b]]
-        sigma = _well_mixed(2, rng)
-        matrices.append(basis @ sigma @ basis.conj().T)
-    return matrices
+    return _frame_instance(dim, [[0, 1], [1, 2], [0, 2]], rng)
 
 
 def generate_instance(

@@ -20,6 +20,7 @@ from statecompat.errors import NumericalFailureError
 from statecompat.generate import (
     MAX_INSTANCE_MATRICES,
     generate_instance,
+    incompatible_instance,
     pairwise_only_instance,
     random_density,
     random_subspace,
@@ -536,7 +537,10 @@ def test_generate_rejects_bad_parameters(capsys):
     (lambda rng: random_density(3, rng, rank=4), "rank must lie in 1..3, got 4"),
     (lambda rng: random_subspace(3, 4, rng), "subspace dimension must lie in 0..3, got 4"),
     (lambda rng: pairwise_only_instance(2, rng), "needs dimension >= 3, got 2"),
-], ids=["mode", "rank-0", "rank-over-dim", "sub-dim-over-dim", "pairwise-dim-2"])
+    (lambda rng: incompatible_instance(3, 1, rng), "needs count >= 2, got 1"),
+    (lambda rng: incompatible_instance(3, 0, rng), "needs count >= 2, got 0"),
+], ids=["mode", "rank-0", "rank-over-dim", "sub-dim-over-dim", "pairwise-dim-2",
+        "incompatible-count-1", "incompatible-count-0"])
 def test_generators_refuse_parameters_out_of_range(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))

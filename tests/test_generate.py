@@ -1,5 +1,6 @@
 """The seeded instance generators: the batched compatible instance against its
-per-term oracle, bit for bit and in memory, and the sizes ``generate_instance`` takes."""
+per-term oracle, bit for bit and in memory, the frame instances' supports and
+draws, and the sizes ``generate_instance`` takes."""
 
 from __future__ import annotations
 
@@ -9,8 +10,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from statecompat.compat import full_report
+from statecompat.density import support, validate_density
 from statecompat.errors import StateCompatError
-from statecompat.generate import BLOCK_BYTES, compatible_instance, generate_instance
+from statecompat.generate import (
+    BLOCK_BYTES,
+    compatible_instance,
+    crandn,
+    generate_instance,
+    incompatible_instance,
+    pairwise_only_instance,
+    random_unitary,
+)
 
 from conftest import loop_compatible_instance
 
@@ -62,6 +73,64 @@ def test_a_large_instance_holds_one_block_more_than_the_loop(seed):
     assert same_bits(outs[1], outs[0])
     block = max(BLOCK_BYTES, 16 * 256 * 256)
     assert peaks[1] <= peaks[0] + block, (peaks, block)
+
+
+#: (mode, dim, count) of the frame instances: incompatible at dims 2-8 and
+#: counts 2-5, count > dim included, and pairwise-only at dims 3-8
+FRAME_CASES = [("incompatible", d, c) for d in range(2, 9) for c in range(2, 6)] + [
+    ("pairwise-only", d, 3) for d in range(3, 9)]
+FRAME_IDS = [f"{m}-d{d}c{c}" for m, d, c in FRAME_CASES]
+
+
+def frame_instance(mode, dim, count, rng):
+    if mode == "incompatible":
+        return incompatible_instance(dim, count, rng)
+    return pairwise_only_instance(dim, rng)
+
+
+def frame_slices(mode, dim, count) -> list[list[int]]:
+    """The frame columns each matrix of the mode is built on."""
+    if mode == "incompatible":
+        return [[j for j in range(dim) if j % count != k] for k in range(count)]
+    return [[0, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("mode, dim, count", FRAME_CASES, ids=FRAME_IDS)
+def test_frame_instances_sit_on_their_slices_well_mixed(mode, dim, count):
+    """Each validated matrix's support is the span of its slice of the frame (the
+    generator's first draw), with every kept eigenvalue at least 0.3 / r; the
+    incompatible supports meet in nothing, the pairwise-only ones in a line per
+    pair and nothing all three."""
+    for seed in range(3):
+        frame = random_unitary(dim, np.random.default_rng(seed))
+        rhos = [validate_density(m) for m in frame_instance(mode, dim, count, np.random.default_rng(seed))]
+        slices = frame_slices(mode, dim, count)
+        assert len(rhos) == len(slices)
+        for rho, kept in zip(rhos, slices):
+            basis, span = support(rho).basis, frame[:, kept]
+            assert basis.shape[1] == len(kept), (seed, kept)
+            # as many columns as the slice, each inside its span: the same subspace
+            np.testing.assert_allclose(span @ (span.conj().T @ basis), basis, atol=1e-12)
+            assert rho.spectrum.eigenvalues[len(kept) - 1] >= 0.3 / len(kept) - 1e-12, (seed, kept)
+        if mode == "incompatible":
+            assert full_report(rhos).intersection_dim == 0
+        else:
+            for pair in ([0, 1], [1, 2], [0, 2]):
+                assert full_report([rhos[i] for i in pair]).intersection_dim == 1, (seed, pair)
+            assert full_report(rhos).intersection_dim == 0
+
+
+@pytest.mark.parametrize("mode, dim, count", FRAME_CASES, ids=FRAME_IDS)
+def test_frame_instances_draw_the_frame_then_one_gram_per_slice(mode, dim, count):
+    """The generator ends where ``crandn(dim, dim)`` for the frame and then one
+    ``crandn(r, r)`` per slice, in slice order, leave a same-seeded one."""
+    for seed in range(3):
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        frame_instance(mode, dim, count, rng)
+        crandn(want, dim, dim)
+        for kept in frame_slices(mode, dim, count):
+            crandn(want, len(kept), len(kept))
+        assert rng.bit_generator.state == want.bit_generator.state, seed
 
 
 NOT_INTEGERS = [3.0, 2.5, np.float64(3.0), True, np.bool_(True), "3", None]

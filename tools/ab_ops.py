@@ -131,10 +131,7 @@ def fingerprint(mod, name: str, op, out) -> bytes:
         return b"|".join(parts)
     if name == "scenario-observers":
         parts = [repr((out.joint_zero_probability, out.success, out.distances)).encode()]
-        if hasattr(out, "recovered"):  # the (n, d, d) stack
-            parts += [array_bytes(matrix) for matrix in out.recovered]
-        else:  # a ref from before that stack: one wrapped matrix per observer
-            parts += [array_bytes(rec.recovered.matrix) for rec in out.recoveries]
+        parts += [array_bytes(matrix) for matrix in out.recovered]
         return b"|".join(parts)
     return repr(out).encode() + b"|" + op.out_path.read_bytes()
 

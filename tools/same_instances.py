@@ -8,10 +8,15 @@ Usage, from the repository root:
 as ``tools/ab_ops.py`` does it. The shapes are the benchmark pools': every
 (dim, count, mode) that a set-up of each workload in ``bench/workloads.py``
 passes to ``generate_instance``, recorded from one set-up of the working
-tree's package. For each shape and each of two seeds, the two packages'
-matrices must agree bit for bit: their number, and each one's dtype, shape
-and bytes. The first shape and seed that differ are printed and the script
-exits 1; otherwise it prints the number of shapes compared and exits 0.
+tree's package. For each shape and each of two seeds, the two packages must
+agree bit for bit on the matrices of ``generate_instance`` and on those of
+the mode's function (``compatible_instance``, ``incompatible_instance`` or
+``pairwise_only_instance``) called with a ``Generator`` of that seed: their
+number, and each one's dtype, shape and bytes. They must also leave that
+generator in the same state, since callers that share one generator across
+calls would see extra or fewer draws shift every later instance. The first
+shape and seed that differ are printed and the script exits 1; otherwise it
+prints the number of shapes compared and exits 0.
 """
 
 from __future__ import annotations
@@ -49,6 +54,20 @@ def instance_bytes(matrices) -> list[bytes]:
     return [array_bytes(matrix) for matrix in matrices]
 
 
+def drawn(gen, dim: int, count: int, mode: str, seed: int) -> tuple:
+    """The bytes of ``generate_instance``, those of the mode's function with a
+    ``Generator`` seeded ``seed``, and that generator's state afterwards."""
+    import numpy as np  # not at the top: main pins the BLAS threads before numpy loads
+
+    rng = np.random.default_rng(seed)
+    if mode == "pairwise-only":
+        matrices = gen.pairwise_only_instance(dim, rng)
+    else:
+        matrices = getattr(gen, f"{mode}_instance")(dim, count, rng)
+    return (instance_bytes(gen.generate_instance(dim, count, seed, mode)),
+            instance_bytes(matrices), rng.bit_generator.state)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref")
@@ -64,13 +83,15 @@ def main(argv=None) -> int:
         shapes = pool_shapes(load_workloads("statecompat", "workloads_head"), tmp)
         for dim, count, mode in shapes:
             for seed in SEEDS:
-                got = instance_bytes(head.generate_instance(dim, count, seed, mode))
-                if got != instance_bytes(base.generate_instance(dim, count, seed, mode)):
-                    print(f"generate_instance({dim}, {count}, {seed}, {mode!r}) differs "
-                          f"between the ref and the working tree")
-                    return 1
-        print(f"generate_instance: {len(shapes)} pool shapes at seeds {SEEDS}, "
-              f"equal bytes at the ref and in the working tree")
+                got, want = drawn(head, dim, count, mode, seed), drawn(base, dim, count, mode, seed)
+                for what, a, b in zip(("generate_instance bytes", f"{mode} instance bytes",
+                                       "generator end states"), got, want):
+                    if a != b:
+                        print(f"({dim}, {count}, {mode!r}) at seed {seed}: {what} differ "
+                              f"between the ref and the working tree")
+                        return 1
+        print(f"generate_instance and the mode functions: {len(shapes)} pool shapes at seeds "
+              f"{SEEDS}, equal bytes and generator end states at the ref and in the working tree")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
