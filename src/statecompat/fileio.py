@@ -69,11 +69,23 @@ the same double; they differ only in the exponent (``1e-7`` against
 (``0.00001`` against ``1e-05``). So every number reads back bit for bit under
 either decoder, and identical inputs give identical bytes. A value that
 orjson would write otherwise (a ``null`` for a NaN, raw UTF-8, an integer it
-refuses) is written by ``json.dumps``.
+refuses, a numpy scalar) is written by ``json.dumps``.
+
+Payloads hold arrays, and no list of their numbers is made: a complex matrix
+or vector is its C-contiguous ``(..., 2)`` float64 view of ``[re, im]``
+pairs, a real or bool table the array itself. orjson writes them with
+``OPT_SERIALIZE_NUMPY``, which for a finite float64 or a bool array gives
+the bytes of its ``tolist()``; a leaf that holds a NaN, an infinity,
+a numpy scalar or an array of another dtype is written by ``json.dumps``
+with its arrays as lists. So a payload is no longer ``json.dumps``-able as
+it is. The writer makes bytes, and :func:`dump_payload` hands them to a text
+file's binary buffer, flushed first, with no decode and no copy of the whole
+line.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -150,13 +162,6 @@ def _as_number(value, where: str) -> float:
         ) from None
 
 
-def _reject_first_bad_number(flat: list, dim: int, where: str) -> None:
-    """Raise for the first of a matrix's flattened [re, im] values that is no double."""
-    for k, value in enumerate(flat):
-        i, j = divmod(k // 2, dim)
-        _as_number(value, f"{where} ({i},{j}) {('re', 'im')[k % 2]}")
-
-
 def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise InstanceFormatError(f"{where}: expected {dim} rows")
@@ -170,8 +175,9 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
                 i, j = divmod(k, dim)
                 raise InstanceFormatError(f"{where}: entry ({i},{j}) must be a [re, im] pair")
     flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:  # an int may overflow a double: each value is checked
-        _reject_first_bad_number(flat, dim, where)
+    if set(map(type, flat)) != {float}:  # an int may overflow a double: the first bad value raises
+        for k, value in enumerate(flat):
+            _as_number(value, f"{where} ({k // 2 // dim},{k // 2 % dim}) {('re', 'im')[k % 2]}")
     values = np.array(flat, dtype=np.float64)
     # Reinterpret the [re, im] doubles in place: bit-exact, unlike re + 1j*im,
     # which turns -0.0 into 0.0 and an infinite imaginary part into a NaN real.
@@ -238,8 +244,9 @@ def _decode(text: str):
     refuses the text (see the module docstring).
     """
     raw = text.encode()
-    objects = raw.count(b"{")
-    openings = objects + raw.count(b"[")
+    codes = np.frombuffer(raw, np.uint8)
+    objects = np.count_nonzero(codes == 0x7B)  # b"{"
+    openings = objects + np.count_nonzero(codes == 0x5B)  # b"["
     if objects <= ORJSON_MAX_OBJECTS and openings <= ORJSON_MAX_OPENINGS:
         import orjson  # here, so that importing the package or the CLI does not load it
         try:
@@ -270,31 +277,27 @@ def load_instance(path) -> Instance:
     return instance
 
 
+def _pairs(m) -> np.ndarray:
+    """The C-contiguous ``(..., 2)`` float64 view of ``m`` as complex128: its ``[re, im]`` pairs."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,))
+
+
 def matrix_to_pairs(m: np.ndarray) -> list:
     """Nested lists of the array's shape, each complex entry an ``[re, im]`` pair."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+    return _pairs(m).tolist()
 
 
 def _to_json(value):
-    """A report field as JSON: a complex array as ``[re, im]`` pairs, any other array as lists."""
-    if isinstance(value, np.ndarray):
-        return matrix_to_pairs(value) if value.dtype.kind == "c" else value.tolist()
-    return value
-
-
-@dataclass(frozen=True)
-class _Encoded:
-    """A value already spelled as JSON, which :func:`dump_payload` writes as is."""
-
-    text: str
+    """A report field as a leaf: a complex array as its ``[re, im]`` view, any other value as is."""
+    return _pairs(value) if isinstance(value, np.ndarray) and value.dtype.kind == "c" else value
 
 
 def instance_payload(instance: Instance) -> dict:
     payload = {
         "dim": instance.dim,
         "matrices": [
-            {"name": name, "rows": matrix_to_pairs(matrix)}
+            {"name": name, "rows": _pairs(matrix)}
             for name, matrix in zip(instance.names, instance.matrices)
         ],
     }
@@ -313,12 +316,13 @@ def report_payload(
     """Assemble the JSON object written by the check and scenario commands.
 
     ``"report"`` holds every :class:`CompatReport` field, through
-    :func:`_to_json`, and the matrix names. ``"instance"`` is the instance's
-    echo when it has one, else its re-encoding.
+    :func:`_to_json` (a complex array as its ``[re, im]`` view, the tables as
+    their arrays), and the matrix names. ``"instance"`` is the instance's
+    echo, as bytes, when it has one, else its re-encoding.
     """
     payload = {
         "tolerances": {f.name: getattr(tol, f.name) for f in fields(tol)},
-        "instance": instance_payload(instance) if instance.echo is None else _Encoded(instance.echo),
+        "instance": instance_payload(instance) if instance.echo is None else instance.echo.encode(),
         "report": {
             "names": list(names),
             **{f.name: _to_json(getattr(report, f.name)) for f in fields(report)},
@@ -336,45 +340,61 @@ def report_payload(
     return payload
 
 
-def _nonfinite(value) -> bool:
-    """Whether ``value`` holds a NaN or infinite float, at any depth of lists and dicts."""
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, (list, tuple)):
-        return any(map(_nonfinite, value))
-    return isinstance(value, dict) and any(map(_nonfinite, value.values()))
+def _orjson_spells(value) -> bool:
+    """Whether orjson, writing arrays itself, spells ``value`` as ``json.dumps``
+    spells it with its arrays as lists, but for float digits and separators.
 
-
-def _leaf(value, orjson) -> str:
-    """``value`` as JSON: orjson's text, unless orjson would spell it otherwise
-    than ``json.dumps`` in more than its float digits and separators.
-
-    That is a value orjson refuses (an integer beyond 64 bits, a non-string
-    key, a lone surrogate, a numpy scalar), one whose text holds a byte
-    that ``json.dumps`` escapes (non-ASCII, DEL), and one whose text holds a
-    ``null`` that orjson wrote for a NaN or an infinity; each is written by
-    ``json.dumps`` with sorted keys instead.
+    That is so unless ``value`` holds, at any depth of lists and dicts, a NaN or
+    an infinity (orjson writes ``null``), a numpy scalar or another float
+    subclass, or an array of another dtype than bool or native float64
+    (orjson spells a float32 by its own digits, and misreads the other byte
+    order).
     """
-    try:
-        text = orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
-    except TypeError:  # orjson.JSONEncodeError is one
-        return json.dumps(value, sort_keys=True)
-    if text.isascii() and b"\x7f" not in text and not (b"null" in text and _nonfinite(value)):
-        return text.decode("ascii")
-    return json.dumps(value, sort_keys=True)
+    if isinstance(value, float):
+        return type(value) is float and math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype == np.bool_ or value.dtype == np.float64 and bool(np.isfinite(value).all())
+    if isinstance(value, (list, tuple, dict)):
+        return all(map(_orjson_spells, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, np.generic)
+
+
+def _leaf(value, orjson) -> bytes:
+    """``value`` as JSON bytes: orjson's, unless orjson would spell it otherwise
+    than ``json.dumps`` spells it with its arrays as lists, in more than its
+    float digits and separators.
+
+    orjson writes an array with ``OPT_SERIALIZE_NUMPY``, which for bool and
+    finite float64 arrays gives the bytes of their lists, and
+    hands any array it does not write itself (one that is not C-contiguous,
+    or of no dimension) to ``tolist``. Where it would spell ``value``
+    otherwise (see :func:`_orjson_spells`), or refuses it (an integer beyond
+    64 bits, a non-string key, a lone surrogate), or writes a byte that
+    ``json.dumps`` escapes (non-ASCII, DEL), ``value`` is written by
+    ``json.dumps`` with sorted keys and its arrays as lists.
+    """
+    if _orjson_spells(value):
+        try:
+            text = orjson.dumps(value, default=np.ndarray.tolist,
+                                option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
+            if text.isascii() and b"\x7f" not in text:
+                return text
+        except TypeError:  # orjson.JSONEncodeError is one
+            pass
+    return json.dumps(value, default=np.ndarray.tolist, sort_keys=True).encode()
 
 
 def _pieces(value, orjson):
-    """The JSON text of ``value`` in pieces: a dict with string keys key by key,
-    in sorted order, an encoded value as is, and any other value as a leaf."""
-    if isinstance(value, _Encoded):
-        yield value.text
+    """The JSON bytes of ``value`` in pieces: a dict with string keys key by key,
+    in sorted order, bytes as they are, and any other value as a leaf."""
+    if isinstance(value, bytes):
+        yield value
     elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        yield "{"
+        yield b"{"
         for i, (key, item) in enumerate(sorted(value.items())):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield f"{', ' if i else ''}{json.dumps(key)}: ".encode()
             yield from _pieces(item, orjson)
-        yield "}"
+        yield b"}"
     else:
         yield _leaf(value, orjson)
 
@@ -384,15 +404,28 @@ def dump_payload(payload: dict, fh) -> None:
 
     A dict with string keys is written key by key, in sorted order, laid out
     as ``json.dumps`` lays it out (``", "`` between items, ``": "`` after a
-    key), and a value already encoded goes in as is. Every other value is a
-    leaf, written by :func:`_leaf`: by orjson, compact, or by ``json.dumps``
-    where orjson would spell it otherwise in more than its float digits. The
-    test is made per leaf, so a report's ``"witness": null`` leaves its
-    pairwise tables to orjson. The line parses to what ``json.dumps(payload,
-    sort_keys=True)`` parses to, every float bit for bit. orjson is imported
-    here, on the first write, so importing the package does not load it.
+    key), and bytes, JSON already encoded, go in as they are. Every other
+    value is a leaf, written by :func:`_leaf`: by orjson, compact, arrays
+    included, or by ``json.dumps`` where orjson would spell it otherwise in
+    more than its float digits. The test is made per leaf, so a report's
+    ``"witness": null`` leaves its pairwise tables to orjson. The line parses
+    to what ``json.dumps(payload, sort_keys=True)`` would parse to with every
+    array as its lists, every float bit for bit.
+
+    The pieces are bytes. A text file in UTF-8 or ASCII is flushed, so
+    anything written to it before goes first, and the pieces go straight to
+    its binary ``buffer``, with no decode and no copy of the whole line; any
+    other stream, such as an ``io.StringIO``, gets them as text. The bytes
+    are ASCII, so both give what the text layer would write. The trailing
+    newline goes through the text layer, which translates it as the stream
+    asks. orjson is imported here, on the first write, so importing the
+    package does not load it.
     """
     import orjson
 
-    fh.writelines(_pieces(payload, orjson))
+    if hasattr(fh, "buffer") and codecs.lookup(fh.encoding).name in ("utf-8", "ascii"):
+        fh.flush()  # what the stream holds goes first
+        fh.buffer.writelines(_pieces(payload, orjson))
+    else:
+        fh.writelines(piece.decode("ascii") for piece in _pieces(payload, orjson))
     fh.write("\n")

@@ -160,7 +160,9 @@ def incompatible_instance(
     j % count == k, so with count >= 2 none omits all of them, and when
     count > dim the later matrices omit none and get full support. For
     dim = count = 2 this degenerates to a pair of orthogonal pure states.
+    ``dim`` must be an integer of at least two (:func:`~statecompat.linalg.as_dim`).
     """
+    dim = as_dim(dim, "dimension", 2)
     if count < 2:
         raise ValueError(f"the excluded-slice pattern needs count >= 2, got {count}")
     return _frame_instance(dim, [[j for j in range(dim) if j % count != k] for k in range(count)], rng)
@@ -170,8 +172,10 @@ def pairwise_only_instance(dim: int, rng: np.random.Generator) -> list[np.ndarra
     """Three matrices, each pair sharing a support line, with no common line.
 
     Supports are the three coordinate planes span{u1,u2}, span{u2,u3},
-    span{u1,u3} of a seeded random unitary frame.
+    span{u1,u3} of a seeded random unitary frame. ``dim`` must be an integer
+    (:func:`~statecompat.linalg.as_dim`) of at least three.
     """
+    dim = as_dim(dim, "dimension")
     if dim < 3:
         raise ValueError(f"the three-plane pattern needs dimension >= 3, got {dim}")
     return _frame_instance(dim, [[0, 1], [1, 2], [0, 2]], rng)

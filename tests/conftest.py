@@ -22,8 +22,10 @@ observer at a time (one Householder completion, one checked ensemble and one
 recovered matrix per observer), and the planted compatible instance one
 extra term at a time. The instance reader keeps its earlier
 decoder, the standard ``json`` alone, as the oracle of the orjson path, and
-the files the writer writes are checked against the spelling of
-``json.dumps`` value by value, with floats compared bit for bit.
+the writer keeps its earlier route, every array turned into lists and each
+leaf written as text, as the oracle of the bytes it now writes from the
+arrays themselves. The files the writer writes are checked against the
+spelling of ``json.dumps`` value by value, with floats compared bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import struct
 from functools import reduce
 from math import prod
 from unittest import mock
 
 import numpy as np
+import orjson
 
 from statecompat import fileio
 from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
@@ -617,10 +621,67 @@ def write_to_text(payload) -> str:
     return buf.getvalue()
 
 
+def as_lists(value):
+    """``value`` with every numpy array, at any depth of dicts, lists and
+    tuples, as its nested lists: a payload as the writer took it before it
+    wrote arrays itself, and as ``json.dumps`` can write it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value
+
+
+def _list_route_nonfinite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return any(map(_list_route_nonfinite, value))
+    return isinstance(value, dict) and any(map(_list_route_nonfinite, value.values()))
+
+
+def _list_route_leaf(value) -> str:
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+    except TypeError:
+        return json.dumps(value, sort_keys=True)
+    if text.isascii() and b"\x7f" not in text and not (b"null" in text and _list_route_nonfinite(value)):
+        return text.decode("ascii")
+    return json.dumps(value, sort_keys=True)
+
+
+def _list_route_pieces(value):
+    if isinstance(value, bytes):
+        yield value.decode("ascii")
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield "{"
+        for i, (key, item) in enumerate(sorted(value.items())):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _list_route_pieces(item)
+        yield "}"
+    else:
+        yield _list_route_leaf(value)
+
+
+def list_route_text(payload) -> str:
+    """What the writer wrote for ``payload`` when it took every array as its
+    lists (:func:`as_lists`): each dict with string keys key by key, bytes
+    as they are, and every other value as one leaf, as orjson writes it
+    (without its numpy option) unless orjson refuses it or its text holds a
+    byte that ``json.dumps`` escapes or a ``null`` written for a NaN or an
+    infinity, and then as ``json.dumps`` writes it; every leaf decoded to
+    text on its own. The oracle of :func:`statecompat.fileio.dump_payload`."""
+    return "".join(_list_route_pieces(as_lists(payload))) + "\n"
+
+
 def assert_spells_as_json_dumps(text: str, value) -> None:
     """``text`` is a line the writer wrote and reads as ``json.dumps(value,
-    sort_keys=True)`` reads, every float bit for bit."""
-    assert json_bits(written_json(text)) == json_bits(json.loads(json.dumps(value, sort_keys=True)))
+    sort_keys=True)`` reads, with every array as its lists (:func:`as_lists`),
+    every float bit for bit."""
+    plain = json.loads(json.dumps(as_lists(value), sort_keys=True))
+    assert json_bits(written_json(text)) == json_bits(plain)
 
 
 def loop_compatible_instance(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:

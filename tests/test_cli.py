@@ -37,9 +37,11 @@ from statecompat.fileio import (
 )
 
 from conftest import (
+    as_lists,
     assert_spells_as_json_dumps,
     count_linalg,
     json_bits,
+    list_route_text,
     pairs_to_vector,
     write_to_text,
     written_json,
@@ -132,9 +134,9 @@ def assert_one_line_input_error(proc: subprocess.CompletedProcess) -> None:
 
 
 def test_check_huge_integer_is_an_input_error(tmp_path):
-    payload = instance_payload(
+    payload = as_lists(instance_payload(
         Instance(dim=2, names=["a"], matrices=[np.diag([1.0, 0.0]).astype(complex)])
-    )
+    ))
     payload["matrices"][0]["rows"][0][1][0] = 10**400
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload))
@@ -435,6 +437,50 @@ def test_reports_are_byte_identical_one_line_sorted_json(tmp_path):
         assert json_bits(orjson.loads(text)) == json_bits(value)  # both decoders read the same
 
 
+def written_reports(tmp_path) -> dict:
+    """Each report verb's ``--output`` file, on a generated incompatible and a compatible instance."""
+    files = {}
+    for mode in ("incompatible", "compatible"):
+        gen = tmp_path / f"{mode}.json"
+        assert main(["generate", "--dim", "3", "--count", "40", "--seed", "2", "--mode", mode,
+                     "--output", str(gen)]) == 0
+        for verb in ("check", "scenario"):
+            out = tmp_path / f"{mode}.{verb}.json"
+            main([verb, "--input", str(gen), "--output", str(out)])
+            files[gen, verb] = out.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("capture", ["capsys", "capfd"])
+def test_reports_on_stdout_are_the_output_files_bytes(tmp_path, request, capture):
+    """Without ``--output`` the report follows what the stream already holds, as the file's bytes."""
+    captured = request.getfixturevalue(capture)
+    for (gen, verb), want in written_reports(tmp_path).items():
+        captured.readouterr()
+        print("before", end=" ")  # held by the text layer when the report is written
+        main([verb, "--input", str(gen)])
+        print("after")
+        assert captured.readouterr().out.encode() == b"before " + want + b"after\n", (gen.name, verb)
+
+
+def test_reports_on_a_redirected_stdout_are_the_output_files_bytes(tmp_path, monkeypatch, capsys):
+    for (gen, verb), want in written_reports(tmp_path).items():
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            fh.write("before ")
+            main([verb, "--input", str(gen)])
+            fh.write("after\n")
+            monkeypatch.undo()
+        assert stdout.read_bytes() == b"before " + want + b"after\n", (gen.name, verb)
+        env = dict(os.environ, PYTHONPATH=str(Path(statecompat.__file__).parents[1]))
+        with open(stdout, "wb") as fh:  # the console script's own standard output, a file descriptor
+            subprocess.run([sys.executable, "-m", "statecompat.cli", verb, "--input", str(gen)],
+                           stdout=fh, stderr=subprocess.DEVNULL, env=env, check=False)
+        assert stdout.read_bytes() == want, (gen.name, verb)
+    capsys.readouterr()
+
+
 def re_encoded(report_text: str) -> dict:
     """A report's payload with its instance re-encoded, as the writer before the echo wrote it."""
     payload = json.loads(report_text)
@@ -459,7 +505,7 @@ def test_spliced_reports_match_the_old_writer(tmp_path, capsys, mode):
                 text = out.read_text()
                 assert text.startswith(f'{{"instance": {line}, ')
                 payload = re_encoded(text)
-                assert text == write_to_text(payload), (dim, count, verb)
+                assert text == write_to_text(payload) == list_route_text(payload), (dim, count, verb)
                 assert_spells_as_json_dumps(text, payload)
     capsys.readouterr()
 
@@ -539,8 +585,14 @@ def test_generate_rejects_bad_parameters(capsys):
     (lambda rng: pairwise_only_instance(2, rng), "needs dimension >= 3, got 2"),
     (lambda rng: incompatible_instance(3, 1, rng), "needs count >= 2, got 1"),
     (lambda rng: incompatible_instance(3, 0, rng), "needs count >= 2, got 0"),
+    (lambda rng: incompatible_instance(1, 2, rng), "dimension must be at least 2, got 1"),
+    (lambda rng: incompatible_instance(0, 2, rng), "dimension must be at least 2, got 0"),
+    (lambda rng: incompatible_instance(3.0, 2, rng), "dimension must be an integer, got 3.0"),
+    (lambda rng: pairwise_only_instance(3.0, rng), "dimension must be an integer, got 3.0"),
+    (lambda rng: pairwise_only_instance(True, rng), "dimension must be an integer, got True"),
 ], ids=["mode", "rank-0", "rank-over-dim", "sub-dim-over-dim", "pairwise-dim-2",
-        "incompatible-count-1", "incompatible-count-0"])
+        "incompatible-count-1", "incompatible-count-0", "incompatible-dim-1", "incompatible-dim-0",
+        "incompatible-float-dim", "pairwise-float-dim", "pairwise-bool-dim"])
 def test_generators_refuse_parameters_out_of_range(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.random.default_rng(0))

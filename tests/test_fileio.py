@@ -5,11 +5,15 @@ import json
 import operator
 import pickle
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from statecompat import fileio
 from statecompat.compat import full_report
@@ -28,9 +32,11 @@ from statecompat.generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, cr
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import (
+    as_lists,
     assert_spells_as_json_dumps,
     json_bits,
     json_load_instance,
+    list_route_text,
     pairs_to_vector,
     write_to_text,
     written_json,
@@ -214,7 +220,7 @@ def test_serialize_parse_is_bit_exact(tmp_path):
         [[complex(-0.0, 5e-324), complex(1e308, -1e308)],
          [complex(2**0.5, -0.0), complex(-5e-324, float("inf"))]]
     )
-    payload = instance_payload(Instance(dim=2, names=["m"], matrices=[m]))
+    payload = as_lists(instance_payload(Instance(dim=2, names=["m"], matrices=[m])))
     payload["matrices"][0]["rows"][1][1][0] = 1  # an integer written as `1`
     m[1, 1] = complex(1.0, float("inf"))
     path = tmp_path / "bits.json"
@@ -297,8 +303,10 @@ def test_written_doubles_read_back_bit_for_bit(tmp_path, name, spelling):
         assert np.array_equal(inst.matrices[0].view(np.uint64), matrix.view(np.uint64))
 
 
-#: Leaves that orjson would spell otherwise than ``json.dumps`` in more than
-#: their float digits; most also hold a float the two spell differently.
+#: Leaves the writer hands to ``json.dumps``, arrays as their lists: those
+#: orjson would spell otherwise in more than their float digits, and arrays
+#: of a dtype but bool and native float64; most also hold a float the two
+#: spell differently.
 JSON_LEAVES = {
     "nan": [1e-7, float("nan")],
     "infinity": float("inf"),
@@ -312,6 +320,11 @@ JSON_LEAVES = {
     "non-ascii": ["\u00e9", 1e-7],
     "del": ["rho\x7f1", 1e-7],
     "numpy-scalar": [np.float64(1e-7)],
+    "numpy-scalar-beside-an-array": [np.ones(2), np.float64(1e-7)],
+    "non-finite-array": np.nan * np.ones((2, 2)),
+    "float32-array": np.array([0.1, 1e-7], dtype=np.float32),  # orjson spells its own digits
+    "integer-array": np.arange(3),
+    "big-endian-array": np.array([1.5, 2.0], ">f8"),
 }
 
 #: Leaves that orjson writes, with the line that orjson writes for them.
@@ -328,7 +341,7 @@ ORJSON_LEAVES = {
 @pytest.mark.parametrize("leaf", list(JSON_LEAVES.values()), ids=list(JSON_LEAVES))
 def test_leaves_orjson_would_spell_otherwise_are_written_by_json(leaf):
     text = write_to_text({"k": leaf, "z": {"y": leaf}})
-    spelled = json.dumps(leaf, sort_keys=True)
+    spelled = json.dumps(as_lists(leaf), sort_keys=True)
     assert text == f'{{"k": {spelled}, "z": {{"y": {spelled}}}}}\n'
     assert text.isascii()
 
@@ -380,6 +393,98 @@ def test_no_pairwise_table_of_an_incompatible_report_goes_to_json(monkeypatch):
         assert len(written[table]) == count and f'"{table}": [[' in text
 
 
+#: Doubles whose spelling the writer must keep: signed zeros, the smallest
+#: subnormals, the largest doubles, where orjson and ``json`` switch to an
+#: exponent, and the edges of the integers a double holds exactly.
+SPECIAL_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   1e16, 1e-7, 1e-5, 0.0001, 1e15, 0.1, 2.0**53, 2.0**53 + 2, 2.0**64, 1.5]
+
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIAL_DOUBLES),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+    .filter(np.isfinite),
+)
+any_doubles = st.one_of(finite_doubles, st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+
+
+def non_contiguous(a: np.ndarray) -> np.ndarray:
+    """A view of ``a``'s values that is not C-contiguous, when ``a`` has two entries along a dimension."""
+    return a.T if a.ndim > 1 else np.repeat(a, 2)[::2]
+
+
+array_leaves = st.one_of(
+    hnp.arrays(np.float64, shapes, elements=finite_doubles),
+    hnp.arrays(np.float64, shapes, elements=any_doubles),
+    hnp.arrays(np.bool_, shapes),
+    hnp.arrays(np.complex128, shapes, elements=st.complex_numbers(allow_nan=False, allow_infinity=False))
+    .map(fileio._pairs),  # the [re, im] view the payloads hold
+    hnp.arrays(np.float64, shapes, elements=finite_doubles).map(non_contiguous),
+    finite_doubles.map(np.array),  # no dimension
+)
+plain_leaves = st.one_of(st.none(), st.booleans(), finite_doubles, st.integers(-(2**63), 2**64 - 1),
+                         st.text(max_size=4), finite_doubles.map(np.float64))
+leaves = st.recursive(
+    st.one_of(array_leaves, plain_leaves),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=3), leaves, max_size=4))
+def test_array_leaves_are_written_as_the_list_route_writes_them(payload):
+    """Arrays at any depth, numpy scalars among them, give the bytes of their lists."""
+    written = write_to_text(payload)
+    assert written == list_route_text(payload)
+    assert_spells_as_json_dumps(written, payload)
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        dump_payload(payload, fh)
+        fh.seek(0)
+        assert fh.buffer.read() == written.encode("ascii")
+
+
+def test_numpy_scalars_json_refuses_still_raise():
+    for scalar in (np.float32(0.1), np.int64(3), np.bool_(True)):
+        for payload in ({"k": [scalar]}, {"k": [np.ones(2), {"a": scalar}]}):
+            for write in (write_to_text, list_route_text):
+                with pytest.raises(TypeError):
+                    write(payload)
+
+
+def sinks_written(payload, tmp_path) -> dict:
+    """The bytes ``payload`` is written as to each kind of stream, after some text of its own."""
+    out = {}
+    for name, opens in (("utf-8", dict(encoding="utf-8")), ("ascii", dict(encoding="ascii")),
+                        ("crlf", dict(encoding="utf-8", newline="\r\n")), ("utf-16", dict(encoding="utf-16")),
+                        ("line-buffered", dict(encoding="utf-8", buffering=1))):
+        path = tmp_path / f"{name}.json"
+        with open(path, "w", **opens) as fh:
+            fh.write("before ")  # still in the text layer
+            dump_payload(payload, fh)
+            fh.write("after\n")
+        with open(path, encoding=opens["encoding"], newline="") as fh:
+            out[name] = fh.read()
+    buf = io.StringIO()
+    buf.write("before ")
+    dump_payload(payload, buf)
+    buf.write("after\n")
+    out["string-io"] = buf.getvalue()
+    return out
+
+
+def test_every_stream_gets_the_same_text(tmp_path):
+    count = 40
+    matrices = generate_instance(2, count, 3, "incompatible")
+    inst = Instance(dim=2, names=[f"rho_{i + 1}" for i in range(count)], matrices=matrices)
+    payload = report_payload(full_report([validate_density(m) for m in matrices]), inst.names, DEFAULT_TOL, inst)
+    line = list_route_text(payload).removesuffix("\n")
+    for name, text in sinks_written(payload, tmp_path).items():
+        newline = "\r\n" if name == "crlf" else "\n"
+        assert text == f"before {line}{newline}after{newline}", name
+
+
 # -------------------------------------------------------------------- echo
 
 
@@ -407,7 +512,7 @@ def echoed_instance(path) -> str:
 
 def variant(obj: dict, how: str) -> str:
     """The instance ``obj`` written out in one of the layouts the writer does not use."""
-    obj = json.loads(json.dumps(obj))
+    obj = json.loads(json.dumps(as_lists(obj)))
     line = json.dumps(obj, sort_keys=True)
     if how == "pretty":
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -611,7 +716,8 @@ def orjson_calls(monkeypatch) -> list:
         return orjson.loads(raw)
 
     monkeypatch.setitem(sys.modules, "orjson", SimpleNamespace(
-        loads=loads, JSONDecodeError=orjson.JSONDecodeError, dumps=orjson.dumps, OPT_SORT_KEYS=orjson.OPT_SORT_KEYS))
+        loads=loads, JSONDecodeError=orjson.JSONDecodeError, dumps=orjson.dumps, OPT_SORT_KEYS=orjson.OPT_SORT_KEYS,
+        OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
     return calls
 
 
@@ -719,6 +825,37 @@ def test_the_object_count_picks_the_decoder(orjson_calls):
     assert len(orjson_calls) == 1
     assert fileio._decode(json.dumps([{}] * (bound + 1))) == [{}] * (bound + 1)  # json
     assert len(orjson_calls) == 1
+
+
+def braced_name_line(braces: int, brackets: int) -> str:
+    """A one-matrix instance line whose name holds ``braces`` ``{`` and
+    ``brackets`` ``[``, among non-ASCII letters."""
+    name = "\u03c1{" * braces + "\u00e9[" * brackets
+    return '{"dim": 1, "matrices": [{"name": %s, "rows": [[[1.0, 0.0]]]}]}' % json.dumps(name, ensure_ascii=False)
+
+
+def test_the_counts_are_those_of_the_utf8_bytes(orjson_calls):
+    """The decoder is picked by the counts of ``{`` and ``[`` in the UTF-8
+    bytes, braces inside strings included, right at both bounds."""
+    objects, openings = fileio.ORJSON_MAX_OBJECTS, fileio.ORJSON_MAX_OPENINGS
+    base = braced_name_line(0, 0).encode()
+    at_objects = objects - base.count(b"{")
+    at_openings = openings - objects - base.count(b"[")
+    cases = [(0, 0), (at_objects, 0), (at_objects + 1, 0), (at_objects, at_openings),
+             (at_objects, at_openings + 1), (0, openings - base.count(b"{") - base.count(b"[") + 1)]
+    picked = []
+    for braces, brackets in cases:
+        text = braced_name_line(braces, brackets)
+        raw = text.encode()
+        by_orjson = raw.count(b"{") <= objects and raw.count(b"{") + raw.count(b"[") <= openings
+        calls = len(orjson_calls)
+        assert fileio._decode(text)["matrices"][0]["name"] == json.loads(text)["matrices"][0]["name"]
+        assert len(orjson_calls) - calls == by_orjson, (braces, brackets)
+        picked.append(by_orjson)
+    assert picked == [True, True, False, True, False, False]  # the cases straddle both bounds
+    with pytest.raises(json.JSONDecodeError):
+        fileio._decode("")
+    assert orjson_calls[-1] == b""  # no opening at all: orjson, whose refusal goes to json
 
 
 @pytest.mark.parametrize("text", [
