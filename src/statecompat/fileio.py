@@ -55,12 +55,15 @@ gets only texts with at most :data:`ORJSON_MAX_OBJECTS` ``{`` and at most
 valid instance nests six levels deep and opens one object per matrix plus
 two, so no valid instance of at most
 :data:`statecompat.generate.MAX_INSTANCE_MATRICES` matrices exceeds the
-object bound. ``json`` reads the rest and refuses deep nesting with a
-``RecursionError`` (on a 512 KiB thread too), which becomes an
-:class:`InstanceFormatError`. orjson reads an integer beyond 64 bits
-as the nearest double, which is the double ``json``'s integer converts to;
-only a ``dim`` of 2**64 or more reads differently, and it is refused either
-way.
+object bound. ``json`` reads the rest. Up to Python 3.12 ``json`` refuses
+deep nesting with a ``RecursionError`` (on a 512 KiB thread too), but
+3.13's recurses up to 10,000 levels and overflows such a thread first, so
+a text nested more than :data:`JSON_MAX_DEPTH` levels deep, counted outside
+strings, raises that ``RecursionError`` before ``json`` runs, on every
+Python. It becomes an :class:`InstanceFormatError`. orjson reads an
+integer beyond 64 bits as the nearest double, which is the double
+``json``'s integer converts to; only a ``dim`` of 2**64 or more reads
+differently, and it is refused either way.
 
 The writer spells each double as orjson does, where ``json.dumps`` spells it
 as ``float.__repr__`` does. Both write the shortest digits that read back to
@@ -108,6 +111,14 @@ ORJSON_MAX_OPENINGS = 4096
 #: stack per level than ``[``: the top-level object, ``tolerances`` and one
 #: object per matrix of an instance under the matrix cap.
 ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
+
+#: The deepest nesting :func:`_decode` hands to ``json``, which nests by C
+#: recursion. Pythons 3.10 and 3.11 refuse deeper input at the default
+#: recursion limit, and 3.12 beyond about 1,500 levels; 3.13 counts C
+#: recursion to 10,000 levels, and its ``json`` parsed 3,000 nested objects
+#: in a 512 KiB thread but was killed by 4,096. A valid instance nests six
+#: levels deep, so the bound refuses no instance that any Python reads.
+JSON_MAX_DEPTH = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +252,11 @@ def _decode(text: str):
     orjson gets the text when it opens at most :data:`ORJSON_MAX_OBJECTS`
     objects and :data:`ORJSON_MAX_OPENINGS` arrays and objects together,
     counted on the UTF-8 bytes, and gives way to ``json`` whenever it
-    refuses the text (see the module docstring).
+    refuses the text (see the module docstring). A text for ``json`` that
+    nests deeper than :data:`JSON_MAX_DEPTH` raises the ``RecursionError``
+    that ``json`` raises up to Python 3.12, on every Python and before
+    ``json`` runs: its depth comes from one scan of the brackets outside
+    strings, once each escaped backslash and quote is dropped.
     """
     raw = text.encode()
     codes = np.frombuffer(raw, np.uint8)
@@ -253,6 +268,12 @@ def _decode(text: str):
             return orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
+    codes = np.frombuffer(raw.replace(b"\\\\", b"").replace(b'\\"', b""), np.uint8)
+    brackets = codes | 0x20  # [ and { read as {, ] and } as }
+    steps = (brackets == 0x7B).view(np.int8) - (brackets == 0x7D).view(np.int8)
+    steps[np.logical_xor.accumulate(codes == 0x22)] = 0  # inside a string, from its opening quote
+    if np.cumsum(steps[steps != 0]).max(initial=0) > JSON_MAX_DEPTH:
+        raise RecursionError(f"more than {JSON_MAX_DEPTH} levels")
     return json.loads(text)
 
 

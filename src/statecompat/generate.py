@@ -9,23 +9,38 @@ magnitude above the rank cutoff, so the verdicts they exhibit are stable.
 
 Draw order of :func:`compatible_instance`: the planted state's two
 ``standard_normal(dim)`` draws, then per matrix ``uniform``, ``integers`` and,
-when the matrix has extra terms, ``dirichlet`` and one
-``standard_normal((n_extra, 2, dim))``, which yields the numbers of the
-n_extra pairs of ``standard_normal(dim)`` calls a per-term loop of
+when the matrix has extra terms, ``standard_gamma(2.0, n_extra)`` and one
+``standard_normal((n_extra, 2, dim))``. The gamma draws are those
+``dirichlet`` makes for its weights, and the weights are its arithmetic for
+every alpha of at least 0.1: each draw times the reciprocal of their sum,
+added left to right (``np.sum`` adds pairwise from eight terms on,
+``math.fsum`` rounds once and Python 3.12's ``sum`` compensates, so each
+can give other bits). The normals are the numbers of
+the n_extra pairs of ``standard_normal(dim)`` calls a per-term loop of
 :func:`random_unit_vector` makes, in the same order. So a seed gives the same
-matrices, bit for bit, as that loop did, and the generator ends where the
-loop left it. Only after every draw are the unit vectors formed, all at
-once, and the weighted outer products in blocks of at most
-:data:`BLOCK_BYTES` (at least one term each), so the function holds its
-output, the unit vectors and one block.
+matrices, bit for bit, as that loop with ``dirichlet`` did, and the
+generator ends where the loop left it. Only after every draw are the unit
+vectors formed, all at once, and the weighted outer products in blocks of
+at most :data:`BLOCK_BYTES` (at least one term each), so the function holds
+its output, the unit vectors and one block.
 
 Draw order of the frame modes, :func:`incompatible_instance` and
 :func:`pairwise_only_instance`, which build one matrix on each slice of one
-random unitary frame: the frame's ``crandn(dim, dim)``, then one Gram draw
-``crandn(r, r)`` per slice of r frame columns, in slice order.
+random unitary frame: the frame's ``crandn(dim, dim)``, then the Gram
+draws ``crandn(r, r)`` of the slices of r frame columns, in slice order.
+Consecutive slices of one size share one ``standard_normal((n, 2, r, r))``
+call, which yields those numbers in that order, and are built together: Gram
+products, traces, mixing and the conjugation by their frame columns, in
+blocks whose frame columns take at most :data:`BLOCK_BYTES` (at least one
+slice each). So each matrix has the bits of the per-slice loop of
+:func:`random_density`, and the function holds its output, the frame and
+one block; one call for every slice's Gram draws would hold about as many
+numbers as the output.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -42,11 +57,21 @@ MAX_INSTANCE_ENTRIES = 1 << 24
 MAX_INSTANCE_MATRICES = 1024
 
 #: Most bytes of weighted outer products :func:`compatible_instance` holds at
-#: once, unless one term is larger: 64 KiB, four terms at dim 32. A block stays
+#: once, unless one term is larger: 64 KiB, four terms at dim 32. The frame
+#: modes hold as many bytes of frame columns per block. A block stays
 #: below glibc's first mmap threshold (128 KiB), since freeing a larger one
 #: lets the heap keep more: blocks of 1 MiB raised the peak RSS of the
 #: cli-roundtrip benchmark by 0.7 MiB, blocks of 256 KiB by about 0.15 MiB.
 BLOCK_BYTES = 1 << 16
+
+
+def _complex(normals: np.ndarray) -> np.ndarray:
+    """crandn's ``(re + 1j * im) / sqrt(2)`` of ``normals[:, 0]`` and ``normals[:, 1]``,
+    formed in place: the same bits, one array fewer."""
+    z = 1j * normals[:, 1]
+    z += normals[:, 0]
+    z /= np.sqrt(2.0)
+    return z
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -108,13 +133,12 @@ def compatible_instance(
         draws.append((p0, n_extra))
         if n_extra:
             owners += [m] * n_extra
-            weights.extend((1.0 - p0) * rng.dirichlet(np.full(n_extra, 2.0)))
+            # rng.dirichlet's arithmetic (alpha >= 0.1): each gamma draw times the
+            # reciprocal of their sum, added left to right, not pairwise as np.sum adds
+            *_, total = accumulate(gammas := rng.standard_gamma(2.0, n_extra).tolist())
+            weights += [(1.0 - p0) * (g * (1.0 / total)) for g in gammas]
             normals.append(rng.standard_normal((n_extra, 2, dim)))
-    normals = np.concatenate(normals)
-    # crandn's (re + 1j * im) / sqrt(2), in place, beside only the normals
-    chis = 1j * normals[:, 1]
-    chis += normals[:, 0]
-    chis /= np.sqrt(2.0)
+    chis = _complex(np.concatenate(normals))
     del normals
     # one vector at a time: no batched sum adds in the order of BLAS's strided dot
     chis /= np.sqrt([x.dot(x) + y.dot(y) for x, y in zip(chis.real, chis.imag)])[:, None]
@@ -138,14 +162,20 @@ def _frame_instance(dim: int, slices: list[list[int]], rng: np.random.Generator)
 
     Matrix k is 0.7 rho + 0.3 I / r in the basis of slice k's r frame columns,
     rho a ``random_density(r)``, so every eigenvalue in its support is at
-    least 0.3 / r. Draws come in the order the module docstring states.
+    least 0.3 / r. Draws come in the order the module docstring states, and
+    each run of equal-size slices is built in blocks, with the per-slice
+    loop's bits.
     """
-    frame = random_unitary(dim, rng)
-    matrices = []
-    for kept in slices:
-        basis, r = frame[:, kept], len(kept)
-        sigma = 0.7 * random_density(r, rng) + 0.3 * np.eye(r) / r
-        matrices.append(basis @ sigma @ basis.conj().T)
+    frame, matrices = random_unitary(dim, rng), []
+    for r, run in groupby(slices, len):
+        run, step = list(run), max(1, BLOCK_BYTES // (frame.itemsize * dim * r))
+        for block in (run[i:i + step] for i in range(0, len(run), step)):
+            # one name for M, M M^dag and sigma, so that no block keeps the one before
+            sigma = _complex(rng.standard_normal((len(block), 2, r, r)))
+            sigma = sigma @ sigma.conj().swapaxes(1, 2)
+            sigma = 0.7 * (sigma / sigma.trace(axis1=1, axis2=2).real[:, None, None]) + 0.3 * np.eye(r) / r
+            bases = np.ascontiguousarray(frame.T[block].swapaxes(1, 2))  # frame[:, kept] of each slice
+            matrices.extend(bases @ sigma @ bases.conj().swapaxes(1, 2))
     return matrices
 
 

@@ -14,13 +14,14 @@ here as references for the tests that use them, and are checked themselves.
 :func:`unchecked_density` builds a :class:`DensityMatrix` record around
 given bits, past the constructor's validation: the validation oracle's
 result, and a record that validation would refuse for an error-path test. So
-do the earlier forms of six library paths: the phase convention with every
+do the earlier forms of seven library paths: the phase convention with every
 anchor found by argmax, validation through a separately coerced, symmetrized
 and diagonalized matrix, the support split with every direction phase-fixed
 and wrapped, the pairwise conditions one pair at a time, the scenario one
 observer at a time (one Householder completion, one checked ensemble and one
-recovered matrix per observer), and the planted compatible instance one
-extra term at a time. The instance reader keeps its earlier
+recovered matrix per observer), the planted compatible instance one
+extra term at a time, and the frame instance (incompatible and
+pairwise-only) one slice at a time. The instance reader keeps its earlier
 decoder, the standard ``json`` alone, as the oracle of the orjson path, and
 the writer keeps its earlier route, every array turned into lists and each
 leaf written as text, as the oracle of the bytes it now writes from the
@@ -56,7 +57,7 @@ from statecompat.errors import (
     StateOutsideSupportError,
     TraceNotOneError,
 )
-from statecompat.generate import random_unit_vector
+from statecompat.generate import random_density, random_unit_vector, random_unitary
 from statecompat.linalg import (
     DEFAULT_TOL,
     PHASE_FLOOR,
@@ -702,4 +703,19 @@ def loop_compatible_instance(dim: int, count: int, rng: np.random.Generator) -> 
         else:
             rho = rho / p0
         matrices.append(rho)
+    return matrices
+
+
+def loop_frame_instance(dim: int, slices: list[list[int]], rng: np.random.Generator) -> list[np.ndarray]:
+    """The frame instance one slice at a time: the earlier form of
+    :func:`statecompat.generate._frame_instance`, which must give its bits and
+    leave ``rng`` where this loop leaves it. One ``random_unitary`` frame, then
+    per slice of r frame columns a ``random_density(r)``, mixed 0.7 / 0.3 with
+    I / r and conjugated by those columns."""
+    frame = random_unitary(dim, rng)
+    matrices = []
+    for kept in slices:
+        basis, r = frame[:, kept], len(kept)
+        sigma = 0.7 * random_density(r, rng) + 0.3 * np.eye(r) / r
+        matrices.append(basis @ sigma @ basis.conj().T)
     return matrices

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statecompat
-from statecompat import compat
+from statecompat import compat, fileio
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
 from statecompat.density import DensityMatrix, validate_density
@@ -190,6 +190,40 @@ def test_deep_input_is_refused_on_a_small_thread_stack(tmp_path, text):
                           capture_output=True, text=True, env=env, check=False, timeout=120)
     assert proc.returncode == 0  # killed by a signal, it would be negative
     assert (proc.stdout, proc.stderr) == ("InstanceFormatError\n", "")
+
+
+#: ``json.loads`` of ``sys.argv[1]`` in a thread with a 512 KiB stack, the
+#: standard library alone
+SMALL_STACK_JSON = """
+import json, sys, threading
+
+def load():
+    try:
+        json.loads(sys.argv[1])
+        print("decoded")
+    except RecursionError:
+        print("RecursionError")
+
+threading.stack_size(512 * 1024)
+thread = threading.Thread(target=load)
+thread.start()
+thread.join()
+"""
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": ' * fileio.JSON_MAX_DEPTH + "1" + "}" * fileio.JSON_MAX_DEPTH,
+    "[" * fileio.JSON_MAX_DEPTH + "]" * fileio.JSON_MAX_DEPTH,
+], ids=["objects", "arrays"])
+def test_json_survives_its_depth_bound_on_a_small_thread_stack(text):
+    # Python 3.13's json recurses up to 10,000 levels before it refuses, and
+    # 4,096 nested objects kill a 512 KiB thread there; the texts _decode
+    # hands to json nest at most JSON_MAX_DEPTH deep. Earlier Pythons decode
+    # them or refuse them at their recursion limit, which is no crash either.
+    proc = subprocess.run([sys.executable, "-c", SMALL_STACK_JSON, text],
+                          capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 0  # killed by a signal, it would be negative
+    assert proc.stdout in ("decoded\n", "RecursionError\n") and proc.stderr == ""
 
 
 @pytest.mark.parametrize("verb", ["check", "scenario"])

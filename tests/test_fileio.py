@@ -7,6 +7,7 @@ import pickle
 import sys
 import tempfile
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -869,3 +870,116 @@ def test_deep_nesting_is_an_instance_format_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InstanceFormatError):
         load_instance(path)
+
+
+@pytest.fixture
+def json_calls(monkeypatch) -> list:
+    """The texts that :func:`statecompat.fileio._decode` hands to ``json``, which
+    only records them: at the depths tried here, ``json`` itself would raise
+    ``RecursionError`` under the test runner's stack on Python 3.11 and earlier."""
+    calls = []
+    monkeypatch.setattr(fileio.json, "loads", lambda text: calls.append(text) or "decoded")
+    return calls
+
+
+def depth_by_hand(text: str) -> int:
+    """The deepest nesting of ``[`` and ``{`` outside strings, one character at a time."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for c in text:
+        if escaped:
+            escaped = False
+        elif in_string:
+            in_string, escaped = c != '"', c == "\\"
+        elif c == '"':
+            in_string = True
+        elif c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+    return deepest
+
+
+def decoded_by_json(json_calls, text: str) -> bool:
+    """Whether ``_decode`` hands ``text`` to ``json``; if not, it must raise the
+    depth bound's ``RecursionError`` without calling ``json``."""
+    calls = len(json_calls)
+    try:
+        assert fileio._decode(text) == "decoded" and json_calls[calls:] == [text]
+        return True
+    except RecursionError as exc:
+        assert str(exc) == f"more than {fileio.JSON_MAX_DEPTH} levels"
+        assert len(json_calls) == calls
+        return False
+
+
+#: one level of nesting: its opening and its closing, some with brackets,
+#: braces and an escaped quote inside a string
+LEVELS = {"arrays": ("[", "]"), "objects": ('{"a": ', "}"), "array-strings": ('["]\\"}[", ', "]"),
+          "object-keys": ('{"}{\\\\": 1, "[": ', "}")}
+
+
+@pytest.mark.parametrize("kind", LEVELS)
+@pytest.mark.parametrize("by", ["orjson-refusal", "opening-count"])
+def test_json_gets_no_text_nested_deeper_than_its_bound(json_calls, kind, by):
+    """``json`` gets texts up to :data:`JSON_MAX_DEPTH` levels deep, whether orjson
+    refused them (a NaN) or was never tried (more openings than its bound, all
+    inside a string); one level more raises ``RecursionError`` before ``json``
+    is called."""
+    bound = fileio.JSON_MAX_DEPTH
+    assert bound == 1000
+    opening, closing = LEVELS[kind]
+    pad = "NaN" if by == "orjson-refusal" else json.dumps("[{" * fileio.ORJSON_MAX_OPENINGS)
+    for depth in (bound, bound + 1):
+        # the outer array holding the padding is one level
+        text = "[" + pad + ", " + opening * (depth - 1) + "0" + closing * (depth - 1) + "]"
+        assert depth_by_hand(text) == depth
+        assert decoded_by_json(json_calls, text) == (depth == bound)
+
+
+JSON_TEXT_CHARS = st.text(alphabet='[]{}"\\ a\u00e9\n', max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.integers(-5, 5) | JSON_TEXT_CHARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT_CHARS, inner, max_size=3),
+    max_leaves=12)
+
+
+@given(value=JSON_VALUES, ascii_only=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_depth_bound_counts_brackets_outside_strings(value, ascii_only):
+    """Strings full of brackets, braces, quotes and backslashes add no depth:
+    a text is refused exactly when its nesting outside strings passes the bound."""
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    depth = depth_by_hand(text)
+    calls = []
+    with mock.patch.object(fileio.json, "loads", lambda text: calls.append(text) or "decoded"):
+        for levels, decoded in ((fileio.JSON_MAX_DEPTH - depth, True), (fileio.JSON_MAX_DEPTH - depth + 1, False)):
+            assert decoded_by_json(calls, nested_for_json(text, levels)) == decoded, (text, levels)
+
+
+def nested_for_json(text: str, levels: int) -> str:
+    """``text`` inside ``levels`` more arrays, the innermost with a NaN beside it,
+    which orjson refuses, so the whole text goes to ``json``."""
+    return "[" * (levels - 1) + "[NaN, " + text + "]" * levels
+
+
+def test_names_full_of_brackets_are_read_by_json(tmp_path, orjson_calls):
+    """A valid instance whose names hold more ``{`` and ``[`` than orjson takes,
+    beside escaped quotes and backslashes, goes to ``json`` and reads as
+    ``json`` reads it: those brackets are inside strings."""
+    names = ["{" * fileio.ORJSON_MAX_OBJECTS + "[" * fileio.ORJSON_MAX_OPENINGS, "\\", '\\"[', '"{', "\\\\"]
+    line = json.dumps({"dim": 1, "matrices": [{"name": name, "rows": [[[1.0, 0.0]]]} for name in names]})
+    assert depth_by_hand(line) == 6 and line.count("{") > fileio.ORJSON_MAX_OBJECTS
+    path = tmp_path / "inst.json"
+    path.write_text(line)
+    assert list(load_instance(path).names) == names
+    assert orjson_calls == []
+
+
+def test_too_deep_for_json_is_an_instance_format_error(tmp_path, json_calls):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_for_json("0", fileio.JSON_MAX_DEPTH + 1))
+    with pytest.raises(InstanceFormatError, match="instance nested too deeply: more than 1000 levels"):
+        load_instance(path)
+    assert json_calls == []

@@ -1,6 +1,7 @@
-"""The seeded instance generators: the batched compatible instance against its
-per-term oracle, bit for bit and in memory, the frame instances' supports and
-draws, and the sizes ``generate_instance`` takes."""
+"""The seeded instance generators: the batched compatible and frame instances
+against their per-term and per-slice oracles, bit for bit and in memory, the
+frame instances' supports and draws, and the sizes ``generate_instance``
+takes."""
 
 from __future__ import annotations
 
@@ -23,12 +24,13 @@ from statecompat.generate import (
     random_unitary,
 )
 
-from conftest import loop_compatible_instance
+from conftest import loop_compatible_instance, loop_frame_instance
 
 #: (dim, count) shapes of the oracle grid: the small and the file-sized
-#: dimensions at two to four matrices, and the 24 matrices at dim 3 that the
-#: scenario-observers workload draws from
-GRID = [(d, c) for d in (2, 3, 4, 5, 8, 16, 24, 32) for c in (2, 3, 4)] + [(3, 24)]
+#: dimensions at two to four matrices, the 24 matrices at dim 3 that the
+#: scenario-observers workload draws from, and 256 matrices at dim 2, whose
+#: weights take many ``dirichlet`` draws
+GRID = [(d, c) for d in (2, 3, 4, 5, 8, 16, 24, 32) for c in (2, 3, 4)] + [(3, 24), (2, 256)]
 
 
 def same_bits(got, want) -> bool:
@@ -93,6 +95,54 @@ def frame_slices(mode, dim, count) -> list[list[int]]:
     if mode == "incompatible":
         return [[j for j in range(dim) if j % count != k] for k in range(count)]
     return [[0, 1], [1, 2], [0, 2]]
+
+
+#: (mode, dim) of the frame oracle grid: incompatible at dims 2-32, pairwise-only at 3-32
+FRAME_DIMS = [("incompatible", d) for d in range(2, 33)] + [("pairwise-only", d) for d in range(3, 33)]
+
+
+@pytest.mark.parametrize("mode, dim", FRAME_DIMS, ids=[f"{m}-d{d}" for m, d in FRAME_DIMS])
+def test_frame_instances_are_the_loop_bit_for_bit(mode, dim):
+    """Every matrix as the per-slice loop builds it, and the generator left where
+    the loop leaves it: incompatible at counts 2-5 and at two counts over the
+    dimension, whose later slices keep every frame column; 40 seeds at dims up
+    to 8, where slices of a few columns make runs of several sizes, 3 above."""
+    counts = sorted({2, 3, 4, 5, dim + 1, dim + 3}) if mode == "incompatible" else [3]
+    for count in counts:
+        slices = frame_slices(mode, dim, count)
+        for seed in range(40 if dim <= 8 else 3):
+            batched, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = frame_instance(mode, dim, count, batched)
+            want = loop_frame_instance(dim, slices, loop)
+            assert same_bits(got, want), (mode, dim, count, seed)
+            assert batched.bit_generator.state == loop.bit_generator.state, (mode, dim, count, seed)
+
+
+#: (dim, count) of large incompatible instances: one slice's frame columns are
+#: more than BLOCK_BYTES, so a block is one slice
+LARGE_FRAMES = [(512, 2), (256, 3), (128, 5)]
+
+
+@pytest.mark.parametrize("dim, count", LARGE_FRAMES, ids=[f"d{d}c{c}" for d, c in LARGE_FRAMES])
+def test_a_large_frame_instance_holds_one_block_more_than_the_loop(dim, count):
+    """The traced peak of a large incompatible instance stays within the
+    per-slice loop's plus one block, with equal bits: the Gram draws and the
+    conjugation by frame columns are made a block at a time, not for every
+    slice at once."""
+    slices = frame_slices("incompatible", dim, count)
+    makes = [lambda: loop_frame_instance(dim, slices, np.random.default_rng(7)),
+             lambda: generate_instance(dim, count, 7, "incompatible")]
+    outs, peaks = [], []
+    for make in makes:
+        tracemalloc.start()
+        try:
+            outs.append(make())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert same_bits(outs[1], outs[0])
+    block = max(BLOCK_BYTES, 16 * dim * dim)
+    assert peaks[1] <= peaks[0] + block, (peaks, block)
 
 
 @pytest.mark.parametrize("mode, dim, count", FRAME_CASES, ids=FRAME_IDS)

@@ -8,7 +8,10 @@ Usage, from the repository root:
 as ``tools/ab_ops.py`` does it. The shapes are the benchmark pools': every
 (dim, count, mode) that a set-up of each workload in ``bench/workloads.py``
 passes to ``generate_instance``, recorded from one set-up of the working
-tree's package. For each shape and each of two seeds, the two packages must
+tree's package. Beside them come the largest shapes the ``generate`` verb
+makes at its caps (:data:`CAP_SHAPES`), where the batches are largest and a
+compatible instance makes the most weight draws. For each shape and each of
+two seeds, the two packages must
 agree bit for bit on the matrices of ``generate_instance`` and on those of
 the mode's function (``compatible_instance``, ``incompatible_instance`` or
 ``pairwise_only_instance``) called with a ``Generator`` of that seed: their
@@ -32,6 +35,12 @@ from unittest import mock
 from ab_ops import ROOT, THREAD_VARS, WORKLOAD_NAMES, array_bytes, export_base, load_workloads
 
 SEEDS = (1, 2)
+
+#: (dim, count, mode) at the ``generate`` verb's caps: 1,024 matrices of
+#: dim 2 and 512 of dim 4 in the compatible and incompatible modes, and the
+#: three matrices of pairwise-only mode at dim 64
+CAP_SHAPES = [(d, c, mode) for mode in ("compatible", "incompatible") for d, c in ((2, 1024), (4, 512))] + [
+    (64, 3, "pairwise-only")]
 
 
 def pool_shapes(workloads, workdir: Path) -> list[tuple[int, int, str]]:
@@ -80,7 +89,8 @@ def main(argv=None) -> int:
         from statecompat import generate as head
         from statecompat_base import generate as base
 
-        shapes = pool_shapes(load_workloads("statecompat", "workloads_head"), tmp)
+        pools = pool_shapes(load_workloads("statecompat", "workloads_head"), tmp)
+        shapes = pools + [shape for shape in CAP_SHAPES if shape not in pools]
         for dim, count, mode in shapes:
             for seed in SEEDS:
                 got, want = drawn(head, dim, count, mode, seed), drawn(base, dim, count, mode, seed)
@@ -90,8 +100,9 @@ def main(argv=None) -> int:
                         print(f"({dim}, {count}, {mode!r}) at seed {seed}: {what} differ "
                               f"between the ref and the working tree")
                         return 1
-        print(f"generate_instance and the mode functions: {len(shapes)} pool shapes at seeds "
-              f"{SEEDS}, equal bytes and generator end states at the ref and in the working tree")
+        print(f"generate_instance and the mode functions: {len(pools)} pool shapes and "
+              f"{len(shapes) - len(pools)} cap shapes at seeds {SEEDS}, equal bytes and "
+              f"generator end states at the ref and in the working tree")
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
