@@ -8,8 +8,10 @@ Verbs:
   generate  write a seeded random instance file
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,
-2 input or validation error, also for an instance of more than
-MAX_INSTANCE_MATRICES matrices or MAX_INSTANCE_ENTRIES matrix entries.
+2 input or validation error, also for an instance over a size cap of
+statecompat.fileio (MAX_INSTANCE_MATRICES matrices, MAX_INSTANCE_ENTRIES
+matrix entries). generate refuses such a size with the reader's words,
+naming --count or --dim instead of the instance.
 Reports go to --output or standard output; diagnostics go to standard error.
 """
 
@@ -22,8 +24,8 @@ import sys
 from .compat import full_report
 from .density import DensityMatrix, validate_density
 from .errors import IncompatibleError, StateCompatError
-from .fileio import Instance, dump_payload, instance_payload, load_instance, report_payload
-from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, generate_instance
+from .fileio import Instance, _over_a_cap, dump_payload, instance_payload, load_instance, report_payload
+from .generate import generate_instance
 from .linalg import DEFAULT_TOL, Tolerances
 from .scenario import scenario_with_shared_state
 
@@ -114,18 +116,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    entries = args.count * args.dim**2
-    if min(args.dim, args.count) >= 2 and entries > MAX_INSTANCE_ENTRIES:
-        # name --dim when even the smallest count is over the cap
-        flag = "--dim" if 2 * args.dim**2 > MAX_INSTANCE_ENTRIES else "--count"
-        raise StateCompatError(
-            f"{flag} too large: {args.count} matrices of {args.dim} x {args.dim} are "
-            f"{entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
-        )
-    if args.count > MAX_INSTANCE_MATRICES:  # reading refuses such an instance too
-        raise StateCompatError(
-            f"--count too large: {args.count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
-        )
+    # refused as reading refuses it; a dim or count below 2 is generate_instance's to refuse
+    if too_large := _over_a_cap(args.count, args.dim if min(args.dim, args.count) >= 2 else 1):
+        # --count when the count alone is over, or two matrices of this dim would fit
+        flag = "--count" if _over_a_cap(args.count, 1) or not _over_a_cap(2, args.dim) else "--dim"
+        raise StateCompatError(f"{flag} too large: {too_large}")
     matrices = generate_instance(args.dim, args.count, args.seed, args.mode)
     names = [f"rho_{i + 1}" for i in range(len(matrices))]
     instance = Instance(dim=args.dim, names=names, matrices=matrices)

@@ -17,6 +17,14 @@ precision. An instance file looks like::
 the instance it was computed from under ``"instance"``, so every verdict can
 be re-derived from the report alone.
 
+This module alone decides what an instance may hold. Its size caps,
+:data:`MAX_INSTANCE_MATRICES` and :data:`MAX_INSTANCE_ENTRIES`, are checked
+by one function, which the reader calls before it converts a matrix and the
+``generate`` verb before it draws one, so both refuse a size in the same
+words. The :class:`Instance` constructor checks the rest: one nonempty name
+per ``dim`` x ``dim`` matrix and known tolerance names, so an instance writes
+no file that its reader refuses for them.
+
 Files are written as one line of ASCII JSON with sorted keys (``python -m
 json.tool FILE`` pretty-prints one); reading accepts any layout. Numbers move
 between JSON and numpy in bulk: a matrix's ``[re, im]`` pairs are checked for
@@ -53,14 +61,13 @@ inside or around 4,974 arrays and crashes at 6,974 openings. So orjson
 gets only texts with at most :data:`ORJSON_MAX_OBJECTS` ``{`` and at most
 :data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``, bounds on their depth; a
 valid instance nests six levels deep and opens one object per matrix plus
-two, so no valid instance of at most
-:data:`statecompat.generate.MAX_INSTANCE_MATRICES` matrices exceeds the
-object bound. ``json`` reads the rest. Up to Python 3.12 ``json`` refuses
-deep nesting with a ``RecursionError`` (on a 512 KiB thread too), but
-3.13's recurses up to 10,000 levels and overflows such a thread first, so
-a text nested more than :data:`JSON_MAX_DEPTH` levels deep, counted outside
-strings, raises that ``RecursionError`` before ``json`` runs, on every
-Python. It becomes an :class:`InstanceFormatError`. orjson reads an
+two, so no valid instance of at most :data:`MAX_INSTANCE_MATRICES` matrices
+exceeds the object bound. ``json`` reads the rest. Up to Python 3.12
+``json`` refuses deep nesting with a ``RecursionError`` (on a 512 KiB
+thread too), but 3.13's recurses up to 10,000 levels and overflows such a
+thread first, so a text nested more than :data:`JSON_MAX_DEPTH` levels
+deep, counted outside strings, raises that ``RecursionError`` before
+``json`` runs, on every Python. It becomes an :class:`InstanceFormatError`. orjson reads an
 integer beyond 64 bits as the nearest double, which is the double
 ``json``'s integer converts to; only a ``dim`` of 2**64 or more reads
 differently, and it is refused either way.
@@ -99,9 +106,19 @@ import numpy as np
 
 from .compat import CompatReport
 from .errors import InstanceFormatError
-from .generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES
 from .linalg import Tolerances, as_dim, read_only
 from .scenario import ScenarioResult
+
+#: Largest instance, in matrix entries (count * dim^2), the command line
+#: generates, reads or realizes: 2**24 complex128 entries are 256 MiB.
+#: :func:`_over_a_cap` is its one check.
+MAX_INSTANCE_ENTRIES = 1 << 24
+
+#: Most matrices in an instance the command line generates, reads or
+#: realizes: a report holds count x count pairwise tables, so 1024 matrices
+#: of 2 x 2 already give a 52 MB report (51.7 MB compatible, 52.6 MB
+#: incompatible, at seed 1). :func:`_over_a_cap` is its one check.
+MAX_INSTANCE_MATRICES = 1024
 
 #: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
 #: count bounds the nesting depth, which orjson does not limit itself.
@@ -121,14 +138,33 @@ ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
 JSON_MAX_DEPTH = 1000
 
 
+def _over_a_cap(count: int, dim: int) -> str | None:
+    """Why an instance of ``count`` matrices of ``dim`` x ``dim`` is too large,
+    naming the matrix cap first, or None when it is within both caps.
+
+    The reader and the ``generate`` verb refuse with this text, before they
+    convert or generate any matrix. The caps are read when it is called.
+    """
+    if count > MAX_INSTANCE_MATRICES:
+        return f"{count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
+    entries = count * dim**2
+    return (f"{count} matrices of {dim} x {dim} are {entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}"
+            if entries > MAX_INSTANCE_ENTRIES else None)
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Parsed instance file: raw matrices plus optional tolerance overrides.
 
-    ``dim`` is a positive integer, stored as an ``int``. An instance cannot
-    change after it is made: it is frozen, ``names`` and ``matrices`` are
-    tuples, each matrix is a read-only copy that no caller holds, and
-    ``tol_overrides`` is a read-only mapping. ``echo`` is the
+    ``dim`` is a positive integer, stored as an ``int``. The constructor
+    checks the rest of what a file must hold: it raises
+    :class:`InstanceFormatError` unless there is one name per matrix, each
+    a nonempty string, every matrix is ``dim`` x ``dim``, and every
+    tolerance override is a :class:`~statecompat.linalg.Tolerances` field.
+    It checks neither the size caps nor the matrices' numbers. An instance
+    cannot change after it is made: it is frozen, ``names`` and
+    ``matrices`` are tuples, each matrix is a read-only copy that no caller
+    holds, and ``tol_overrides`` is a read-only mapping. ``echo`` is the
     file's line, which a report echoes instead of re-encoding the instance;
     only :func:`load_instance` sets it, and an instance made any other way,
     by :func:`dataclasses.replace` too, has None; a copy or an unpickled
@@ -146,6 +182,16 @@ class Instance:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "matrices", tuple(map(read_only, self.matrices)))
         object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
+        if len(self.names) != len(self.matrices):
+            raise InstanceFormatError(f"{len(self.names)} names for {len(self.matrices)} matrices")
+        for idx, (name, matrix) in enumerate(zip(self.names, self.matrices)):
+            if not isinstance(name, str) or not name:
+                raise InstanceFormatError(f"matrix {idx}: name must be a nonempty string")
+            if matrix.shape != (self.dim, self.dim):
+                raise InstanceFormatError(f"matrix {name!r} is {matrix.shape}, not {self.dim} x {self.dim}")
+        for key in self.tol_overrides:
+            if key not in {f.name for f in fields(Tolerances)}:
+                raise InstanceFormatError(f"unknown tolerance {key!r}")
 
     def __reduce__(self):
         """Copies and unpickled instances are made by the constructor, and keep the echo."""
@@ -205,13 +251,8 @@ def parse_instance(obj) -> Instance:
     raw_matrices = obj.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise InstanceFormatError('"matrices" must be a nonempty list')
-    if len(raw_matrices) > MAX_INSTANCE_MATRICES:  # before any matrix is converted
-        raise InstanceFormatError(f"instance too large: {len(raw_matrices)} matrices, "
-                                  f"over the cap of {MAX_INSTANCE_MATRICES}")
-    entries = len(raw_matrices) * dim**2
-    if entries > MAX_INSTANCE_ENTRIES:  # the cap of generate, also before any conversion
-        raise InstanceFormatError(f"instance too large: {len(raw_matrices)} matrices of {dim} x {dim} "
-                                  f"are {entries} entries, over the cap of {MAX_INSTANCE_ENTRIES}")
+    if too_large := _over_a_cap(len(raw_matrices), dim):  # before any matrix is converted
+        raise InstanceFormatError(f"instance too large: {too_large}")
     names, matrices = [], []
     for idx, entry in enumerate(raw_matrices):
         if not isinstance(entry, dict) or "rows" not in entry:
@@ -221,16 +262,10 @@ def parse_instance(obj) -> Instance:
             raise InstanceFormatError(f"matrix {idx}: name must be a nonempty string")
         names.append(name)
         matrices.append(_parse_matrix(entry["rows"], dim, f"matrix {name!r}"))
-    overrides = {}
-    if "tolerances" in obj:
-        tols = obj["tolerances"]
-        if not isinstance(tols, dict):
-            raise InstanceFormatError('"tolerances" must be an object')
-        known = [f.name for f in fields(Tolerances)]
-        for key, value in tols.items():
-            if key not in known:
-                raise InstanceFormatError(f"unknown tolerance {key!r}")
-            overrides[key] = _as_number(value, f"tolerances.{key}")
+    tols = obj.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise InstanceFormatError('"tolerances" must be an object')
+    overrides = {key: _as_number(value, f"tolerances.{key}") for key, value in tols.items()}
     return Instance(dim=dim, names=names, matrices=matrices, tol_overrides=overrides)
 
 

@@ -6,6 +6,8 @@ construction M M^dag / tr. Instance builders return raw matrices so that the
 validation path stays exercised downstream. Generated instances are kept
 well-conditioned on purpose: every eigenvalue inside a support sits orders of
 magnitude above the rank cutoff, so the verdicts they exhibit are stable.
+The builders take any size; how large an instance may be is decided by
+:mod:`statecompat.fileio`, whose caps the ``generate`` verb checks first.
 
 Draw order of :func:`compatible_instance`: the planted state's two
 ``standard_normal(dim)`` draws, then per matrix ``uniform``, ``integers`` and,
@@ -45,16 +47,6 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .linalg import as_dim
-
-#: Largest instance, in matrix entries (count * dim^2), the command line
-#: generates, checks or realizes: 2**24 complex128 entries are 256 MiB.
-MAX_INSTANCE_ENTRIES = 1 << 24
-
-#: Most matrices in an instance the command line generates, checks or
-#: realizes: a report holds count x count pairwise tables, so 1024 matrices
-#: of 2 x 2 already give a 52 MB report (51.7 MB compatible, 52.6 MB
-#: incompatible, at seed 1).
-MAX_INSTANCE_MATRICES = 1024
 
 #: Most bytes of weighted outer products :func:`compatible_instance` holds at
 #: once, unless one term is larger: 64 KiB, four terms at dim 32. The frame

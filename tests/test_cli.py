@@ -16,9 +16,8 @@ from statecompat import compat, fileio
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
 from statecompat.density import DensityMatrix, validate_density
-from statecompat.errors import NumericalFailureError
+from statecompat.errors import InstanceFormatError, NumericalFailureError
 from statecompat.generate import (
-    MAX_INSTANCE_MATRICES,
     generate_instance,
     incompatible_instance,
     pairwise_only_instance,
@@ -29,6 +28,7 @@ from statecompat.generate import (
 from statecompat.linalg import DEFAULT_TOL
 from statecompat.scenario import run_scenario
 from statecompat.fileio import (
+    MAX_INSTANCE_MATRICES,
     Instance,
     dump_payload,
     instance_payload,
@@ -657,6 +657,34 @@ def test_generate_caps_its_size_before_allocating(capsys):
         assert main(["generate"] + argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err and "cap" in err, err
+
+
+@pytest.mark.parametrize("count, dim, flag", [
+    (1025, 2, "--count"),  # the matrix cap alone is over
+    (2, 2897, "--dim"),  # the entry cap alone, and two matrices of that dim are over it
+    (1025, 4097, "--count"),  # both caps are over: the matrix cap is named first
+    (5000000, 2, "--count"),
+])
+def test_reading_and_generating_refuse_a_size_in_the_same_words(tmp_path, capsys, count, dim, flag):
+    with pytest.raises(InstanceFormatError) as excinfo:
+        parse_instance({"dim": dim, "matrices": [{"rows": []}] * count})
+    read = str(excinfo.value).removeprefix("instance too large: ")
+    assert read != str(excinfo.value)
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--count", str(count), "--dim", str(dim), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"statecompat: error: {flag} too large: {read}\n"
+    assert not out.exists()
+
+
+def test_neither_reading_nor_generating_refuses_the_largest_count_for_size(tmp_path, capsys):
+    with pytest.raises(InstanceFormatError) as excinfo:  # refused for its empty rows instead
+        parse_instance({"dim": 2, "matrices": [{"rows": []}] * 1024})
+    assert str(excinfo.value) == "matrix 'rho_1': expected 2 rows"
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--count", "1024", "--dim", "2", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(load_instance(out).matrices) == 1024
 
 
 #: ``cli.main`` on the argv ``sys.argv[1:]`` in a fresh interpreter, or only

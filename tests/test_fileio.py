@@ -4,6 +4,7 @@ import io
 import json
 import operator
 import pickle
+import re
 import sys
 import tempfile
 from types import SimpleNamespace
@@ -21,6 +22,8 @@ from statecompat.compat import full_report
 from statecompat.density import validate_density
 from statecompat.errors import InstanceFormatError
 from statecompat.fileio import (
+    MAX_INSTANCE_ENTRIES,
+    MAX_INSTANCE_MATRICES,
     Instance,
     dump_payload,
     instance_payload,
@@ -29,7 +32,7 @@ from statecompat.fileio import (
     parse_instance,
     report_payload,
 )
-from statecompat.generate import MAX_INSTANCE_ENTRIES, MAX_INSTANCE_MATRICES, crandn, generate_instance
+from statecompat.generate import crandn, generate_instance
 from statecompat.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import (
@@ -609,7 +612,8 @@ FROZEN = dataclasses.FrozenInstanceError
 #: change -> (the change made in place, the error that refuses it, the same
 #: change as the fields of a new instance)
 CHANGES = {
-    "dim": (lambda inst: setattr(inst, "dim", 4), FROZEN, lambda inst: {"dim": 4}),
+    "dim": (lambda inst: setattr(inst, "dim", 4), FROZEN,
+            lambda inst: {"dim": 4, "matrices": [np.pad(m, (0, 1)) for m in inst.matrices]}),
     "name": (lambda inst: operator.setitem(inst.names, 0, "renamed"), TypeError,
              lambda inst: {"names": ("renamed", *inst.names[1:])}),
     "names-replaced": (lambda inst: setattr(inst, "names", ("x", "y")), FROZEN,
@@ -628,9 +632,10 @@ CHANGES = {
     "matrices-swapped": (lambda inst: inst.matrices.reverse(), AttributeError,
                          lambda inst: {"matrices": inst.matrices[::-1]}),
     "matrix-appended": (lambda inst: inst.matrices.append(FLIPPED), AttributeError,
-                        lambda inst: {"matrices": (*inst.matrices, FLIPPED)}),
+                        lambda inst: {"names": (*inst.names, "flipped"),
+                                      "matrices": (*inst.matrices, FLIPPED)}),
     "matrix-removed": (lambda inst: inst.matrices.pop(), AttributeError,
-                       lambda inst: {"matrices": inst.matrices[:-1]}),
+                       lambda inst: {"names": inst.names[:-1], "matrices": inst.matrices[:-1]}),
     "matrices-replaced": (lambda inst: setattr(inst, "matrices", (FLIPPED, FLIPPED)), FROZEN,
                           lambda inst: {"matrices": (FLIPPED, FLIPPED)}),
 }
@@ -658,6 +663,35 @@ def test_changed_instance_is_re_encoded(tmp_path, change):
     canonical = write_to_text(instance_payload(changed))
     assert_spells_as_json_dumps(canonical, instance_payload(changed))
     assert instance_text(changed, report) == canonical.removesuffix("\n")
+
+
+#: fields an instance may not hold -> the refusal's message
+INCONSISTENT = {
+    "two names for three matrices": ({"names": ["a", "b"], "matrices": [np.eye(4) / 4] * 3},
+                                     "2 names for 3 matrices"),
+    "three names for two matrices": ({"names": ["a", "b", "c"], "matrices": [np.eye(4) / 4] * 2},
+                                     "3 names for 2 matrices"),
+    "empty name": ({"names": ["a", ""], "matrices": [np.eye(4) / 4] * 2},
+                   "matrix 1: name must be a nonempty string"),
+    "name not a string": ({"names": ["a", 2], "matrices": [np.eye(4) / 4] * 2},
+                          "matrix 1: name must be a nonempty string"),
+    "3 x 3 matrix": ({"names": ["a", "b"], "matrices": [np.eye(4) / 4, np.eye(3) / 3]},
+                     "matrix 'b' is (3, 3), not 4 x 4"),
+    "unknown tolerance": ({"names": ["a"], "matrices": [np.eye(4) / 4], "tol_overrides": {"x": 1e-9}},
+                          "unknown tolerance 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(INCONSISTENT))
+def test_an_instance_refuses_what_no_file_can_hold(case):
+    """The constructor, also by dataclasses.replace, refuses fields that would
+    write a file its reader refuses, or one holding less than the instance."""
+    changes, message = INCONSISTENT[case]
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        Instance(dim=4, **changes)
+    valid = Instance(dim=4, names=["a"], matrices=[np.eye(4) / 4], tol_overrides={"rank_rel": 1e-9})
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(valid, **changes)
 
 
 def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):

@@ -9,7 +9,7 @@ as ``tools/ab_ops.py`` does it. The shapes are the benchmark pools': every
 (dim, count, mode) that a set-up of each workload in ``bench/workloads.py``
 passes to ``generate_instance``, recorded from one set-up of the working
 tree's package. Beside them come the largest shapes the ``generate`` verb
-makes at its caps (:data:`CAP_SHAPES`), where the batches are largest and a
+makes at its caps (:func:`cap_shapes`), where the batches are largest and a
 compatible instance makes the most weight draws. For each shape and each of
 two seeds, the two packages must
 agree bit for bit on the matrices of ``generate_instance`` and on those of
@@ -36,11 +36,13 @@ from ab_ops import ROOT, THREAD_VARS, WORKLOAD_NAMES, array_bytes, export_base, 
 
 SEEDS = (1, 2)
 
-#: (dim, count, mode) at the ``generate`` verb's caps: 1,024 matrices of
-#: dim 2 and 512 of dim 4 in the compatible and incompatible modes, and the
-#: three matrices of pairwise-only mode at dim 64
-CAP_SHAPES = [(d, c, mode) for mode in ("compatible", "incompatible") for d, c in ((2, 1024), (4, 512))] + [
-    (64, 3, "pairwise-only")]
+def cap_shapes(max_matrices: int) -> list[tuple[int, int, str]]:
+    """(dim, count, mode) at the ``generate`` verb's caps: ``max_matrices``
+    matrices of dim 2 (the matrix cap, 1,024) and 512 of dim 4 in the
+    compatible and incompatible modes, and the three matrices of
+    pairwise-only mode at dim 64."""
+    return [(d, c, mode) for mode in ("compatible", "incompatible")
+            for d, c in ((2, max_matrices), (4, 512))] + [(64, 3, "pairwise-only")]
 
 
 def pool_shapes(workloads, workdir: Path) -> list[tuple[int, int, str]]:
@@ -87,10 +89,11 @@ def main(argv=None) -> int:
         export_base(args.ref, tmp)
         sys.path[:0] = [str(ROOT / "src"), str(tmp)]
         from statecompat import generate as head
+        from statecompat.fileio import MAX_INSTANCE_MATRICES
         from statecompat_base import generate as base
 
         pools = pool_shapes(load_workloads("statecompat", "workloads_head"), tmp)
-        shapes = pools + [shape for shape in CAP_SHAPES if shape not in pools]
+        shapes = pools + [shape for shape in cap_shapes(MAX_INSTANCE_MATRICES) if shape not in pools]
         for dim, count, mode in shapes:
             for seed in SEEDS:
                 got, want = drawn(head, dim, count, mode, seed), drawn(base, dim, count, mode, seed)
