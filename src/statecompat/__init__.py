@@ -51,7 +51,6 @@ from .scenario import (
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
-    scenario_with_shared_state,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "observer_reduced_density",
     "product_nonzero",
     "run_scenario",
-    "scenario_with_shared_state",
     "subspace_intersection",
     "support",
     "support_compatible",

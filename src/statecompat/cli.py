@@ -4,7 +4,9 @@ Verbs:
   check     read an instance file, decide compatibility, write a report
   scenario  additionally run the round trip around the report's witness: each
             observer's state after finding their ancilla at level 0, and its
-            distance from their input
+            distance from their input. The set is checked, its spectra
+            stacked and rank-split and its intersection decided once, and
+            the report and the round trip both read that one split.
   generate  write a seeded random instance file
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,
@@ -21,13 +23,13 @@ import argparse
 import functools
 import sys
 
-from .compat import full_report
+from .compat import _report, _split_set
 from .density import DensityMatrix, validate_density
 from .errors import IncompatibleError, StateCompatError
 from .fileio import Instance, _over_a_cap, dump_payload, instance_payload, load_instance, report_payload
 from .generate import generate_instance
 from .linalg import DEFAULT_TOL, Tolerances
-from .scenario import scenario_with_shared_state
+from .scenario import _realize
 
 EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
@@ -97,15 +99,17 @@ def _load_validated(
 def cmd_report(args) -> int:
     """The ``check`` and ``scenario`` verbs: write the report and return the exit code.
 
-    ``scenario`` adds the round trip around the report's witness. On an
-    incompatible set it writes the report before its diagnostic.
+    ``scenario`` adds the round trip around the report's witness, from the
+    report's own split of the set. On an incompatible set it writes the
+    report before its diagnostic.
     """
     instance, tol, rhos = _load_validated(args.input, args.tol_rank, args.tol_match)
-    report = full_report(rhos, tol)
+    split = _split_set(rhos, tol)
+    report = _report(split, tol)
     result = failure = None
     if args.command == "scenario":
         try:
-            result = scenario_with_shared_state(rhos, report.witness, tol)
+            result = _realize(split, tol)
         except IncompatibleError as exc:
             failure = exc
     _emit(report_payload(report, instance.names, tol, instance, result), args.output)

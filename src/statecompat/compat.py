@@ -15,10 +15,12 @@ intersection (:func:`support_compatible`, :func:`forbidden_subspace`,
 with :func:`_split_set`: it checks the set, stacks the spectra once, makes
 the one rank decision (:func:`statecompat.density._rank_split`) and runs the
 SVD, which yields the intersection dimension, the defects and the raw
-directions, conjugated as rows; the scenario reuses the spectra with their
-cutoffs and ranks. :func:`full_report` and the scenario conjugate and
-phase-fix only the witness column, and only the functions that return
-subspaces conjugate, phase-fix and wrap the columns they return.
+directions, conjugated as rows. That split is all the report
+(:func:`_report`) and the round trip (:func:`statecompat.scenario._realize`)
+read, so the CLI makes one per file and hands it to both, and both take the
+same state, :func:`_witness`, the one column they conjugate and phase-fix;
+only the functions that return subspaces conjugate, phase-fix and wrap the
+columns they return.
 
 Two older pairwise conditions are evaluated alongside for comparison:
 commutation of the pair (neither necessary nor sufficient) and a nonzero
@@ -129,9 +131,19 @@ def _intersection_basis(vectors: np.ndarray, count: int, conjugated: np.ndarray)
     eigenvectors in the order validation left them; the SVD counts them
     too, since one matrix's null-space rows are orthonormal (singular values
     0 or 1). Only the columns returned are conjugated and phase-fixed: for
-    the witness of :func:`full_report` and the scenario, one.
+    the witness, one.
     """
     return _fix_columns(vectors[0, :, :count] if len(vectors) == 1 else conjugated[:count].conj().T)
+
+
+def _witness(split: tuple) -> np.ndarray | None:
+    """The state every support shares, as the report and the scenario take it, or None.
+
+    ``split`` is what :func:`_split_set` returns; the witness is its first
+    intersection direction, phase-fixed, and None when the count is 0.
+    """
+    _, (_, vectors, *_), count, _, conjugated = split
+    return _intersection_basis(vectors, 1, conjugated)[:, 0] if count else None
 
 
 def support_compatible(rhos, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, Subspace]:
@@ -229,7 +241,12 @@ def _near_cut(rows: list, cuts: list, scales: list) -> bool:
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Evaluate every criterion on the set and aggregate the results."""
-    rhos, (values, vectors, cutoffs, _, ranks), count, defects, conjugated = _split_set(rhos, tol)
+    return _report(_split_set(rhos, tol), tol)
+
+
+def _report(split: tuple, tol: Tolerances) -> CompatReport:
+    """:func:`full_report` of the set that :func:`_split_set` split into ``split``."""
+    rhos, (values, _, cutoffs, _, ranks), count, defects, _ = split
     n, dim = values.shape
     matrices = np.array([r.matrix for r in rhos])
     commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
@@ -246,7 +263,7 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
         n_matrices=n,
         compatible=count >= 1,
         intersection_dim=count,
-        witness=_intersection_basis(vectors, 1, conjugated)[:, 0] if count else None,
+        witness=_witness(split),
         forbidden_dim=dim - count,
         pairwise_commute=commute_res <= tol.match_abs,
         commute_residual=commute_res,

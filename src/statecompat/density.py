@@ -32,9 +32,9 @@ The scenario needs these ensembles for every observer around one state, so
 they are computed in one array pass over the stacked spectra
 (:func:`_ensembles_around`): all support defects, one batched Householder
 completion cut to the largest rank and the surplus eigenvectors. Of the
-ensemble checks it makes only those that can fail, naming the first
-offending observer: the support defect, the unit norm of the shared state
-and each weight sum; positive weights and unit terms hold by construction.
+ensemble checks it makes only those that can fail: the largest support
+defect, the unit norm of the shared state and each weight sum; positive
+weights and unit terms hold by construction.
 The terms are written in place into one preallocated array (the state, the
 completion, the basis), and norms are summed squares, not
 ``numpy.linalg.norm`` calls, so each quantity costs about one numpy call.
@@ -294,13 +294,16 @@ def _ensembles_around(
     the kept terms, so that each caller divides them once.
 
     Only the checks that can fail are made, with the messages of the
-    :class:`Ensemble` constructor and the order of one observer at a time:
-    the support defect (the first observer outside raises
-    :class:`StateOutsideSupportError` after the checks below pass for the
-    observers before it), the unit norm of phi within :data:`UNIT_TOL`,
-    checked once since phi is the one term a caller supplies, and each
-    weight sum within :data:`TRACE_TOL`, which a large ``tol.rank_rel``
-    breaks by dropping eigenvalues. The constructor's other checks hold by
+    :class:`Ensemble` constructor, in this order: the largest support defect
+    (above ``tol.match_abs`` it raises :class:`StateOutsideSupportError`,
+    quoting it), the unit norm of phi within :data:`UNIT_TOL`, checked once
+    since phi is the one term a caller supplies, and each weight sum within
+    :data:`TRACE_TOL`, which a large ``tol.rank_rel`` breaks by dropping
+    eigenvalues. For the one matrix of :func:`ensemble_containing` that is
+    the order of the :class:`Ensemble` constructor after the support test.
+    A set of several matrices comes only from the scenario, whose phi is
+    the witness of their supports' intersection, so none of these checks
+    fails there. The constructor's other checks hold by
     construction: a kept weight is r_0 or a kept surplus, each above a zero
     cutoff greater than 0; a kept eigenvector is a column of a validated
     spectrum, and a completion a Householder reflection of an orthonormal
@@ -324,21 +327,19 @@ def _ensembles_around(
     coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
     states[:, :, 1:top] = _householder_completions(basis, coeffs)
     gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
-    defects = np.sqrt((gap.conj() * gap).real.sum(axis=1)).tolist()
-    first = next((k for k, defect in enumerate(defects) if defect > tol.match_abs), n)
-    if first:
-        norm = math.sqrt((phi.conj() * phi).real.sum())
-        if not abs(norm - 1.0) <= UNIT_TOL:
-            raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
-    totals = np.where(keep, weights, 0.0).sum(axis=1)
-    for total in totals[:first].tolist():
-        if not abs(total - 1.0) <= TRACE_TOL:
-            raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
-    if first < n:
+    defect = math.sqrt(max((gap.conj() * gap).real.sum(axis=1).tolist()))
+    if defect > tol.match_abs:
         raise StateOutsideSupportError(
-            f"state has a null-space component (projection defect {defects[first]:.3e}); "
+            f"state has a null-space component (projection defect {defect:.3e}); "
             "no ensemble for this density matrix can contain it"
         )
+    norm = math.sqrt((phi.conj() * phi).real.sum())
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
+    totals = np.where(keep, weights, 0.0).sum(axis=1)
+    for total in totals.tolist():
+        if not abs(total - 1.0) <= TRACE_TOL:
+            raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
     return weights, totals, states.transpose(0, 2, 1), keep
 
 

@@ -21,9 +21,10 @@ This module alone decides what an instance may hold. Its size caps,
 :data:`MAX_INSTANCE_MATRICES` and :data:`MAX_INSTANCE_ENTRIES`, are checked
 by one function, which the reader calls before it converts a matrix and the
 ``generate`` verb before it draws one, so both refuse a size in the same
-words. The :class:`Instance` constructor checks the rest: one nonempty name
-per ``dim`` x ``dim`` matrix and known tolerance names, so an instance writes
-no file that its reader refuses for them.
+words. The :class:`Instance` constructor checks the rest: at least one
+matrix, one nonempty name per ``dim`` x ``dim`` matrix, and tolerances that
+are known names with numbers for values, so an instance writes no file that
+its reader refuses for them; the reader leaves those checks to it.
 
 Files are written as one line of ASCII JSON with sorted keys (``python -m
 json.tool FILE`` pretty-prints one); reading accepts any layout. Numbers move
@@ -157,11 +158,14 @@ class Instance:
     """Parsed instance file: raw matrices plus optional tolerance overrides.
 
     ``dim`` is a positive integer, stored as an ``int``. The constructor
-    checks the rest of what a file must hold: it raises
-    :class:`InstanceFormatError` unless there is one name per matrix, each
-    a nonempty string, every matrix is ``dim`` x ``dim``, and every
-    tolerance override is a :class:`~statecompat.linalg.Tolerances` field.
-    It checks neither the size caps nor the matrices' numbers. An instance
+    checks the rest of what a file must hold, in the reader's words: it
+    raises :class:`InstanceFormatError` unless there is at least one
+    matrix, one name per matrix, each a nonempty string, every matrix is
+    ``dim`` x ``dim``, every tolerance override is a number that a double
+    holds (an ``int`` or a ``float``, not a ``bool``), stored as a
+    ``float``, and each is named after a
+    :class:`~statecompat.linalg.Tolerances` field. It checks neither the
+    size caps nor the matrices' numbers. An instance
     cannot change after it is made: it is frozen, ``names`` and
     ``matrices`` are tuples, each matrix is a read-only copy that no caller
     holds, and ``tol_overrides`` is a read-only mapping. ``echo`` is the
@@ -181,7 +185,8 @@ class Instance:
         object.__setattr__(self, "dim", as_dim(self.dim, "instance dimension"))
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "matrices", tuple(map(read_only, self.matrices)))
-        object.__setattr__(self, "tol_overrides", MappingProxyType(dict(self.tol_overrides)))
+        if not self.matrices:
+            raise InstanceFormatError('"matrices" must be a nonempty list')
         if len(self.names) != len(self.matrices):
             raise InstanceFormatError(f"{len(self.names)} names for {len(self.matrices)} matrices")
         for idx, (name, matrix) in enumerate(zip(self.names, self.matrices)):
@@ -189,7 +194,10 @@ class Instance:
                 raise InstanceFormatError(f"matrix {idx}: name must be a nonempty string")
             if matrix.shape != (self.dim, self.dim):
                 raise InstanceFormatError(f"matrix {name!r} is {matrix.shape}, not {self.dim} x {self.dim}")
-        for key in self.tol_overrides:
+        overrides = {key: _as_number(value, f"tolerances.{key}")
+                     for key, value in dict(self.tol_overrides).items()}
+        object.__setattr__(self, "tol_overrides", MappingProxyType(overrides))
+        for key in overrides:
             if key not in {f.name for f in fields(Tolerances)}:
                 raise InstanceFormatError(f"unknown tolerance {key!r}")
 
@@ -249,7 +257,7 @@ def parse_instance(obj) -> Instance:
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InstanceFormatError('"dim" must be a positive integer')
     raw_matrices = obj.get("matrices")
-    if not isinstance(raw_matrices, list) or not raw_matrices:
+    if not isinstance(raw_matrices, list):
         raise InstanceFormatError('"matrices" must be a nonempty list')
     if too_large := _over_a_cap(len(raw_matrices), dim):  # before any matrix is converted
         raise InstanceFormatError(f"instance too large: {too_large}")
@@ -258,15 +266,12 @@ def parse_instance(obj) -> Instance:
         if not isinstance(entry, dict) or "rows" not in entry:
             raise InstanceFormatError(f'matrix {idx}: expected an object with "rows"')
         name = entry.get("name", f"rho_{idx + 1}")
-        if not isinstance(name, str) or not name:
-            raise InstanceFormatError(f"matrix {idx}: name must be a nonempty string")
         names.append(name)
         matrices.append(_parse_matrix(entry["rows"], dim, f"matrix {name!r}"))
     tols = obj.get("tolerances", {})
     if not isinstance(tols, dict):
         raise InstanceFormatError('"tolerances" must be an object')
-    overrides = {key: _as_number(value, f"tolerances.{key}") for key, value in tols.items()}
-    return Instance(dim=dim, names=names, matrices=matrices, tol_overrides=overrides)
+    return Instance(dim=dim, names=names, matrices=matrices, tol_overrides=tols)
 
 
 def _echo(text: str, obj: dict) -> str | None:
@@ -337,11 +342,6 @@ def _pairs(m) -> np.ndarray:
     """The C-contiguous ``(..., 2)`` float64 view of ``m`` as complex128: its ``[re, im]`` pairs."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     return a.view(np.float64).reshape(a.shape + (2,))
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested lists of the array's shape, each complex entry an ``[re, im]`` pair."""
-    return _pairs(m).tolist()
 
 
 def _to_json(value):

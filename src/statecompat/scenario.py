@@ -25,11 +25,15 @@ matrix rows^T rows^*; neither step needs the dense form.
 :func:`run_scenario` performs the whole round trip: pick a common support
 state, decompose every input around it, condition each observer on the
 level-0 outcome, trace down to the system, and report the distance to the
-original assignment. It computes only what it returns: the spectra are
-stacked and their ranks decided once, by the support test of the check path
-(:func:`statecompat.compat._split_set`), and serve the ensembles too; one
-array call (:func:`statecompat.density._ensembles_around`) gives every
-ensemble, and observer k's level-0 rows of the joint state (phi and k's own scaled extra
+original assignment. It is :func:`_realize` of the split that the check path
+makes (:func:`statecompat.compat._split_set`): the spectra are stacked and
+their ranks decided once, for the support test and the ensembles alike, and
+the shared state is the report's witness (:func:`statecompat.compat._witness`),
+so the CLI's ``scenario`` verb hands its report's split to :func:`_realize`
+and no state from outside the package reaches the ensembles. It computes
+only what it returns: one array call
+(:func:`statecompat.density._ensembles_around`) gives every ensemble, and
+observer k's level-0 rows of the joint state (phi and k's own scaled extra
 terms) are read straight from those arrays, so all n reductions are one
 batched Gram product and no :class:`CompositeState` is built. A Gram matrix
 is positive semidefinite by construction, so the recovered matrices are
@@ -48,16 +52,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import _check_rhos, _intersection_basis, _split_set
-from .density import _ensembles_around, _spectra
+from .compat import _split_set, _witness
+from .density import _ensembles_around
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
     IncompatibleError,
     StateCompatError,
 )
-from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, as_array,
-                     as_complex_vector, as_dim, read_only)
+from .linalg import DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, as_array, as_dim, read_only
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
@@ -289,32 +292,16 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     :func:`statecompat.compat._split_set`, for the support test and the
     ensembles.
     """
-    rhos, spectra, count, _, conjugated = _split_set(rhos, tol)
-    if count == 0:
-        raise IncompatibleError(_NO_SHARED_STATE)
-    return _realize(rhos, spectra, _intersection_basis(spectra[1], 1, conjugated)[:, 0], tol)
+    return _realize(_split_set(rhos, tol), tol)
 
 
-def scenario_with_shared_state(rhos, phi, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
-    """:func:`run_scenario` after its support test, around a known shared state.
+def _realize(split: tuple, tol: Tolerances) -> ScenarioResult:
+    """The round trip of the set that :func:`statecompat.compat._split_set` split into ``split``.
 
-    ``phi`` is a unit vector in every support, such as the witness of
-    :func:`statecompat.compat.full_report`, or None when the supports share
-    no state, which raises :class:`IncompatibleError`. The spectra are
-    stacked and rank-split here, by :func:`statecompat.density._spectra` as
-    in the support test.
-    """
-    if phi is None:
-        raise IncompatibleError(_NO_SHARED_STATE)
-    rhos = _check_rhos(rhos)
-    return _realize(rhos, _spectra(rhos, tol), as_complex_vector(phi, rhos[0].dim), tol)
-
-
-def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
-    """The round trip around ``phi`` for matrices with the stacked, rank-split ``spectra``.
-
-    ``spectra`` is (values, vectors, cutoffs, kept, ranks), as
-    :func:`statecompat.density._spectra` returns it. One
+    It runs around the report's witness (:func:`statecompat.compat._witness`)
+    and raises :class:`IncompatibleError` when there is none. The spectra
+    are (values, vectors, cutoffs, kept, ranks), as
+    :func:`statecompat.density._spectra` returns them. One
     :func:`statecompat.density._ensembles_around` call gives every ensemble
     as 2R candidate terms, R the largest rank. Scaling term i of ensemble k
     by sqrt(w_ki / w_k0) and zeroing the terms it does not keep gives
@@ -324,6 +311,10 @@ def _realize(rhos, spectra: tuple, phi, tol: Tolerances) -> ScenarioResult:
     |phi|^2 / (|phi|^2 + the squared norm of every extra row). A single
     assignment is realized by two observers holding it and reported once.
     """
+    phi = _witness(split)
+    if phi is None:
+        raise IncompatibleError(_NO_SHARED_STATE)
+    rhos, spectra = split[:2]
     if len(rhos) == 1:
         spectra = [part[[0, 0]] for part in spectra]
     weights, totals, states, keep = _ensembles_around(*spectra, phi, tol)

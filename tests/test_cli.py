@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statecompat
-from statecompat import compat, fileio
+from statecompat import compat, density, fileio
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
 from statecompat.density import DensityMatrix, validate_density
@@ -332,26 +332,78 @@ def test_report_schema(tmp_path, verb, matrices):
 
 
 def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):
+    """Either report verb splits the set once: one intersection split (the SVD of
+    compat._split_set) and one rank split of the stacked spectra per op, which the
+    report and the round trip both read."""
     gen = tmp_path / "gen.json"
     assert main(["generate", "--dim", "5", "--count", "3", "--seed", "4",
                  "--mode", "compatible", "--output", str(gen)]) == 0
-    splits = []
-    original = compat._split_rows
+    calls = []
+    for module, name in ((compat, "_split_rows"), (density, "_rank_split")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
 
-    def counting_split(*args):
-        splits.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(compat, "_split_rows", counting_split)
-    with count_linalg() as cli_counts:
-        assert main(["scenario", "--input", str(gen), "--output", str(tmp_path / "r.json")]) == 0
-    assert len(splits) == 1
+        monkeypatch.setattr(module, name, counting)
+    for verb in ("check", "scenario"):
+        calls.clear()
+        with count_linalg() as cli_counts:
+            assert main([verb, "--input", str(gen), "--output", str(tmp_path / "r.json")]) == 0
+        assert sorted(calls) == ["_rank_split", "_split_rows"], verb
+        assert cli_counts["svd"] == 1, verb
     # The report's one SVD is the scenario's own support test: the whole run
     # makes no more SVDs than run_scenario alone.
     rhos = [validate_density(m) for m in parse_instance(json.loads(gen.read_text())).matrices]
     with count_linalg() as scenario_counts:
         run_scenario(rhos)
     assert cli_counts["svd"] == scenario_counts["svd"]
+
+
+def top_level_texts(text: str) -> dict[str, str]:
+    """Each key of a written one-line JSON object with its value's text, as written."""
+    decoder, texts, pos = json.JSONDecoder(), {}, 1
+    while text[pos] != "}":
+        key, pos = decoder.raw_decode(text, pos)
+        assert text[pos:pos + 2] == ": "
+        start = pos + 2
+        pos = decoder.raw_decode(text, start)[1]
+        texts[key] = text[start:pos]
+        pos += 2 if text.startswith(", ", pos) else 0
+    return texts
+
+
+def report_sets(tmp_path):
+    """Instance files for both verbs: generated compatible and incompatible sets, one
+    matrix, and pure pairs at 0.99 and 1.01 of the angle where the verdict flips."""
+    for mode in ("compatible", "incompatible"):
+        path = tmp_path / f"{mode}.json"
+        assert main(["generate", "--dim", "4", "--count", "3", "--seed", "12",
+                     "--mode", mode, "--output", str(path)]) == 0
+        yield mode, path, mode == "compatible"
+    rho = random_density(3, np.random.default_rng(5), rank=2)
+    yield "one matrix", write_instance(tmp_path / "one.json", [rho]), True
+    frame = random_unitary(3, np.random.default_rng(9))
+    for ratio in (0.99, 1.01):
+        theta = ratio * DEFAULT_TOL.match_abs
+        b = np.cos(theta) * frame[:, 0] + np.sin(theta) * frame[:, 1]
+        pair = [np.outer(frame[:, 0], frame[:, 0].conj()), np.outer(b, b.conj())]
+        yield f"theta {ratio}", write_instance(tmp_path / f"theta_{ratio}.json", pair), ratio < 1.0
+
+
+def test_check_and_scenario_write_the_same_report(tmp_path):
+    """The two verbs read one split of the set, so their "report" sections are
+    the same bytes; only scenario adds the round trip, on a compatible set."""
+    for name, path, compatible in report_sets(tmp_path):
+        texts, codes = {}, {}
+        for verb in ("check", "scenario"):
+            out = tmp_path / f"{verb}.report.json"
+            codes[verb] = main([verb, "--input", str(path), "--output", str(out)])
+            texts[verb] = top_level_texts(out.read_text(encoding="ascii").removesuffix("\n"))
+        assert codes == dict.fromkeys(codes, 0 if compatible else 1), name
+        assert json.loads(texts["check"]["report"])["compatible"] is compatible, name
+        assert texts["check"]["report"] == texts["scenario"]["report"], name
+        assert texts["check"]["instance"] == texts["scenario"]["instance"], name
+        assert ("scenario" in texts["scenario"]) is compatible and "scenario" not in texts["check"], name
 
 
 def check_and_scenario_codes(path):

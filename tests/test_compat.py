@@ -24,7 +24,7 @@ from statecompat.generate import (
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL
-from statecompat.scenario import run_scenario, scenario_with_shared_state
+from statecompat.scenario import run_scenario
 
 from conftest import count_linalg, loop_pairwise, projection_defect
 
@@ -92,10 +92,8 @@ def test_rejects_empty_and_mismatched():
 
 @pytest.mark.parametrize(
     "call",
-    [full_report, support_compatible, run_scenario,
-     lambda rhos: scenario_with_shared_state(rhos, E0), lambda rhos: commutes(*rhos)],
-    ids=["full_report", "support_compatible", "run_scenario", "scenario_with_shared_state",
-         "commutes"],
+    [full_report, support_compatible, run_scenario, lambda rhos: commutes(*rhos)],
+    ids=["full_report", "support_compatible", "run_scenario", "commutes"],
 )
 def test_a_set_holds_only_density_matrices(call):
     """An element that is not a validated DensityMatrix, such as the array it would

@@ -38,7 +38,7 @@ from statecompat.generate import (
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances
-from statecompat.scenario import BlockState, CompositeState, scenario_with_shared_state
+from statecompat.scenario import BlockState, CompositeState
 
 from conftest import (
     check_stacked_ensembles,
@@ -619,7 +619,7 @@ def test_negative_eigenvalues_are_clamped_up_to_the_zero_cutoff(factor, rank_rel
         lambda: Ensemble(2, [(1.0, "ab")]),
         lambda: Ensemble(2, [(1.0,)]),
         lambda: ensemble_containing(validate_density(np.diag([1.0, 0.0])), "ab"),
-        lambda: scenario_with_shared_state([validate_density(np.diag([1.0, 0.0]))], [1, [0]]),
+        lambda: ensemble_containing(validate_density(np.diag([1.0, 0.0])), [1, [0]]),
         lambda: Subspace(2, [[1, 0], [0]]),
         lambda: CompositeState([2, 2], 2, [[0, 0], [1]], [[1.0, 0.0], [0.0, 0.0]]),
         lambda: Tolerances(rank_rel="1e-3"),
@@ -639,12 +639,11 @@ def test_unreadable_input_raises_a_one_line_statecompat_error(call):
 
 
 def test_a_state_of_the_wrong_length_gets_one_error():
-    """Ensembles, the decomposition and the scenario check a state's length in one place."""
+    """Ensembles and the decomposition check a state's length in one place."""
     rho = validate_density(np.diag([0.5, 0.5]))
     state = np.ones(3) / np.sqrt(3.0)
     for call in (lambda: Ensemble(2, [(1.0, state)]),
-                 lambda: ensemble_containing(rho, state),
-                 lambda: scenario_with_shared_state([rho, rho], state)):
+                 lambda: ensemble_containing(rho, state)):
         with pytest.raises(DimensionMismatchError) as info:
             call()
         assert str(info.value) == "vector length 3 != ambient dimension 2"

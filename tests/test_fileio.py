@@ -28,7 +28,6 @@ from statecompat.fileio import (
     dump_payload,
     instance_payload,
     load_instance,
-    matrix_to_pairs,
     parse_instance,
     report_payload,
 )
@@ -101,6 +100,33 @@ def test_parse_rejects_malformed(mutate):
     obj = sample_obj()
     mutate(obj)
     with pytest.raises(InstanceFormatError):
+        parse_instance(obj)
+
+
+#: a file's one fault -> the reader's message, the same whether the reader or the
+#: Instance constructor finds it
+ONE_FAULT = {
+    "matrices not a list": (lambda o: o.update(matrices={}), '"matrices" must be a nonempty list'),
+    "no matrix": (lambda o: o.update(matrices=[]), '"matrices" must be a nonempty list'),
+    "empty name": (lambda o: o["matrices"][0].update(name=""), "matrix 0: name must be a nonempty string"),
+    "name not a string": (lambda o: o["matrices"][0].update(name=7), "matrix 0: name must be a nonempty string"),
+    "tolerances not an object": (lambda o: o.update(tolerances=[1e-9]), '"tolerances" must be an object'),
+    "string tolerance": (lambda o: o.update(tolerances={"rank_rel": "tight"}),
+                         "tolerances.rank_rel: expected a number, got 'tight'"),
+    "bool tolerance": (lambda o: o.update(tolerances={"match_abs": True}),
+                       "tolerances.match_abs: expected a number, got True"),
+    "huge tolerance": (lambda o: o.update(tolerances={"rank_rel": 10**400}),
+                       "tolerances.rank_rel: an integer of 1329 bits is too large for a double"),
+    "unknown tolerance": (lambda o: o.update(tolerances={"bogus": 1.0}), "unknown tolerance 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_FAULT))
+def test_a_file_with_one_fault_keeps_its_message(case):
+    mutate, message = ONE_FAULT[case]
+    obj = sample_obj()
+    mutate(obj)
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
         parse_instance(obj)
 
 
@@ -239,12 +265,12 @@ def test_serialize_parse_is_bit_exact(tmp_path):
 def test_vector_pairs_round_trip():
     rng = np.random.default_rng(1)
     v = crandn(rng, 5)
-    again = pairs_to_vector(json.loads(json.dumps(matrix_to_pairs(v))))
+    again = pairs_to_vector(json.loads(json.dumps(fileio._pairs(v).tolist())))
     assert np.array_equal(again, v)
 
 
 def test_matrix_to_pairs_shape():
-    pairs = matrix_to_pairs(np.eye(2))
+    pairs = fileio._pairs(np.eye(2)).tolist()
     assert pairs == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
@@ -679,6 +705,14 @@ INCONSISTENT = {
                      "matrix 'b' is (3, 3), not 4 x 4"),
     "unknown tolerance": ({"names": ["a"], "matrices": [np.eye(4) / 4], "tol_overrides": {"x": 1e-9}},
                           "unknown tolerance 'x'"),
+    "no matrix": ({"names": [], "matrices": []}, '"matrices" must be a nonempty list'),
+    "string tolerance": ({"names": ["a"], "matrices": [np.eye(4) / 4], "tol_overrides": {"rank_rel": "1e-9"}},
+                         "tolerances.rank_rel: expected a number, got '1e-9'"),
+    "bool tolerance": ({"names": ["a"], "matrices": [np.eye(4) / 4], "tol_overrides": {"rank_rel": True}},
+                       "tolerances.rank_rel: expected a number, got True"),
+    "numpy tolerance": ({"names": ["a"], "matrices": [np.eye(4) / 4],
+                         "tol_overrides": {"match_abs": np.float32(1e-8)}},
+                        f"tolerances.match_abs: expected a number, got {np.float32(1e-8)!r}"),
 }
 
 
@@ -692,6 +726,14 @@ def test_an_instance_refuses_what_no_file_can_hold(case):
     valid = Instance(dim=4, names=["a"], matrices=[np.eye(4) / 4], tol_overrides={"rank_rel": 1e-9})
     with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(valid, **changes)
+
+
+def test_an_instance_keeps_its_tolerance_overrides_as_doubles():
+    """An integer override is stored as the double its file would read back."""
+    inst = Instance(dim=1, names=["a"], matrices=[np.eye(1)], tol_overrides={"rank_rel": 1, "match_abs": 1e-9})
+    assert dict(inst.tol_overrides) == {"rank_rel": 1.0, "match_abs": 1e-9}
+    assert all(type(v) is float for v in inst.tol_overrides.values())
+    assert parse_instance(json.loads(write_to_text(instance_payload(inst)))).tol_overrides == inst.tol_overrides
 
 
 def test_report_shows_a_replaced_matrix_beside_its_verdict(tmp_path):

@@ -19,7 +19,7 @@ from conftest import (
     projection_defect,
     unchecked_density,
 )
-from statecompat.compat import full_report, support_compatible
+from statecompat.compat import _report, _split_set, full_report, support_compatible
 from statecompat.density import (
     Ensemble,
     _ensembles_around,
@@ -46,11 +46,11 @@ from statecompat.linalg import DEFAULT_TOL, UNIT_TOL, EigResult
 from statecompat.scenario import (
     BlockState,
     CompositeState,
+    _realize,
     build_joint_state,
     observer_conditional_state,
     observer_reduced_density,
     run_scenario,
-    scenario_with_shared_state,
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -519,7 +519,7 @@ def test_recovery_distance_within_sqrt2_support_defect_for_mixed_inputs():
             report = full_report(rhos)
             if not report.compatible:
                 continue
-            result = scenario_with_shared_state(rhos, report.witness)
+            result = run_scenario(rhos)
             defects = [projection_defect(support(r), report.witness) for r in rhos]
             assert min(defects) > 0.0
             for distance, delta in zip(result.distances, defects):
@@ -554,18 +554,19 @@ def assert_same_ensemble(got, ref, atol=1e-15):
     "dim, n", [(d, n) for d in (1, 2, 3, 5, 16) for n in (2, 3, 8, 10)] + [(3, 1000)]
 )
 def test_batched_scenario_matches_the_per_observer_loop(dim, n):
-    """run_scenario and scenario_with_shared_state against the loop oracle, and
-    the public assembler on the library's ensembles against the oracle's state
+    """run_scenario against the loop oracle at the report's witness, and the
+    public assembler on the library's ensembles against the oracle's state
     (the runner-up rule for ancilla dimensions included)."""
     rng = np.random.default_rng(7000 + 31 * dim + n)
     rhos = mixed_rank_set(dim, n, rng)
-    phi = support_compatible(rhos)[1].basis[:, 0]
+    phi = full_report(rhos).witness
+    assert np.array_equal(phi, support_compatible(rhos)[1].basis[:, 0])
     psi_ref, ref = loop_scenario(rhos, phi)
-    for got in (run_scenario(rhos), scenario_with_shared_state(rhos, phi)):
-        assert got.success is ref.success is True
-        assert abs(got.joint_zero_probability - ref.joint_zero_probability) <= 1e-15
-        assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
-        assert np.max(np.abs(got.recovered - ref.recovered)) <= 1e-15
+    got = run_scenario(rhos)
+    assert got.success is ref.success is True
+    assert abs(got.joint_zero_probability - ref.joint_zero_probability) <= 1e-15
+    assert np.max(np.abs(np.subtract(got.distances, ref.distances))) <= 1e-15
+    assert np.max(np.abs(got.recovered - ref.recovered)) <= 1e-15
     ensembles = [ensemble_containing(r, phi) for r in rhos]
     psi = build_joint_state(ensembles)
     assert psi.ancilla_dims == psi_ref.ancilla_dims
@@ -652,23 +653,26 @@ def test_check_terms_passes_on_every_kernel_ensemble():
 
 
 def test_batched_scenario_of_one_matrix_is_its_pair():
+    """One matrix is realized as the loop oracle realizes two observers holding it,
+    around the one matrix's witness, its leading support vector."""
     rng = np.random.default_rng(77)
     for rho in mixed_rank_set(4, 3, rng):
-        assert run_scenario([rho]).success
-        phi = support(rho).basis[:, 0]
-        single = scenario_with_shared_state([rho], phi)
-        pair = scenario_with_shared_state([rho, rho], phi)
+        phi = full_report([rho]).witness
+        assert np.array_equal(phi, support(rho).basis[:, 0])
+        single = run_scenario([rho])
+        _, pair = loop_scenario([rho, rho], phi)
         assert single.success and len(single.recovered) == 1
-        assert single.distances == pair.distances[:1]
-        assert single.joint_zero_probability == pair.joint_zero_probability
+        assert abs(single.distances[0] - pair.distances[0]) <= 1e-15
+        assert abs(single.joint_zero_probability - pair.joint_zero_probability) <= 1e-15
+        assert np.max(np.abs(single.recovered[0] - pair.recovered[0])) <= 1e-15
 
 
 def test_shared_state_scenario_checks_the_set():
-    """scenario_with_shared_state checks its set as the other entry points do."""
+    """The scenario checks its set as the other entry points do."""
     with pytest.raises(StateCompatError, match="at least one"):
-        scenario_with_shared_state([], E0)
+        run_scenario([])
     with pytest.raises(DimensionMismatchError):
-        scenario_with_shared_state([pure(E0), validate_density(np.eye(3) / 3)], E0)
+        run_scenario([pure(E0), validate_density(np.eye(3) / 3)])
 
 
 def raised(call, *args):
@@ -677,8 +681,15 @@ def raised(call, *args):
     return type(info.value), str(info.value)
 
 
+def kernel(rhos, phi, tol=DEFAULT_TOL):
+    """The scenario's ensemble pass over the set around ``phi``."""
+    return _ensembles_around(*_spectra(rhos, tol), phi, tol)
+
+
 def test_batched_scenario_raises_like_the_per_observer_loop():
-    """The first offending observer's error, with the per-observer class and message."""
+    """The kernel raises the per-observer class and message where one observer
+    fails a check, and quotes the largest support defect; ensemble_containing
+    refuses a caller's state as the loop oracle does."""
     rng = np.random.default_rng(79)
     dim = 4
     rhos = mixed_rank_set(dim, 6, rng)
@@ -692,56 +703,65 @@ def test_batched_scenario_raises_like_the_per_observer_loop():
     values, vectors = rhos[1].spectrum.eigenvalues, rhos[1].spectrum.eigenvectors
     doubled = unchecked_density(2.0 * rhos[1].matrix, EigResult(2.0 * values, vectors))  # weights sum to 2
     cases = {
-        "outside 2 and 4": (rhos[:2] + [partly, rhos[3], outside, rhos[5]], phi),
-        "weight sum at 1, outside at 3": ([rhos[0], doubled, rhos[2], outside], phi),
-        "outside at 1, weight sum at 3": ([rhos[0], outside, rhos[2], doubled], phi),
-        "non-finite": (rhos, np.where(np.arange(dim) == 1, np.nan, phi)),
-        "wrong length": (rhos, phi[:-1]),
+        "outside at 2": rhos[:2] + [partly, rhos[3]],
+        "weight sum at 1": [rhos[0], doubled, rhos[2]],
+        "outside at 1, weight sum at 3": [rhos[0], outside, rhos[2], doubled],
     }
-    for name, (observers, state) in cases.items():
+    for name, observers in cases.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = raised(scenario_with_shared_state, observers, state)
-        assert got == raised(loop_scenario, observers, state), name
-    defect = projection_defect(support(partly), phi)
-    assert abs(defect - np.sin(0.5)) <= 1e-12
-    assert raised(scenario_with_shared_state, *cases["outside 2 and 4"]) == (
-        StateOutsideSupportError,
-        f"state has a null-space component (projection defect {defect:.3e}); "
-        "no ensemble for this density matrix can contain it",
-    )
+            got = raised(kernel, observers, phi)
+        assert got == raised(loop_scenario, observers, phi), name
+    for name, state in {"non-finite": np.where(np.arange(dim) == 1, np.nan, phi),
+                        "wrong length": phi[:-1]}.items():
+        for rho in rhos:
+            assert raised(ensemble_containing, rho, state) == raised(loop_ensemble_containing, rho, state), name
+    defects = [projection_defect(support(r), phi) for r in (partly, outside)]
+    assert abs(defects[0] - np.sin(0.5)) <= 1e-12 and abs(defects[1] - 1.0) <= 1e-12
+    for observers, defect in ((cases["outside at 2"], defects[0]),
+                              (rhos[:2] + [partly, rhos[3], outside, rhos[5]], defects[1])):
+        assert raised(kernel, observers, phi) == (
+            StateOutsideSupportError,
+            f"state has a null-space component (projection defect {defect:.3e}); "
+            "no ensemble for this density matrix can contain it",
+        )
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_shared_state_is_unit_within_unit_tol(sign):
     """The shared state's norm is checked once, at UNIT_TOL, with the per-observer loop's
-    class and message; an observer outside its support raises first at position 0, the
-    norm first when that observer comes later."""
+    class and message, for ensemble_containing and the kernel alike; an observer outside
+    its support raises before the norm."""
     rng = np.random.default_rng(83)
     dim = 4
     rhos = mixed_rank_set(dim, 5, rng)
     phi = support_compatible(rhos)[1].basis[:, 0]
-    assert scenario_with_shared_state(rhos, (1.0 + sign * 0.99 * UNIT_TOL) * phi).success
+    near = (1.0 + sign * 0.99 * UNIT_TOL) * phi
+    for rho in rhos:
+        assert_same_ensemble(ensemble_containing(rho, near), loop_ensemble_containing(rho, near))
+    kernel(rhos, near)
     state = (1.0 + sign * 1.01 * UNIT_TOL) * phi
-    norm = raised(scenario_with_shared_state, rhos, state)
+    norm = raised(kernel, rhos, state)
     assert norm == raised(loop_scenario, rhos, state)
     assert norm[0] is StateCompatError and norm[1].startswith("ensemble state is not unit norm")
+    for rho in rhos:
+        assert raised(ensemble_containing, rho, state) == raised(loop_ensemble_containing, rho, state) == norm
     away = random_unitary(dim, rng)[:, :2]
     away, _ = np.linalg.qr(away - np.outer(phi, phi.conj() @ away))  # orthogonal to phi
     outside = validate_density(away @ random_density(2, rng) @ away.conj().T)
-    first = raised(scenario_with_shared_state, [outside, *rhos], state)
+    first = raised(kernel, [outside, *rhos], state)
     assert first == raised(loop_scenario, [outside, *rhos], state)
+    assert first == raised(ensemble_containing, outside, state)
     assert first[0] is StateOutsideSupportError
-    later = [rhos[0], outside, *rhos[1:]]
-    assert raised(scenario_with_shared_state, later, state) == raised(loop_scenario, later, state) == norm
 
 
 def test_zero_leading_coefficient_needs_no_division():
     """phi with no component on the first support eigenvector: the lead = 0 reflector."""
     rhos = [validate_density(np.diag([0.6, 0.4])), validate_density(np.eye(2) / 2), pure(E1)]
+    assert np.array_equal(full_report(rhos).witness, E1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = scenario_with_shared_state(rhos, E1)
+        got = run_scenario(rhos)
         ensemble = ensemble_containing(rhos[0], E1)
     _, ref = loop_scenario(rhos, E1)
     assert got.success
@@ -753,8 +773,8 @@ def test_zero_leading_coefficient_needs_no_division():
 @pytest.mark.parametrize("eps, compatible", [(0.99e-10, False), (1.01e-10, True)])
 def test_every_entry_point_reads_one_rank_decision(eps, compatible):
     """diag(1 - eps, eps, 0) beside |1><1|, eps just below or above the zero cutoff 1e-10:
-    the rank of the first matrix decides the set, for the report, both scenarios and the
-    ensemble around |1> alike."""
+    the rank of the first matrix decides the set, for the report, the scenario, the kernel
+    around |1> and the ensemble around |1> alike."""
     e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
     rhos = [validate_density(np.diag([1.0 - eps, eps, 0.0])), pure(e1)]
     report = full_report(rhos)
@@ -762,17 +782,14 @@ def test_every_entry_point_reads_one_rank_decision(eps, compatible):
     if compatible:
         np.testing.assert_allclose(report.witness, e1, rtol=0, atol=1e-15)
         assert run_scenario(rhos).success
-        assert scenario_with_shared_state(rhos, report.witness).success
-        assert scenario_with_shared_state(rhos, e1).success
+        kernel(rhos, e1)
         ensemble = ensemble_containing(rhos[0], e1)
         assert np.array_equal(ensemble.terms[0][1], e1) and ensemble.terms[0][0] > 0.0
     else:
         with pytest.raises(IncompatibleError):
             run_scenario(rhos)
-        with pytest.raises(IncompatibleError):
-            scenario_with_shared_state(rhos, report.witness)
         with pytest.raises(StateOutsideSupportError):
-            scenario_with_shared_state(rhos, e1)
+            kernel(rhos, e1)
         with pytest.raises(StateOutsideSupportError):
             ensemble_containing(rhos[0], e1)
 
@@ -781,11 +798,14 @@ def test_every_entry_point_reads_one_rank_decision(eps, compatible):
     "dim, count, seed", [(2, 2, 1), (3, 3, 7), (5, 4, 3), (8, 3, 5), (3, 8, 11), (4, 1, 2)]
 )
 def test_scenario_around_the_report_witness_is_run_scenario(dim, count, seed):
-    """run_scenario and scenario_with_shared_state on the report's witness: the same bits."""
+    """The report's split, realized as the CLI realizes it, gives run_scenario's bits,
+    and the report made from it is full_report's."""
     matrices = generate_instance(dim, max(count, 2), seed, "compatible")[:count]
     rhos = [validate_density(m) for m in matrices]
     got = run_scenario(rhos)
-    shared = scenario_with_shared_state(rhos, full_report(rhos).witness)
+    split = _split_set(rhos, DEFAULT_TOL)
+    assert np.array_equal(_report(split, DEFAULT_TOL).witness, full_report(rhos).witness)
+    shared = _realize(split, DEFAULT_TOL)
     assert got.success and got.distances == shared.distances
     assert got.joint_zero_probability == shared.joint_zero_probability
     assert np.array_equal(got.recovered, shared.recovered)
