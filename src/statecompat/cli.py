@@ -4,9 +4,10 @@ Verbs:
   check     read an instance file, decide compatibility, write a report
   scenario  additionally run the round trip around the report's witness: each
             observer's state after finding their ancilla at level 0, and its
-            distance from their input. The set is checked, its spectra
-            stacked and rank-split and its intersection decided once, and
-            the report and the round trip both read that one split.
+            distance from their input. The set is checked, its matrices
+            and spectra stacked, its ranks split, its intersection decided
+            and its witness phase-fixed once, and the report and the round
+            trip both read that one split.
   generate  write a seeded random instance file
 
 Exit codes: 0 compatible (or successful generation), 1 incompatible,

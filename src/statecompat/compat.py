@@ -12,15 +12,17 @@ within ``match_abs`` of its original, so ``check`` and ``scenario`` agree.
 Every other direction is forbidden. Every entry point that decides the
 intersection (:func:`support_compatible`, :func:`forbidden_subspace`,
 :func:`full_report` and :func:`statecompat.scenario.run_scenario`) starts
-with :func:`_split_set`: it checks the set, stacks the spectra once, makes
-the one rank decision (:func:`statecompat.density._rank_split`) and runs the
-SVD, which yields the intersection dimension, the defects and the raw
-directions, conjugated as rows. That split is all the report
+with :func:`_split_set`: it checks the set, stacks the matrices and the
+spectra once, makes the one rank decision
+(:func:`statecompat.density._rank_split`) and runs the SVD, which yields the
+intersection dimension, the defects and the raw directions, conjugated as
+rows, and it phase-fixes the witness, the one column that the report and the
+scenario both take. It returns them as one named record, :class:`_Split`,
+whose ``spectra`` field is the record :func:`statecompat.density._spectra`
+returns; every stage reads their fields by name. That split is all the report
 (:func:`_report`) and the round trip (:func:`statecompat.scenario._realize`)
-read, so the CLI makes one per file and hands it to both, and both take the
-same state, :func:`_witness`, the one column they conjugate and phase-fix;
-only the functions that return subspaces conjugate, phase-fix and wrap the
-columns they return.
+read, so the CLI makes one per file and hands it to both; only the functions
+that return subspaces conjugate, phase-fix and wrap the columns they return.
 
 Two older pairwise conditions are evaluated alongside for comparison:
 commutation of the pair (neither necessary nor sufficient) and a nonzero
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityMatrix, _spectra
-from .errors import DimensionMismatchError, StateCompatError
+from .density import DensityMatrix, _check_rhos, _Spectra, _spectra
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -94,34 +96,43 @@ class CompatReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _check_rhos(rhos) -> list[DensityMatrix]:
-    """The set as a list: at least one :class:`DensityMatrix`, and nothing else, all of one size."""
-    rhos = list(rhos)
-    if not rhos:
-        raise StateCompatError("need at least one density matrix")
-    for k, rho in enumerate(rhos):
-        if not isinstance(rho, DensityMatrix):
-            raise StateCompatError(f"element {k} of the set has type {type(rho).__name__}, not DensityMatrix")
-    if len({rho.dim for rho in rhos}) > 1:
-        raise DimensionMismatchError("density matrices have different dimensions")
-    return rhos
+class _Split(NamedTuple):
+    """A checked set and the split of its supports' intersection, as :func:`_split_set` makes it.
 
-
-def _split_set(rhos, tol: Tolerances) -> tuple:
-    """The checked set, its stacked spectra, and the intersection split of their supports.
-
-    Returns (rhos, spectra, count, defects, conjugated): the set as a list;
-    the eigenvalues (n, d) and eigenvectors (n, d, d) stacked once with
-    their zero cutoffs, kept eigenvalues and ranks, by
-    :func:`statecompat.density._spectra`, as one tuple that the scenario's
-    ensembles read too; and the intersection dimension, defects and
-    conjugated directions of one SVD (see :func:`_split_rows`) whose rows
-    are the conjugated null-space eigenvectors, matrix by matrix.
+    ``rhos`` is the set as a list and ``matrices`` (n, d, d) its matrices,
+    stacked once for the pairwise conditions and the scenario's distances;
+    ``spectra`` is the stacked spectra and their rank split
+    (:class:`statecompat.density._Spectra`). ``count``, ``defects`` and
+    ``conjugated`` are the intersection dimension, the ascending defects and
+    the conjugated directions of the one SVD (see :func:`_split_rows`), and
+    ``witness`` is the first intersection direction, phase-fixed, the state
+    that the report and the scenario both take, or None when the count is 0.
     """
-    rhos = _check_rhos(rhos)
-    spectra = _, vectors, _, kept, _ = _spectra(rhos, tol)
-    rows = vectors.transpose(0, 2, 1)[~kept].conj()
-    return (rhos, spectra, *_split_rows(rows, vectors.shape[1], tol))
+
+    rhos: list
+    matrices: np.ndarray
+    spectra: _Spectra
+    count: int
+    defects: np.ndarray
+    conjugated: np.ndarray
+    witness: np.ndarray | None
+
+
+def _split_set(rhos, tol: Tolerances) -> _Split:
+    """The set split once: its stacks, its spectra and the intersection of their supports.
+
+    :func:`statecompat.density._spectra` checks the set and stacks the
+    spectra, which the scenario's ensembles read too; the SVD's rows are the
+    conjugated null-space eigenvectors, matrix by matrix. The matrices are
+    stacked and the witness phase-fixed here, once, for every reader of the
+    :class:`_Split`.
+    """
+    rhos = list(rhos)
+    spectra = _spectra(rhos, tol)
+    rows = spectra.vectors.transpose(0, 2, 1)[~spectra.kept].conj()
+    count, defects, conjugated = _split_rows(rows, rows.shape[1], tol)
+    witness = _intersection_basis(spectra.vectors, 1, conjugated)[:, 0] if count else None
+    return _Split(rhos, np.array([r.matrix for r in rhos]), spectra, count, defects, conjugated, witness)
 
 
 def _intersection_basis(vectors: np.ndarray, count: int, conjugated: np.ndarray) -> np.ndarray:
@@ -136,21 +147,11 @@ def _intersection_basis(vectors: np.ndarray, count: int, conjugated: np.ndarray)
     return _fix_columns(vectors[0, :, :count] if len(vectors) == 1 else conjugated[:count].conj().T)
 
 
-def _witness(split: tuple) -> np.ndarray | None:
-    """The state every support shares, as the report and the scenario take it, or None.
-
-    ``split`` is what :func:`_split_set` returns; the witness is its first
-    intersection direction, phase-fixed, and None when the count is 0.
-    """
-    _, (_, vectors, *_), count, _, conjugated = split
-    return _intersection_basis(vectors, 1, conjugated)[:, 0] if count else None
-
-
 def support_compatible(rhos, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, Subspace]:
     """Whether all supports share a state, plus the intersection itself."""
-    _, (values, vectors, *_), count, _, conjugated = _split_set(rhos, tol)
-    basis = _intersection_basis(vectors, count, conjugated)
-    return count >= 1, Subspace(values.shape[1], basis)
+    split = _split_set(rhos, tol)
+    basis = _intersection_basis(split.spectra.vectors, split.count, split.conjugated)
+    return split.count >= 1, Subspace(basis.shape[0], basis)
 
 
 def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -158,8 +159,8 @@ def forbidden_subspace(rhos, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
     It is spanned by the null spaces of the matrices taken together.
     """
-    _, _, count, _, conjugated = _split_set(rhos, tol)
-    return Subspace(conjugated.shape[1], _fix_columns(conjugated[count:].conj().T))
+    split = _split_set(rhos, tol)
+    return Subspace(split.conjugated.shape[1], _fix_columns(split.conjugated[split.count:].conj().T))
 
 
 def _overlaps(matrices: np.ndarray) -> np.ndarray:
@@ -209,7 +210,7 @@ def commutes(
     a: DensityMatrix, b: DensityMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Commutation check; the residual is ||ab - ba||_F."""
-    residual = float(_commutator_norms(np.array([r.matrix for r in _check_rhos([a, b])]))[0, 1])
+    residual = float(_commutator_norms(np.array([r.matrix for r in _check_rhos([a, b], tol)]))[0, 1])
     return residual <= tol.match_abs, residual
 
 
@@ -221,7 +222,7 @@ def product_nonzero(
     For positive-semidefinite factors the trace vanishes exactly when the
     product does, and the scalar is basis-free and cheap.
     """
-    overlap = float(_overlaps(np.array([r.matrix for r in _check_rhos([a, b])]))[0, 1])
+    overlap = float(_overlaps(np.array([r.matrix for r in _check_rhos([a, b], tol)]))[0, 1])
     return overlap > tol.rank_rel, overlap
 
 
@@ -244,18 +245,17 @@ def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     return _report(_split_set(rhos, tol), tol)
 
 
-def _report(split: tuple, tol: Tolerances) -> CompatReport:
+def _report(split: _Split, tol: Tolerances) -> CompatReport:
     """:func:`full_report` of the set that :func:`_split_set` split into ``split``."""
-    rhos, (values, _, cutoffs, _, ranks), count, defects, _ = split
-    n, dim = values.shape
-    matrices = np.array([r.matrix for r in rhos])
-    commute_res, overlaps = _commutator_norms(matrices), _overlaps(matrices)
+    spectra, count = split.spectra, split.count
+    n, dim = spectra.values.shape
+    commute_res, overlaps = _commutator_norms(split.matrices), _overlaps(split.matrices)
     product = overlaps > tol.rank_rel
     product.flat[:: n + 1] = True  # a matrix's product with itself is nonzero
 
     # the defects ascend, cut at the count; the spectra descend, cut at their ranks
-    near = (_near_cut([defects.tolist()], [count], [_membership_threshold(tol)]),
-            _near_cut(values.tolist(), ranks.tolist(), cutoffs.tolist()))
+    near = (_near_cut([split.defects.tolist()], [count], [_membership_threshold(tol)]),
+            _near_cut(spectra.values.tolist(), spectra.ranks.tolist(), spectra.cutoffs.tolist()))
     notes = [note for note, hit in zip((_MARGINAL_NOTE, _MARGINAL_RANK_NOTE), near) if hit]
 
     return CompatReport(
@@ -263,7 +263,7 @@ def _report(split: tuple, tol: Tolerances) -> CompatReport:
         n_matrices=n,
         compatible=count >= 1,
         intersection_dim=count,
-        witness=_witness(split),
+        witness=split.witness,
         forbidden_dim=dim - count,
         pairwise_commute=commute_res <= tol.match_abs,
         commute_residual=commute_res,

@@ -23,13 +23,17 @@ Every rank comes from one decision, :func:`_rank_split`: an eigenvalue
 counts when it lies above its spectrum's zero cutoff, ``rank_rel`` times the
 largest eigenvalue with a floor (:data:`_CUTOFF_FLOOR`) that validation's
 positivity test reads too. It is made once per set, where the spectra are
-stacked (:func:`_spectra`), and the support test of
-:mod:`statecompat.compat` and the scenario's ensembles read the same
-cutoffs and ranks. ``reduced_cutoffs`` in ``tests/conftest.py``, which
+stacked (:func:`_spectra`, which checks the set first with
+:func:`_check_rhos`), and returned with them as one named record,
+:class:`_Spectra` (``values``, ``vectors``, ``cutoffs``, ``kept``,
+``ranks``); the support test of :mod:`statecompat.compat` and the
+scenario's ensembles read the same cutoffs and ranks from it, by name, and
+so do :func:`support`, :func:`null_space` and :func:`ensemble_containing`
+for their one matrix. ``reduced_cutoffs`` in ``tests/conftest.py``, which
 reduces each spectrum to its maximum, is its oracle.
 
 The scenario needs these ensembles for every observer around one state, so
-they are computed in one array pass over the stacked spectra
+they are computed in one array pass over the :class:`_Spectra` record
 (:func:`_ensembles_around`): all support defects, one batched Householder
 completion cut to the largest rank and the surplus eigenvectors. Of the
 ensemble checks it makes only those that can fail: the largest support
@@ -58,10 +62,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
     NotSquareError,
@@ -247,21 +253,57 @@ def _rank_split(values: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     return cutoffs, kept, np.add.reduce(kept, axis=-1)
 
 
-def _spectra(rhos, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """Stacked spectra of n matrices of one size: (values, vectors, cutoffs, kept, ranks).
+def _check_rhos(rhos, tol: Tolerances) -> list[DensityMatrix]:
+    """The set as a list: at least one :class:`DensityMatrix`, and nothing else, all of one size.
 
-    The eigenvalues (n, d) and eigenvectors (n, d, d), then their zero
-    cutoffs, kept eigenvalues and ranks from :func:`_rank_split`: the one
-    rank split of the set.
+    ``tol`` must be a :class:`statecompat.linalg.Tolerances`; it is checked
+    first. Every function that reads a set or a matrix's support runs this
+    one check, through :func:`_spectra` or directly, so a wrong argument
+    gets a :class:`StateCompatError`, never an ``AttributeError``.
     """
+    if not isinstance(tol, Tolerances):
+        raise StateCompatError(f"tolerances must be a Tolerances, got {type(tol).__name__}")
+    rhos = list(rhos)
+    if not rhos:
+        raise StateCompatError("need at least one density matrix")
+    for k, rho in enumerate(rhos):
+        if not isinstance(rho, DensityMatrix):
+            raise StateCompatError(f"element {k} of the set has type {type(rho).__name__}, not DensityMatrix")
+    if len({rho.dim for rho in rhos}) > 1:
+        raise DimensionMismatchError("density matrices have different dimensions")
+    return rhos
+
+
+class _Spectra(NamedTuple):
+    """The stacked spectra of a set and their one rank split, as :func:`_spectra` makes them.
+
+    ``values`` (n, d) and ``vectors`` (n, d, d) are the eigenvalues and
+    eigenvectors of n validated matrices of one size; ``cutoffs`` (n,),
+    ``kept`` (n, d) and ``ranks`` (n,) are their zero cutoffs, kept
+    eigenvalues and ranks from :func:`_rank_split`.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    cutoffs: np.ndarray
+    kept: np.ndarray
+    ranks: np.ndarray
+
+
+def _spectra(rhos, tol: Tolerances) -> _Spectra:
+    """The stacked spectra of the set ``rhos`` and their one rank split.
+
+    The set is checked first, by :func:`_check_rhos`.
+    """
+    rhos = _check_rhos(rhos, tol)
     values = np.array([r.spectrum.eigenvalues for r in rhos])
-    return (values, np.array([r.spectrum.eigenvectors for r in rhos]), *_rank_split(values, tol))
+    return _Spectra(values, np.array([r.spectrum.eigenvectors for r in rhos]), *_rank_split(values, tol))
 
 
 def support(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the eigenvectors with eigenvalue above the zero cutoff."""
-    rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
-    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, :rank])
+    spectra = _spectra([rho], tol)
+    return Subspace(rho.dim, spectra.vectors[0, :, :spectra.ranks[0]])
 
 
 def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -270,19 +312,17 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Together with :func:`support` this exhausts the space: the two projectors
     sum to the identity.
     """
-    rank = _rank_split(rho.spectrum.eigenvalues, tol)[2]
-    return Subspace(rho.dim, rho.spectrum.eigenvectors[:, rank:])
+    spectra = _spectra([rho], tol)
+    return Subspace(rho.dim, spectra.vectors[0, :, spectra.ranks[0]:])
 
 
-def _ensembles_around(
-    values: np.ndarray, vectors: np.ndarray, cutoffs: np.ndarray, kept: np.ndarray,
-    ranks: np.ndarray, phi: np.ndarray, tol: Tolerances,
-) -> tuple[np.ndarray, ...]:
+def _ensembles_around(spectra: _Spectra, phi: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
-    ``values`` (n, d) and ``vectors`` (n, d, d) are stacked spectra of
-    validated matrices with the ``cutoffs``, ``kept`` and ``ranks`` of
-    :func:`_rank_split`, and ``phi`` a coerced d-vector. Row k of the result
+    ``spectra`` is the :class:`_Spectra` record of n validated matrices,
+    read by name: their stacked ``values`` (n, d) and ``vectors`` (n, d, d)
+    with the ``cutoffs``, ``kept`` and ``ranks`` of :func:`_rank_split`; and
+    ``phi`` is a coerced d-vector. Row k of the result
     is ensemble k as 2R candidate terms, R the largest rank, of which
     ``keep`` marks the real ones: phi with weight r_0, the completion (R - 1
     columns, weight r_0), then the eigenvectors with their surplus r_i - r_0
@@ -311,19 +351,19 @@ def _ensembles_around(
     constructor's checks on stacked ensembles, is the oracle that the tests
     run over this output.
     """
-    n, d = values.shape
-    top = max(1, *ranks.tolist())
-    inside = kept[:, :top]
-    r0 = np.minimum.reduce(values, axis=1, where=kept, initial=np.inf)  # the least kept value
+    n, d = spectra.values.shape
+    top = max(1, *spectra.ranks.tolist())
+    inside = spectra.kept[:, :top]
+    r0 = np.minimum.reduce(spectra.values, axis=1, where=spectra.kept, initial=np.inf)  # the least kept value
     weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
     states = np.empty((n, d, 2 * top), dtype=np.complex128)
     weights[:, :top] = r0[:, None]
-    surplus = np.subtract(values[:, :top], r0[:, None], out=weights[:, top:])
+    surplus = np.subtract(spectra.values[:, :top], r0[:, None], out=weights[:, top:])
     keep[:, :top] = inside
-    np.logical_and(inside, surplus > cutoffs[:, None], out=keep[:, top:])
+    np.logical_and(inside, surplus > spectra.cutoffs[:, None], out=keep[:, top:])
     keep[:, 0] = True
     states[:, :, 0] = phi
-    basis = np.multiply(vectors[:, :, :top], inside[:, None], out=states[:, :, top:])
+    basis = np.multiply(spectra.vectors[:, :, :top], inside[:, None], out=states[:, :, top:])
     coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
     states[:, :, 1:top] = _householder_completions(basis, coeffs)
     gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
@@ -343,9 +383,7 @@ def _ensembles_around(
     return weights, totals, states.transpose(0, 2, 1), keep
 
 
-def ensemble_containing(
-    rho: DensityMatrix, psi, tol: Tolerances = DEFAULT_TOL
-) -> Ensemble:
+def ensemble_containing(rho: DensityMatrix, psi, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Decompose ``rho`` into an ensemble in which the unit vector ``psi`` appears.
 
     ``psi`` must lie in the support of ``rho`` (within ``tol.match_abs``); it
@@ -358,7 +396,7 @@ def ensemble_containing(
     divided once by their sum, and the :class:`Ensemble` constructor keeps
     them as given.
     """
-    psi = as_complex_vector(psi, rho.dim)
-    weights, _, states, keep = _ensembles_around(*_spectra([rho], tol), psi, tol)
+    spectra = _spectra([rho], tol)
+    weights, _, states, keep = _ensembles_around(spectra, as_complex_vector(psi, rho.dim), tol)
     weights = weights[keep]
     return Ensemble(rho.dim, list(zip((weights / weights.sum()).tolist(), states[keep])))

@@ -26,11 +26,12 @@ matrix rows^T rows^*; neither step needs the dense form.
 state, decompose every input around it, condition each observer on the
 level-0 outcome, trace down to the system, and report the distance to the
 original assignment. It is :func:`_realize` of the split that the check path
-makes (:func:`statecompat.compat._split_set`): the spectra are stacked and
-their ranks decided once, for the support test and the ensembles alike, and
-the shared state is the report's witness (:func:`statecompat.compat._witness`),
-so the CLI's ``scenario`` verb hands its report's split to :func:`_realize`
-and no state from outside the package reaches the ensembles. It computes
+makes, the record :func:`statecompat.compat._split_set` returns: the matrices
+and the spectra are stacked and their ranks decided once, for the support
+test, the ensembles and the distances alike, and the shared state is the
+split's ``witness``, the report's, phase-fixed once; so the CLI's
+``scenario`` verb hands its report's split to :func:`_realize` and no state
+from outside the package reaches the ensembles. It computes
 only what it returns: one array call
 (:func:`statecompat.density._ensembles_around`) gives every ensemble, and
 observer k's level-0 rows of the joint state (phi and k's own scaled extra
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compat import _split_set, _witness
+from .compat import _Split, _split_set
 from .density import _ensembles_around
 from .errors import (
     CommonStateMismatchError,
@@ -295,13 +296,13 @@ def run_scenario(rhos, tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
     return _realize(_split_set(rhos, tol), tol)
 
 
-def _realize(split: tuple, tol: Tolerances) -> ScenarioResult:
+def _realize(split: _Split, tol: Tolerances) -> ScenarioResult:
     """The round trip of the set that :func:`statecompat.compat._split_set` split into ``split``.
 
-    It runs around the report's witness (:func:`statecompat.compat._witness`)
-    and raises :class:`IncompatibleError` when there is none. The spectra
-    are (values, vectors, cutoffs, kept, ranks), as
-    :func:`statecompat.density._spectra` returns them. One
+    It runs around the split's ``witness``, the report's, and raises
+    :class:`IncompatibleError` when there is none. It reads the split's
+    ``spectra`` record (:func:`statecompat.density._spectra`) and compares
+    with its stacked ``matrices``, by name. One
     :func:`statecompat.density._ensembles_around` call gives every ensemble
     as 2R candidate terms, R the largest rank. Scaling term i of ensemble k
     by sqrt(w_ki / w_k0) and zeroing the terms it does not keep gives
@@ -309,20 +310,20 @@ def _realize(split: tuple, tol: Tolerances) -> ScenarioResult:
     (n, 2R, d) array, reduced by one batched Gram product; memory stays
     O(n R d + n d^2). The all-zero outcome has probability
     |phi|^2 / (|phi|^2 + the squared norm of every extra row). A single
-    assignment is realized by two observers holding it and reported once.
+    assignment is realized by two observers holding it, its spectra record
+    repeated field by field (``_make``), and reported once.
     """
-    phi = _witness(split)
+    phi, spectra = split.witness, split.spectra
     if phi is None:
         raise IncompatibleError(_NO_SHARED_STATE)
-    rhos, spectra = split[:2]
-    if len(rhos) == 1:
-        spectra = [part[[0, 0]] for part in spectra]
-    weights, totals, states, keep = _ensembles_around(*spectra, phi, tol)
+    if len(split.rhos) == 1:
+        spectra = spectra._make(part[[0, 0]] for part in spectra)
+    weights, totals, states, keep = _ensembles_around(spectra, phi, tol)
     weights = weights / totals[:, None]
     rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
     lead = np.vdot(phi, phi).real
     probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))
-    recovered = _reduced_matrices(rows[: len(rhos)])
-    diff = recovered - np.array([r.matrix for r in rhos])
+    recovered = _reduced_matrices(rows[: len(split.rhos)])
+    diff = recovered - split.matrices
     dists = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2))).tolist()
     return ScenarioResult(recovered, dists, probability, all(d <= tol.match_abs for d in dists))

@@ -333,13 +333,14 @@ def test_report_schema(tmp_path, verb, matrices):
 
 def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):
     """Either report verb splits the set once: one intersection split (the SVD of
-    compat._split_set) and one rank split of the stacked spectra per op, which the
-    report and the round trip both read."""
+    compat._split_set), one rank split of the stacked spectra and one phase-fix of
+    the witness per op, which the report and the round trip both read. Validation
+    phase-fixes its eigenvectors through density's own binding, not counted here."""
     gen = tmp_path / "gen.json"
     assert main(["generate", "--dim", "5", "--count", "3", "--seed", "4",
                  "--mode", "compatible", "--output", str(gen)]) == 0
     calls = []
-    for module, name in ((compat, "_split_rows"), (density, "_rank_split")):
+    for module, name in ((compat, "_split_rows"), (density, "_rank_split"), (compat, "_fix_columns")):
         def counting(*args, _name=name, _original=getattr(module, name)):
             calls.append(_name)
             return _original(*args)
@@ -349,7 +350,7 @@ def test_scenario_decides_the_intersection_once(tmp_path, monkeypatch):
         calls.clear()
         with count_linalg() as cli_counts:
             assert main([verb, "--input", str(gen), "--output", str(tmp_path / "r.json")]) == 0
-        assert sorted(calls) == ["_rank_split", "_split_rows"], verb
+        assert sorted(calls) == ["_fix_columns", "_rank_split", "_split_rows"], verb
         assert cli_counts["svd"] == 1, verb
     # The report's one SVD is the scenario's own support test: the whole run
     # makes no more SVDs than run_scenario alone.

@@ -38,7 +38,7 @@ from statecompat.generate import (
     random_unitary,
 )
 from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances
-from statecompat.scenario import BlockState, CompositeState
+from statecompat.scenario import BlockState, CompositeState, run_scenario
 
 from conftest import (
     check_stacked_ensembles,
@@ -647,6 +647,47 @@ def test_a_state_of_the_wrong_length_gets_one_error():
         with pytest.raises(DimensionMismatchError) as info:
             call()
         assert str(info.value) == "vector length 3 != ambient dimension 2"
+
+
+@pytest.mark.parametrize(
+    "call", [support, null_space, lambda rho: ensemble_containing(rho, E0)],
+    ids=["support", "null_space", "ensemble_containing"],
+)
+def test_a_one_matrix_argument_must_be_a_density_matrix(call):
+    """The one-matrix functions refuse what is not a validated DensityMatrix, such as
+    the array or list it would be validated from, with the set functions' error,
+    not an AttributeError."""
+    matrix = np.eye(2) / 2
+    for rho, name in ((matrix, "ndarray"), (matrix.tolist(), "list")):
+        with pytest.raises(StateCompatError) as info:
+            call(rho)
+        assert str(info.value) == f"element 0 of the set has type {name}, not DensityMatrix"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, tol: support(rho, tol),
+        lambda rho, tol: null_space(rho, tol),
+        lambda rho, tol: ensemble_containing(rho, E0, tol),
+        lambda rho, tol: support_compatible([rho], tol),
+        lambda rho, tol: forbidden_subspace([rho], tol),
+        lambda rho, tol: full_report([rho], tol),
+        lambda rho, tol: run_scenario([rho], tol),
+        lambda rho, tol: compat.commutes(rho, rho, tol),
+        lambda rho, tol: compat.product_nonzero(rho, rho, tol),
+    ],
+    ids=["support", "null_space", "ensemble_containing", "support_compatible",
+         "forbidden_subspace", "full_report", "run_scenario", "commutes", "product_nonzero"],
+)
+def test_tolerances_must_be_a_tolerances(call):
+    """A bare number, a mapping or None in place of the Tolerances is refused with
+    the package's error, naming its type, not met by an AttributeError."""
+    rho = validate_density(np.outer(E0, E0))
+    for tol, name in ((1e-3, "float"), ({"rank_rel": 1e-3}, "dict"), (None, "NoneType")):
+        with pytest.raises(StateCompatError) as info:
+            call(rho, tol)
+        assert str(info.value) == f"tolerances must be a Tolerances, got {name}"
 
 
 def test_numpy_scalars_are_still_numbers():

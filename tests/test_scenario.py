@@ -600,9 +600,9 @@ def test_ensemble_containing_is_the_kernels_ensemble(dim):
             rhos = [validate_density(m) for m in matrices]
             phi = support_compatible(rhos)[1].basis[:, 0]
             spectra = _spectra(rhos, DEFAULT_TOL)
-            weights, totals, states, keep = _ensembles_around(*spectra, phi, DEFAULT_TOL)
+            weights, totals, states, keep = _ensembles_around(spectra, phi, DEFAULT_TOL)
             weights = weights / totals[:, None]
-            ranks = spectra[4]
+            ranks = spectra.ranks
             for k, rho in enumerate(rhos):
                 terms = ensemble_containing(rho, phi).terms
                 got_w, got_s = np.array([w for w, _ in terms]), np.array([s for _, s in terms])
@@ -646,7 +646,7 @@ def test_check_terms_passes_on_every_kernel_ensemble():
     returns the kernel's weight sums bit for bit."""
     cases = 0
     for rhos, phi in oracle_sets():
-        weights, totals, states, keep = _ensembles_around(*_spectra(rhos, DEFAULT_TOL), phi, DEFAULT_TOL)
+        weights, totals, states, keep = _ensembles_around(_spectra(rhos, DEFAULT_TOL), phi, DEFAULT_TOL)
         assert check_stacked_ensembles(weights, states, keep).tobytes() == totals.tobytes()
         cases += 1
     assert cases == 732
@@ -683,7 +683,7 @@ def raised(call, *args):
 
 def kernel(rhos, phi, tol=DEFAULT_TOL):
     """The scenario's ensemble pass over the set around ``phi``."""
-    return _ensembles_around(*_spectra(rhos, tol), phi, tol)
+    return _ensembles_around(_spectra(rhos, tol), phi, tol)
 
 
 def test_batched_scenario_raises_like_the_per_observer_loop():
