@@ -99,8 +99,8 @@ class CompatReport:
 class _Split(NamedTuple):
     """A checked set and the split of its supports' intersection, as :func:`_split_set` makes it.
 
-    ``rhos`` is the set as a list and ``matrices`` (n, d, d) its matrices,
-    stacked once for the pairwise conditions and the scenario's distances;
+    ``matrices`` (n, d, d) is the checked set's matrices, stacked once for
+    the pairwise conditions and the scenario's distances;
     ``spectra`` is the stacked spectra and their rank split
     (:class:`statecompat.density._Spectra`). ``count``, ``defects`` and
     ``conjugated`` are the intersection dimension, the ascending defects and
@@ -109,7 +109,6 @@ class _Split(NamedTuple):
     that the report and the scenario both take, or None when the count is 0.
     """
 
-    rhos: list
     matrices: np.ndarray
     spectra: _Spectra
     count: int
@@ -132,7 +131,7 @@ def _split_set(rhos, tol: Tolerances) -> _Split:
     rows = spectra.vectors.transpose(0, 2, 1)[~spectra.kept].conj()
     count, defects, conjugated = _split_rows(rows, rows.shape[1], tol)
     witness = _intersection_basis(spectra.vectors, 1, conjugated)[:, 0] if count else None
-    return _Split(rhos, np.array([r.matrix for r in rhos]), spectra, count, defects, conjugated, witness)
+    return _Split(np.array([r.matrix for r in rhos]), spectra, count, defects, conjugated, witness)
 
 
 def _intersection_basis(vectors: np.ndarray, count: int, conjugated: np.ndarray) -> np.ndarray:
@@ -226,18 +225,12 @@ def product_nonzero(
     return overlap > tol.rank_rel, overlap
 
 
-def _near_cut(rows: list, cuts: list, scales: list) -> bool:
+def _near_cut(rows: list, scales: list) -> bool:
     """Whether some entry of a row, divided by its row's scale, lies strictly between 0.1 and 10.
 
-    Each row is sorted, and its first ``cut`` entries lie on one side of its
-    scale and the rest on the other, so its ratios are sorted with 1 at the
-    cut. A ratio in the band, which holds 1, has one of the two ratios that
-    flank the cut between itself and 1, and that one is in the band too: the
-    two decide the row. Each is one correctly rounded division, as numpy's.
+    Every ratio is tested, each one correctly rounded division, as numpy's.
     """
-    return any(0.1 < x / scale < 10.0
-               for row, cut, scale in zip(rows, cuts, scales)
-               for x in row[max(cut - 1, 0):cut + 1])
+    return any(0.1 < x / scale < 10.0 for row, scale in zip(rows, scales) for x in row)
 
 
 def full_report(rhos, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
@@ -253,9 +246,8 @@ def _report(split: _Split, tol: Tolerances) -> CompatReport:
     product = overlaps > tol.rank_rel
     product.flat[:: n + 1] = True  # a matrix's product with itself is nonzero
 
-    # the defects ascend, cut at the count; the spectra descend, cut at their ranks
-    near = (_near_cut([split.defects.tolist()], [count], [_membership_threshold(tol)]),
-            _near_cut(spectra.values.tolist(), spectra.ranks.tolist(), spectra.cutoffs.tolist()))
+    near = (_near_cut([split.defects.tolist()], [_membership_threshold(tol)]),
+            _near_cut(spectra.values.tolist(), spectra.cutoffs.tolist()))
     notes = [note for note, hit in zip((_MARGINAL_NOTE, _MARGINAL_RANK_NOTE), near) if hit]
 
     return CompatReport(

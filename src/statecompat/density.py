@@ -83,9 +83,10 @@ from .linalg import (
     Subspace,
     Tolerances,
     _as_finite,
+    _check_elements,
+    _check_tol,
     _fix_columns,
     _householder_completions,
-    as_array,
     as_complex_vector,
     as_dim,
     read_only,
@@ -105,18 +106,16 @@ class DensityMatrix:
     """A validated density matrix and its one eigendecomposition.
 
     ``DensityMatrix(m, tol)`` is the validation; there is no other way to
-    make one. The checks run in this order: M converts to a complex array,
+    make one. The checks run in this order: ``tol`` is a
+    :class:`~statecompat.linalg.Tolerances`, M converts to a complex array,
     has two axes, is not empty, has finite entries, is square, its
     Hermiticity defect is at most ``tol.match_abs``, the eigendecomposition
     of (M + M^dag)/2 succeeds, the trace is one within :data:`TRACE_TOL`,
-    and no eigenvalue is negative beyond the zero cutoff. One probe stands
-    in for the shape, finiteness and square checks: ||M||_F^2, a ``vdot``,
-    is finite exactly when every entry is finite and none is huge (beyond
-    about 1e154). Only an input that fails the probe runs them one at a
-    time, which raises for every such input except a huge finite one; so
-    the same classes and messages come out in the same order, and a
-    non-finite entry never reaches M - M^dag, where an infinite one would
-    raise a floating-point warning. The eigenvalues are put in descending
+    and no eigenvalue is negative beyond the zero cutoff. The shape and
+    finiteness checks are :func:`statecompat.linalg._as_finite`, the one
+    coercion of every checked array, so a non-finite entry is refused before
+    it reaches M - M^dag, where an infinite one would raise a floating-point
+    warning. The eigenvalues are put in descending
     order and the eigenvector columns phase-fixed (see
     :func:`statecompat.linalg._fix_columns`); eigenvalues within the
     negative tolerance band are clamped to zero and the matrix rebuilt from
@@ -136,11 +135,10 @@ class DensityMatrix:
     spectrum: EigResult
 
     def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
-        m = as_array(m, "matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not math.isfinite(np.vdot(m, m).real):
-            m = _as_finite(m, 2, "matrix")
-            if m.shape[0] != m.shape[1]:
-                raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+        _check_tol(tol)
+        m = _as_finite(m, 2, "matrix")
+        if m.shape[0] != m.shape[1]:
+            raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
         mh = m.conj().T
         diff = m - mh
         defect = math.sqrt(np.vdot(diff, diff).real)
@@ -261,14 +259,10 @@ def _check_rhos(rhos, tol: Tolerances) -> list[DensityMatrix]:
     one check, through :func:`_spectra` or directly, so a wrong argument
     gets a :class:`StateCompatError`, never an ``AttributeError``.
     """
-    if not isinstance(tol, Tolerances):
-        raise StateCompatError(f"tolerances must be a Tolerances, got {type(tol).__name__}")
-    rhos = list(rhos)
+    _check_tol(tol)
+    rhos = _check_elements(rhos, DensityMatrix)
     if not rhos:
         raise StateCompatError("need at least one density matrix")
-    for k, rho in enumerate(rhos):
-        if not isinstance(rho, DensityMatrix):
-            raise StateCompatError(f"element {k} of the set has type {type(rho).__name__}, not DensityMatrix")
     if len({rho.dim for rho in rhos}) > 1:
         raise DimensionMismatchError("density matrices have different dimensions")
     return rhos

@@ -59,16 +59,22 @@ small: 512 KiB is the default for threads on macOS. Measured with orjson
 objects or 12,000 nested arrays, one with 1 MiB by 8,000 objects, and one
 with 2 MiB by 16,384 objects, while 512 KiB survives 1,026 objects nested
 inside or around 4,974 arrays and crashes at 6,974 openings. So orjson
-gets only texts with at most :data:`ORJSON_MAX_OBJECTS` ``{`` and at most
-:data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``, bounds on their depth; a
-valid instance nests six levels deep and opens one object per matrix plus
-two, so no valid instance of at most :data:`MAX_INSTANCE_MATRICES` matrices
-exceeds the object bound. ``json`` reads the rest. Up to Python 3.12
-``json`` refuses deep nesting with a ``RecursionError`` (on a 512 KiB
-thread too), but 3.13's recurses up to 10,000 levels and overflows such a
-thread first, so a text nested more than :data:`JSON_MAX_DEPTH` levels
-deep, counted outside strings, raises that ``RecursionError`` before
-``json`` runs, on every Python. It becomes an :class:`InstanceFormatError`. orjson reads an
+gets a text as it is only when it holds at most :data:`ORJSON_MAX_OBJECTS`
+``{`` and at most :data:`ORJSON_MAX_OPENINGS` ``[`` plus ``{``, bounds on
+its depth; a valid instance nests six levels deep and opens one object per
+matrix plus two, so no valid instance of at most
+:data:`MAX_INSTANCE_MATRICES` matrices exceeds the object bound. Any other
+text is scanned first, for its brackets outside strings (:func:`_scan`).
+A text nested more than :data:`JSON_MAX_DEPTH` levels deep raises the
+``RecursionError`` that ``json`` raises up to Python 3.12, and one whose
+``"matrices"`` list opens more objects than the matrix cap is refused in
+the cap's words, before either decoder runs. The rest nests at most 1,000
+levels, under the 1,026 objects that a 512 KiB thread survived, and goes
+to orjson too. ``json`` reads only what orjson refuses, after the same
+scan: up to Python 3.12 it refuses deep nesting with a ``RecursionError``
+(on a 512 KiB thread too), but 3.13's recurses up to 10,000 levels and
+overflows such a thread first, which the depth bound keeps it from. A
+``RecursionError`` becomes an :class:`InstanceFormatError`. orjson reads an
 integer beyond 64 bits as the nearest double, which is the double
 ``json``'s integer converts to; only a ``dim`` of 2**64 or more reads
 differently, and it is refused either way.
@@ -99,6 +105,7 @@ from __future__ import annotations
 import codecs
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from types import MappingProxyType
@@ -121,21 +128,24 @@ MAX_INSTANCE_ENTRIES = 1 << 24
 #: incompatible, at seed 1). :func:`_over_a_cap` is its one check.
 MAX_INSTANCE_MATRICES = 1024
 
-#: The most ``[`` plus ``{`` a text may hold for orjson to decode it: their
-#: count bounds the nesting depth, which orjson does not limit itself.
+#: The most ``[`` plus ``{`` a text may hold for orjson to decode it without a
+#: scan: their count bounds the nesting depth, which orjson does not limit itself.
 ORJSON_MAX_OPENINGS = 4096
 
-#: The most ``{`` a text may hold for orjson to decode it, which costs more
-#: stack per level than ``[``: the top-level object, ``tolerances`` and one
-#: object per matrix of an instance under the matrix cap.
+#: The most ``{`` a text may hold for orjson to decode it without a scan,
+#: which costs more stack per level than ``[``: the top-level object,
+#: ``tolerances`` and one object per matrix of an instance under the matrix
+#: cap. A text with more is scanned, and its matrices are counted.
 ORJSON_MAX_OBJECTS = 2 + MAX_INSTANCE_MATRICES
 
-#: The deepest nesting :func:`_decode` hands to ``json``, which nests by C
-#: recursion. Pythons 3.10 and 3.11 refuse deeper input at the default
-#: recursion limit, and 3.12 beyond about 1,500 levels; 3.13 counts C
-#: recursion to 10,000 levels, and its ``json`` parsed 3,000 nested objects
-#: in a 512 KiB thread but was killed by 4,096. A valid instance nests six
-#: levels deep, so the bound refuses no instance that any Python reads.
+#: The deepest nesting :func:`_decode` hands to a decoder once it has scanned
+#: the text, under the 1,026 nested objects that orjson survived on a 512 KiB
+#: thread. ``json`` nests by C recursion: Pythons 3.10 and 3.11 refuse deeper
+#: input at the default recursion limit, and 3.12 beyond about 1,500 levels;
+#: 3.13 counts C recursion to 10,000 levels, and its ``json`` parsed 3,000
+#: nested objects in a 512 KiB thread but was killed by 4,096. A valid
+#: instance nests six levels deep, so the bound refuses no instance that any
+#: Python reads.
 JSON_MAX_DEPTH = 1000
 
 
@@ -286,34 +296,80 @@ def _echo(text: str, obj: dict) -> str | None:
     return line if as_written else None
 
 
-def _decode(text: str):
-    """The JSON value of ``text``, by orjson when it takes the text, else by ``json``.
+#: A top-level ``"matrices"`` key and the ``[`` that opens its list, where no
+#: escaped quote or backslash is left (see :func:`_scan`).
+_MATRICES_KEY = re.compile(rb'"matrices"\s*:\s*\[')
 
-    orjson gets the text when it opens at most :data:`ORJSON_MAX_OBJECTS`
+
+def _scan(raw: bytes, entries: bool) -> None:
+    """Refuse ``raw`` before any decoder runs: too deep, or (when ``entries``) too many matrices.
+
+    One scan of the quotes and brackets, once each escaped backslash and
+    quote is dropped (no copy when the text holds no backslash), gives the
+    depth after each bracket outside strings. A text nested deeper than
+    :data:`JSON_MAX_DEPTH` raises the ``RecursionError`` that ``json``
+    raises up to Python 3.12. With ``entries``, the objects that open one
+    level inside the list of the last top-level ``"matrices"`` key are
+    counted; more than :data:`MAX_INSTANCE_MATRICES` raise
+    :class:`InstanceFormatError` in :func:`_over_a_cap`'s words, which
+    :func:`parse_instance` would raise once the text was decoded. Any other
+    text passes, for the decoders to judge.
+    """
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    codes = np.frombuffer(raw, np.uint8)
+    marks, low = codes == 0x22, codes | 0x20  # [ and { read as {, ] and } as }
+    marks |= low == 0x7B
+    marks |= low == 0x7D
+    del low  # the text-sized arrays go as soon as they are read
+    chars = codes[marks]
+    opens = [match.end() - 1 for match in _MATRICES_KEY.finditer(raw)] if entries else []
+    starts = np.cumsum([np.count_nonzero(marks[a:b]) for a, b in zip([0, *opens], opens)], dtype=np.intp)
+    del marks  # ``starts`` holds the index of each such ``[`` in ``chars``
+    quotes = chars == 0x22
+    inside = np.logical_xor.accumulate(quotes) | quotes  # a string, from its opening quote to its closing one
+    low = chars | 0x20
+    steps = (low == 0x7B).view(np.int8) - (low == 0x7D).view(np.int8)
+    steps[inside] = 0
+    levels = np.cumsum(steps, dtype=np.int32)  # it passes any bound on the way to an overflow
+    if levels.max(initial=0) > JSON_MAX_DEPTH:
+        raise RecursionError(f"more than {JSON_MAX_DEPTH} levels")
+    starts = starts[levels[starts] == 2]  # the lists that the top-level object holds
+    if starts.size:
+        first = starts[-1] + 1  # the last, as a repeated key's last value is read
+        last = first + np.argmax(levels[first:] < 2)  # unclosed, it counts nothing: invalid JSON
+        count = np.count_nonzero((levels[first:last] == 3) & (chars[first:last] == 0x7B) & ~inside[first:last])
+        if count > MAX_INSTANCE_MATRICES:
+            raise InstanceFormatError(f"instance too large: {_over_a_cap(count, 1)}")
+
+
+def _decode(text: str):
+    """The JSON value of ``text``, by orjson unless it refuses the text, then by ``json``.
+
+    A text within the cheap bounds, at most :data:`ORJSON_MAX_OBJECTS`
     objects and :data:`ORJSON_MAX_OPENINGS` arrays and objects together,
-    counted on the UTF-8 bytes, and gives way to ``json`` whenever it
-    refuses the text (see the module docstring). A text for ``json`` that
-    nests deeper than :data:`JSON_MAX_DEPTH` raises the ``RecursionError``
-    that ``json`` raises up to Python 3.12, on every Python and before
-    ``json`` runs: its depth comes from one scan of the brackets outside
-    strings, once each escaped backslash and quote is dropped.
+    counted on the UTF-8 bytes, goes to orjson as it is. Any other text is
+    first scanned (:func:`_scan`): one nested deeper than
+    :data:`JSON_MAX_DEPTH` raises ``RecursionError``, and one with more
+    objects than :data:`ORJSON_MAX_OBJECTS` whose ``"matrices"`` list holds
+    more than :data:`MAX_INSTANCE_MATRICES` raises :class:`InstanceFormatError`;
+    the rest, no deeper than orjson survives on a small stack, goes to
+    orjson too. ``json`` reads only what orjson refuses (see the module
+    docstring), after the same scan.
     """
     raw = text.encode()
     codes = np.frombuffer(raw, np.uint8)
     objects = np.count_nonzero(codes == 0x7B)  # b"{"
-    openings = objects + np.count_nonzero(codes == 0x5B)  # b"["
-    if objects <= ORJSON_MAX_OBJECTS and openings <= ORJSON_MAX_OPENINGS:
-        import orjson  # here, so that importing the package or the CLI does not load it
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-    codes = np.frombuffer(raw.replace(b"\\\\", b"").replace(b'\\"', b""), np.uint8)
-    brackets = codes | 0x20  # [ and { read as {, ] and } as }
-    steps = (brackets == 0x7B).view(np.int8) - (brackets == 0x7D).view(np.int8)
-    steps[np.logical_xor.accumulate(codes == 0x22)] = 0  # inside a string, from its opening quote
-    if np.cumsum(steps[steps != 0]).max(initial=0) > JSON_MAX_DEPTH:
-        raise RecursionError(f"more than {JSON_MAX_DEPTH} levels")
+    scanned = objects > ORJSON_MAX_OBJECTS or objects + np.count_nonzero(codes == 0x5B) > ORJSON_MAX_OPENINGS
+    if scanned:
+        _scan(raw, objects > ORJSON_MAX_OBJECTS)
+    import orjson  # here, so that importing the package or the CLI does not load it
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    if not scanned:
+        _scan(raw, False)
     return json.loads(text)
 
 
@@ -322,13 +378,17 @@ def load_instance(path) -> Instance:
 
     The instance cannot change, so the echo set here spells it as long as it lives.
     Input nested too deeply to decode, or to quote in a diagnostic, raises
-    :class:`InstanceFormatError` like any other unreadable input.
+    :class:`InstanceFormatError` like any other unreadable input; a text
+    that :func:`_scan` finds over the matrix cap is refused in the cap's
+    words, not as invalid JSON.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 text = fh.read()
                 obj = _decode(text)
+            except InstanceFormatError:  # over the matrix cap, refused before decoding
+                raise
             except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
                 raise InstanceFormatError(f"not valid JSON: {exc}") from exc
         instance = parse_instance(obj)

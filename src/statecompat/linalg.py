@@ -56,6 +56,26 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a :class:`Tolerances`, naming its type.
+
+    Every public function that takes tolerances runs this first, so a bare
+    number, a mapping or None gets a :class:`StateCompatError`, never an
+    ``AttributeError``.
+    """
+    if not isinstance(tol, Tolerances):
+        raise StateCompatError(f"tolerances must be a Tolerances, got {type(tol).__name__}")
+
+
+def _check_elements(items, kind: type) -> list:
+    """``items`` as a list, every element a ``kind``; the first that is not is named with its type."""
+    items = list(items)
+    for k, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise StateCompatError(f"element {k} of the set has type {type(item).__name__}, not {kind.__name__}")
+    return items
+
+
 def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
     """``np.asarray``, raising :class:`StateCompatError` for input numpy cannot convert."""
     try:
@@ -65,13 +85,20 @@ def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
 
 
 def _as_finite(value, ndim: int, what: str) -> np.ndarray:
-    """Coerce to a finite, non-empty complex128 array of ``ndim`` axes; ``what`` names it."""
+    """Coerce to a finite, non-empty complex128 array of ``ndim`` axes; ``what`` names it.
+
+    The checks run in this order: the array converts, has ``ndim`` axes, is
+    not empty and has finite entries. Finiteness is read first from the sum
+    of squared moduli, one ``vdot``: it is finite only when every entry is.
+    Only when it is not, which a huge finite entry (beyond about 1e154) can
+    cause too, are the entries counted one by one, so the test is exact.
+    """
     arr = as_array(value, what)
     if arr.ndim != ndim:
         raise StateCompatError(f"expected a {ndim}-d {what}, got shape {arr.shape}")
     if arr.size == 0:
         raise StateCompatError(f"{what} must not be empty")
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # cheaper than .all() on small arrays
+    if not math.isfinite(np.vdot(arr, arr).real) and np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise StateCompatError(f"{what} contains non-finite entries")
     return arr
 
@@ -249,8 +276,11 @@ def subspace_intersection(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     Decided by one SVD of the stacked complement projectors
     [I - P_1; ...; I - P_n] (see :func:`_split_rows`). A single subspace is
     its own intersection and keeps its basis order (phase-fixed), no SVD.
+    ``tol`` must be a :class:`Tolerances` and every element a
+    :class:`Subspace`; both are checked first.
     """
-    subspaces = list(subspaces)
+    _check_tol(tol)
+    subspaces = _check_elements(subspaces, Subspace)
     if not subspaces:
         raise StateCompatError("need at least one subspace")
     ambient = subspaces[0].ambient_dim

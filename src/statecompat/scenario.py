@@ -54,14 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import _Split, _split_set
-from .density import _ensembles_around
+from .density import Ensemble, _ensembles_around
 from .errors import (
     CommonStateMismatchError,
     DimensionMismatchError,
     IncompatibleError,
     StateCompatError,
 )
-from .linalg import DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, as_array, as_dim, read_only
+from .linalg import (DEFAULT_TOL, UNIT_TOL, Tolerances, _as_finite, _check_elements, _check_tol, as_array,
+                     as_dim, read_only)
 
 _NO_SHARED_STATE = (
     "the supports share no common state, so no single system can realize all of these assignments"
@@ -172,7 +173,8 @@ class ScenarioResult:
 def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeState:
     """Assemble the composite pure state from per-observer ensembles.
 
-    Each is an :class:`statecompat.density.Ensemble`, which cannot change
+    ``tol`` must be a :class:`statecompat.linalg.Tolerances`, and each
+    element an :class:`statecompat.density.Ensemble`, which cannot change
     after its constructor's checks, so its terms are read as they are: every
     weight is positive and every state a finite unit vector. Every
     ensemble's first term must carry the shared state: the term-0 states
@@ -185,7 +187,8 @@ def build_joint_state(ensembles, tol: Tolerances = DEFAULT_TOL) -> CompositeStat
     extra term i of ensemble k sits at ancilla k's level 0 and every other
     ancilla's level i.
     """
-    ensembles = list(ensembles)
+    _check_tol(tol)
+    ensembles = _check_elements(ensembles, Ensemble)
     n = len(ensembles)
     if n < 2:
         raise StateCompatError(f"need at least two observers, got {n}")
@@ -229,6 +232,7 @@ def observer_conditional_state(psi: CompositeState, k: int) -> BlockState:
     all-zero block, which :class:`CompositeState` checks to be nonzero and
     which cannot change after that check, so the norm is never zero.
     """
+    _check_elements([psi], CompositeState)
     if not 0 <= k < psi.n_observers:
         raise StateCompatError(f"observer index {k} out of range (0..{psi.n_observers - 1})")
     keep = psi.patterns[:, k] == 0
@@ -266,14 +270,13 @@ def observer_reduced_density(
     :func:`_reduced_matrices`); the result is the unit-trace Gram array,
     positive semidefinite by construction, as :attr:`ScenarioResult.recovered`
     holds one per observer, not validated or diagonalized. ``tol`` is
-    accepted for the call shape of the other stages and not needed.
+    accepted for the call shape of the other stages and not needed, but,
+    as everywhere, it must be a :class:`statecompat.linalg.Tolerances`.
     """
+    _check_tol(tol)
+    _check_elements([conditional], BlockState)
     # integers only; their values are checked against the state's factors below
     dims = [as_dim(d, "factor dimension", 0) for d in factor_dims]
-    if not isinstance(conditional, BlockState):
-        raise StateCompatError(
-            f"expected a BlockState, got {type(conditional).__name__}"
-        )
     expected = [*conditional.ancilla_dims, conditional.system_dim]
     if dims != expected or system_index != len(dims) - 1:
         raise DimensionMismatchError(
@@ -316,14 +319,14 @@ def _realize(split: _Split, tol: Tolerances) -> ScenarioResult:
     phi, spectra = split.witness, split.spectra
     if phi is None:
         raise IncompatibleError(_NO_SHARED_STATE)
-    if len(split.rhos) == 1:
+    if len(split.matrices) == 1:
         spectra = spectra._make(part[[0, 0]] for part in spectra)
     weights, totals, states, keep = _ensembles_around(spectra, phi, tol)
     weights = weights / totals[:, None]
     rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
     lead = np.vdot(phi, phi).real
     probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))
-    recovered = _reduced_matrices(rows[: len(split.rhos)])
+    recovered = _reduced_matrices(rows[: len(split.matrices)])
     diff = recovered - split.matrices
     dists = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2))).tolist()
     return ScenarioResult(recovered, dists, probability, all(d <= tol.match_abs for d in dists))

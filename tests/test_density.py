@@ -37,8 +37,15 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances
-from statecompat.scenario import BlockState, CompositeState, run_scenario
+from statecompat.linalg import DEFAULT_TOL, Subspace, Tolerances, subspace_intersection
+from statecompat.scenario import (
+    BlockState,
+    CompositeState,
+    build_joint_state,
+    observer_conditional_state,
+    observer_reduced_density,
+    run_scenario,
+)
 
 from conftest import (
     check_stacked_ensembles,
@@ -201,7 +208,7 @@ def all_entries_notes(rhos, tol=DEFAULT_TOL) -> list[str]:
 
 
 def test_marginal_notes_match_every_ratio_tested():
-    """The report tests only the two ratios flanking each cut; it finds what testing all finds.
+    """The report's marginal notes are those of every ratio tested against its band, as first computed.
 
     Over the invariant sets, and over diag(1 - eps, eps, 0) beside |1><1|
     with eps swept through the rank band and pure pairs swept through the
@@ -233,11 +240,14 @@ def test_marginal_notes_match_every_ratio_tested():
         np.diag([1.5, -0.5]),
         np.diag([1.0 + 1e-6, -1e-6]),
         np.diag([2.0, -1.0]),
+        np.array([[0.5, 1e200], [1e200, 0.5]]),
     ],
     ids=["non-finite", "3-d", "non-square", "non-hermitian", "trace", "negative", "just-negative",
-         "eigenvalue-minus-one"],
+         "eigenvalue-minus-one", "huge-finite"],
 )
 def test_validate_raises_what_the_reference_raises(bad):
+    # also without a floating-point warning, which the suite turns into an error; the
+    # huge finite entries overflow ||M||_F^2 but not a check that validation makes
     with pytest.raises(StateCompatError) as want:
         reference_validate_density(bad)
     for entry in (validate_density, DensityMatrix):
@@ -688,6 +698,39 @@ def test_tolerances_must_be_a_tolerances(call):
         with pytest.raises(StateCompatError) as info:
             call(rho, tol)
         assert str(info.value) == f"tolerances must be a Tolerances, got {name}"
+
+
+def _two_observer_state():
+    return CompositeState([2, 2], 2, [[0, 0], [0, 1], [1, 0]], np.array([E0, E1, E1]) / np.sqrt(3.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_density(np.eye(2) / 2, 1e-3), "tolerances must be a Tolerances, got float"),
+        (lambda: DensityMatrix("not a matrix", None), "tolerances must be a Tolerances, got NoneType"),
+        (lambda: subspace_intersection([1]), "element 0 of the set has type int, not Subspace"),
+        (lambda: subspace_intersection([Subspace(2, np.eye(2))] * 2, 0.1),
+         "tolerances must be a Tolerances, got float"),
+        (lambda: build_joint_state([1, 2]), "element 0 of the set has type int, not Ensemble"),
+        (lambda: build_joint_state([Ensemble(2, [(1.0, E0)])] * 2, {"rank_rel": 1e-3}),
+         "tolerances must be a Tolerances, got dict"),
+        (lambda: observer_conditional_state(1, 0), "element 0 of the set has type int, not CompositeState"),
+        (lambda: observer_reduced_density(1, [2], 0), "element 0 of the set has type int, not BlockState"),
+        (lambda: observer_reduced_density(observer_conditional_state(_two_observer_state(), 0), [2, 2], 1, 0.1),
+         "tolerances must be a Tolerances, got float"),
+    ],
+    ids=["validate_density-tol", "DensityMatrix-tol-first", "subspace_intersection-element",
+         "subspace_intersection-tol", "build_joint_state-element", "build_joint_state-tol",
+         "observer_conditional_state-state", "observer_reduced_density-state", "observer_reduced_density-tol"],
+)
+def test_a_wrong_argument_raises_statecompat_error(call, message):
+    """Every public function refuses a tolerance that is not a Tolerances, and an element
+    of the wrong type, with the package's error in the set check's words: the constructor
+    of a DensityMatrix checks its tolerances before it reads the matrix."""
+    with pytest.raises(StateCompatError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_numpy_scalars_are_still_numbers():

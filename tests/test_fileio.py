@@ -798,6 +798,19 @@ def orjson_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """The ``entries`` flag of every :func:`statecompat.fileio._scan` call in the test."""
+    calls, scan = [], fileio._scan
+
+    def recorded(raw, entries):
+        calls.append(entries)
+        return scan(raw, entries)
+
+    monkeypatch.setattr(fileio, "_scan", recorded)
+    return calls
+
+
 def assert_same_instance(got: Instance, want: Instance) -> None:
     assert (got.dim, got.names, got.echo) == (want.dim, want.names, want.echo)
     assert list(got.tol_overrides) == list(want.tol_overrides)
@@ -881,27 +894,31 @@ def test_a_dim_beyond_64_bits_is_no_positive_integer(tmp_path):
         json_load_instance(path)  # refused before any row is read
 
 
-def test_the_opening_count_picks_the_decoder(orjson_calls):
+def test_the_opening_count_picks_the_decoder(orjson_calls, scans):
+    """Within the opening bound orjson gets the text as it is; beyond it the scan
+    runs first, which refuses one level too many before any decoder runs and
+    hands a text it passes to orjson too."""
     bound = fileio.ORJSON_MAX_OPENINGS
-    deepest = fileio._decode("[" * bound + "]" * bound)  # at the bound: orjson
+    deepest = fileio._decode("[" * bound + "]" * bound)  # at the bound: orjson, unscanned
     for _ in range(bound - 1):
         (deepest,) = deepest
-    assert deepest == [] and len(orjson_calls) == 1
-    with pytest.raises(RecursionError):  # one more: json, which refuses the depth
+    assert deepest == [] and (len(orjson_calls), scans) == (1, [])
+    with pytest.raises(RecursionError):  # one more: scanned, and refused for its depth
         fileio._decode("[" * (bound + 1) + "]" * (bound + 1))
-    # a bracket in a string counts too, as the count only bounds the depth
+    assert (len(orjson_calls), scans) == (1, [False])
+    # a bracket in a string counts too, as the count only bounds the depth; the scan skips it
     assert fileio._decode(json.dumps(["[" * bound])) == ["[" * bound]
-    assert len(orjson_calls) == 1
+    assert (len(orjson_calls), scans) == (2, [False, False])
 
 
-def test_the_object_count_picks_the_decoder(orjson_calls):
-    # a flat list: the object count decides, whatever the depth
+def test_the_object_count_picks_the_decoder(orjson_calls, scans):
+    # a flat list: the object count decides whether the scan runs and counts matrices, whatever the depth
     bound = fileio.ORJSON_MAX_OBJECTS
     assert bound == 2 + MAX_INSTANCE_MATRICES  # the top level, tolerances, one per matrix
     assert fileio._decode(json.dumps([{}] * bound)) == [{}] * bound
-    assert len(orjson_calls) == 1
-    assert fileio._decode(json.dumps([{}] * (bound + 1))) == [{}] * (bound + 1)  # json
-    assert len(orjson_calls) == 1
+    assert (len(orjson_calls), scans) == (1, [])
+    assert fileio._decode(json.dumps([{}] * (bound + 1))) == [{}] * (bound + 1)  # scanned, then orjson
+    assert (len(orjson_calls), scans) == (2, [True])
 
 
 def braced_name_line(braces: int, brackets: int) -> str:
@@ -911,9 +928,10 @@ def braced_name_line(braces: int, brackets: int) -> str:
     return '{"dim": 1, "matrices": [{"name": %s, "rows": [[[1.0, 0.0]]]}]}' % json.dumps(name, ensure_ascii=False)
 
 
-def test_the_counts_are_those_of_the_utf8_bytes(orjson_calls):
-    """The decoder is picked by the counts of ``{`` and ``[`` in the UTF-8
-    bytes, braces inside strings included, right at both bounds."""
+def test_the_counts_are_those_of_the_utf8_bytes(orjson_calls, scans):
+    """Whether the scan runs before orjson is picked by the counts of ``{`` and
+    ``[`` in the UTF-8 bytes, braces inside strings included, right at both
+    bounds; the scan passes each of these texts to orjson."""
     objects, openings = fileio.ORJSON_MAX_OBJECTS, fileio.ORJSON_MAX_OPENINGS
     base = braced_name_line(0, 0).encode()
     at_objects = objects - base.count(b"{")
@@ -924,11 +942,11 @@ def test_the_counts_are_those_of_the_utf8_bytes(orjson_calls):
     for braces, brackets in cases:
         text = braced_name_line(braces, brackets)
         raw = text.encode()
-        by_orjson = raw.count(b"{") <= objects and raw.count(b"{") + raw.count(b"[") <= openings
-        calls = len(orjson_calls)
+        unscanned = raw.count(b"{") <= objects and raw.count(b"{") + raw.count(b"[") <= openings
+        calls, scanned = len(orjson_calls), len(scans)
         assert fileio._decode(text)["matrices"][0]["name"] == json.loads(text)["matrices"][0]["name"]
-        assert len(orjson_calls) - calls == by_orjson, (braces, brackets)
-        picked.append(by_orjson)
+        assert (len(orjson_calls) - calls, len(scans) - scanned) == (1, not unscanned), (braces, brackets)
+        picked.append(unscanned)
     assert picked == [True, True, False, True, False, False]  # the cases straddle both bounds
     with pytest.raises(json.JSONDecodeError):
         fileio._decode("")
@@ -999,14 +1017,14 @@ LEVELS = {"arrays": ("[", "]"), "objects": ('{"a": ', "}"), "array-strings": ('[
 @pytest.mark.parametrize("kind", LEVELS)
 @pytest.mark.parametrize("by", ["orjson-refusal", "opening-count"])
 def test_json_gets_no_text_nested_deeper_than_its_bound(json_calls, kind, by):
-    """``json`` gets texts up to :data:`JSON_MAX_DEPTH` levels deep, whether orjson
-    refused them (a NaN) or was never tried (more openings than its bound, all
-    inside a string); one level more raises ``RecursionError`` before ``json``
-    is called."""
+    """``json`` gets texts up to :data:`JSON_MAX_DEPTH` levels deep that orjson
+    refused (a NaN), whether orjson got them as they were or after the scan
+    (more openings than its bound, all inside a string); one level more
+    raises ``RecursionError`` before ``json`` is called."""
     bound = fileio.JSON_MAX_DEPTH
     assert bound == 1000
     opening, closing = LEVELS[kind]
-    pad = "NaN" if by == "orjson-refusal" else json.dumps("[{" * fileio.ORJSON_MAX_OPENINGS)
+    pad = "NaN" if by == "orjson-refusal" else json.dumps("[{" * fileio.ORJSON_MAX_OPENINGS) + ", NaN"
     for depth in (bound, bound + 1):
         # the outer array holding the padding is one level
         text = "[" + pad + ", " + opening * (depth - 1) + "0" + closing * (depth - 1) + "]"
@@ -1040,17 +1058,75 @@ def nested_for_json(text: str, levels: int) -> str:
     return "[" * (levels - 1) + "[NaN, " + text + "]" * levels
 
 
-def test_names_full_of_brackets_are_read_by_json(tmp_path, orjson_calls):
-    """A valid instance whose names hold more ``{`` and ``[`` than orjson takes,
-    beside escaped quotes and backslashes, goes to ``json`` and reads as
-    ``json`` reads it: those brackets are inside strings."""
+def test_names_full_of_brackets_are_read_by_orjson(tmp_path, orjson_calls, scans):
+    """A valid instance whose names hold more ``{`` and ``[`` than the cheap
+    bounds, beside escaped quotes and backslashes, is scanned, which finds it
+    neither too deep nor over the matrix cap, as those brackets are inside
+    strings; then orjson reads it as ``json`` reads it."""
     names = ["{" * fileio.ORJSON_MAX_OBJECTS + "[" * fileio.ORJSON_MAX_OPENINGS, "\\", '\\"[', '"{', "\\\\"]
     line = json.dumps({"dim": 1, "matrices": [{"name": name, "rows": [[[1.0, 0.0]]]} for name in names]})
     assert depth_by_hand(line) == 6 and line.count("{") > fileio.ORJSON_MAX_OBJECTS
     path = tmp_path / "inst.json"
     path.write_text(line)
     assert list(load_instance(path).names) == names
-    assert orjson_calls == []
+    assert (len(orjson_calls), scans) == (1, [True])
+    assert_same_instance(load_instance(path), json_load_instance(path))
+
+
+def one_by_one_line(count: int, name: str = "rho", extra: str = "") -> str:
+    """An instance line of ``count`` 1 x 1 matrices named ``name``, then ``extra`` at the top level."""
+    entry = json.dumps({"name": name, "rows": [[[1.0, 0.0]]]})
+    return '{"dim": 1, "matrices": [' + ", ".join([entry] * count) + "]" + extra + "}"
+
+
+@pytest.mark.parametrize("count", [MAX_INSTANCE_MATRICES + 2, 200_000])
+def test_a_text_over_the_matrix_cap_is_refused_before_decoding(tmp_path, orjson_calls, json_calls, count):
+    """A text with more objects than orjson gets unscanned, whose ``"matrices"``
+    list holds more than the cap, is refused by the scan in the cap's words:
+    neither decoder runs, and the refusal is not called invalid JSON. (With one
+    matrix fewer the text is within the object bound, and ``parse_instance``
+    refuses it after orjson, as ``test_the_matrix_cap_is_checked_before_any_matrix_is_read``
+    checks for the decoded object.)"""
+    path = tmp_path / "many.json"
+    path.write_text(one_by_one_line(count))
+    with pytest.raises(InstanceFormatError) as info:
+        load_instance(path)
+    assert str(info.value) == f"instance too large: {count} matrices, over the cap of {MAX_INSTANCE_MATRICES}"
+    assert orjson_calls == json_calls == []
+
+
+@pytest.mark.parametrize("text", [
+    one_by_one_line(3, name="{" * 2000),
+    one_by_one_line(MAX_INSTANCE_MATRICES, name="{", extra=', "tolerances": {"rank_rel": 1e-9}'),
+    one_by_one_line(1, extra=', "other": [' + ", ".join(["{}"] * 2000) + "]"),
+    one_by_one_line(1, extra=', "other": {"matrices": [' + ", ".join(["{}"] * 2000) + "]}"),
+    one_by_one_line(1, extra=', "other": [{"matrices": []}, ' + ", ".join(["{}"] * 2000) + "]"),
+    '{"dim": 1, "matrices": [{"rows": [[[1.0, 0.0]]], "matrices": [' + ", ".join(["{}"] * 2000) + "]}]}",
+    '{"matrices": [' + ", ".join(["{}"] * 2000) + '], "dim": 1, "matrices": [{"rows": [[[1.0, 0.0]]]}]}',
+], ids=["braces-in-names", "at-the-cap", "other-list", "nested-key", "nested-key-then-objects",
+        "key-in-an-entry", "repeated-key"])
+def test_objects_outside_the_matrix_list_are_no_matrices(tmp_path, orjson_calls, scans, text):
+    """The scan counts only the objects that open in the list of the last
+    top-level ``"matrices"`` key, so each of these texts, over the cheap object
+    bound, reads as ``json`` reads it, by orjson."""
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert text.count("{") > fileio.ORJSON_MAX_OBJECTS
+    assert_same_instance(load_instance(path), json_load_instance(path))
+    assert (len(orjson_calls), scans) == (1, [True])
+
+
+def test_a_text_over_the_opening_bound_is_read_by_orjson(tmp_path, monkeypatch):
+    """One 64 x 64 matrix opens more arrays than the cheap bound; the scan passes
+    it, orjson reads it without ``json``, and the instance has ``json``'s bits."""
+    path = tmp_path / "d64.json"
+    write_generated(path, 64, 2, 7, "incompatible")
+    assert path.read_text().count("[") > fileio.ORJSON_MAX_OPENINGS
+    want = json_load_instance(path)
+    with monkeypatch.context() as patched:
+        patched.setattr(fileio.json, "loads", mock.Mock(side_effect=AssertionError("json.loads called")))
+        got = load_instance(path)
+    assert_same_instance(got, want)
 
 
 def test_too_deep_for_json_is_an_instance_format_error(tmp_path, json_calls):
