@@ -85,6 +85,7 @@ from .linalg import (
     _as_finite,
     _check_elements,
     _check_tol,
+    _eigh,
     _fix_columns,
     _householder_completions,
     as_complex_vector,
@@ -110,13 +111,16 @@ class DensityMatrix:
     :class:`~statecompat.linalg.Tolerances`, M converts to a complex array,
     has two axes, is not empty, has finite entries, is square, its
     Hermiticity defect is at most ``tol.match_abs``, the eigendecomposition
-    of (M + M^dag)/2 succeeds, the trace is one within :data:`TRACE_TOL`,
-    and no eigenvalue is negative beyond the zero cutoff. The shape and
-    finiteness checks are :func:`statecompat.linalg._as_finite`, the one
-    coercion of every checked array, so a non-finite entry is refused before
-    it reaches M - M^dag, where an infinite one would raise a floating-point
-    warning. The eigenvalues are put in descending
-    order and the eigenvector columns phase-fixed (see
+    of (M + M^dag)/2 succeeds (one :func:`statecompat.linalg._eigh`, the
+    bits of ``np.linalg.eigh`` without its wrapper; a ``LinAlgError``
+    becomes :class:`~statecompat.errors.NumericalFailureError`), the trace
+    is one within :data:`TRACE_TOL`, and no eigenvalue is negative beyond
+    the zero cutoff. The shape and finiteness checks are
+    :func:`statecompat.linalg._as_finite`, the one coercion of every checked
+    array, so a non-finite entry is refused before it reaches M - M^dag,
+    where an infinite one would raise a floating-point warning. The
+    eigenvalues are put in descending order and the eigenvector columns
+    phase-fixed (see
     :func:`statecompat.linalg._fix_columns`); eigenvalues within the
     negative tolerance band are clamped to zero and the matrix rebuilt from
     its spectrum, and the trace is renormalized to exactly one.
@@ -146,7 +150,7 @@ class DensityMatrix:
             raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds match_abs {tol.match_abs:.3e}")
         sym = (m + mh) / 2.0
         try:
-            values, vectors = np.linalg.eigh(sym)
+            values, vectors = _eigh(sym)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
         values, vectors = values[::-1], _fix_columns(vectors[:, ::-1])

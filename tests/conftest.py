@@ -43,7 +43,7 @@ from unittest import mock
 import numpy as np
 import orjson
 
-from statecompat import fileio
+from statecompat import fileio, linalg
 from statecompat.density import TRACE_TOL, DensityMatrix, Ensemble, validate_density
 from statecompat.errors import (
     CommonStateMismatchError,
@@ -210,11 +210,20 @@ def loop_fix_phase(v: np.ndarray) -> np.ndarray:
     return np.array(v, dtype=np.complex128)
 
 
+#: The package's one LAPACK entry: a count's key and the name of the gufunc it counts.
+LAPACK_GUFUNCS = {"eigh": "_EIGH_GUFUNC", "svd": "_SVD_GUFUNC"}
+
+
 @contextlib.contextmanager
 def count_linalg():
-    """Count numpy.linalg.eigh and numpy.linalg.svd calls made inside the block."""
-    counts = {"eigh": 0, "svd": 0}
-    originals = {name: getattr(np.linalg, name) for name in counts}
+    """Count the eigh and SVD calls the package makes inside the block.
+
+    Every one goes through :mod:`statecompat.linalg`'s LAPACK entry, which
+    reads its gufunc from a module-level name at each call; the names are
+    patched here, so a call counts however the package reaches it.
+    """
+    counts = dict.fromkeys(LAPACK_GUFUNCS, 0)
+    originals = {name: getattr(linalg, attr) for name, attr in LAPACK_GUFUNCS.items()}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -223,12 +232,19 @@ def count_linalg():
         return wrapper
 
     for name, fn in originals.items():
-        setattr(np.linalg, name, counting(name, fn))
+        setattr(linalg, LAPACK_GUFUNCS[name], counting(name, fn))
     try:
         yield counts
     finally:
         for name, fn in originals.items():
-            setattr(np.linalg, name, fn)
+            setattr(linalg, LAPACK_GUFUNCS[name], fn)
+
+
+def nan_fed(gufunc):
+    """``gufunc`` run on a NaN-filled copy of its input, where LAPACK fails for real and flags it."""
+    def failing(a, **kwargs):
+        return gufunc(np.full_like(a, np.nan), **kwargs)
+    return failing
 
 
 def loop_partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:

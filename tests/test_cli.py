@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statecompat
-from statecompat import compat, density, fileio
+from statecompat import compat, density, fileio, linalg
 from statecompat.cli import build_parser, main
 from statecompat.compat import CompatReport, full_report
-from statecompat.density import DensityMatrix, validate_density
+from statecompat.density import DensityMatrix, support, validate_density
 from statecompat.errors import InstanceFormatError, NumericalFailureError
 from statecompat.generate import (
     generate_instance,
@@ -25,7 +25,7 @@ from statecompat.generate import (
     random_subspace,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL
+from statecompat.linalg import DEFAULT_TOL, subspace_intersection
 from statecompat.scenario import run_scenario
 from statecompat.fileio import (
     MAX_INSTANCE_MATRICES,
@@ -42,6 +42,7 @@ from conftest import (
     count_linalg,
     json_bits,
     list_route_text,
+    nan_fed,
     pairs_to_vector,
     write_to_text,
     written_json,
@@ -686,18 +687,47 @@ def test_generators_refuse_parameters_out_of_range(call, message):
 
 
 def test_a_failed_eigendecomposition_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    """LAPACK really fails, on NaN, inside the package's eigh entry: the gufunc sets
+    the invalid flag and the entry's errstate handler raises numpy's own error,
+    with no floating-point warning (the suite turns one into an error). At d <= 2
+    LAPACK returns NaN without failing, so the matrix is 3x3."""
     path = tmp_path / "inst.json"
-    write_instance(path, [np.eye(2) / 2])  # one matrix, so one line: each failing matrix gets its own
-
-    def eigh(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    with pytest.raises(NumericalFailureError, match="eigendecomposition failed"):
-        DensityMatrix(np.eye(2) / 2)
+    write_instance(path, [np.eye(3) / 3])  # one matrix, so one line: each failing matrix gets its own
+    monkeypatch.setattr(linalg, "_EIGH_GUFUNC", nan_fed(linalg._EIGH_GUFUNC))
+    message = "eigendecomposition failed: Eigenvalues did not converge"
+    with pytest.raises(NumericalFailureError, match=f"^{message}$"):
+        DensityMatrix(np.eye(3) / 3)
     assert main(["check", "--input", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "eigendecomposition failed" in err, err
+    assert err.count("\n") == 1 and message in err, err
+
+
+def test_a_failed_svd_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    """The intersection SVD's twin of the test above: LAPACK fails on NaN rows."""
+    path = write_instance(tmp_path / "inst.json", generate_instance(3, 2, 1, "compatible"))
+    monkeypatch.setattr(linalg, "_SVD_GUFUNC", nan_fed(linalg._SVD_GUFUNC))
+    assert main(["check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "statecompat: error: SVD did not converge\n"
+
+
+def test_no_package_path_goes_through_the_numpy_linalg_wrappers(tmp_path, monkeypatch):
+    """Every eigh and SVD the package makes is its own LAPACK entry, so with
+    np.linalg.eigh and np.linalg.svd made to raise, validation, the report, the
+    scenario, the intersection of subspaces and both report verbs still run."""
+    matrices = generate_instance(4, 3, 5, "compatible")
+    path = write_instance(tmp_path / "inst.json", matrices)
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("the package called a numpy.linalg wrapper")
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    monkeypatch.setattr(np.linalg, "svd", wrapper)
+    rhos = [validate_density(m) for m in matrices]
+    assert full_report(rhos).compatible
+    assert run_scenario(rhos).success
+    assert subspace_intersection([support(rho) for rho in rhos]).dim >= 1
+    for verb in ("check", "scenario"):
+        assert main([verb, "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
 
 
 def test_generate_caps_its_size_before_allocating(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statecompat
+from statecompat import linalg
 from statecompat.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -13,7 +14,7 @@ from statecompat.errors import (
     StateCompatError,
 )
 from statecompat.generate import crandn, random_subspace, random_unit_vector, random_unitary
-from statecompat.compat import forbidden_subspace, support_compatible
+from statecompat.compat import forbidden_subspace, full_report, support_compatible
 from statecompat.density import DensityMatrix, null_space, support, validate_density
 from statecompat.generate import generate_instance, random_density
 from statecompat.linalg import (
@@ -592,3 +593,52 @@ def test_fix_phase_matches_the_reference_bit_for_bit():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         count += 1
     assert count == 17
+
+
+def lapack_sets():
+    """Sets of density matrices at d = 1 to 32: every generator mode, rank-deficient
+    matrices, and a full-rank set, whose intersection SVD reads padding rows only."""
+    rng = np.random.default_rng(33)
+    for d in (1, 2, 3, 5, 8, 16, 32):
+        yield [random_density(d, rng, rank=r) for r in sorted({1, (d + 1) // 2, d})]
+        yield [random_density(d, rng)] * 2  # full rank: no null-space row
+        if d >= 2:
+            yield generate_instance(d, 3, d, "compatible")
+            yield generate_instance(d, 3, d, "incompatible")
+        if d >= 3:
+            yield generate_instance(d, 3, d, "pairwise-only")
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        assert np.array_equal(np.ascontiguousarray(g).view(np.uint64), np.ascontiguousarray(w).view(np.uint64))
+
+
+def test_lapack_entry_gives_the_numpy_wrappers_bits(monkeypatch):
+    """The cross-check of the package's one LAPACK entry: ``linalg._eigh`` against
+    ``np.linalg.eigh`` and ``linalg._svd`` against ``np.linalg.svd(...,
+    full_matrices=False)``, output by output and bit for bit, on every input the
+    package hands the two gufuncs while validating, reporting on and intersecting
+    the supports of :func:`lapack_sets`. Under numpy 1.x this is also the check
+    of the SVD gufunc's older name."""
+    inputs = {"_EIGH_GUFUNC": [], "_SVD_GUFUNC": []}
+    for name, seen in inputs.items():
+        def recording(a, _seen=seen, _gufunc=getattr(linalg, name), **kwargs):
+            _seen.append(np.array(a))
+            return _gufunc(a, **kwargs)
+
+        monkeypatch.setattr(linalg, name, recording)
+    for matrices in lapack_sets():
+        rhos = [validate_density(m) for m in matrices]
+        full_report(rhos)
+        subspace_intersection([support(rho) for rho in rhos])
+    monkeypatch.undo()
+    for a in inputs["_EIGH_GUFUNC"]:
+        assert_same_bits(linalg._eigh(a), np.linalg.eigh(a))
+    for rows in inputs["_SVD_GUFUNC"]:
+        assert_same_bits(linalg._svd(rows), np.linalg.svd(rows, full_matrices=False))
+    assert {a.shape[0] for a in inputs["_EIGH_GUFUNC"]} == {1, 2, 3, 5, 8, 16, 32}
+    padded = [rows for rows in inputs["_SVD_GUFUNC"] if not np.any(rows[-1])]
+    assert padded and any(not np.any(rows) for rows in padded)  # some padded, some all padding
