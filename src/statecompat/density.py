@@ -34,19 +34,24 @@ reduces each spectrum to its maximum, is its oracle.
 
 The scenario needs these ensembles for every observer around one state, so
 they are computed in one array pass over the :class:`_Spectra` record
-(:func:`_ensembles_around`): all support defects, one batched Householder
-completion cut to the largest rank and the surplus eigenvectors. Of the
-ensemble checks it makes only those that can fail: the largest support
-defect, the unit norm of the shared state and each weight sum; positive
+(:func:`_ensembles_around`): all coefficient vectors, one batched
+Householder completion cut to the largest rank and the surplus
+eigenvectors. Of the ensemble checks only three can fail, and they live in
+two places. The two checks of the shared state, its largest support defect
+and then its unit norm, are :func:`_check_state`, over the same record;
+:func:`ensemble_containing`, where a caller's state enters, runs it before
+the pass, and the scenario does not, as its state is the witness of the
+supports' intersection, which passes both by construction. The pass makes
+the third, each weight sum, which the scenario can fail too. Positive
 weights and unit terms hold by construction.
 The terms are written in place into one preallocated array (the state, the
 completion, the basis), and norms are summed squares, not
 ``numpy.linalg.norm`` calls, so each quantity costs about one numpy call.
-:func:`ensemble_containing` is that pass for one matrix, whose terms the
-:class:`Ensemble` constructor then checks in full. The tests run
-``check_stacked_ensembles`` in ``tests/conftest.py``, the ensemble checks on
-stacked ensembles, over the pass's output as the oracle of the checks it
-leaves out.
+:func:`ensemble_containing` is the checker and that pass for one matrix,
+whose terms the :class:`Ensemble` constructor then checks in full. The
+tests run ``check_stacked_ensembles`` in ``tests/conftest.py``, the
+ensemble checks on stacked ensembles, over the pass's output as the oracle
+of the checks it leaves out.
 
 Two absolute tolerances hold every "must be one" decision of the package,
 one per meaning: :data:`TRACE_TOL` (1e-8) for a total probability, the trace
@@ -314,67 +319,79 @@ def null_space(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(rho.dim, spectra.vectors[0, :, spectra.ranks[0]:])
 
 
+def _check_state(spectra: _Spectra, phi: np.ndarray, tol: Tolerances) -> None:
+    """Refuse a state ``phi`` (a coerced d-vector) that :func:`_ensembles_around` cannot take.
+
+    ``spectra`` is the :class:`_Spectra` record the pass reads. Two checks,
+    with the messages of the :class:`Ensemble` constructor, in this order:
+    the largest support defect, phi's distance from a support, read as the
+    norm of its coefficients on that matrix's null-space eigenvectors (above
+    ``tol.match_abs`` it raises :class:`StateOutsideSupportError`, quoting
+    it), then the unit norm of phi within :data:`UNIT_TOL`, checked once
+    since phi is the one term a caller supplies. :func:`ensemble_containing`,
+    where a caller's state enters, runs it before the pass. The scenario
+    does not: its phi is the witness of the supports' intersection, at most
+    ``match_abs/sqrt(2)`` from them in root-sum-square and a unit vector
+    from the SVD, so neither check could fail there.
+    """
+    null = phi @ (spectra.vectors * ~spectra.kept[:, None]).conj()  # N_k^dag phi, N_k the null space
+    defect = math.sqrt(max(np.add.reduce((null.conj() * null).real, axis=1).tolist()))
+    if defect > tol.match_abs:
+        raise StateOutsideSupportError(f"state has a null-space component (projection defect {defect:.3e}); "
+                                       "no ensemble for this density matrix can contain it")
+    norm = math.sqrt(np.add.reduce((phi.conj() * phi).real))
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
+
+
 def _ensembles_around(spectra: _Spectra, phi: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The :func:`ensemble_containing` ensembles of n spectra around one state, all at once.
 
     ``spectra`` is the :class:`_Spectra` record of n validated matrices,
     read by name: their stacked ``values`` (n, d) and ``vectors`` (n, d, d)
     with the ``cutoffs``, ``kept`` and ``ranks`` of :func:`_rank_split`; and
-    ``phi`` is a coerced d-vector. Row k of the result
+    ``phi`` is a coerced unit d-vector in every support. Row k of the result
     is ensemble k as 2R candidate terms, R the largest rank, of which
     ``keep`` marks the real ones: phi with weight r_0, the completion (R - 1
     columns, weight r_0), then the eigenvectors with their surplus r_i - r_0
     (R columns). The terms are written in place into one (n, d, 2R) array,
     returned as its (n, 2R, d) view: each support basis is cut to R, its
     columns past its own rank zeroed, so one batched product gives every
-    support defect and one :func:`_householder_completions` call every
+    coefficient vector and one :func:`_householder_completions` call every
     completion. The weights are returned as computed, with their sums over
-    the kept terms, so that each caller divides them once.
+    the kept terms, so that each caller divides them once; the arrays are
+    new, so a caller may write into them.
 
-    Only the checks that can fail are made, with the messages of the
-    :class:`Ensemble` constructor, in this order: the largest support defect
-    (above ``tol.match_abs`` it raises :class:`StateOutsideSupportError`,
-    quoting it), the unit norm of phi within :data:`UNIT_TOL`, checked once
-    since phi is the one term a caller supplies, and each weight sum within
-    :data:`TRACE_TOL`, which a large ``tol.rank_rel`` breaks by dropping
-    eigenvalues. For the one matrix of :func:`ensemble_containing` that is
-    the order of the :class:`Ensemble` constructor after the support test.
-    A set of several matrices comes only from the scenario, whose phi is
-    the witness of their supports' intersection, so none of these checks
-    fails there. The constructor's other checks hold by
-    construction: a kept weight is r_0 or a kept surplus, each above a zero
-    cutoff greater than 0; a kept eigenvector is a column of a validated
-    spectrum, and a completion a Householder reflection of an orthonormal
-    support basis. ``check_stacked_ensembles`` in ``tests/conftest.py``, the
-    constructor's checks on stacked ensembles, is the oracle that the tests
-    run over this output.
+    phi itself is not checked here: :func:`_check_state` refuses a state
+    outside a support or off the unit sphere, and :func:`ensemble_containing`
+    runs it first, while the scenario's phi, the witness of the
+    intersection, passes it by construction. The one check made here is
+    each weight sum within :data:`TRACE_TOL`, with the message of the
+    :class:`Ensemble` constructor; it can fail on the scenario path too,
+    where a large ``tol.rank_rel`` drops eigenvalues. The constructor's
+    other checks hold by construction: a kept weight is r_0 or a kept
+    surplus, each above a zero cutoff greater than 0; a kept eigenvector is
+    a column of a validated spectrum, and a completion a Householder
+    reflection of an orthonormal support basis. ``check_stacked_ensembles``
+    in ``tests/conftest.py``, the constructor's checks on stacked
+    ensembles, is the oracle that the tests run over this output.
     """
     n, d = spectra.values.shape
     top = max(1, *spectra.ranks.tolist())
     inside = spectra.kept[:, :top]
-    r0 = np.minimum.reduce(spectra.values, axis=1, where=spectra.kept, initial=np.inf)  # the least kept value
+    r0 = np.minimum.reduce(spectra.values, axis=1, where=spectra.kept, initial=np.inf)[:, None]  # least kept
     weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
     states = np.empty((n, d, 2 * top), dtype=np.complex128)
-    weights[:, :top] = r0[:, None]
-    surplus = np.subtract(spectra.values[:, :top], r0[:, None], out=weights[:, top:])
-    keep[:, :top] = inside
-    np.logical_and(inside, surplus > spectra.cutoffs[:, None], out=keep[:, top:])
-    keep[:, 0] = True
+    weights[:, :top] = r0
+    surplus = np.subtract(spectra.values[:, :top], r0, out=weights[:, top:])
+    keep[:, :top] = inside  # phi too: a validated matrix's largest eigenvalue is kept
+    # a surplus past rank k is below 0, so above its cutoff means kept and inside
+    np.greater(surplus, spectra.cutoffs[:, None], out=keep[:, top:])
     states[:, :, 0] = phi
     basis = np.multiply(spectra.vectors[:, :, :top], inside[:, None], out=states[:, :, top:])
     coeffs = (phi.conj() @ basis).conj()  # U_k^dag phi, zero past rank k
     states[:, :, 1:top] = _householder_completions(basis, coeffs)
-    gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
-    defect = math.sqrt(max((gap.conj() * gap).real.sum(axis=1).tolist()))
-    if defect > tol.match_abs:
-        raise StateOutsideSupportError(
-            f"state has a null-space component (projection defect {defect:.3e}); "
-            "no ensemble for this density matrix can contain it"
-        )
-    norm = math.sqrt((phi.conj() * phi).real.sum())
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
-    totals = np.where(keep, weights, 0.0).sum(axis=1)
+    totals = np.add.reduce(np.where(keep, weights, 0.0), axis=1)
     for total in totals.tolist():
         if not abs(total - 1.0) <= TRACE_TOL:
             raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
@@ -389,12 +406,15 @@ def ensemble_containing(rho: DensityMatrix, psi, tol: Tolerances = DEFAULT_TOL) 
     remaining terms are the other members of an orthonormal support basis
     completing ``psi`` (each with weight r_0; they lie in the support and are
     orthogonal to ``psi``) and the eigenvectors whose surplus r_i - r_0 is
-    nonzero. Everything is read from ``rho.spectrum``, by
-    :func:`_ensembles_around` for this one matrix; the weights it keeps are
-    divided once by their sum, and the :class:`Ensemble` constructor keeps
-    them as given.
+    nonzero. Everything is read from ``rho.spectrum``: :func:`_check_state`
+    refuses ``psi`` when it lies outside the support or is not of unit norm,
+    and :func:`_ensembles_around` then decomposes this one matrix, checking
+    the weight sum; the weights it keeps are divided once by their sum, and
+    the :class:`Ensemble` constructor keeps them as given and checks the
+    rest.
     """
-    spectra = _spectra([rho], tol)
-    weights, _, states, keep = _ensembles_around(spectra, as_complex_vector(psi, rho.dim), tol)
+    spectra, psi = _spectra([rho], tol), as_complex_vector(psi, rho.dim)
+    _check_state(spectra, psi, tol)
+    weights, _, states, keep = _ensembles_around(spectra, psi, tol)
     weights = weights[keep]
     return Ensemble(rho.dim, list(zip((weights / weights.sum()).tolist(), states[keep])))

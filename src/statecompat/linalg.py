@@ -111,8 +111,11 @@ def _check_tol(tol) -> None:
 
 
 def _check_elements(items, kind: type) -> list:
-    """``items`` as a list, every element a ``kind``; the first that is not is named with its type."""
-    items = list(items)
+    """``items`` as a list, every element a ``kind``; the first that is not is named with its type.
+
+    A list is returned as it is, anything else is copied into one.
+    """
+    items = items if type(items) is list else list(items)
     for k, item in enumerate(items):
         if not isinstance(item, kind):
             raise StateCompatError(f"element {k} of the set has type {type(item).__name__}, not {kind.__name__}")
@@ -276,12 +279,13 @@ def _householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     nothing is divided by zero. A padding column of U_k yields a zero column.
     One batched product; no SVD.
     """
-    norms = np.sqrt((coeffs.conj() * coeffs).real.sum(axis=1))
-    v = coeffs / np.where(norms > 0.0, norms, 1.0)[:, None]
+    norms = np.sqrt(np.add.reduce((coeffs.conj() * coeffs).real, axis=1))
+    v = coeffs / (norms + (norms == 0.0))[:, None]  # the norm, or 1 where it is 0
     lead = np.abs(v[:, 0])
-    v[:, 0] += v[:, 0] / np.where(lead > 0.0, lead, 1.0) + (lead == 0.0)
-    scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
-    return basis[:, :, 1:] - (basis @ v[:, :, None]) * (scale[:, None] * v[:, 1:].conj())[:, None]
+    zero = lead == 0.0
+    v[:, 0] += v[:, 0] / (lead + zero) + zero  # e^{i arg c_1}, taken as 1 where the lead is 0
+    scale = np.reciprocal(1.0 + lead)  # 2 / (v^dag v)
+    return basis[:, :, 1:] - (basis @ v[:, :, None]) * (scale[:, None] * v.conj())[:, None, 1:]
 
 
 def _membership_threshold(tol: Tolerances) -> float:

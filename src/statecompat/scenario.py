@@ -307,10 +307,14 @@ def _realize(split: _Split, tol: Tolerances) -> ScenarioResult:
     ``spectra`` record (:func:`statecompat.density._spectra`) and compares
     with its stacked ``matrices``, by name. One
     :func:`statecompat.density._ensembles_around` call gives every ensemble
-    as 2R candidate terms, R the largest rank. Scaling term i of ensemble k
-    by sqrt(w_ki / w_k0) and zeroing the terms it does not keep gives
-    observer k's level-0 rows of the joint state, phi first, as one
-    (n, 2R, d) array, reduced by one batched Gram product; memory stays
+    as 2R candidate terms, R the largest rank. The pass runs without
+    :func:`statecompat.density._check_state`: the witness lies within
+    ``match_abs/sqrt(2)`` of the supports in root-sum-square and is a unit
+    vector from the SVD, so it passes both of its checks; the weight sums
+    are still checked. Scaling term i of ensemble k by sqrt(w_ki / w_k0)
+    and zeroing the terms it does not keep gives observer k's level-0 rows
+    of the joint state, phi first, as one (n, 2R, d) array, written over
+    the pass's terms and reduced by one batched Gram product; memory stays
     O(n R d + n d^2). The all-zero outcome has probability
     |phi|^2 / (|phi|^2 + the squared norm of every extra row). A single
     assignment is realized by two observers holding it, its spectra record
@@ -322,11 +326,11 @@ def _realize(split: _Split, tol: Tolerances) -> ScenarioResult:
     if len(split.matrices) == 1:
         spectra = spectra._make(part[[0, 0]] for part in spectra)
     weights, totals, states, keep = _ensembles_around(spectra, phi, tol)
-    weights = weights / totals[:, None]
-    rows = np.sqrt(weights * keep / weights[:, :1])[:, :, None] * states
-    lead = np.vdot(phi, phi).real
-    probability = float(lead / (lead + np.vdot(rows[:, 1:], rows[:, 1:]).real))
+    weights /= totals[:, None]
+    rows = np.multiply(np.sqrt(weights * keep / weights[:, :1])[:, :, None], states, out=states)
+    lead, extra = np.vdot(phi, phi).real, rows[:, 1:].ravel()
+    probability = float(lead / (lead + np.vdot(extra, extra).real))
     recovered = _reduced_matrices(rows[: len(split.matrices)])
     diff = recovered - split.matrices
-    dists = np.sqrt((diff.conj() * diff).real.sum(axis=(1, 2))).tolist()
+    dists = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2))).tolist()
     return ScenarioResult(recovered, dists, probability, all(d <= tol.match_abs for d in dists))

@@ -14,12 +14,14 @@ here as references for the tests that use them, and are checked themselves.
 :func:`unchecked_density` builds a :class:`DensityMatrix` record around
 given bits, past the constructor's validation: the validation oracle's
 result, and a record that validation would refuse for an error-path test. So
-do the earlier forms of seven library paths: the phase convention with every
+do the earlier forms of nine library paths: the phase convention with every
 anchor found by argmax, validation through a separately coerced, symmetrized
 and diagonalized matrix, the support split with every direction phase-fixed
 and wrapped, the pairwise conditions one pair at a time, the scenario one
 observer at a time (one Householder completion, one checked ensemble and one
-recovered matrix per observer), the planted compatible instance one
+recovered matrix per observer), the scenario's ensemble pass and its batched
+Householder completion as they were when the pass checked its state itself,
+the planted compatible instance one
 extra term at a time, and the frame instance (incompatible and
 pairwise-only) one slice at a time. The instance reader keeps its earlier
 decoder, the standard ``json`` alone, as the oracle of the orjson path, and
@@ -493,6 +495,62 @@ def householder_completion(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     v[0] += v[0] / lead if lead > 0.0 else 1.0
     scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
     return basis[:, 1:] - (basis @ v)[:, None] * (scale * v[1:].conj())
+
+
+def earlier_householder_completions(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The batched completion in its earlier form: a ``where`` per guarded division and ``sum``.
+
+    The library's :func:`statecompat.linalg._householder_completions` does
+    the same arithmetic in fewer numpy calls and must give these bits.
+    """
+    norms = np.sqrt((coeffs.conj() * coeffs).real.sum(axis=1))
+    v = coeffs / np.where(norms > 0.0, norms, 1.0)[:, None]
+    lead = np.abs(v[:, 0])
+    v[:, 0] += v[:, 0] / np.where(lead > 0.0, lead, 1.0) + (lead == 0.0)
+    scale = 1.0 / (1.0 + lead)  # 2 / (v^dag v)
+    return basis[:, :, 1:] - (basis @ v[:, :, None]) * (scale[:, None] * v[:, 1:].conj())[:, None]
+
+
+def earlier_ensembles_around(spectra, phi: np.ndarray, tol=DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """The scenario's ensemble pass in its earlier form, which checked phi itself.
+
+    In this order: the largest support defect (above ``tol.match_abs`` it
+    raises :class:`StateOutsideSupportError`), the unit norm of phi within
+    :data:`UNIT_TOL`, each weight sum within :data:`TRACE_TOL`. The library
+    checks phi in :func:`statecompat.density._check_state` and makes only
+    the last check in :func:`statecompat.density._ensembles_around`, whose
+    four arrays must be these bits.
+    """
+    n, d = spectra.values.shape
+    top = max(1, *spectra.ranks.tolist())
+    inside = spectra.kept[:, :top]
+    r0 = np.minimum.reduce(spectra.values, axis=1, where=spectra.kept, initial=np.inf)
+    weights, keep = np.empty((n, 2 * top)), np.empty((n, 2 * top), dtype=bool)
+    states = np.empty((n, d, 2 * top), dtype=np.complex128)
+    weights[:, :top] = r0[:, None]
+    surplus = np.subtract(spectra.values[:, :top], r0[:, None], out=weights[:, top:])
+    keep[:, :top] = inside
+    np.logical_and(inside, surplus > spectra.cutoffs[:, None], out=keep[:, top:])
+    keep[:, 0] = True
+    states[:, :, 0] = phi
+    basis = np.multiply(spectra.vectors[:, :, :top], inside[:, None], out=states[:, :, top:])
+    coeffs = (phi.conj() @ basis).conj()
+    states[:, :, 1:top] = earlier_householder_completions(basis, coeffs)
+    gap = phi - (basis @ coeffs[:, :, None])[:, :, 0]
+    defect = math.sqrt(max((gap.conj() * gap).real.sum(axis=1).tolist()))
+    if defect > tol.match_abs:
+        raise StateOutsideSupportError(
+            f"state has a null-space component (projection defect {defect:.3e}); "
+            "no ensemble for this density matrix can contain it"
+        )
+    norm = math.sqrt((phi.conj() * phi).real.sum())
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise StateCompatError(f"ensemble state is not unit norm (|v| = {norm:.12g})")
+    totals = np.where(keep, weights, 0.0).sum(axis=1)
+    for total in totals.tolist():
+        if not abs(total - 1.0) <= TRACE_TOL:
+            raise StateCompatError(f"ensemble weights sum to {total:.12g}, outside 1 +- {TRACE_TOL}")
+    return weights, totals, states.transpose(0, 2, 1), keep
 
 
 class OutsideSubspaceError(StateCompatError):

@@ -29,6 +29,7 @@ from statecompat.linalg import (
 
 from conftest import (
     OutsideSubspaceError,
+    earlier_householder_completions,
     fix_phase,
     householder_completion,
     loop_fix_phase,
@@ -343,10 +344,10 @@ def test_householder_completion_matches_svd_oracle():
             assert abs(abs(np.vdot(got[:, 0], psi)) - 1.0) <= 1e-14
 
 
-def test_batched_householder_completions_match_one_at_a_time():
-    """Bases of different ranks, zero-padded to the largest: each completion is
-    the single-basis one, padding gives zero columns, and neither a zero
-    leading coefficient nor an all-zero coefficient vector divides by zero."""
+def padded_completion_inputs():
+    """Bases of different ranks, zero-padded to the largest, and their coefficients: per
+    case the ranks, the bases and coefficients one by one, and the padded stacks. The
+    basis of the largest rank has a zero leading coefficient."""
     rng = np.random.default_rng(30)
     for dim, ranks in [(1, [1, 1]), (3, [1, 3, 2]), (5, [5, 2, 4, 1]), (16, [7, 16, 3])]:
         top = max(ranks)
@@ -358,6 +359,14 @@ def test_batched_householder_completions_match_one_at_a_time():
         stacked = np.zeros((len(ranks), top), dtype=complex)
         for i, (basis, c) in enumerate(zip(bases, coeffs)):
             padded[i, :, : ranks[i]], stacked[i, : ranks[i]] = basis, c
+        yield ranks, bases, coeffs, padded, stacked
+
+
+def test_batched_householder_completions_match_one_at_a_time():
+    """Bases of different ranks, zero-padded to the largest: each completion is
+    the single-basis one, padding gives zero columns, and neither a zero
+    leading coefficient nor an all-zero coefficient vector divides by zero."""
+    for ranks, bases, coeffs, padded, stacked in padded_completion_inputs():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _householder_completions(padded, stacked)
@@ -369,6 +378,18 @@ def test_batched_householder_completions_match_one_at_a_time():
             )
             assert not got[i, :, k - 1 :].any()
             np.testing.assert_array_equal(none[i, :, : k - 1], basis[:, 1:])
+
+
+def test_householder_completions_keep_the_earlier_bits():
+    """The completion gives the bits of its earlier form on the same inputs, a zero
+    leading coefficient and all-zero coefficients included, with warnings as errors."""
+    for _, _, _, padded, stacked in padded_completion_inputs():
+        for coeffs in (stacked, np.zeros_like(stacked)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _householder_completions(padded, coeffs)
+                want = earlier_householder_completions(padded, coeffs)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_basis_containing_rejects_outside_vector():

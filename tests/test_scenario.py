@@ -12,6 +12,7 @@ from conftest import (
     dense_conditional,
     dense_joint_tensor,
     dense_to_blocks,
+    earlier_ensembles_around,
     joint_zero_outcome_probability,
     loop_ensemble_containing,
     loop_scenario,
@@ -22,6 +23,7 @@ from conftest import (
 from statecompat.compat import _report, _split_set, full_report, support_compatible
 from statecompat.density import (
     Ensemble,
+    _check_state,
     _ensembles_around,
     _spectra,
     ensemble_containing,
@@ -42,7 +44,7 @@ from statecompat.generate import (
     random_unit_vector,
     random_unitary,
 )
-from statecompat.linalg import DEFAULT_TOL, UNIT_TOL, EigResult
+from statecompat.linalg import DEFAULT_TOL, UNIT_TOL, EigResult, Tolerances
 from statecompat.scenario import (
     BlockState,
     CompositeState,
@@ -652,6 +654,63 @@ def test_check_terms_passes_on_every_kernel_ensemble():
     assert cases == 732
 
 
+def test_ensemble_pass_keeps_the_earlier_bits():
+    """The pass returns the four arrays of its earlier form, which checked phi itself,
+    bit for bit on every oracle set."""
+    cases = 0
+    for rhos, phi in oracle_sets():
+        spectra = _spectra(rhos, DEFAULT_TOL)
+        got = _ensembles_around(spectra, phi, DEFAULT_TOL)
+        want = earlier_ensembles_around(spectra, phi, DEFAULT_TOL)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        cases += 1
+    assert cases == 732
+
+
+def assert_witness_passes_the_state_checks(rhos):
+    """The split's witness lies within match_abs/sqrt(2) of every support and is a unit
+    vector within UNIT_TOL, so _check_state, which the scenario skips, passes on it."""
+    witness = _split_set(rhos, DEFAULT_TOL).witness
+    if witness is None:
+        return
+    largest = max(projection_defect(support(rho), witness) for rho in rhos)
+    assert largest <= DEFAULT_TOL.match_abs / np.sqrt(2.0) + 1e-15
+    assert abs(np.linalg.norm(witness) - 1.0) <= UNIT_TOL
+    _check_state(_spectra(rhos, DEFAULT_TOL), witness, DEFAULT_TOL)
+
+
+def test_the_witness_passes_the_checks_the_scenario_skips():
+    """On every set of the oracle sets and at the scenario-observers shape (dim 3,
+    1 to 8 matrices; one is the first of a pair), the witness passes the two state
+    checks _realize leaves out."""
+    for rhos, _ in oracle_sets():
+        assert_witness_passes_the_state_checks(rhos)
+    for n in range(1, 9):
+        for seed in range(8):
+            matrices = generate_instance(3, max(n, 2), 6300 + seed, "compatible")[:n]
+            assert_witness_passes_the_state_checks([validate_density(m) for m in matrices])
+
+
+@pytest.mark.parametrize("case", ["rank_rel 5e-3", "dim 120"])
+def test_scenario_of_a_compatible_set_can_fail_the_weight_sum(case):
+    """The weight-sum check stays in the pass, because it is reachable from a set the
+    report calls compatible: the zero cutoff drops eigenvalues whose weight then misses
+    from r_0's ensemble. diag(0.5, 0.4996, 0.0004) at rank_rel 5e-3 drops the surplus
+    0.0004 and the eigenvalue 0.0004, and at the default tolerances one eigenvalue near
+    1 beside 119 at 0.9e-10 (before normalizing) drops the 119; either beside |0><0|."""
+    if case == "dim 120":
+        tol, values, total = DEFAULT_TOL, np.array([1.0] + [0.9e-10] * 119), "0.99999998929"
+        values /= values.sum()
+    else:
+        tol, values, total = Tolerances(rank_rel=5e-3), np.array([0.5, 0.4996, 0.0004]), "0.9992"
+    lead = np.zeros(len(values), dtype=complex)
+    lead[0] = 1.0
+    rhos = [validate_density(np.diag(values), tol), validate_density(np.outer(lead, lead), tol)]
+    assert full_report(rhos, tol).compatible
+    assert raised(run_scenario, rhos, tol) == (
+        StateCompatError, f"ensemble weights sum to {total}, outside 1 +- 1e-08")
+
+
 def test_batched_scenario_of_one_matrix_is_its_pair():
     """One matrix is realized as the loop oracle realizes two observers holding it,
     around the one matrix's witness, its leading support vector."""
@@ -682,14 +741,17 @@ def raised(call, *args):
 
 
 def kernel(rhos, phi, tol=DEFAULT_TOL):
-    """The scenario's ensemble pass over the set around ``phi``."""
-    return _ensembles_around(_spectra(rhos, tol), phi, tol)
+    """The state checker, then the scenario's ensemble pass, over the set around ``phi``."""
+    spectra = _spectra(rhos, tol)
+    _check_state(spectra, phi, tol)
+    return _ensembles_around(spectra, phi, tol)
 
 
 def test_batched_scenario_raises_like_the_per_observer_loop():
     """The kernel raises the per-observer class and message where one observer
     fails a check, and quotes the largest support defect; ensemble_containing
-    refuses a caller's state as the loop oracle does."""
+    refuses a caller's state (non-finite, of the wrong length, tilted out of
+    the support or outside it) as the loop oracle does."""
     rng = np.random.default_rng(79)
     dim = 4
     rhos = mixed_rank_set(dim, 6, rng)
@@ -716,6 +778,8 @@ def test_batched_scenario_raises_like_the_per_observer_loop():
                         "wrong length": phi[:-1]}.items():
         for rho in rhos:
             assert raised(ensemble_containing, rho, state) == raised(loop_ensemble_containing, rho, state), name
+    for rho in (partly, outside):
+        assert raised(ensemble_containing, rho, phi) == raised(loop_ensemble_containing, rho, phi)
     defects = [projection_defect(support(r), phi) for r in (partly, outside)]
     assert abs(defects[0] - np.sin(0.5)) <= 1e-12 and abs(defects[1] - 1.0) <= 1e-12
     for observers, defect in ((cases["outside at 2"], defects[0]),
